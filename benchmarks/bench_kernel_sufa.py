@@ -56,15 +56,16 @@ import os
 import pathlib
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from repro.core.config import SofaConfig
+from repro.core.config import DlzsConfig, SadsConfig, SofaConfig, SufaConfig
 from repro.core.dlzs import DlzsPredictor
 from repro.core.sads import SadsSorter
 from repro.core.sufa import SufaStackResult, UpdateOrder, stream_selected_reference
 from repro.engine import AttentionRequest, SofaEngine
-from repro.kernels import FUSED, register_sufa_kernel, stream_selected_blocked
+from repro.kernels import FUSED, register_kernel, stream_selected_blocked
 from repro.numerics.linalg import det_rowdot
 from repro.utils.rng import make_rng
 
@@ -201,7 +202,7 @@ def stream_selected_seed(
 # The bench drives the seed loop through the public registry - both to
 # serve whole engine streams with it (the end-to-end before/after) and as
 # a live example of registering a custom kernel.
-register_sufa_kernel("seed-loop", stream_selected_seed, overwrite=True)
+register_kernel("stream", "seed-loop", stream_selected_seed, overwrite=True)
 
 
 def _workload(r: int, kk: int, d: int, dv: int, seed: int = 17):
@@ -360,17 +361,19 @@ def measure_fused_engine(quick: bool = False) -> dict:
         for _ in range(w["n"])
     ]
     results = {}
-    selections = {
-        "default": None,
-        "fused": {"predict": "fused", "select": "fused"},
+    configs = {
+        "default": cfg,
+        "fused": replace(
+            cfg, dlzs=DlzsConfig(kernel="fused"), sads=SadsConfig(kernel="fused")
+        ),
     }
     # Both engines stay alive and the timing rounds interleave them, so
     # host-load drift penalizes both sides instead of whichever phase it
     # happened to land on (the same reason _best_of_interleaved exists:
     # a sequential default-then-fused phase split makes the ratio noisy).
     engines = {
-        name: SofaEngine(cfg, max_batch_heads=8, kernel=kernel)
-        for name, kernel in selections.items()
+        name: SofaEngine(config, max_batch_heads=8)
+        for name, config in configs.items()
     }
     try:
         for name, engine in engines.items():
@@ -433,7 +436,8 @@ def measure_engine(quick: bool = False) -> dict:
     results = {}
     times = {}
     for kernel in ("seed-loop", "reference", "blocked"):
-        with SofaEngine(cfg, max_batch_heads=8, kernel=kernel) as engine:
+        kernel_cfg = replace(cfg, sufa=SufaConfig(kernel=kernel))
+        with SofaEngine(kernel_cfg, max_batch_heads=8) as engine:
             engine.run(requests)  # warm: operators built, caches steady
             best = float("inf")
             for _ in range(REPEATS[quick]):

@@ -40,7 +40,7 @@ import time
 import numpy as np
 
 import repro.obs as obs
-from repro.core.config import SofaConfig
+from repro.core.config import DlzsConfig, SadsConfig, SofaConfig
 from repro.engine import AttentionRequest, SofaEngine
 from repro.utils.rng import make_rng
 
@@ -108,9 +108,13 @@ def measure_obs_overhead(quick: bool = False) -> dict:
     requests = _make_requests(w)
     telemetry = obs.reset_telemetry(enabled=False)
     engine = SofaEngine(
-        SofaConfig(tile_cols=w["tile_cols"], top_k=w["top_k"]),
+        SofaConfig(
+            tile_cols=w["tile_cols"],
+            top_k=w["top_k"],
+            dlzs=DlzsConfig(kernel="fused"),
+            sads=SadsConfig(kernel="fused"),
+        ),
         max_batch_heads=8,
-        kernel={"predict": "fused", "select": "fused"},
     )
     try:
         # Parity across the toggle, measured before any timing: the plane

@@ -18,10 +18,11 @@ contribution:
     sorted-updating FlashAttention, the cross-stage tiled pipeline and the
     Bayesian-optimisation design-space exploration.
 ``repro.kernels``
-    Interchangeable implementations of the SU-FA streaming core behind a
-    named registry (``blocked`` tile-vectorized default, ``reference``
-    per-key golden model) - bit-for-bit equal, selectable per config,
-    engine, cluster, or ``SOFA_SUFA_KERNEL``.
+    Interchangeable implementations of the three dynamic-sparsity stages
+    behind per-stage registries (``predict`` / ``select`` / ``stream``:
+    fused DLZS->SADS selection, the tile-blocked SU-FA core, and the
+    golden ``reference`` models) - bit-for-bit equal, selected by the
+    ``kernel`` fields of ``SofaConfig`` or ``SOFA_<STAGE>_KERNEL``.
 ``repro.engine``
     The batched execution layer: a fused multi-head operator bit-identical
     to the per-head pipeline, and a serving frontend with a request queue,
@@ -64,7 +65,6 @@ from repro.core.pipeline import SofaAttention, sofa_attention
 from repro.core.sads import SadsSorter
 from repro.core.sufa import sorted_updating_attention
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
-from repro.kernels import available_sufa_kernels, get_sufa_kernel, register_sufa_kernel
 
 __version__ = "1.9.0"
 
@@ -80,8 +80,5 @@ __all__ = [
     "EngineCluster",
     "SofaEngine",
     "AttentionRequest",
-    "available_sufa_kernels",
-    "get_sufa_kernel",
-    "register_sufa_kernel",
     "__version__",
 ]

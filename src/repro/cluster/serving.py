@@ -95,13 +95,14 @@ the autoscaler.  The full request path is walked in
 
 from __future__ import annotations
 
+import inspect
 import pickle
 import threading
 import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable
 
 from repro.core.config import SofaConfig
 from repro.core.pipeline import SofaAttentionResult
@@ -112,11 +113,8 @@ from repro.engine.codec import (
     encode_request,
     request_fingerprint,
 )
-from repro.engine.serving import (
-    AttentionRequest,
-    config_with_kernels,
-    validate_request,
-)
+from repro.engine.serving import AttentionRequest, SofaEngine, validate_request
+from repro.kernels import resolved_kernels
 from repro.obs import get_telemetry
 from repro.cluster.routing import POLICIES, RequestInfo, make_policy
 from repro.cluster.supervisor import (
@@ -390,28 +388,30 @@ class EngineCluster:
     start_method:
         ``multiprocessing`` start method for the local transport (default:
         ``fork`` where available, else ``spawn``).
-    max_batch_heads / max_wait_batches / backend / kernel /
-    cache_kind / cache_entries / cache_ttl_s / cache_bytes /
-    cache_block_tokens / cache_spill_dir:
-        Forwarded to every worker's :class:`SofaEngine` - including the
-        decode-cache parameterization (``cache_kind="paged"`` block pool
-        with prefix sharing and disk spill by default; ``cache_bytes``
-        is each worker's RAM budget).  ``cache_spill_dir`` is namespaced
-        per worker id on the worker side, so co-hosted workers never
-        share spill files.  (``kernel`` selects stage kernels from the
-        :mod:`repro.kernels` registries - a bare string picks the SU-FA
-        ``"stream"`` kernel, a mapping pins any of
-        ``predict``/``select``/``stream``; kernels are bit-for-bit
-        interchangeable, so it only moves wall-clock time).  The
-        registries are per-process: built-in kernels resolve everywhere,
-        but a custom-registered kernel reaches the workers only when they
-        inherit the parent's registry (``fork`` start method, the Linux
-        default) or register it at import time of a module the worker
-        imports - under ``spawn`` (and for socket workers, which are
-        independent processes), a parent-only registration will fail
-        worker engine construction at startup.
     startup_timeout_s:
         How long to wait for all workers to report ready.
+    **engine_options:
+        Every other keyword is a :class:`SofaEngine` option
+        (``max_batch_heads``, ``backend``, ``max_workers``,
+        ``cache_kind``/``cache_bytes``/... - see its docstring), forwarded
+        unchanged to every worker's engine.  Names are checked against
+        :class:`SofaEngine`'s signature here, so a typo raises
+        :class:`TypeError` in the caller's process before any worker
+        spawns; ``cache`` is rejected (a cache object cannot cross the
+        process boundary - each worker builds its own from the
+        ``cache_*`` options, and ``cache_spill_dir`` is namespaced per
+        worker id so co-hosted workers never share spill files).
+
+    Stage kernels are chosen by ``config``'s ``kernel`` fields (or the
+    workers' ``SOFA_<STAGE>_KERNEL`` environment); the names are resolved
+    here too, so a typo fails before any worker spawns.  The registries
+    are per-process: built-in kernels resolve everywhere, but a
+    custom-registered kernel reaches the workers only when they inherit
+    the parent's registry (``fork`` start method, the Linux default) or
+    register it at import time of a module the worker imports - under
+    ``spawn`` (and for socket workers, which are independent processes),
+    a parent-only registration fails worker engine construction at
+    startup.
     """
 
     def __init__(
@@ -425,17 +425,8 @@ class EngineCluster:
         worker_addresses: list[str | None] | None = None,
         supervisor: SupervisorConfig | bool | None = None,
         autoscaler: "AutoscalerConfig | bool | None" = None,
-        max_batch_heads: int = 64,
-        max_wait_batches: int | None = None,
-        backend: str = "sync",
-        kernel: "str | Mapping[str, str] | None" = None,
-        cache_kind: str = "paged",
-        cache_entries: int = 256,
-        cache_ttl_s: float | None = None,
-        cache_bytes: int | None = None,
-        cache_block_tokens: int = 32,
-        cache_spill_dir: str | None = None,
         startup_timeout_s: float = 60.0,
+        **engine_options: Any,
     ):
         if worker_addresses is not None:
             if isinstance(transport, ClusterTransport):
@@ -459,11 +450,22 @@ class EngineCluster:
             raise ValueError("n_workers must be >= 1")
         if routing not in POLICIES:
             raise ValueError(f"unknown routing policy {routing!r}; expected {POLICIES}")
-        if kernel is not None:
-            # Fail a typo here, in the caller's process, instead of
-            # spawning N workers that all die on engine construction.
-            config_with_kernels(config or SofaConfig(), kernel)
+        if "cache" in engine_options:
+            raise TypeError(
+                "EngineCluster cannot forward cache= (a cache object cannot "
+                "cross the process boundary); use the cache_* options"
+            )
+        accepted = set(inspect.signature(SofaEngine).parameters) - {"config", "cache"}
+        unknown = sorted(set(engine_options) - accepted)
+        if unknown:
+            raise TypeError(
+                f"unknown SofaEngine option(s) {unknown}; "
+                f"accepted: {sorted(accepted)}"
+            )
         self.config = config or SofaConfig()
+        # Fail a kernel typo here, in the caller's process, instead of
+        # spawning N workers that all die on engine construction.
+        resolved_kernels(self.config)
         self.routing = routing
         self.dedup = dedup
         self._policy = make_policy(routing, n_workers)
@@ -524,32 +526,14 @@ class EngineCluster:
         if obs.enabled:
             self._register_metrics(obs)
 
-        self._engine_kwargs = {
-            "config": encode_config(self.config),
-            "max_batch_heads": max_batch_heads,
-            "max_wait_batches": max_wait_batches,
-            "backend": backend,
-            # Every worker engine resolves its stage kernels (predict/
-            # select/stream) through the same repro.kernels registries as
-            # in-process serving, so the cross-process parity contract
-            # shares one implementation per stage too.
-            "kernel": dict(kernel) if isinstance(kernel, Mapping) else kernel,
-            "cache_kind": cache_kind,
-            "cache_entries": cache_entries,
-            "cache_ttl_s": cache_ttl_s,
-            "cache_bytes": cache_bytes,
-            "cache_block_tokens": cache_block_tokens,
-            "cache_spill_dir": cache_spill_dir,
-        }
+        self._engine_kwargs = {"config": encode_config(self.config), **engine_options}
         self._slots: list[_WorkerHandle] = []
         self._workers: dict[int, _WorkerHandle] = {}
         self._next_worker_id = n_workers
         self._ready: set[int] = set()
         try:
             for slot in range(n_workers):
-                link = self._transport.start_worker(
-                    slot, slot, self._engine_kwargs
-                )
+                link = self._start_worker(slot, slot)
                 handle = _WorkerHandle(slot, slot, link)
                 self._slots.append(handle)
                 self._workers[slot] = handle
@@ -609,6 +593,17 @@ class EngineCluster:
             "sofa_cluster_live_workers",
             lambda c: sum(1 for w in c._slots if w.alive and w.ready),
         )
+
+    def _start_worker(self, slot: int, worker_id: int) -> WorkerLink:
+        """Start one worker incarnation with this cluster's engine options.
+
+        The frontend's telemetry switch rides along, read at start time:
+        a worker enables telemetry when either it or the worker's own
+        ``SOFA_TELEMETRY`` environment says so, so a programmatic
+        :func:`repro.obs.enable` reaches every worker started after it.
+        """
+        engine_kwargs = {**self._engine_kwargs, "telemetry": get_telemetry().enabled}
+        return self._transport.start_worker(slot, worker_id, engine_kwargs)
 
     # ---------------------------------------------------------------- topology
     def _dead_count(self) -> int:
@@ -1094,9 +1089,7 @@ class EngineCluster:
         )
         sup.note_recovery_started(slot, now)
         try:
-            link = self._transport.start_worker(
-                slot, worker_id, self._engine_kwargs
-            )
+            link = self._start_worker(slot, worker_id)
         except Exception:  # noqa: BLE001 - any start failure just backs off
             sup.note_start_failed(slot, now)
             return
@@ -1177,9 +1170,7 @@ class EngineCluster:
         # allocated past it).
         worker_id = self._alloc_worker_id()
         try:
-            link = self._transport.start_worker(
-                slot, worker_id, self._engine_kwargs
-            )
+            link = self._start_worker(slot, worker_id)
         except Exception:  # noqa: BLE001 - a later tick simply retries
             return
         handle = _WorkerHandle(slot, worker_id, link)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import os
 import queue
 import select
+import socket
 import subprocess
 import sys
 import threading
@@ -344,11 +345,7 @@ class _SocketWorkerLink(WorkerLink):
         # is what reconnection attaches to).
         if self.process is not None and self.process.poll() is None:
             self.process.kill()
-        self._alive = False
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close on a dead socket
-            pass
+        self._close_socket()
 
     def join(self, timeout: float | None = None) -> None:
         if self.process is not None:
@@ -360,10 +357,20 @@ class _SocketWorkerLink(WorkerLink):
             self._reader.join(timeout=timeout)
 
     def close(self) -> None:
+        self._close_socket()
+
+    def _close_socket(self) -> None:
+        # shutdown() before close(): closing alone leaves the reader thread
+        # blocked in recv() holding the socket open, so the peer never sees
+        # EOF - and a remote worker never loops back to accept a reconnect.
         self._alive = False
         try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already disconnected
+            pass
+        try:
             self._sock.close()
-        except OSError:  # pragma: no cover
+        except OSError:  # pragma: no cover - close on a dead socket
             pass
 
 
@@ -390,9 +397,6 @@ class SocketTransport(ClusterTransport):
         addresses: list[str | None] | int,
         connect_timeout_s: float = 30.0,
     ):
-        import socket as _socket  # local alias keeps module-level deps light
-
-        self._socket = _socket
         if isinstance(addresses, int):
             addresses = [None] * addresses
         if not addresses:
@@ -464,7 +468,7 @@ class SocketTransport(ClusterTransport):
     ) -> WorkerLink:
         host, port = self._slot_target(slot)
         try:
-            sock = self._socket.create_connection(
+            sock = socket.create_connection(
                 (host, port), timeout=self.connect_timeout_s
             )
         except OSError as error:

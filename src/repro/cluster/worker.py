@@ -26,7 +26,9 @@ Wire protocol (plain tuples of built-ins, payloads via
 frontend -> worker
     ``("init", worker_id, engine_kwargs)``  socket only: identity + engine
                                             parameterization for this
-                                            session (queues pass these to
+                                            session, plus the frontend's
+                                            ``telemetry`` switch (queues
+                                            pass these to
                                             :func:`worker_main` directly)
     ``("req", req_id, payload)``    serve one request
     ``("invalidate", ctl_id, key)`` drop decode-cache state for a key
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import pickle
 import queue
+from dataclasses import asdict
 from typing import Any, Callable
 
 from repro.engine.codec import (
@@ -73,7 +76,7 @@ from repro.engine.codec import (
     request_trace_context,
 )
 from repro.engine.serving import SofaEngine
-from repro.obs import get_telemetry, reset_telemetry
+from repro.obs import get_telemetry, reset_telemetry, telemetry_env_enabled
 
 
 def stats_snapshot(engine: SofaEngine) -> dict[str, Any]:
@@ -89,27 +92,12 @@ def stats_snapshot(engine: SofaEngine) -> dict[str, Any]:
     spans into the frontend's trace without a separate control
     round-trip.
     """
-    cache = engine.stats.cache
     snap: dict[str, Any] = {
         "n_requests": engine.stats.n_requests,
         "n_batches": engine.stats.n_batches,
         "n_steps": engine.stats.n_steps,
         "kernels": engine.resolved_kernels(),
-        "cache": {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "invalidations": cache.invalidations,
-            "evictions": cache.evictions,
-            "expirations": cache.expirations,
-            "rows_reused": cache.rows_reused,
-            "rows_appended": cache.rows_appended,
-            "resident_bytes": cache.resident_bytes,
-            "resident_blocks": cache.resident_blocks,
-            "shared_blocks": cache.shared_blocks,
-            "spilled_blocks": cache.spilled_blocks,
-            "spilled_bytes": cache.spilled_bytes,
-            "spill_loads": cache.spill_loads,
-        },
+        "cache": asdict(engine.stats.cache),
     }
     obs = get_telemetry()
     if obs.enabled:
@@ -243,10 +231,12 @@ def _build_engine(engine_kwargs: dict[str, Any], worker_id: int | None = None) -
     # Fresh telemetry first: a forked local worker inherits the frontend's
     # singleton - its spans and counters included - and must not re-ship
     # the frontend's own telemetry back to it.  (Socket sessions get a
-    # clean registry per engine/session for the same reason.)  The engine
-    # constructed below registers its gauges into this fresh singleton.
-    reset_telemetry()
+    # clean registry per engine/session for the same reason.)  It is on
+    # when the frontend's shipped switch or this process's environment
+    # says so.  The engine constructed below registers its gauges into
+    # this fresh singleton.
     kwargs = dict(engine_kwargs)
+    reset_telemetry(enabled=kwargs.pop("telemetry", False) or telemetry_env_enabled())
     kwargs["config"] = decode_config(kwargs.get("config"))
     if worker_id is not None and kwargs.get("cache_spill_dir"):
         import os

@@ -55,15 +55,6 @@ def _bitonic_comparators(width: int) -> int:
 
 
 @dataclass
-class SegmentSelection:
-    """Per-segment output: chosen local indices plus observed extremes."""
-
-    indices: np.ndarray
-    max_value: float
-    min_selected: float
-
-
-@dataclass
 class SadsRowResult:
     """SADS output for one attention row.
 

@@ -77,15 +77,6 @@ _ASSURANCE_ERROR = (
 
 
 @dataclass
-class SufaRowResult:
-    """SU-FA output for one query row."""
-
-    output: np.ndarray
-    ops: OpCounter
-    assurance_triggers: int
-
-
-@dataclass
 class SufaResult:
     """Batched SU-FA output.
 
@@ -305,9 +296,9 @@ def stream_selected(
     counts, and per-row op tallies, so the choice only moves wall-clock
     time; each row's result is also bit-identical to streaming it alone.
     """
-    from repro.kernels import get_sufa_kernel
+    from repro.kernels import get_kernel
 
-    impl = get_sufa_kernel(kernel)
+    impl = get_kernel("stream", kernel)
     return impl(
         q_rows,
         k_sel,

@@ -31,10 +31,6 @@ class ZeroProfile:
     nonzero_fraction: float
     column_nonzero: np.ndarray
 
-    @property
-    def worst_column_fraction(self) -> float:
-        return float(self.column_nonzero.max()) if self.column_nonzero.size else 0.0
-
 
 def profile_zeros(operand: np.ndarray) -> ZeroProfile:
     """Measure the zero structure of a (quantized) operand matrix."""

@@ -66,7 +66,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Hashable
 
 from repro.obs import get_telemetry
@@ -149,21 +149,7 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            invalidations=self.invalidations,
-            evictions=self.evictions,
-            expirations=self.expirations,
-            rows_reused=self.rows_reused,
-            rows_appended=self.rows_appended,
-            resident_bytes=self.resident_bytes,
-            resident_blocks=self.resident_blocks,
-            shared_blocks=self.shared_blocks,
-            spilled_blocks=self.spilled_blocks,
-            spilled_bytes=self.spilled_bytes,
-            spill_loads=self.spill_loads,
-        )
+        return replace(self)
 
     def register_metrics(self, registry, prefix: str = "sofa_cache") -> None:
         """Expose every counter field as a callback gauge on ``registry``.
@@ -174,43 +160,15 @@ class CacheStats:
         from repro.obs import register_stats_gauges
 
         register_stats_gauges(
-            registry,
-            prefix,
-            self,
-            (
-                "hits",
-                "misses",
-                "invalidations",
-                "evictions",
-                "expirations",
-                "rows_reused",
-                "rows_appended",
-                "resident_bytes",
-                "resident_blocks",
-                "shared_blocks",
-                "spilled_blocks",
-                "spilled_bytes",
-                "spill_loads",
-            ),
+            registry, prefix, self, tuple(f.name for f in fields(self))
         )
 
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Counter-wise sum (aggregating per-worker caches in a cluster)."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            invalidations=self.invalidations + other.invalidations,
-            evictions=self.evictions + other.evictions,
-            expirations=self.expirations + other.expirations,
-            rows_reused=self.rows_reused + other.rows_reused,
-            rows_appended=self.rows_appended + other.rows_appended,
-            resident_bytes=self.resident_bytes + other.resident_bytes,
-            resident_blocks=self.resident_blocks + other.resident_blocks,
-            shared_blocks=self.shared_blocks + other.shared_blocks,
-            spilled_blocks=self.spilled_blocks + other.spilled_blocks,
-            spilled_bytes=self.spilled_bytes + other.spilled_bytes,
-            spill_loads=self.spill_loads + other.spill_loads,
-        )
+        return CacheStats(**{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        })
 
 
 def prefix_matches(store_key: Hashable, prefix: Hashable) -> bool:

@@ -132,10 +132,6 @@ class FrameDecoder:
         self._buffer = bytearray()
         self._error: FrameError | None = None
 
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buffer)
-
     def _fail(self, error: FrameError) -> FrameError:
         self._error = error
         return error

@@ -63,8 +63,8 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Hashable, Mapping
+from dataclasses import dataclass, field
+from typing import Hashable
 
 import numpy as np
 
@@ -73,44 +73,8 @@ from repro.core.pipeline import SofaAttentionResult
 from repro.engine.batched import BatchedSofaAttention
 from repro.engine.cache import CacheStats, DecodeStepCache, make_decode_cache
 from repro.engine.executor import make_executor
-from repro.kernels import (
-    STAGES,
-    resolve_kernel_name,
-    resolve_sufa_kernel_name,
-    resolved_kernels,
-)
+from repro.kernels import resolved_kernels
 from repro.obs import get_telemetry
-
-
-def config_with_kernels(
-    config: SofaConfig, kernel: "str | Mapping[str, str] | None"
-) -> SofaConfig:
-    """``config`` with per-stage kernel selections applied and validated.
-
-    A bare string keeps the PR-4 meaning (the SU-FA ``"stream"`` stage);
-    a mapping pins any subset of :data:`repro.kernels.STAGES`, e.g.
-    ``{"predict": "fused", "select": "fused", "stream": "blocked"}``.
-    Every name is resolved eagerly so a typo fails at construction (with
-    the registry's source-attributed message), not inside the first batch.
-    """
-    if kernel is None:
-        return config
-    mapping = {"stream": kernel} if isinstance(kernel, str) else dict(kernel)
-    unknown = sorted(set(mapping) - set(STAGES))
-    if unknown:
-        raise ValueError(f"unknown kernel stages {unknown}; stages: {STAGES}")
-    for stage, name in mapping.items():
-        if stage == "stream":
-            resolve_sufa_kernel_name(name)  # legacy "unknown SU-FA kernel" text
-        else:
-            resolve_kernel_name(stage, name)
-    if "predict" in mapping:
-        config = replace(config, dlzs=replace(config.dlzs, kernel=mapping["predict"]))
-    if "select" in mapping:
-        config = replace(config, sads=replace(config.sads, kernel=mapping["select"]))
-    if "stream" in mapping:
-        config = replace(config, sufa=replace(config.sufa, kernel=mapping["stream"]))
-    return config
 
 
 @dataclass
@@ -325,7 +289,13 @@ class SofaEngine:
     Parameters
     ----------
     config:
-        Default :class:`SofaConfig` for requests that carry none.
+        Default :class:`SofaConfig` for requests that carry none.  Its
+        ``dlzs``/``sads``/``sufa`` ``kernel`` fields are the engine's
+        stage-kernel selection (see :mod:`repro.kernels`; ``"auto"`` =
+        per-stage env var, then registry default).  Every name is
+        resolved here, so a typo fails at construction with the
+        registry's stage- and source-attributed message, not inside the
+        first batch.
     max_batch_heads:
         Fused-call width; a group executes as soon as it can fill one chunk.
     backend / max_workers:
@@ -334,17 +304,6 @@ class SofaEngine:
         Starvation bound: a group executes after waiting this many
         scheduling rounds even if under-full.  ``None`` means groups wait
         for a full chunk, a deadline, or an explicit :meth:`flush`.
-    kernel:
-        Stage-kernel selection for this engine's default config.  A bare
-        string picks the SU-FA ``"stream"`` kernel (the PR-4 meaning:
-        ``"blocked"``/``"reference"``/registered name); a mapping pins any
-        subset of the stages, e.g. ``{"predict": "fused", "select":
-        "fused"}`` to engage the fused predict+select kernel (see
-        :mod:`repro.kernels`).  ``None`` keeps the config's own selections
-        (``"auto"`` = per-stage env var, then registry default).  Kernels
-        are bit-for-bit interchangeable, so this only moves wall-clock
-        time; requests carrying an explicit ``config`` keep their config's
-        kernels.
     cache / cache_kind / cache_entries / cache_ttl_s:
         Pass ``cache`` to share a decode-step cache between engines, or
         let the engine build (and own) one via
@@ -375,7 +334,6 @@ class SofaEngine:
         backend: str = "sync",
         max_workers: int | None = None,
         max_wait_batches: int | None = None,
-        kernel: "str | Mapping[str, str] | None" = None,
         cache: DecodeStepCache | None = None,
         cache_kind: str = "paged",
         cache_entries: int = 256,
@@ -388,7 +346,8 @@ class SofaEngine:
             raise ValueError("max_batch_heads must be >= 1")
         if max_wait_batches is not None and max_wait_batches < 0:
             raise ValueError("max_wait_batches must be >= 0 (or None)")
-        self.config = config_with_kernels(config or SofaConfig(), kernel)
+        self.config = config or SofaConfig()
+        resolved_kernels(self.config)  # a kernel typo fails here, not mid-batch
         self.max_batch_heads = max_batch_heads
         self.max_wait_batches = max_wait_batches
         self.executor = make_executor(backend, max_workers=max_workers)

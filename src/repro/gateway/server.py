@@ -343,7 +343,10 @@ class SofaGateway:
             if ":" in line:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            return None  # non-integer length: as unframeable as a negative one
         if length < 0 or length > MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""

@@ -7,8 +7,8 @@ bit-for-bit fixed contract, each with a golden model in ``repro.core``)
 from *how* it is executed:
 
 * :mod:`repro.kernels.registry` - registration plus the per-stage
-  selection precedence (explicit name > ``SOFA_<STAGE>_KERNEL`` env var >
-  stage default);
+  selection precedence (the config's ``kernel`` field >
+  ``SOFA_<STAGE>_KERNEL`` env var > stage default);
 * :mod:`repro.kernels.predict_select_fused` - the ``"fused"`` predict and
   select entries: blocked DLZS score prediction with in-band SADS
   selection per tile, never materializing the full score matrix (the
@@ -29,8 +29,12 @@ kernel test suites, re-run per combination by CI's kernel-matrix job).
 The same seam is where array-API backends (CuPy / torch) plug in later: a
 backend is just another registered kernel facing the same sweeps.
 
-The SU-FA-only names of PR 4 (``register_sufa_kernel`` and friends)
-remain as thin wrappers over the ``"stream"`` stage.
+A stage kernel is chosen in exactly one place in code - the ``kernel``
+field of :class:`~repro.core.config.DlzsConfig` /
+:class:`~repro.core.config.SadsConfig` /
+:class:`~repro.core.config.SufaConfig` inside the
+:class:`~repro.core.config.SofaConfig` an engine or cluster is built
+with - or, for a whole deployment, by the stage's environment variable.
 """
 
 from repro.kernels.predict_select_fused import (
@@ -39,44 +43,30 @@ from repro.kernels.predict_select_fused import (
     fused_pair,
 )
 from repro.kernels.registry import (
-    DEFAULT_SUFA_KERNEL,
-    KERNEL_ENV_VAR,
     STAGES,
     Kernel,
-    SufaKernel,
     available_kernels,
-    available_sufa_kernels,
     default_kernel,
     get_kernel,
-    get_sufa_kernel,
     kernel_env_var,
     register_kernel,
-    register_sufa_kernel,
     resolve_kernel_name,
-    resolve_sufa_kernel_name,
     resolved_kernels,
 )
 from repro.kernels.sufa_blocked import stream_selected_blocked
 
 __all__ = [
-    "DEFAULT_SUFA_KERNEL",
     "FUSED",
     "FusedPredictSelect",
-    "KERNEL_ENV_VAR",
     "Kernel",
     "STAGES",
-    "SufaKernel",
     "available_kernels",
-    "available_sufa_kernels",
     "default_kernel",
     "fused_pair",
     "get_kernel",
-    "get_sufa_kernel",
     "kernel_env_var",
     "register_kernel",
-    "register_sufa_kernel",
     "resolve_kernel_name",
-    "resolve_sufa_kernel_name",
     "resolved_kernels",
     "stream_selected_blocked",
 ]

@@ -36,12 +36,14 @@ differential sweep.
 
 Selection precedence per stage, first hit wins:
 
-1. an explicit kernel name passed by the caller (``stream_selected(...,
-   kernel="reference")``, ``SofaEngine(kernel=...)``, or a non-``"auto"``
-   ``kernel`` field on the stage's config dataclass);
+1. an explicit kernel name: a non-``"auto"`` ``kernel`` field on the
+   stage's config dataclass (``DlzsConfig`` / ``SadsConfig`` /
+   ``SufaConfig``, the one place serving code picks a kernel), or the
+   ``kernel`` argument of the low-level entry points
+   (``stream_selected(..., kernel="reference")``);
 2. the stage's environment variable (:func:`kernel_env_var`):
    ``SOFA_PREDICT_KERNEL`` / ``SOFA_SELECT_KERNEL`` / ``SOFA_SUFA_KERNEL``
-   (the stream stage keeps its historical PR-4 name);
+   (the stream stage keeps its historical name);
 3. the stage default: ``reference`` / ``reference`` / ``blocked``.
 
 Adding a kernel takes one call (or decorator use)::
@@ -52,9 +54,8 @@ Adding a kernel takes one call (or decorator use)::
     def stream_selected_mine(q_rows, k_sel, v_sel, *, order, ...):
         ...
 
-after which ``kernel="mine"`` (or ``SOFA_SUFA_KERNEL=mine``) routes every
-tier through it.  The SU-FA-only API of PR 4 (``register_sufa_kernel`` and
-friends) is kept as thin wrappers over the ``"stream"`` stage.
+after which ``SufaConfig(kernel="mine")`` (or ``SOFA_SUFA_KERNEL=mine``)
+routes every tier through it.
 """
 
 from __future__ import annotations
@@ -65,15 +66,12 @@ from typing import Callable
 #: A stage kernel; the per-stage calling conventions are documented above.
 Kernel = Callable[..., object]
 
-#: Legacy alias for the stream-stage callable type (PR-4 API).
-SufaKernel = Kernel
-
 #: The pipeline stages with kernel registries, in pipeline order.
 STAGES = ("predict", "select", "stream")
 
 #: Per-stage environment override consulted when no explicit name is given.
-#: ``stream`` keeps its PR-4 name (``SOFA_SUFA_KERNEL``) so existing
-#: deployments and the historical docs stay valid.
+#: ``stream`` keeps its historical name (``SOFA_SUFA_KERNEL``): a renamed
+#: variable would be ignored silently by existing deployments.
 _ENV_VARS = {
     "predict": "SOFA_PREDICT_KERNEL",
     "select": "SOFA_SELECT_KERNEL",
@@ -82,10 +80,6 @@ _ENV_VARS = {
 
 #: Per-stage registry fallback when neither caller nor environment picks.
 _DEFAULTS = {"predict": "reference", "select": "reference", "stream": "blocked"}
-
-#: Legacy names for the stream stage (PR-4 API surface).
-KERNEL_ENV_VAR = _ENV_VARS["stream"]
-DEFAULT_SUFA_KERNEL = _DEFAULTS["stream"]
 
 #: Names a caller may pass to mean "apply env/default precedence".
 _AUTO_NAMES = (None, "", "auto")
@@ -225,41 +219,3 @@ def resolved_kernels(config) -> dict[str, str]:
         "select": resolve_kernel_name("select", config.sads.kernel),
         "stream": resolve_kernel_name("stream", config.sufa.kernel),
     }
-
-
-# ------------------------------------------------------ PR-4 stream-only API
-def register_sufa_kernel(
-    name: str, fn: SufaKernel | None = None, *, overwrite: bool = False
-):
-    """Register a stream-stage kernel (PR-4 API; ``register_kernel`` wrapper).
-
-    Kept because external code and the bench suite register SU-FA kernels
-    through it; errors keep the legacy "SU-FA kernel" wording via the
-    stream stage.
-    """
-    if not name or name in _AUTO_NAMES:
-        raise ValueError(f"kernel name {name!r} is reserved")
-    return register_kernel("stream", name, fn, overwrite=overwrite)
-
-
-def available_sufa_kernels() -> tuple[str, ...]:
-    """Registered stream-stage kernel names, sorted (PR-4 API)."""
-    return available_kernels("stream")
-
-
-def resolve_sufa_kernel_name(name: str | None = None) -> str:
-    """Resolve a stream-stage kernel name (PR-4 API).
-
-    The legacy error wording ("unknown SU-FA kernel") is preserved on top
-    of the per-stage diagnostics, because serving-tier tests and callers
-    match on it.
-    """
-    try:
-        return resolve_kernel_name("stream", name)
-    except ValueError as error:
-        raise ValueError(f"unknown SU-FA kernel: {error}") from None
-
-
-def get_sufa_kernel(name: str | None = None) -> SufaKernel:
-    """The stream kernel callable for ``name`` (PR-4 API)."""
-    return _REGISTRIES["stream"][resolve_sufa_kernel_name(name)]

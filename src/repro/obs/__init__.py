@@ -121,10 +121,6 @@ class Telemetry:
         if self.enabled:
             self.registry.counter(name).inc(n)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.registry.gauge(name).set(value)
-
     def register_gauge(self, name: str, callback: Callable[[], float]) -> None:
         if self.enabled:
             self.registry.gauge(name, callback=callback)

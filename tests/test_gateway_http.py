@@ -13,7 +13,6 @@ import asyncio
 import json
 from contextlib import asynccontextmanager
 
-import numpy as np
 import pytest
 
 from repro.cluster import AsyncSofaClient, AutoscalerConfig, EngineCluster
@@ -166,6 +165,32 @@ def test_healthz_on_plain_engine_backend():
             status, health = await http.healthz()
             assert status == 200
             assert health == {"status": "ok", "backend": "engine"}
+
+    asyncio.run(main())
+
+
+def test_non_integer_content_length_closes_the_connection_quietly():
+    """A malformed Content-Length is unframeable: the gateway drops that
+    connection without an error escaping into the event loop, and keeps
+    serving everyone else."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        escaped = []
+        loop.set_exception_handler(lambda _loop, context: escaped.append(context))
+        async with _gateway(SofaEngine(CFG)) as (gw, _client, http):
+            reader, writer = await asyncio.open_connection("127.0.0.1", gw.port)
+            writer.write(
+                b"POST /v1/attention HTTP/1.1\r\n"
+                b"Content-Length: abc\r\n\r\n"
+            )
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+            await writer.wait_closed()
+            status, health = await http.healthz()
+            assert status == 200 and health["status"] == "ok"
+        assert escaped == []
 
     asyncio.run(main())
 

@@ -245,6 +245,10 @@ def test_batched_vs_per_head_fused_bits():
         _assert_results_equal(single, batched.per_head[i])
 
 
+#: the default config with the fused predict+select kernel pinned
+FUSED_CFG = SofaConfig(dlzs=DlzsConfig(kernel="fused"), sads=SadsConfig(kernel="fused"))
+
+
 def _engine_requests(rng, n=8, cache_keys=False):
     out = []
     for i in range(n):
@@ -264,8 +268,7 @@ def test_engine_fused_mapping_parity(backend):
     requests = _engine_requests(rng)
     with SofaEngine(max_batch_heads=4, backend=backend) as ref_engine:
         ref = ref_engine.run(requests)
-    fused_sel = {"predict": "fused", "select": "fused"}
-    with SofaEngine(max_batch_heads=4, backend=backend, kernel=fused_sel) as engine:
+    with SofaEngine(FUSED_CFG, max_batch_heads=4, backend=backend) as engine:
         assert engine.resolved_kernels()["predict"] == "fused"
         assert engine.resolved_kernels()["select"] == "fused"
         got = engine.run(requests)
@@ -281,10 +284,9 @@ def test_engine_cached_decode_fused_parity():
     h, dk = 16, 8
     wk, wv = rng.normal(size=(h, dk)), rng.normal(size=(h, dk))
     base = rng.integers(-50, 50, size=(64, h)).astype(np.float64)
-    fused_sel = {"predict": "fused", "select": "fused"}
     engines = {
         "plain": SofaEngine(max_batch_heads=4),
-        "fused": SofaEngine(max_batch_heads=4, kernel=fused_sel),
+        "fused": SofaEngine(FUSED_CFG, max_batch_heads=4),
     }
     try:
         for step_len in (24, 32, 48, 64):  # growing prefix, same cache key
@@ -336,13 +338,12 @@ def test_registry_error_names_stage_source_and_candidates(monkeypatch):
 
 
 def test_engine_rejects_unknown_stage_and_name():
-    with pytest.raises(ValueError, match="unknown kernel stages"):
-        SofaEngine(kernel={"bogus": "reference"})
-    with pytest.raises(ValueError, match="unknown predict kernel"):
-        SofaEngine(kernel={"predict": "typo"})
-    # bare strings keep the PR-4 stream-stage meaning and error wording
-    with pytest.raises(ValueError, match="unknown SU-FA kernel"):
-        SofaEngine(kernel="typo")
+    with pytest.raises(TypeError, match="kernel"):
+        SofaEngine(kernel={"predict": "fused"})  # kernels live in the config only
+    with pytest.raises(ValueError, match="unknown predict kernel 'typo'"):
+        SofaEngine(SofaConfig(dlzs=DlzsConfig(kernel="typo")))
+    with pytest.raises(ValueError, match="unknown select kernel 'typo'"):
+        SofaEngine(SofaConfig(sads=SadsConfig(kernel="typo")))
 
 
 def test_register_kernel_guards_per_stage():
@@ -386,8 +387,7 @@ def test_cluster_fused_mapping_parity_and_stats():
     requests = _engine_requests(rng)
     with SofaEngine(max_batch_heads=4) as engine:
         ref = engine.run(requests)
-    fused_sel = {"predict": "fused", "select": "fused"}
-    with EngineCluster(n_workers=2, kernel=fused_sel, max_batch_heads=4) as cluster:
+    with EngineCluster(n_workers=2, config=FUSED_CFG, max_batch_heads=4) as cluster:
         got = cluster.run(requests)
         workers = cluster.stats.workers
     for a, b in zip(ref, got):
@@ -399,8 +399,11 @@ def test_cluster_fused_mapping_parity_and_stats():
         w.kernels.get("predict") == "fused" and w.kernels.get("select") == "fused"
         for w in served
     )
-    with pytest.raises(ValueError, match="unknown predict kernel"):
-        EngineCluster(n_workers=1, kernel={"predict": "typo"})
+    with pytest.raises(ValueError, match="unknown predict kernel 'typo'"):
+        EngineCluster(n_workers=1, config=SofaConfig(dlzs=DlzsConfig(kernel="typo")))
+    # kernels are chosen in the config only; kernel= is no engine option
+    with pytest.raises(TypeError, match="'kernel'"):
+        EngineCluster(n_workers=1, kernel={"predict": "fused"})
 
 
 @pytest.mark.cluster

@@ -21,12 +21,12 @@ from repro.core.sufa import (
 )
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
 from repro.kernels import (
-    DEFAULT_SUFA_KERNEL,
-    KERNEL_ENV_VAR,
-    available_sufa_kernels,
-    get_sufa_kernel,
-    register_sufa_kernel,
-    resolve_sufa_kernel_name,
+    available_kernels,
+    default_kernel,
+    get_kernel,
+    kernel_env_var,
+    register_kernel,
+    resolve_kernel_name,
     stream_selected_blocked,
 )
 from repro.utils.rng import make_rng
@@ -147,34 +147,32 @@ def test_tile_cols_only_moves_work_not_triggers():
 
 # ---------------------------------------------------------------- registry
 def test_registry_lists_builtin_kernels():
-    names = available_sufa_kernels()
+    names = available_kernels("stream")
     assert "blocked" in names and "reference" in names
-    assert get_sufa_kernel("reference") is stream_selected_reference
-    assert get_sufa_kernel("blocked") is stream_selected_blocked
+    assert get_kernel("stream", "reference") is stream_selected_reference
+    assert get_kernel("stream", "blocked") is stream_selected_blocked
 
 
 def test_registry_resolution_precedence(monkeypatch):
     # Neutralize every stage override so the test is deterministic under the
     # CI kernel-matrix job, which drives these env vars through their grid.
     for stage in ("predict", "select", "stream"):
-        from repro.kernels import kernel_env_var
-
         monkeypatch.delenv(kernel_env_var(stage), raising=False)
-    assert resolve_sufa_kernel_name(None) == DEFAULT_SUFA_KERNEL
-    assert resolve_sufa_kernel_name("auto") == DEFAULT_SUFA_KERNEL
-    monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    assert resolve_sufa_kernel_name(None) == "reference"
+    assert resolve_kernel_name("stream", None) == default_kernel("stream") == "blocked"
+    assert resolve_kernel_name("stream", "auto") == "blocked"
+    monkeypatch.setenv(kernel_env_var("stream"), "reference")
+    assert resolve_kernel_name("stream", None) == "reference"
     # explicit name outranks the environment
-    assert resolve_sufa_kernel_name("blocked") == "blocked"
+    assert resolve_kernel_name("stream", "blocked") == "blocked"
 
 
 def test_registry_rejects_unknown_and_reserved_names():
-    with pytest.raises(ValueError, match="unknown SU-FA kernel"):
-        get_sufa_kernel("no-such-kernel")
+    with pytest.raises(ValueError, match="unknown stream kernel 'no-such-kernel'"):
+        get_kernel("stream", "no-such-kernel")
     with pytest.raises(ValueError, match="reserved"):
-        register_sufa_kernel("auto", stream_selected_blocked)
+        register_kernel("stream", "auto", stream_selected_blocked)
     with pytest.raises(ValueError, match="already registered"):
-        register_sufa_kernel("blocked", stream_selected_reference)
+        register_kernel("stream", "blocked", stream_selected_reference)
 
 
 def test_register_custom_kernel(monkeypatch):
@@ -184,13 +182,13 @@ def test_register_custom_kernel(monkeypatch):
         calls.append(kwargs)
         return stream_selected_reference(q_rows, k_sel, v_sel, **kwargs)
 
-    register_sufa_kernel("probe-kernel", probe, overwrite=True)
+    register_kernel("stream", "probe-kernel", probe, overwrite=True)
     try:
         rng = make_rng(3)
         q, k, v = _gathered(rng, 2, 16, 4, 4)
         res = stream_selected(q, k, v, kernel="probe-kernel")
         assert calls and res.output.shape == (2, 4)
-        monkeypatch.setenv(KERNEL_ENV_VAR, "probe-kernel")
+        monkeypatch.setenv(kernel_env_var("stream"), "probe-kernel")
         stream_selected(q, k, v)
         assert len(calls) == 2
     finally:
@@ -264,26 +262,32 @@ def _engine_requests(rng, n=6, s=48, h=16, dk=8):
     ]
 
 
+def _stream_config(kernel: str) -> SofaConfig:
+    return SofaConfig(sufa=SufaConfig(kernel=kernel))
+
+
 def test_engine_kernel_parity_and_validation():
     rng = make_rng(83)
     requests = _engine_requests(rng)
-    with SofaEngine(max_batch_heads=4, kernel="blocked") as fast:
+    with SofaEngine(_stream_config("blocked"), max_batch_heads=4) as fast:
         fast_results = fast.run(requests)
-    with SofaEngine(max_batch_heads=4, kernel="reference") as slow:
+    with SofaEngine(_stream_config("reference"), max_batch_heads=4) as slow:
         slow_results = slow.run(requests)
     for a, b in zip(fast_results, slow_results):
         assert a.output.tobytes() == b.output.tobytes()
         assert np.array_equal(a.selected, b.selected)
         assert a.total_ops.counts == b.total_ops.counts
-    with pytest.raises(ValueError, match="unknown SU-FA kernel"):
-        SofaEngine(kernel="typo")
+    with pytest.raises(ValueError, match="unknown stream kernel 'typo'"):
+        SofaEngine(_stream_config("typo"))
 
 
 # ----------------------------------------------------------- cluster tier
 @pytest.mark.cluster
-def test_cluster_workers_share_the_kernel_registry():
+def test_cluster_workers_share_the_kernel_registry(monkeypatch):
     """A cluster pinned to either kernel serves bit-identically to an
-    in-process engine: the registry threads through the worker processes."""
+    in-process engine: the registry threads through the worker processes.
+    A kernel typo or a bad engine option fails in the caller's process,
+    before any worker spawns."""
     from repro.cluster import EngineCluster
 
     rng = make_rng(97)
@@ -291,11 +295,22 @@ def test_cluster_workers_share_the_kernel_registry():
     with SofaEngine(max_batch_heads=4) as engine:
         ref = engine.run(requests)
     for kernel in ("blocked", "reference"):
-        with EngineCluster(n_workers=2, kernel=kernel, max_batch_heads=4) as cluster:
+        with EngineCluster(
+            n_workers=2, config=_stream_config(kernel), max_batch_heads=4
+        ) as cluster:
             got = cluster.run(requests)
         for a, b in zip(ref, got):
             assert a.output.tobytes() == b.output.tobytes()
             assert np.array_equal(a.selected, b.selected)
             assert a.total_ops.counts == b.total_ops.counts
-    with pytest.raises(ValueError, match="unknown SU-FA kernel"):
-        EngineCluster(n_workers=1, kernel="typo")
+
+    def no_spawn(*args):
+        raise AssertionError("a worker was spawned before validation")
+
+    monkeypatch.setattr(EngineCluster, "_start_worker", no_spawn)
+    with pytest.raises(ValueError, match="unknown stream kernel 'typo'"):
+        EngineCluster(n_workers=1, config=_stream_config("typo"))
+    with pytest.raises(TypeError, match="max_wrokers"):
+        EngineCluster(n_workers=1, max_wrokers=2)
+    with pytest.raises(TypeError, match="cache="):
+        EngineCluster(n_workers=1, cache=None)

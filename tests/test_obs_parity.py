@@ -177,6 +177,28 @@ def test_one_socket_request_yields_one_stitched_chrome_trace(telemetry_env_on):
 
 
 @pytest.mark.cluster
+def test_programmatic_enable_reaches_local_workers(monkeypatch):
+    """obs.enable() alone - no SOFA_TELEMETRY in the environment - still
+    lights up the workers: the frontend's switch ships with the engine
+    options, so worker and stage spans stitch into the frontend's trace."""
+    monkeypatch.delenv(obs.ENV_VAR, raising=False)
+    obs.reset_telemetry(enabled=True)
+    try:
+        (request,) = _make_requests(seed=37, n=1)
+        with EngineCluster(n_workers=1, config=CFG) as cluster:
+            cluster.run([request])
+            spans = obs.get_telemetry().tracer.spans()
+    finally:
+        obs.reset_telemetry()
+    names = {r["name"] for r in spans}
+    assert {"worker.request", "engine.batch", "stage.stream"} <= names
+    (root,) = [r for r in spans if r["name"] == "cluster.request"]
+    (worker,) = [r for r in spans if r["name"] == "worker.request"]
+    assert worker["trace_id"] == root["trace_id"]
+    assert worker["pid"] != root["pid"]
+
+
+@pytest.mark.cluster
 def test_dedup_survives_tracing_and_marks_follower_spans(telemetry_env_on):
     (request,) = _make_requests(seed=35, n=1)
     with EngineCluster(n_workers=2, config=CFG) as cluster:
