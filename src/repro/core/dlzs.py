@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.config import DlzsConfig
 from repro.numerics.complexity import OpCounter
 from repro.numerics.fixed_point import quantize, quantize_stack, quantize_with_scale
+from repro.numerics.linalg import exact_int_matmul
 
 from repro.numerics.leading_zero import (
     ConfigurableLZE,
@@ -254,12 +255,13 @@ class DlzsPredictor:
         shifts the (truncated) K_hat estimate, following the paper's error
         containment argument.  ``A_hat[t, s] = sum_d K_hat[s, d] <<
         (W - LZ(Q[t, d]))``, signed - realized as one exact integer matmul
-        over the :meth:`predict_prepared` state.
+        over the :meth:`predict_prepared` state (float64 BLAS while the
+        result provably stays exact, see :func:`exact_int_matmul`).
         """
         prep = self.predict_prepared(tokens, q)
-        a_hat = prep.pow2 @ prep.k_hat.T  # (T, S)
+        a_hat = exact_int_matmul(prep.pow2, prep.k_hat.T)  # (T, S)
         return PredictionResult(
-            a_hat=a_hat.astype(np.float64) * prep.scale,
+            a_hat=a_hat * prep.scale,
             k_hat=prep.k_hat,
             ops=prep.ops,
             scale=prep.scale,
@@ -553,9 +555,9 @@ class StackedDlzsPredictor:
         whose outcome is provably unchanged.
         """
         prep = self.predict_prepared(tokens, q, cache=cache, cache_keys=cache_keys)
-        a_hat = prep.pow2 @ prep.k_hat.transpose(0, 2, 1)  # (N, T, S), exact int64
+        a_hat = exact_int_matmul(prep.pow2, prep.k_hat.transpose(0, 2, 1))  # (N, T, S)
         return StackedPredictionResult(
-            a_hat=a_hat.astype(np.float64) * prep.scales[:, None, None],
+            a_hat=a_hat * prep.scales[:, None, None],
             k_hat=prep.k_hat,
             head_ops=prep.head_ops,
             scales=prep.scales,

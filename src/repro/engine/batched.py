@@ -222,34 +222,37 @@ class BatchedSofaAttention:
         sads_sram = sads_trace_sram(cfg, t, k_count)
 
         # ------------------------------------------- stage 3: on-demand KV + SU-FA
-        t_kv = obs.clock()
-        sel_mask = np.zeros((n, s), dtype=bool)
-        np.put_along_axis(sel_mask, selected.reshape(n, t * kk), True, axis=1)
-        head_idx, tok_idx = np.nonzero(sel_mask)  # per head, ascending tokens
-        unique_counts = sel_mask.sum(axis=1)
+        with obs.span(
+            "stage.kv_gather",
+            attrs={"rows": n * t, "k": kk},
+            hist="sofa_stage_kv_gather_seconds",
+        ):
+            sel_mask = np.zeros((n, s), dtype=bool)
+            np.put_along_axis(sel_mask, selected.reshape(n, t * kk), True, axis=1)
+            head_idx, tok_idx = np.nonzero(sel_mask)  # per head, ascending tokens
+            unique_counts = sel_mask.sum(axis=1)
 
-        toks_sel = tokens[head_idx, tok_idx]  # (U, H)
-        k_mat = np.zeros((n, s, dk))
-        k_mat[head_idx, tok_idx] = (
-            det_gathered_project(toks_sel, self._wk, head_idx) * k_scales[head_idx, None]
-        )
-        if v is None:
-            dv = self._wv.shape[2]
-            v_mat = np.zeros((n, s, dv))
-            v_mat[head_idx, tok_idx] = (
-                det_gathered_project(toks_sel, self._wv, head_idx)
-                * v_scales[head_idx, None]
+            toks_sel = tokens[head_idx, tok_idx]  # (U, H)
+            k_mat = np.zeros((n, s, dk))
+            k_mat[head_idx, tok_idx] = (
+                det_gathered_project(toks_sel, self._wk, head_idx) * k_scales[head_idx, None]
             )
-        else:
-            v_mat = np.asarray(v, dtype=np.float64)
-            if v_mat.ndim != 3 or v_mat.shape[:2] != (n, s):
-                raise ValueError(f"value caches must be ({n}, {s}, Dv)")
-            dv = v_mat.shape[2]
+            if v is None:
+                dv = self._wv.shape[2]
+                v_mat = np.zeros((n, s, dv))
+                v_mat[head_idx, tok_idx] = (
+                    det_gathered_project(toks_sel, self._wv, head_idx)
+                    * v_scales[head_idx, None]
+                )
+            else:
+                v_mat = np.asarray(v, dtype=np.float64)
+                if v_mat.ndim != 3 or v_mat.shape[:2] != (n, s):
+                    raise ValueError(f"value caches must be ({n}, {s}, Dv)")
+                dv = v_mat.shape[2]
 
-        head_arange = np.arange(n)[:, None, None]
-        k_sel = k_mat[head_arange, selected]  # (N, T, kk, Dk)
-        v_sel = v_mat[head_arange, selected]  # (N, T, kk, Dv)
-        obs.observe_since("sofa_stage_kv_gather_seconds", t_kv)
+            head_arange = np.arange(n)[:, None, None]
+            k_sel = k_mat[head_arange, selected]  # (N, T, kk, Dk)
+            v_sel = v_mat[head_arange, selected]  # (N, T, kk, Dv)
         with obs.span(
             "stage.stream",
             attrs={"rows": n * t, "k": kk},

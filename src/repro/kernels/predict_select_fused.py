@@ -26,13 +26,13 @@ Bit-exactness rests on two facts, each proven at its site:
   the adjustive exchange, via a bounded excluded-candidate pool (see
   :meth:`~repro.core.sads.SadsSorter.select_stack_streamed`).
 
-The fusion also unlocks the kernel's speed lever: when every partial sum
-of a tile matmul fits in float64's 53-bit integer window (checked against
-the actual operand magnitudes), the int64 matmul - which NumPy cannot
-route to BLAS - is replaced by a float64 BLAS matmul producing the same
-integers, hence the same bits after scaling.  Inputs too large for the
-window (never the default 16-bit configs) fall back to int64 tiles,
-trading speed, not correctness.
+Like the reference predict (:func:`~repro.numerics.linalg.exact_int_matmul`),
+the tiles run on float64 BLAS whenever every partial sum fits in
+float64's 53-bit integer window (:func:`~repro.numerics.linalg._blas_exact`,
+checked against the actual operand magnitudes): the BLAS matmul then
+produces the same integers, hence the same bits after scaling.  Inputs
+too large for the window (never the default 16-bit configs) fall back to
+int64 tiles, trading speed, not correctness.
 
 Registration: both the ``predict`` and ``select`` registries carry a
 ``"fused"`` entry.  Fusion is cross-stage, so it engages only when *both*
@@ -50,6 +50,8 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
+from repro.numerics.linalg import _blas_exact
+
 if TYPE_CHECKING:
     from repro.core.dlzs import (
         DlzsPredictor,
@@ -59,9 +61,6 @@ if TYPE_CHECKING:
     )
     from repro.core.sads import SadsSorter, SadsStackResult
     from repro.engine.cache import DecodeStepCache
-
-#: Float64 integer window: every integer of magnitude < 2**53 is exact.
-_EXACT_WINDOW = float(2**53)
 
 
 def predict_reference(
@@ -87,24 +86,6 @@ def predict_reference(
 def select_reference(sorter, scores: np.ndarray, k: int):
     """The select-stage golden model: ``sorter.select_stack`` itself."""
     return sorter.select_stack(scores, k)
-
-
-def _blas_exact(pow2: np.ndarray, k_hat: np.ndarray) -> bool:
-    """Whether float64 BLAS reproduces the int64 score matmul bit for bit.
-
-    Sufficient condition: ``depth * max|pow2| * max|k_hat| < 2**53`` bounds
-    the absolute value of *every* partial sum any summation order (or FMA
-    blocking) can form, so all intermediates and the final dot products are
-    exactly representable.  Defaults sit far inside the window: 16-bit
-    queries and keys give ``depth * 2**15 * 2**15``, exact up to depth
-    ``2**23``.
-    """
-    if pow2.size == 0 or k_hat.size == 0:
-        return True
-    depth = pow2.shape[-1]
-    max_p = float(np.max(np.abs(pow2)))
-    max_k = float(np.max(np.abs(k_hat)))
-    return depth * max_p * max_k < _EXACT_WINDOW
 
 
 @dataclass

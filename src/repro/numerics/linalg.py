@@ -8,74 +8,119 @@ pick different blocking (and therefore different summation orders) depending
 on the operand shapes, so a row's result can change when unrelated rows are
 appended.
 
-Two families of primitives restore the invariance:
+Three families of primitives restore the invariance:
 
-* the ``det_matmul`` / ``det_gathered_project`` / ``det_rowdot`` helpers
-  implement matmul as an explicit broadcast-multiply followed by ``np.sum``
-  over the contraction axis - NumPy's pairwise reduction over a fixed-length
-  axis of a freshly-allocated C-contiguous product is a pure function of
-  that row's data (the cost is a materialized ``(rows, K, N)`` product per
-  chunk; callers keep ``chunk_rows`` small enough to stay cache-friendly);
+* the KV projection (``det_matmul`` / ``det_gathered_project``) contracts
+  with ``np.einsum("ck,kn->cn")`` on C-contiguous operands, without the
+  BLAS path (``optimize=False``).  For ``N >= 2`` output columns the
+  einsum loop accumulates each output element over ``k`` in order, exactly
+  like the broadcast-multiply-then-``sum(axis=1)`` formula it replaced (a
+  non-contiguous reduced axis is summed sequentially), so the bits are
+  unchanged while no ``(rows, K, N)`` product is ever materialized.  (At
+  ``N == 1`` that formula summed a contiguous axis pairwise, so those bits
+  differ from it; rows stay batch-invariant all the same.)
+  ``det_rowdot`` keeps the materialized broadcast-reduce form;
 * the SU-FA hot-path primitives (``det_stack_scores``, ``det_pv_contract``,
   ``det_tile_mass``) are *stacked fixed-shape* contractions: each row is its
   own ``(kk, D) @ (D, 1)``-style BLAS call whose operand shapes - and hence
   whose internal reduction order - do not depend on the stack size, so rows
   stay batch-invariant at full BLAS speed.  What IS forbidden remains one
-  fused gemm over the whole stack, whose blocking would couple rows.
+  fused gemm over the whole stack, whose blocking would couple rows;
+* integer matmuls (``exact_int_matmul``, the DLZS score matmul) may use
+  float64 BLAS freely whenever :func:`_blas_exact` proves every partial sum
+  is an exactly representable integer: then any summation order yields the
+  exact result.
 
 Either way, every row's output is independent of how many other rows share
-the call and of any chunking used to bound memory.
+the call.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-#: Rows processed per chunk: bounds the (chunk, K, N) product temporary.
-_DEFAULT_CHUNK_ROWS = 256
+#: Float64 integer window: every integer of magnitude < 2**53 is exact.
+_EXACT_WINDOW = float(2**53)
 
 
-def det_matmul(
-    a: np.ndarray, b: np.ndarray, chunk_rows: int = _DEFAULT_CHUNK_ROWS
-) -> np.ndarray:
+def _blas_exact(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether float64 BLAS reproduces the integer matmul ``a @ b`` bit for bit.
+
+    ``a`` contracts its last axis; ``depth`` is that axis' length.
+    Sufficient condition: ``depth * max|a| * max|b| < 2**53`` bounds the
+    absolute value of *every* partial sum any summation order (or FMA
+    blocking) can form, so all intermediates and the final dot products are
+    exactly representable.  Defaults sit far inside the window: 16-bit
+    queries and keys give ``depth * 2**15 * 2**15``, exact up to depth
+    ``2**23``.
+    """
+    if a.size == 0 or b.size == 0:
+        return True
+    depth = a.shape[-1]
+    # Magnitudes from the extremes in float64: np.abs would wrap int64's
+    # minimum to a negative number (and allocate a full temporary).
+    max_a = max(-float(a.min()), float(a.max()))
+    max_b = max(-float(b.min()), float(b.max()))
+    return depth * max_a * max_b < _EXACT_WINDOW
+
+
+def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integer ``a @ b`` (stacked like ``np.matmul``), returned as float64.
+
+    Equals ``(a @ b).astype(np.float64)`` bit for bit.  Inside the
+    :func:`_blas_exact` window the product runs as a float64 BLAS matmul
+    (every partial sum is an exact integer, so the blocking is irrelevant);
+    outside it falls back to the exact int64 matmul.
+    """
+    if not _blas_exact(a, b):
+        return (a @ b).astype(np.float64)
+    return a.astype(np.float64) @ b.astype(np.float64)
+
+
+def _contract(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``x @ mat`` summed over ``k`` in order, independent of ``x``'s rows."""
+    return np.einsum("ck,kn->cn", x, mat, optimize=False)
+
+
+def _warn_if_overflowed(out: np.ndarray, *operands: np.ndarray) -> None:
+    """Restore the overflow warning that ``np.einsum`` never raises."""
+    if not np.isfinite(out).all() and all(np.isfinite(op).all() for op in operands):
+        warnings.warn(
+            "overflow encountered in deterministic matmul", RuntimeWarning, stacklevel=3
+        )
+
+
+def det_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Deterministic ``(M, K) @ (K, N)`` float64 matmul.
 
-    Row ``i`` of the result is bit-identical for any ``M`` and any chunking,
-    which is what lets the sequential pipeline and the batched engine share
-    exact outputs.
+    Row ``i`` of the result is bit-identical for any ``M``, which is what
+    lets the sequential pipeline and the batched engine share exact
+    outputs.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    m, n = a.shape[0], b.shape[1]
-    out = np.empty((m, n), dtype=np.float64)
-    for lo in range(0, m, max(chunk_rows, 1)):
-        hi = min(lo + max(chunk_rows, 1), m)
-        prod = a[lo:hi, :, None] * b[None, :, :]  # fresh C-contiguous (c, K, N)
-        out[lo:hi] = prod.sum(axis=1)
-    if m == 0:
-        out = out.reshape(0, n)
+    out = _contract(a, b)
+    _warn_if_overflowed(out, a, b)
     return out
 
 
 def det_gathered_project(
-    x: np.ndarray,
-    w: np.ndarray,
-    row_matrix: np.ndarray,
-    chunk_rows: int = _DEFAULT_CHUNK_ROWS,
+    x: np.ndarray, w: np.ndarray, row_matrix: np.ndarray
 ) -> np.ndarray:
     """Per-row projection ``out[i] = x[i] @ w[row_matrix[i]]``.
 
     ``x`` is ``(R, K)``, ``w`` is a stack ``(N_mats, K, N)`` and
     ``row_matrix`` maps each row to its matrix (the engine maps selected
     tokens back to their head's projection weights).  Row results are
-    bit-identical to ``det_matmul(x[i:i+1], w[row_matrix[i]])`` because the
-    per-chunk product has the same ``(c, K, N)`` layout and the same
-    ``axis=1`` pairwise reduction.
+    bit-identical to ``det_matmul(x[i:i+1], w[row_matrix[i]])`` because
+    both run the same contraction on C-contiguous rows.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     row_matrix = np.asarray(row_matrix, dtype=np.int64)
     if x.ndim != 2 or w.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ValueError(f"incompatible shapes {x.shape} x {w.shape}")
@@ -85,19 +130,14 @@ def det_gathered_project(
     out = np.empty((r, n), dtype=np.float64)
     if r == 0:
         return out
-    step = max(chunk_rows, 1)
-    # Process runs of a constant matrix index (the engine's rows arrive
-    # head-sorted) with a broadcast instead of a per-row gather copy; the
-    # product layout and reduction are unchanged, so results stay identical.
+    # One contraction per run of a constant matrix index (the engine's rows
+    # arrive head-sorted), so no row is copied to gather its matrix.
     boundaries = np.flatnonzero(np.diff(row_matrix)) + 1
     starts = np.concatenate(([0], boundaries))
     stops = np.concatenate((boundaries, [r]))
     for start, stop in zip(starts, stops):
-        mat = w[int(row_matrix[start])]
-        for lo in range(int(start), int(stop), step):
-            hi = min(lo + step, int(stop))
-            prod = x[lo:hi, :, None] * mat[None, :, :]  # (c, K, N)
-            out[lo:hi] = prod.sum(axis=1)
+        out[start:stop] = _contract(x[start:stop], w[int(row_matrix[start])])
+    _warn_if_overflowed(out, x, w)
     return out
 
 

@@ -162,7 +162,7 @@ def test_fused_int64_fallback_stays_exact():
     operands, where float64 BLAS would actually round.
     """
     from repro.core.dlzs import PreparedPrediction
-    from repro.kernels.predict_select_fused import _blas_exact
+    from repro.numerics.linalg import _blas_exact
     from repro.numerics.complexity import OpCounter
 
     rng = make_rng(23)

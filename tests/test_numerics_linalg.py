@@ -2,33 +2,131 @@
 
 Every primitive in ``repro.numerics.linalg`` promises that a row's result
 is a pure function of that row's data - independent of how many other rows
-share the call and of internal chunking.  The engine's bit-parity
-contract (per-head == batched == cluster) and the SU-FA kernel layer's
-differential contract both stand on these invariances, so they get their
-own direct tests.
+share the call.  The engine's bit-parity contract (per-head == batched ==
+cluster) and the SU-FA kernel layer's differential contract both stand on
+these invariances, so they get their own direct tests.  The KV projection
+is also held, bit for bit, to the materialized broadcast-reduce formula it
+replaced (kept inline below as the oracle), and the exact-integer matmul to
+int64 arithmetic on both sides of the float64 window.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.numerics.linalg import (
+    _blas_exact,
+    det_gathered_project,
     det_matmul,
     det_pv_contract,
     det_rowdot,
     det_stack_scores,
     det_tile_mass,
+    exact_int_matmul,
 )
 from repro.utils.rng import make_rng
 
 
-def test_det_matmul_rows_independent_of_batch_and_chunking():
+def _broadcast_reduce(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Oracle: the fresh C-contiguous ``(c, K, N)`` product reduced over K."""
+    return (x[:, :, None] * mat[None, :, :]).sum(axis=1)
+
+
+def _operands(rng, c: int, k: int, n: int, kind: str):
+    x = rng.normal(size=(c, k))
+    mat = rng.normal(size=(k, n))
+    if kind == "signed_zeros":
+        x[rng.random(x.shape) < 0.4] = -0.0
+        mat[rng.random(mat.shape) < 0.4] = 0.0
+        x[0] = -0.0  # a row whose every product is a signed zero,
+        mat[:, 0] = np.abs(mat[:, 0])  # all of them -0.0 in column 0
+    elif kind == "subnormal":
+        x *= 1e-310  # subnormal inputs and products
+    elif kind == "strided":
+        x = rng.normal(size=(c, 2 * k))[:, ::2]
+    return x, mat
+
+
+@pytest.mark.parametrize("kind", ["normal", "signed_zeros", "subnormal", "strided"])
+@pytest.mark.parametrize("c", [1, 7, 300])
+@pytest.mark.parametrize("k", [1, 64, 128, 256])
+def test_projection_matches_broadcast_reduce_bit_for_bit(kind, c, k):
+    rng = make_rng(10 + c + k)
+    for n in (2, 3, 17, 64):
+        x, mat = _operands(rng, c, k, n, kind)
+        want = _broadcast_reduce(x, mat)
+        assert det_matmul(x, mat).tobytes() == want.tobytes()
+        # head-sorted runs over a stack, plus runs of length one
+        w = np.stack([rng.normal(size=(k, n)), mat, -mat])
+        rows = np.sort(rng.integers(0, 3, size=c))
+        rows[: c // 2] = rng.integers(0, 3, size=c // 2)
+        want = np.concatenate(
+            [_broadcast_reduce(x[i : i + 1], w[rows[i]]) for i in range(c)]
+        )
+        assert det_gathered_project(x, w, rows).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("strided", [False, True])
+def test_det_matmul_rows_independent_of_batch(n, strided):
     rng = make_rng(1)
-    a = rng.normal(size=(37, 16))
-    b = rng.normal(size=(16, 9))
+    a = rng.normal(size=(37, 32))
+    a = a[:, ::2] if strided else a[:, :16]
+    b = rng.normal(size=(16, n))
     full = det_matmul(a, b)
-    assert det_matmul(a, b, chunk_rows=3).tobytes() == full.tobytes()
-    for sl in (slice(0, 1), slice(5, 20), slice(36, 37)):
+    for sl in (slice(0, 1), slice(0, 3), slice(5, 20), slice(36, 37)):
         assert det_matmul(a[sl], b).tobytes() == full[sl].tobytes()
+        assert det_matmul(a[sl].copy(), b).tobytes() == full[sl].tobytes()
+    rows = np.array([0] * 10 + [1] * 20 + [2] * 7)
+    w = np.stack([b, rng.normal(size=(16, n)), b[::-1]])
+    got = det_gathered_project(a, w, rows)
+    for i in range(a.shape[0]):
+        assert got[i].tobytes() == det_matmul(a[i : i + 1], w[rows[i]])[0].tobytes()
+
+
+def test_projection_overflow_still_raises_under_warnings_as_errors():
+    x = np.full((2, 4), 1e200)
+    w = np.full((1, 4, 3), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            det_gathered_project(x, w, np.zeros(2, dtype=np.int64))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            det_matmul(x, w[0])
+        # a non-finite operand is the caller's value, not an overflow here
+        x[0, 0] = np.nan
+        assert np.isnan(det_matmul(x, w[0])[0]).all()
+
+
+def _assert_exact(a, b, blas: bool):
+    assert _blas_exact(a, b) is blas
+    want = (a @ b).astype(np.float64)
+    assert exact_int_matmul(a, b).tobytes() == want.tobytes()
+
+
+def test_exact_int_matmul_inside_the_window_runs_blas_exactly():
+    rng = make_rng(5)
+    pow2 = (2 ** rng.integers(0, 15, size=(3, 6, 8))) * rng.choice([-1, 0, 1], (3, 6, 8))
+    k_hat = rng.integers(-(2**15), 2**15, size=(3, 40, 8))
+    _assert_exact(pow2, k_hat.transpose(0, 2, 1), blas=True)
+    _assert_exact(pow2[0], k_hat[0].T, blas=True)
+    # just inside the bound: depth * max|a| * max|b| = 2**53 - 2**26
+    _assert_exact(np.array([[2**26]]), np.array([[-(2**27) + 1]]), blas=True)
+    empty = np.zeros((2, 0), dtype=np.int64)
+    _assert_exact(empty, empty.T, blas=True)
+
+
+def test_exact_int_matmul_outside_the_window_falls_back_to_int64():
+    _assert_exact(np.array([[2**26]]), np.array([[-(2**27)]]), blas=False)
+    # float64 would round these operands and lose the cancellation
+    ones = np.ones((2, 1), dtype=np.int64)
+    _assert_exact(np.array([[2**53 + 1, -(2**53)]]), ones, blas=False)
+    big = np.iinfo(np.int64).max
+    _assert_exact(np.array([[big, -(big - 1)]]), ones, blas=False)
+    # int64's minimum has no positive counterpart: np.abs would wrap it
+    _assert_exact(np.array([[np.iinfo(np.int64).min, 1]]), ones, blas=False)
+    assert exact_int_matmul(np.array([[big, -(big - 1)]]), ones)[0, 0] == 1.0
 
 
 def test_det_stack_scores_matches_rowdot_values_and_is_batch_invariant():

@@ -98,6 +98,7 @@ def test_engine_parity_with_telemetry(backend, telemetry_off):
     assert "engine.request" in names
     assert "engine.batch" in names
     assert names & {"stage.predict_select_fused", "stage.predict"}
+    assert "stage.kv_gather" in names
     assert "stage.stream" in names
 
 
