@@ -40,15 +40,15 @@ import time
 import numpy as np
 
 import repro.obs as obs
-from repro.core.config import DlzsConfig, SadsConfig, SofaConfig
+from repro.core.config import SofaConfig
 from repro.engine import AttentionRequest, SofaEngine
 from repro.utils.rng import make_rng
 
 #: The PR-7 long-selection stream (full / --quick): kk = top_k * s = 512
-#: selected keys per query row on the full shapes, served under the fused
-#: predict+select kernel mapping - the configuration whose throughput the
-#: fused-engine acceptance bar guards, and therefore the stream where
-#: telemetry overhead would hurt most visibly.
+#: selected keys per query row on the full shapes, served by the engine's
+#: fused predict+select kernel - the configuration whose throughput
+#: ``bench_kernel_sufa`` gates, and therefore the stream where telemetry
+#: overhead would hurt most visibly.
 WORKLOAD = {
     False: dict(s=4096, t=128, n=4, h=64, dk=64, top_k=0.125, tile_cols=64),
     True: dict(s=1024, t=32, n=4, h=64, dk=64, top_k=0.125, tile_cols=64),
@@ -108,12 +108,7 @@ def measure_obs_overhead(quick: bool = False) -> dict:
     requests = _make_requests(w)
     telemetry = obs.reset_telemetry(enabled=False)
     engine = SofaEngine(
-        SofaConfig(
-            tile_cols=w["tile_cols"],
-            top_k=w["top_k"],
-            dlzs=DlzsConfig(kernel="fused"),
-            sads=SadsConfig(kernel="fused"),
-        ),
+        SofaConfig(tile_cols=w["tile_cols"], top_k=w["top_k"]),
         max_batch_heads=8,
     )
     try:

@@ -29,11 +29,11 @@ file                                  metric
 ``BENCH_sufa_quick``                  worst ``fused_vs_unfused`` across the
                                       fused predict+select grid - the fused
                                       kernel's speedup over the unfused
-                                      reference stages (intra-run *ratio*).
+                                      golden stages (intra-run *ratio*).
 ``BENCH_sufa_quick``                  ``fused_engine.fused_requests_per_sec``
-                                      - end-to-end engine rate under the
-                                      fused predict+select mapping on the
-                                      long-selection stream.
+                                      - end-to-end engine rate (the engine
+                                      always runs the fused predict+select
+                                      kernel) on the long-selection stream.
 ``BENCH_cache_quick``                 ``paged.steady_hit_rate`` - the paged
                                       store's hit rate on the shared-prefix
                                       stream under byte pressure (the flat

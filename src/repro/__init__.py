@@ -18,11 +18,11 @@ contribution:
     sorted-updating FlashAttention, the cross-stage tiled pipeline and the
     Bayesian-optimisation design-space exploration.
 ``repro.kernels``
-    Interchangeable implementations of the three dynamic-sparsity stages
-    behind per-stage registries (``predict`` / ``select`` / ``stream``:
-    fused DLZS->SADS selection, the tile-blocked SU-FA core, and the
-    golden ``reference`` models) - bit-for-bit equal, selected by the
-    ``kernel`` fields of ``SofaConfig`` or ``SOFA_<STAGE>_KERNEL``.
+    Execution kernels bit-for-bit equal to the golden models: the fused
+    DLZS->SADS predict+select path the batched engine runs, and the
+    ``stream`` registry of SU-FA cores (tile-blocked ``blocked`` and the
+    golden ``reference``), selected by ``SufaConfig.kernel`` or
+    ``SOFA_SUFA_KERNEL``.
 ``repro.engine``
     The batched execution layer: a fused multi-head operator bit-identical
     to the per-head pipeline, and a serving frontend with a request queue,

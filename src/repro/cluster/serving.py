@@ -175,9 +175,9 @@ class ClusterFuture:
 class WorkerStats:
     """Last known engine counters of one worker (piggybacked on results).
 
-    ``kernels`` maps each pipeline stage to the kernel name the worker's
+    ``kernels`` maps each registry stage to the kernel name the worker's
     engine resolved *in its own process* (explicit selection, its
-    environment's ``SOFA_<STAGE>_KERNEL``, or the registry default) - the
+    environment's ``SOFA_SUFA_KERNEL``, or the registry default) - the
     observable that proves env-driven kernel selection crossed the
     process/socket boundary.
 
@@ -402,10 +402,10 @@ class EngineCluster:
         ``cache_*`` options, and ``cache_spill_dir`` is namespaced per
         worker id so co-hosted workers never share spill files).
 
-    Stage kernels are chosen by ``config``'s ``kernel`` fields (or the
-    workers' ``SOFA_<STAGE>_KERNEL`` environment); the names are resolved
-    here too, so a typo fails before any worker spawns.  The registries
-    are per-process: built-in kernels resolve everywhere, but a
+    The stream kernel is chosen by ``config.sufa.kernel`` (or the
+    workers' ``SOFA_SUFA_KERNEL`` environment); the name is resolved
+    here too, so a typo fails before any worker spawns.  The registry
+    is per-process: built-in kernels resolve everywhere, but a
     custom-registered kernel reaches the workers only when they inherit
     the parent's registry (``fork`` start method, the Linux default) or
     register it at import time of a module the worker imports - under

@@ -13,22 +13,15 @@ class DlzsConfig:
     8-bit tokens, weights pre-converted to 4-bit LZ codes);
     ``intermediate_bits`` is the truncation width of the predicted K before
     attention prediction (paper: "truncated to at most 16 bit").
-
-    ``kernel`` selects the predict-stage kernel from the
-    :mod:`repro.kernels` registry (``"reference"``, ``"fused"``, or a
-    registered custom name); the default ``"auto"`` defers to the
-    ``SOFA_PREDICT_KERNEL`` environment variable and then the registry
-    default.  Kernels are bit-for-bit interchangeable, so the knob moves
-    wall-clock time only.  (``"fused"`` on both this and
-    :class:`SadsConfig` engages the fused predict+select kernel that
-    never materializes the full score matrix.)
+    The stage has no kernel choice: the batched engine always runs it
+    fused with SADS selection, tile by tile
+    (:mod:`repro.kernels.predict_select_fused`).
     """
 
     token_bits: int = 8
     weight_bits: int = 8
     intermediate_bits: int = 16
     query_bits: int = 16
-    kernel: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -41,14 +34,8 @@ class SadsConfig:
     clipped); ``adjust_rounds`` runs the adjustive exchange iterations
     (max/min swap between the virtual top-k set and excluded candidates).
     ``sorter_width``/``sorter_keep`` describe the bitonic core (16-to-4 in
-    the paper's engine).
-
-    ``kernel`` selects the select-stage kernel from the
-    :mod:`repro.kernels` registry (``"reference"``, ``"fused"``, or a
-    registered custom name); ``"auto"`` defers to ``SOFA_SELECT_KERNEL``
-    and then the registry default.  Bit-for-bit interchangeable; pair
-    ``"fused"`` with the predict stage to stream selection tile by tile
-    without the full ``(rows, S)`` score matrix.
+    the paper's engine).  Like :class:`DlzsConfig`, the stage has no
+    kernel choice.
     """
 
     n_segments: int = 4
@@ -56,7 +43,6 @@ class SadsConfig:
     adjust_rounds: int = 2
     sorter_width: int = 16
     sorter_keep: int = 4
-    kernel: str = "auto"
 
 
 @dataclass(frozen=True)

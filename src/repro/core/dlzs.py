@@ -154,8 +154,9 @@ class PreparedPrediction:
     matmul is exact per output element, any *column block* of it equals
     ``(pow2 @ k_hat[lo:hi].T).astype(float64) * scale`` bit for bit, which
     is what lets the fused predict+select kernel
-    (:mod:`repro.kernels.predict_select_fused`) stream score tiles without
-    ever materializing the full matrix.
+    (:mod:`repro.kernels.predict_select_fused`) stream score tiles from the
+    stacked twin, :class:`PreparedStackPrediction`, without ever
+    materializing the full matrix.
     """
 
     k_hat: np.ndarray  # (S, D') int64, truncated to intermediate_bits

@@ -39,8 +39,6 @@ from repro.core.config import SofaConfig
 from repro.core.dlzs import DlzsPredictor
 from repro.core.sads import SadsSorter
 from repro.core.sufa import UpdateOrder, sorted_updating_attention
-from repro.kernels.predict_select_fused import fused_pair
-from repro.kernels.registry import get_kernel
 from repro.numerics.complexity import OpCounter, matmul_ops
 from repro.numerics.linalg import det_matmul
 
@@ -147,8 +145,6 @@ class SofaAttention:
         self.predictor = DlzsPredictor(wk, self.config.dlzs)
         self._wk = np.asarray(wk, dtype=np.float64)
         self._wv = np.asarray(wv, dtype=np.float64)
-        sads_cfg = self.config.sads
-        self.sorter = SadsSorter(sads_cfg)
 
     def __call__(
         self,
@@ -184,31 +180,19 @@ class SofaAttention:
         n_tiles = cfg.n_tiles(s)
 
         # ------------------------------------------- stages 1+2: DLZS + SADS
-        # Both stages resolve through the per-stage kernel registries; when
-        # they resolve to the same fused engine, prediction and selection run
-        # tile by tile and the full (T, S) score matrix is never built.
-        # Either way the bits (indices, op tallies) are those of the
-        # reference predict -> select_stack pipeline.
-        predict_kernel = get_kernel("predict", cfg.dlzs.kernel)
-        select_kernel = get_kernel("select", cfg.sads.kernel)
+        # The golden models, called directly: the full (T, S) score matrix
+        # is built here.  The batched engine streams it tile by tile instead
+        # (repro.kernels.predict_select_fused) with the same bits.
+        pred = self.predictor.predict(tokens, q)
         # The coordinated tiling: the sorter's segments ARE the Bc tiles.
         sorter = SadsSorter(cfg.sads_for(n_tiles))
-        fused = fused_pair(predict_kernel, select_kernel)
-        if fused is not None:
-            prep, stack = fused.run_single(
-                self.predictor, sorter, tokens, q, k_count
-            )
-            pred_ops = prep.ops
-        else:
-            pred = predict_kernel(self.predictor, tokens, q)
-            pred_ops = pred.ops
-            stack = select_kernel(sorter, pred.a_hat, k_count)
+        stack = sorter.select_stack(pred.a_hat, k_count)
         selected = stack.indices
 
         pred_dram, pred_sram = prediction_trace_bytes(
             cfg, s, tokens.shape[1], self._wk.shape[1], t
         )
-        stage1 = StageTrace("dlzs_prediction", pred_ops, pred_dram, pred_sram)
+        stage1 = StageTrace("dlzs_prediction", pred.ops, pred_dram, pred_sram)
         sads_ops = OpCounter()
         sads_ops.add_op("compare", float(stack.compare_rows.sum()))
         stage2 = StageTrace(

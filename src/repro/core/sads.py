@@ -187,86 +187,42 @@ class SadsSorter:
     def select_stack(self, scores: np.ndarray, k: int) -> SadsStackResult:
         """Vectorized distributed top-k over a ``(R, S)`` stack of rows.
 
-        One fused pass runs every row of every head in a batch through the
-        same segment grid: the per-segment work is ``argsort``/mask algebra
-        over the whole stack, the adjustive exchange advances all rows in
+        :meth:`select_stack_streamed` over column slices of ``scores``: every
+        row of every head in a batch runs through the same segment grid in
         lockstep, and per-row comparator tallies are returned so callers can
         group them back per head.  Row semantics (selection, ordering, tie
-        breaks, op counts) exactly match :meth:`select_row`.
+        breaks, op counts) exactly match :meth:`select_row_reference`.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
             raise ValueError("scores must be 2-D")
         r, s = scores.shape
-        if not 1 <= k <= s:
-            raise ValueError(f"k={k} out of range for row of length {s}")
-        n = min(self.config.n_segments, k, s)
-        bounds = np.linspace(0, s, n + 1, dtype=np.int64)
-        quotas = self._capped_quotas(k, bounds)
-        fresh = max(self.config.sorter_width - self.config.sorter_keep, 1)
-        per_pass = _bitonic_comparators(self.config.sorter_width)
-
-        compare_rows = np.zeros(r, dtype=np.float64)
-        clipped_rows = np.zeros(r, dtype=np.int64)
-        running_max = np.full(r, -np.inf)
-        chosen_parts: list[np.ndarray] = []
-        for seg in range(n):
-            lo, hi = int(bounds[seg]), int(bounds[seg + 1])
-            block = scores[:, lo:hi]
-            width = hi - lo
-            quota = int(quotas[seg])
-            seg_max = block.max(axis=1)
-            if quota > 0:
-                threshold = np.where(
-                    np.isfinite(running_max), running_max - self.config.radius, -np.inf
-                )
-                survivors = (block >= threshold[:, None]).sum(axis=1)
-                # The top-quota set is threshold-independent (clipping only
-                # suppresses comparator switching), so selection reduces to a
-                # stable descending sort; the survivor count drives op/power
-                # accounting and the below-quota hardware fallback.
-                take = min(quota, width)
-                order = np.argsort(-block, axis=1, kind="stable")[:, :take]
-                chosen_parts.append(order + lo)
-                cand = np.where(survivors < quota, take, survivors)
-                clipped_rows += width - cand
-                compare_rows += width  # threshold check on every element
-                rounds = -(-cand // fresh)
-                compare_rows += rounds * per_pass
-            running_max = np.maximum(running_max, seg_max)
-
-        sel = np.concatenate(chosen_parts, axis=1)
-        sel, exch_compares = self._adjustive_exchange_stack(scores, sel, k)
-        compare_rows += exch_compares
-
-        selvals = np.take_along_axis(scores, sel, axis=1)
-        order = np.argsort(-selvals, axis=1, kind="stable")
-        indices = np.take_along_axis(sel, order, axis=1)
-        compare_rows += _final_merge_compares(k, n)
-        return SadsStackResult(
-            indices=indices, compare_rows=compare_rows, clipped_rows=clipped_rows
+        return self.select_stack_streamed(
+            lambda seg, lo, hi: scores[:, lo:hi], r, s, k
         )
 
     def select_stack_streamed(
         self, tile_fn, n_rows: int, row_len: int, k: int
     ) -> SadsStackResult:
-        """:meth:`select_stack` semantics over *streamed* score tiles.
+        """Distributed top-k over *streamed* score tiles.
 
         ``tile_fn(seg, lo, hi)`` must return the ``(n_rows, hi - lo)``
         float64 score block of segment ``seg`` (columns ``lo:hi`` of the
-        conceptual ``(n_rows, row_len)`` score matrix).  The selection -
-        indices, ordering, tie breaks, comparator and clipped tallies - is
-        **bit-identical** to calling :meth:`select_stack` on the full
-        matrix, but no state larger than one segment block (plus O(rows *
+        conceptual ``(n_rows, row_len)`` score matrix).  Each row's
+        selection - indices, ordering, tie breaks, comparator and clipped
+        tallies - is **bit-identical** to :meth:`select_row_reference` on
+        that row, but no state larger than one segment block (plus O(rows *
         k) selection state) is ever held: this is the entry point of the
         fused predict+select kernel, which feeds DLZS score tiles straight
         from the prediction matmul.
 
         Exactness argument, stage by stage:
 
-        * the per-segment pass consumes only the segment block in both
-          implementations (thresholds, quotas, stable descending argsort,
-          survivor/clipping accounting are unchanged code);
+        * the per-segment pass consumes only the segment block: the
+          top-quota set is threshold-independent (clipping only suppresses
+          comparator switching), so selection is a stable descending sort;
+          the survivor count drives op/power accounting and the
+          below-quota hardware fallback;
         * the adjustive exchange needs, per round, the *maximum excluded*
           entry under numpy's argmax tie-break (value descending, then
           lowest index).  A per-row pool of the top-``adjust_rounds``
@@ -277,8 +233,7 @@ class SadsSorter:
           ``adjust_rounds`` is dominated (value, then index) by ones
           inside it, for every round;
         * the final descending reorder uses the retained selected values,
-          which mirror ``take_along_axis(scores, sel, axis=1)`` by
-          construction.
+          which are the scores at the selected indices by construction.
         """
         r, s = int(n_rows), int(row_len)
         if not 1 <= k <= s:
@@ -290,17 +245,16 @@ class SadsSorter:
         per_pass = _bitonic_comparators(self.config.sorter_width)
         rounds = self.config.adjust_rounds
 
+        rows = np.arange(r)[:, None]
         compare_rows = np.zeros(r, dtype=np.float64)
         clipped_rows = np.zeros(r, dtype=np.int64)
         running_max = np.full(r, -np.inf)
         chosen_parts: list[np.ndarray] = []
         chosen_val_parts: list[np.ndarray] = []
-        # Excluded-candidate pool: per row, the top-`rounds` excluded
-        # (value, index) pairs in argmax tie-break order (value desc, index
-        # asc).  Padding sorts last: -inf value, out-of-range index.
-        m_pool = max(rounds, 1)
-        pool_vals = np.full((r, m_pool), -np.inf)
-        pool_idx = np.full((r, m_pool), s, dtype=np.int64)
+        # Each segment's top-`rounds` excluded (value, index) candidates, in
+        # (value desc, index asc) order within the segment.
+        extra_val_parts: list[np.ndarray] = []
+        extra_idx_parts: list[np.ndarray] = []
 
         for seg in range(n):
             lo, hi = int(bounds[seg]), int(bounds[seg + 1])
@@ -318,27 +272,33 @@ class SadsSorter:
                 )
                 survivors = (block >= threshold[:, None]).sum(axis=1)
                 take = min(quota, width)
-                order = np.argsort(-block, axis=1, kind="stable")
-                chosen = order[:, :take]
-                chosen_parts.append(chosen + lo)
-                chosen_val_parts.append(np.take_along_axis(block, chosen, axis=1))
+                # The chosen entries, then the segment's top excluded
+                # candidates: the head of one stable descending argsort.
+                head = np.argsort(-block, axis=1, kind="stable")[:, : take + rounds]
+                head_vals = block[rows, head]
+                chosen_parts.append(head[:, :take] + lo)
+                chosen_val_parts.append(head_vals[:, :take])
                 cand = np.where(survivors < quota, take, survivors)
                 clipped_rows += width - cand
                 compare_rows += width  # threshold check on every element
                 compare_rows += (-(-cand // fresh)) * per_pass
-                if rounds > 0 and take < width:
-                    # Segment's top excluded candidates: next entries of the
-                    # same stable descending argsort.  Merge into the pool;
-                    # the stable sort keeps (value desc, index asc) because
-                    # existing pool indices all precede this segment's.
-                    extra = order[:, take : take + rounds]
-                    extra_vals = np.take_along_axis(block, extra, axis=1)
-                    merged_vals = np.concatenate([pool_vals, extra_vals], axis=1)
-                    merged_idx = np.concatenate([pool_idx, extra + lo], axis=1)
-                    top = np.argsort(-merged_vals, axis=1, kind="stable")[:, :m_pool]
-                    pool_vals = np.take_along_axis(merged_vals, top, axis=1)
-                    pool_idx = np.take_along_axis(merged_idx, top, axis=1)
+                if take < head.shape[1]:
+                    extra_val_parts.append(head_vals[:, take:])
+                    extra_idx_parts.append(head[:, take:] + lo)
             running_max = np.maximum(running_max, seg_max)
+
+        # Excluded-candidate pool: per row, the top-`rounds` excluded
+        # candidates in argmax tie-break order.  Segments arrive in index
+        # order, so one stable sort on value keeps index ascending among
+        # ties.  Padding sorts last: -inf value, out-of-range index.
+        m_pool = max(rounds, 1)
+        pad_vals = np.full((r, m_pool), -np.inf)
+        pad_idx = np.full((r, m_pool), s, dtype=np.int64)
+        cand_vals = np.concatenate(extra_val_parts + [pad_vals], axis=1)
+        cand_idx = np.concatenate(extra_idx_parts + [pad_idx], axis=1)
+        top = np.argsort(-cand_vals, axis=1, kind="stable")[:, :m_pool]
+        pool_vals = np.take_along_axis(cand_vals, top, axis=1)
+        pool_idx = np.take_along_axis(cand_idx, top, axis=1)
 
         sel = np.concatenate(chosen_parts, axis=1)[:, :k]
         selvals = np.concatenate(chosen_val_parts, axis=1)[:, :k]
@@ -364,10 +324,10 @@ class SadsSorter:
     ) -> np.ndarray:
         """Adjustive exchange against the excluded-candidate pool (in place).
 
-        Replicates :meth:`_adjustive_exchange_stack` without the ``(R, S)``
-        excluded mask: the pool head *is* the reference's
-        ``argmax(where(excluded, scores, -inf))`` (same value, same
-        tie-break), and a swap removes the head and re-inserts the
+        Replicates :meth:`_adjustive_exchange` for every row in lockstep,
+        without an ``(R, S)`` excluded mask: the pool head *is* the
+        reference's ``argmax(where(excluded_mask, row, -inf))`` (same value,
+        same tie-break), and a swap removes the head and re-inserts the
         swapped-out selected entry at its (value desc, index asc) pool
         position - the pool's real population is invariant under swaps, so
         ``adjust_rounds`` entries are enough for ``adjust_rounds`` rounds.
@@ -491,8 +451,7 @@ class SadsSorter:
 
         The selected set is kept as an array in segment-concatenation order
         with in-place swaps, so tie-breaking is deterministic and the
-        vectorized :meth:`_adjustive_exchange_stack` can reproduce it row for
-        row.
+        vectorized :meth:`_pooled_exchange` can reproduce it row for row.
         """
         ops = OpCounter()
         rounds = self.config.adjust_rounds
@@ -505,56 +464,20 @@ class SadsSorter:
             if not excluded_mask.any():
                 break
             min_pos = int(np.argmin(row[indices]))
-            exc_idx = int(np.argmax(np.where(excluded_mask, row, -np.inf)))
+            excluded_vals = np.where(excluded_mask, row, -np.inf)
+            exc_idx = int(np.argmax(excluded_vals))
             # The threshold-updating unit tracks the excluded maximum as a
             # side effect of the clipping pass, so one exchange round only
             # pays a min-scan over the k selected values plus the swap check.
             ops.add_op("compare", indices.size + 1)
-            if row[exc_idx] <= row[indices[min_pos]]:
+            # Compare the masked value: when every excluded entry is -inf,
+            # argmax lands on a selected index, which must never be swapped in.
+            if excluded_vals[exc_idx] <= row[indices[min_pos]]:
                 break  # "If the min >= the max: End"
             excluded_mask[exc_idx] = False
             excluded_mask[indices[min_pos]] = True
             indices[min_pos] = exc_idx
         return indices, ops
-
-    def _adjustive_exchange_stack(
-        self, scores: np.ndarray, sel: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized adjustive exchange advancing every row in lockstep.
-
-        A row leaves the lockstep (goes inactive) exactly when the sequential
-        loop would break for it: no excluded candidates left, or the swap
-        check failed.  Returns the adjusted indices and per-row comparator
-        counts.
-        """
-        rounds = self.config.adjust_rounds
-        r, s = scores.shape
-        compare_rows = np.zeros(r, dtype=np.float64)
-        sel = np.array(sel[:, :k], dtype=np.int64)
-        if rounds <= 0:
-            return sel, compare_rows
-        k_sel = sel.shape[1]
-        excluded = np.ones((r, s), dtype=bool)
-        np.put_along_axis(excluded, sel, False, axis=1)
-        rows = np.arange(r)
-        alive = np.ones(r, dtype=bool)
-        for _ in range(rounds):
-            alive = alive & excluded.any(axis=1)
-            if not alive.any():
-                break
-            selvals = np.take_along_axis(scores, sel, axis=1)
-            min_pos = np.argmin(selvals, axis=1)
-            min_idx = sel[rows, min_pos]
-            exc_idx = np.argmax(np.where(excluded, scores, -np.inf), axis=1)
-            compare_rows[alive] += k_sel + 1
-            swap = alive & (scores[rows, exc_idx] > scores[rows, min_idx])
-            if swap.any():
-                sw = np.flatnonzero(swap)
-                excluded[sw, exc_idx[sw]] = False
-                excluded[sw, min_idx[sw]] = True
-                sel[sw, min_pos[sw]] = exc_idx[sw]
-            alive = swap
-        return sel, compare_rows
 
 
 def _final_merge_compares(k: int, n_segments: int) -> float:

@@ -4,12 +4,13 @@
 a whole ``(batch * heads)`` stack of attention problems in fused NumPy ops -
 there is no Python loop over heads in any compute stage:
 
-* **DLZS prediction** runs as stacked integer matmuls over all heads
-  (:class:`repro.core.dlzs.StackedDlzsPredictor`), with per-head quantization
-  scales preserved.
-* **SADS selection** flattens every query row of every head into one
-  ``(N*T, S)`` stack and runs the vectorized segment grid once
-  (:meth:`repro.core.sads.SadsSorter.select_stack`).
+* **DLZS prediction + SADS selection** run fused
+  (:data:`repro.kernels.FUSED`): the stacked predictor
+  (:class:`repro.core.dlzs.StackedDlzsPredictor`) prepares every head with
+  its own quantization scales, then each Bc tile of the ``(N*T, S)`` score
+  stack is computed by one exact matmul and fed straight to the streaming
+  SADS selector (:meth:`repro.core.sads.SadsSorter.select_stack_streamed`)
+  before the next tile - the full score matrix is never built.
 * **SU-FA** streams all ``N*T`` rows through the sorted-updating core in
   lockstep (:func:`repro.core.sufa.stream_selected`), mirroring how the
   hardware's PE columns share one K/V stream across rows.
@@ -47,8 +48,7 @@ from repro.core.pipeline import (
 )
 from repro.core.sads import SadsSorter
 from repro.core.sufa import UpdateOrder, stream_selected
-from repro.kernels.predict_select_fused import fused_pair
-from repro.kernels.registry import get_kernel
+from repro.kernels.predict_select_fused import FUSED
 from repro.obs import get_telemetry
 from repro.numerics.complexity import OpCounter, matmul_ops
 from repro.numerics.linalg import det_gathered_project
@@ -168,53 +168,28 @@ class BatchedSofaAttention:
         n_tiles = cfg.n_tiles(s)
 
         # ------------------------------------------- stages 1+2: DLZS + SADS
-        # Both stages resolve through the per-stage kernel registries; when
-        # they resolve to the same fused engine, prediction and selection run
-        # tile by tile and the full (N*T, S) score matrix is never built.
-        # Either way the bits (indices, per-head op tallies) are those of
-        # the reference predict -> select_stack pipeline.
-        predict_kernel = get_kernel("predict", cfg.dlzs.kernel)
-        select_kernel = get_kernel("select", cfg.sads.kernel)
+        # Prediction and selection run tile by tile: the full (N*T, S) score
+        # matrix is never built, and the bits (indices, per-head op tallies)
+        # are those of the golden predict -> select_stack pipeline.
         # The coordinated tiling: the sorter's segments ARE the Bc tiles,
         # identical for every head in the batch (shared (S, Bc) grid).
         sorter = SadsSorter(cfg.sads_for(n_tiles))
-        fused = fused_pair(predict_kernel, select_kernel)
-        # Telemetry wraps the stage *calls*, never the registry callables:
-        # fused_pair detects fusion by kernel identity (fused_owner), so the
-        # kernels themselves must stay unwrapped.
         obs = get_telemetry()
-        if fused is not None:
-            with obs.span(
-                "stage.predict_select_fused",
-                attrs={"rows": n * t, "s": s},
-                hist="sofa_stage_predict_select_fused_seconds",
-            ):
-                prep, stack = fused.run_stacked(
-                    self.predictor,
-                    sorter,
-                    tokens,
-                    q,
-                    k_count,
-                    cache=cache,
-                    cache_keys=cache_keys,
-                )
-            head_ops = prep.head_ops
-        else:
-            with obs.span(
-                "stage.predict",
-                attrs={"rows": n * t, "s": s},
-                hist="sofa_stage_predict_seconds",
-            ):
-                pred = predict_kernel(
-                    self.predictor, tokens, q, cache=cache, cache_keys=cache_keys
-                )
-            head_ops = pred.head_ops
-            with obs.span(
-                "stage.select",
-                attrs={"rows": n * t, "k": k_count},
-                hist="sofa_stage_select_seconds",
-            ):
-                stack = select_kernel(sorter, pred.a_hat.reshape(n * t, s), k_count)
+        with obs.span(
+            "stage.predict_select_fused",
+            attrs={"rows": n * t, "s": s},
+            hist="sofa_stage_predict_select_fused_seconds",
+        ):
+            prep, stack = FUSED.run_stacked(
+                self.predictor,
+                sorter,
+                tokens,
+                q,
+                k_count,
+                cache=cache,
+                cache_keys=cache_keys,
+            )
+        head_ops = prep.head_ops
         pred_dram, pred_sram = prediction_trace_bytes(cfg, s, h, dk, t)
         kk = stack.indices.shape[1]
         selected = stack.indices.reshape(n, t, kk)

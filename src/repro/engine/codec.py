@@ -42,7 +42,7 @@ import hashlib
 import pickle
 import struct
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any
 
 import numpy as np
@@ -53,7 +53,8 @@ from repro.engine.serving import AttentionRequest
 from repro.numerics.complexity import OpCounter
 
 #: Bump on any payload layout change; decoders reject other versions.
-CODEC_VERSION = 1
+#: Version 2: the request config lost ``dlzs.kernel`` and ``sads.kernel``.
+CODEC_VERSION = 2
 
 
 class CodecError(ValueError):
@@ -223,16 +224,33 @@ def encode_config(cfg: SofaConfig | None) -> dict[str, Any] | None:
     return None if cfg is None else asdict(cfg)
 
 
+def _config_fields(cls: type, payload: Any) -> dict[str, Any]:
+    """``payload`` as keyword arguments of the config dataclass ``cls``.
+
+    The payload must carry exactly ``cls``'s fields; anything else raises
+    :class:`CodecError` instead of a bare ``TypeError``/``KeyError`` from
+    the constructor.
+    """
+    if not isinstance(payload, dict):
+        raise CodecError(f"{cls.__name__} payload must be a dict, not {type(payload).__name__}")
+    expected = {f.name for f in fields(cls)}
+    unknown = sorted(payload.keys() - expected)
+    missing = sorted(expected - payload.keys())
+    if unknown or missing:
+        raise CodecError(
+            f"{cls.__name__} payload has unknown fields {unknown} "
+            f"and missing fields {missing}"
+        )
+    return dict(payload)
+
+
 def decode_config(payload: dict[str, Any] | None) -> SofaConfig | None:
     if payload is None:
         return None
-    return SofaConfig(
-        tile_cols=payload["tile_cols"],
-        top_k=payload["top_k"],
-        dlzs=DlzsConfig(**payload["dlzs"]),
-        sads=SadsConfig(**payload["sads"]),
-        sufa=SufaConfig(**payload["sufa"]),
-    )
+    kwargs = _config_fields(SofaConfig, payload)
+    for name, cls in (("dlzs", DlzsConfig), ("sads", SadsConfig), ("sufa", SufaConfig)):
+        kwargs[name] = cls(**_config_fields(cls, kwargs[name]))
+    return SofaConfig(**kwargs)
 
 
 def encode_request(
@@ -245,7 +263,8 @@ def encode_request(
     telemetry context so the worker can parent its spans under the
     submitting request's timeline.  The field is additive and
     observability-only: old decoders ignore unknown keys, frames without
-    it decode exactly as before (``CODEC_VERSION`` is unchanged), and
+    it decode exactly as before (the field needs no ``CODEC_VERSION``
+    bump), and
     :func:`request_fingerprint` hashes a fixed key list that excludes it,
     so tracing can never split request dedup.
     """

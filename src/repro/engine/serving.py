@@ -290,12 +290,11 @@ class SofaEngine:
     ----------
     config:
         Default :class:`SofaConfig` for requests that carry none.  Its
-        ``dlzs``/``sads``/``sufa`` ``kernel`` fields are the engine's
-        stage-kernel selection (see :mod:`repro.kernels`; ``"auto"`` =
-        per-stage env var, then registry default).  Every name is
-        resolved here, so a typo fails at construction with the
-        registry's stage- and source-attributed message, not inside the
-        first batch.
+        ``sufa.kernel`` field is the engine's stream-kernel selection
+        (see :mod:`repro.kernels`; ``"auto"`` = ``SOFA_SUFA_KERNEL``,
+        then the registry default).  The name is resolved here, so a
+        typo fails at construction with the registry's stage- and
+        source-attributed message, not inside the first batch.
     max_batch_heads:
         Fused-call width; a group executes as soon as it can fill one chunk.
     backend / max_workers:

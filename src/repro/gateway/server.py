@@ -400,7 +400,7 @@ class SofaGateway:
         arrival = time.monotonic()
         self._c_requests.inc()
         try:
-            decoded = json.loads(body)
+            decoded = json.loads(body, parse_constant=_reject_constant)
             if not isinstance(decoded, dict):
                 raise ValueError("body must be a JSON object")
             request = request_from_json(decoded)
@@ -499,6 +499,16 @@ class SofaGateway:
             "queue_depth": self._admission.depth,
         }
         return (200 if live else 503), body
+
+
+def _reject_constant(name: str) -> Any:
+    """``json.loads`` hook for ``NaN``/``Infinity``/``-Infinity``: a 400.
+
+    Python's decoder accepts these non-standard literals by default; a
+    ``NaN`` token would quantize to a meaningless (finite) code and be
+    served 200.
+    """
+    raise ValueError(f"non-finite JSON number {name} is not accepted")
 
 
 def _json_bytes(payload: dict[str, Any]) -> bytes:

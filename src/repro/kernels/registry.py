@@ -1,19 +1,7 @@
-"""Per-stage registries of interchangeable pipeline-stage kernels.
+"""Registry of interchangeable pipeline-stage kernels.
 
-The pipeline has three dynamic-sparsity stages, and each one resolves its
-implementation through its own named registry:
+One pipeline stage resolves its implementation through a named registry:
 
-``"predict"``
-    DLZS score prediction.  A predict kernel drives a
-    :class:`~repro.core.dlzs.DlzsPredictor` /
-    :class:`~repro.core.dlzs.StackedDlzsPredictor` with the signature
-    ``kernel(predictor, tokens, q, *, cache=None, cache_keys=None)`` and
-    returns exactly what ``predictor.predict`` returns.
-``"select"``
-    SADS top-k selection.  A select kernel drives a
-    :class:`~repro.core.sads.SadsSorter` with the signature
-    ``kernel(sorter, scores, k) -> SadsStackResult`` over a ``(R, S)``
-    stack of score rows.
 ``"stream"``
     SU-FA streaming - the contract of
     :func:`repro.core.sufa.stream_selected` minus the ``kernel`` argument::
@@ -21,30 +9,32 @@ implementation through its own named registry:
         kernel(q_rows, k_sel, v_sel, *, order, max_assurance, tile_cols)
             -> SufaStackResult
 
+DLZS prediction and SADS selection have no registry: the batched engine
+always runs them through the fused predict+select kernel
+(:mod:`repro.kernels.predict_select_fused`) and the per-head pipeline
+calls the golden models directly.
+
 Every registered kernel must be **bit-for-bit interchangeable** within its
-stage: same output bits, same selections, same op tallies and trigger
-counts as that stage's golden model on any input (the differential sweeps
-in ``tests/test_kernels_sufa.py`` and ``tests/test_kernels_fused.py`` are
-the enforcement, re-run per registered combination by CI's kernel-matrix
-job).  Because all serving tiers (per-head pipeline, batched engine,
-thread backends, cluster workers) reach every stage through these
-registries, their mutual parity contract holds by construction - there is
-only one implementation per stage per process-wide selection, not one per
-tier.  The same seam is where array-API backends (CuPy / torch) plug in
-later: a backend is just another registered kernel facing the same
-differential sweep.
+stage: same output bits, same op tallies and trigger counts as that
+stage's golden model on any input (the differential sweep in
+``tests/test_kernels_sufa.py`` is the enforcement, re-run per registered
+kernel by CI's kernel-matrix job).  Because all serving tiers (per-head
+pipeline, batched engine, thread backends, cluster workers) reach the
+stage through this registry, their mutual parity contract holds by
+construction - there is only one implementation per process-wide
+selection, not one per tier.  The same seam is where array-API backends
+(CuPy / torch) plug in later: a backend is just another registered kernel
+facing the same differential sweep.
 
-Selection precedence per stage, first hit wins:
+Selection precedence, first hit wins:
 
-1. an explicit kernel name: a non-``"auto"`` ``kernel`` field on the
-   stage's config dataclass (``DlzsConfig`` / ``SadsConfig`` /
-   ``SufaConfig``, the one place serving code picks a kernel), or the
+1. an explicit kernel name: a non-``"auto"`` ``kernel`` field on
+   ``SufaConfig`` (the one place serving code picks a kernel), or the
    ``kernel`` argument of the low-level entry points
    (``stream_selected(..., kernel="reference")``);
 2. the stage's environment variable (:func:`kernel_env_var`):
-   ``SOFA_PREDICT_KERNEL`` / ``SOFA_SELECT_KERNEL`` / ``SOFA_SUFA_KERNEL``
-   (the stream stage keeps its historical name);
-3. the stage default: ``reference`` / ``reference`` / ``blocked``.
+   ``SOFA_SUFA_KERNEL``;
+3. the stage default: ``blocked``.
 
 Adding a kernel takes one call (or decorator use)::
 
@@ -66,20 +56,16 @@ from typing import Callable
 #: A stage kernel; the per-stage calling conventions are documented above.
 Kernel = Callable[..., object]
 
-#: The pipeline stages with kernel registries, in pipeline order.
-STAGES = ("predict", "select", "stream")
+#: The pipeline stages with kernel registries.
+STAGES = ("stream",)
 
 #: Per-stage environment override consulted when no explicit name is given.
 #: ``stream`` keeps its historical name (``SOFA_SUFA_KERNEL``): a renamed
 #: variable would be ignored silently by existing deployments.
-_ENV_VARS = {
-    "predict": "SOFA_PREDICT_KERNEL",
-    "select": "SOFA_SELECT_KERNEL",
-    "stream": "SOFA_SUFA_KERNEL",
-}
+_ENV_VARS = {"stream": "SOFA_SUFA_KERNEL"}
 
 #: Per-stage registry fallback when neither caller nor environment picks.
-_DEFAULTS = {"predict": "reference", "select": "reference", "stream": "blocked"}
+_DEFAULTS = {"stream": "blocked"}
 
 #: Names a caller may pass to mean "apply env/default precedence".
 _AUTO_NAMES = (None, "", "auto")
@@ -106,18 +92,8 @@ def _load_builtins() -> None:
         return
     _builtins_loaded = True
     from repro.core.sufa import stream_selected_reference
-    from repro.kernels.predict_select_fused import (
-        fused_predict_stage,
-        fused_select_stage,
-        predict_reference,
-        select_reference,
-    )
     from repro.kernels.sufa_blocked import stream_selected_blocked
 
-    _REGISTRIES["predict"].setdefault("reference", predict_reference)
-    _REGISTRIES["predict"].setdefault("fused", fused_predict_stage)
-    _REGISTRIES["select"].setdefault("reference", select_reference)
-    _REGISTRIES["select"].setdefault("fused", fused_select_stage)
     _REGISTRIES["stream"].setdefault("reference", stream_selected_reference)
     _REGISTRIES["stream"].setdefault("blocked", stream_selected_blocked)
 
@@ -196,8 +172,7 @@ def get_kernel(stage: str, name: str | None = None) -> Kernel:
     With telemetry enabled each resolution bumps
     ``sofa_kernel_resolutions_total_<stage>`` and records the winning name
     in the ``sofa_kernels`` info metric.  The callable itself is returned
-    *unwrapped*: ``fused_pair`` detects fusability by kernel identity
-    (``fused_owner``), so this hook must never decorate it.
+    unwrapped.
     """
     _load_builtins()
     resolved = resolve_kernel_name(stage, name)
@@ -214,8 +189,4 @@ def resolved_kernels(config) -> dict[str, str]:
     """The per-stage kernel names a :class:`~repro.core.config.SofaConfig`
     resolves to right now (env vars included) - the observability hook the
     cluster workers report through their stats snapshots."""
-    return {
-        "predict": resolve_kernel_name("predict", config.dlzs.kernel),
-        "select": resolve_kernel_name("select", config.sads.kernel),
-        "stream": resolve_kernel_name("stream", config.sufa.kernel),
-    }
+    return {"stream": resolve_kernel_name("stream", config.sufa.kernel)}

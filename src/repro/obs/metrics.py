@@ -30,8 +30,8 @@ Instrument kinds:
     spaced, which covers everything from one codec encode to a full
     long-selection batch.
 :class:`Info`
-    A label-set constant (``sofa_kernels{stage="predict",kernel="fused"}
-    1``) - which kernels/config a process actually resolved.
+    A label-set constant (``sofa_kernels{stream="blocked"} 1``) - which
+    kernels/config a process actually resolved.
 
 Everything is thread-safe (engines time batches on pool threads) and
 allocation-light: an ``observe`` is one lock plus one ``bisect``.  The

@@ -4,8 +4,8 @@
 ``cluster.request`` (frontend root, submit to resolution) >
 ``cluster.rpc`` (dispatch to result frame) > ``worker.request`` (the
 worker-side wall time of that request) > ``engine.batch`` (the fused call
-that served it) > ``stage.predict`` / ``stage.select`` /
-``stage.predict_select_fused`` / ``stage.kv_gather`` / ``stage.stream``
+that served it) > ``stage.predict_select_fused`` / ``stage.kv_gather`` /
+``stage.stream``
 (the pipeline stages inside the batch), with cache lookups/spills and
 codec encode/decode timed alongside as histogram observations.  Spans
 form a tree through ``parent_id``; a per-thread stack makes nesting

@@ -119,6 +119,32 @@ def test_config_codec_none_and_nested():
     assert decode_config(encode_config(cfg)) == cfg
 
 
+def test_decode_config_rejects_unknown_and_missing_fields():
+    payload = encode_config(CFG)
+    stale = {**payload, "dlzs": {**payload["dlzs"], "kernel": "auto"}}
+    with pytest.raises(CodecError, match=r"DlzsConfig payload has unknown fields \['kernel'\]"):
+        decode_config(stale)
+    short = {**payload, "sads": {k: v for k, v in payload["sads"].items() if k != "radius"}}
+    with pytest.raises(CodecError, match=r"missing fields \['radius'\]"):
+        decode_config(short)
+    with pytest.raises(CodecError, match="SofaConfig payload"):
+        decode_config({k: v for k, v in payload.items() if k != "sufa"})
+    with pytest.raises(CodecError, match="must be a dict"):
+        decode_config({**payload, "sufa": None})
+
+
+def test_version_one_request_with_stage_kernels_fails_on_version():
+    """A request from a codec-1 peer still carries ``dlzs.kernel`` and
+    ``sads.kernel``; it must fail on the version check, before the config
+    is ever decoded."""
+    payload = encode_request(_request(make_rng(7), config=CFG))
+    payload["v"] = 1
+    config = payload["config"]
+    config["dlzs"]["kernel"] = config["sads"]["kernel"] = "auto"
+    with pytest.raises(CodecVersionError, match="version 1 != codec 2"):
+        decode_request(payload)
+
+
 def test_version_mismatch_rejected():
     rng = make_rng(6)
     payload = encode_request(_request(rng))

@@ -195,6 +195,24 @@ def test_non_integer_content_length_closes_the_connection_quietly():
     asyncio.run(main())
 
 
+def test_non_finite_json_numbers_are_rejected_with_400():
+    """``NaN``/``Infinity``/``-Infinity`` literals never reach the engine."""
+
+    async def main():
+        async with _gateway(SofaEngine(CFG)) as (_gw, _client, http):
+            for value, literal in ((float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                   (float("-inf"), "-Infinity")):
+                body = _bodies(seed=19, n=1)[0]
+                body["tokens"][0][0] = value  # json.dumps writes the literal
+                status, _, resp = await http.attention(body)
+                assert status == 400, resp
+                assert f"number {literal} " in resp["error"]
+            status, _, resp = await http.attention(_bodies(seed=19, n=1)[0])
+            assert status == 200, resp
+
+    asyncio.run(main())
+
+
 # ------------------------------------------------------------------- overload
 def test_tenant_bucket_exhaustion_returns_429_with_retry_after():
     config = GatewayConfig(
