@@ -1,14 +1,15 @@
 """SU-FA kernel bench: blocked vs reference vs the seed per-key loop.
 
-Three implementations of the streaming core are measured on pre-gathered
-long-selection stacks (the exact input every serving tier feeds it):
+Three implementations of the streaming core are measured on
+long-selection stacks, given as every serving tier feeds them: key and
+value slabs plus each row's index of selected slab rows.
 
 * ``seed_loop`` - a faithful reconstruction of the pre-kernel-layer
-  ``stream_selected`` (v0..PR3): ``det_rowdot`` score gather plus one
-  Python iteration per selected key doing the softmax-state update *and*
-  the P*V multiply-accumulate.  This is the loop the cluster docs called
-  out as the single-process throughput cap, and the honest "before" of
-  this PR.
+  ``stream_selected`` (v0..PR3): an up-front K/V gather, a
+  ``det_rowdot`` score gather, and one Python iteration per selected key
+  doing the softmax-state update *and* the P*V multiply-accumulate.
+  This is the loop the cluster docs called out as the single-process
+  throughput cap, and the honest "before" of this PR.
 * ``reference`` - :func:`repro.core.sufa.stream_selected_reference`, the
   shipped golden model: still one Python iteration per key, but with the
   kernel layer's shared tile-boundary merges and matmul score gather
@@ -127,8 +128,9 @@ E2E_FUSED = {
 
 def stream_selected_seed(
     q_rows,
-    k_sel,
-    v_sel,
+    keys,
+    values,
+    index,
     order=UpdateOrder.DESCENDING,
     max_assurance: bool = True,
     tile_cols: int = 64,
@@ -143,10 +145,11 @@ def stream_selected_seed(
     can serve a stream through it for an honest before/after; its
     accumulation order predates the tile-synchronized semantics, so its
     outputs agree with the shipped kernels to float tolerance, not bits.
+    Like the seed, it gathers every row's keys and values up front.
     """
     q_rows = np.asarray(q_rows, dtype=np.float64)
-    k_sel = np.asarray(k_sel, dtype=np.float64)
-    v_sel = np.asarray(v_sel, dtype=np.float64)
+    k_sel = np.asarray(keys, dtype=np.float64)[index]
+    v_sel = np.asarray(values, dtype=np.float64)[index]
     r, d = q_rows.shape
     kk = k_sel.shape[1]
     dv = v_sel.shape[2]
@@ -206,15 +209,18 @@ register_kernel("stream", "seed-loop", stream_selected_seed, overwrite=True)
 
 
 def _workload(r: int, kk: int, d: int, dv: int, seed: int = 17):
-    """A DLZS-exact (descending-sorted) gathered stack - the common case."""
+    """A DLZS-exact (descending-sorted) stack - the common case.
+
+    Returns ``(q, keys, values, index)``: row ``i`` owns slab rows
+    ``i*kk .. i*kk + kk - 1``, listed by descending score.
+    """
     rng = make_rng(seed)
     q = rng.normal(size=(r, d))
     k = rng.normal(size=(r, kk, d))
     v = rng.normal(size=(r, kk, dv))
     idx = np.argsort(-(k * q[:, None, :]).sum(-1), axis=1)
-    k = np.take_along_axis(k, idx[:, :, None], axis=1)
-    v = np.take_along_axis(v, idx[:, :, None], axis=1)
-    return q, k, v
+    index = np.arange(r)[:, None] * kk + idx
+    return q, k.reshape(r * kk, d), v.reshape(r * kk, dv), index
 
 
 def _best_of_interleaved(fns: dict, repeats: int) -> dict:
@@ -236,10 +242,10 @@ def _best_of_interleaved(fns: dict, repeats: int) -> dict:
 def measure_kernels(quick: bool = False) -> list[dict]:
     points = []
     for r, kk, d, dv, tc in GRID[quick]:
-        q, k, v = _workload(r, kk, d, dv)
-        ref = stream_selected_reference(q, k, v, tile_cols=tc)
-        blk = stream_selected_blocked(q, k, v, tile_cols=tc)
-        seed_out = stream_selected_seed(q, k, v, tile_cols=tc)
+        q, k, v, index = _workload(r, kk, d, dv)
+        ref = stream_selected_reference(q, k, v, index, tile_cols=tc)
+        blk = stream_selected_blocked(q, k, v, index, tile_cols=tc)
+        seed_out = stream_selected_seed(q, k, v, index, tile_cols=tc)
         exact = (
             ref.output.tobytes() == blk.output.tobytes()
             and np.array_equal(ref.trigger_rows, blk.trigger_rows)
@@ -253,9 +259,9 @@ def measure_kernels(quick: bool = False) -> list[dict]:
             raise SystemExit(f"seed-loop output diverged on {(r, kk, d, dv, tc)}")
         times = _best_of_interleaved(
             {
-                "seed": lambda: stream_selected_seed(q, k, v, tile_cols=tc),
-                "ref": lambda: stream_selected_reference(q, k, v, tile_cols=tc),
-                "blk": lambda: stream_selected_blocked(q, k, v, tile_cols=tc),
+                "seed": lambda: stream_selected_seed(q, k, v, index, tile_cols=tc),
+                "ref": lambda: stream_selected_reference(q, k, v, index, tile_cols=tc),
+                "blk": lambda: stream_selected_blocked(q, k, v, index, tile_cols=tc),
             },
             REPEATS[quick],
         )
@@ -525,11 +531,11 @@ def test_blocked_beats_seed_loop_locally():
     if os.environ.get("CI"):
         return
     r, kk, d, dv, tc = GRID[False][0]
-    q, k, v = _workload(r, kk, d, dv)
+    q, k, v, index = _workload(r, kk, d, dv)
     times = _best_of_interleaved(
         {
-            "seed": lambda: stream_selected_seed(q, k, v, tile_cols=tc),
-            "blk": lambda: stream_selected_blocked(q, k, v, tile_cols=tc),
+            "seed": lambda: stream_selected_seed(q, k, v, index, tile_cols=tc),
+            "blk": lambda: stream_selected_blocked(q, k, v, index, tile_cols=tc),
         },
         5,
     )

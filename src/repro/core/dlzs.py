@@ -476,7 +476,8 @@ class StackedDlzsPredictor:
                 tok = quantize_stack(tokens, self.config.token_bits).values
             else:
                 tok = tokens.astype(np.int64)
-            key_values = tok @ self._wk_pow2  # exact batched int64 matmul
+            # Exact integer K_hat; float64 BLAS inside the proven window.
+            key_values = exact_int_matmul(tok, self._wk_pow2, dtype=np.int64)
         else:
             # Keyed heads run per head so each sequence's state stays
             # independent; keyless batch-mates keep the fused stack path.

@@ -54,6 +54,36 @@ def _bitonic_comparators(width: int) -> int:
     return max(pruned, 1)
 
 
+def _stable_head(block: np.ndarray, m: int) -> np.ndarray:
+    """``np.argsort(-block, axis=1, kind="stable")[:, :m]`` without a full stable sort.
+
+    An unstable argsort orders values the same way but may permute equal
+    ones.  If a row's first ``m + 1`` sorted values are strictly
+    decreasing, its top ``m`` set and their order are forced, so the
+    unstable head equals the stable one.  The extra entry catches a tie
+    across the cut.  Rows with any adjacent tie (signed zeros compare
+    equal) redo the stable argsort, which breaks ties by index.  NaN
+    compares unequal to everything, so callers must reject it first.
+    """
+    neg = -block
+    if m >= neg.shape[1]:
+        return np.argsort(neg, axis=1, kind="stable")
+    head = np.argsort(neg, axis=1)[:, : m + 1]
+    vals = neg[np.arange(neg.shape[0])[:, None], head]
+    ties = vals[:, 1:] == vals[:, :-1]
+    head = head[:, :m]
+    if ties.any():
+        tied = np.flatnonzero(ties.any(axis=1))
+        head[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :m]
+    return head
+
+
+def _reject_nan(seg_max: "np.ndarray | float") -> None:
+    """Raise on NaN scores, found through the segment max (NaN propagates)."""
+    if np.isnan(seg_max).any():
+        raise ValueError("score rows must not contain NaN")
+
+
 @dataclass
 class SadsRowResult:
     """SADS output for one attention row.
@@ -131,7 +161,8 @@ class SadsSorter:
         Walks the segment grid one segment at a time with the scalar
         clipping threshold, exactly as the hardware schedules one row; the
         vectorized :meth:`select_stack` must reproduce its indices, op
-        counts and clipped tallies row for row.
+        counts and clipped tallies row for row.  A row holding NaN raises
+        :class:`ValueError`.
         """
         row = np.asarray(row, dtype=np.float64)
         s = row.size
@@ -151,6 +182,7 @@ class SadsSorter:
             sel, seg_ops, clipped, seg_max = self._select_segment(
                 seg_vals, quota[seg], running_max
             )
+            _reject_nan(seg_max)
             running_max = max(running_max, seg_max)
             selections.append(sel + lo)
             ops = ops + seg_ops
@@ -234,6 +266,10 @@ class SadsSorter:
           inside it, for every round;
         * the final descending reorder uses the retained selected values,
           which are the scores at the selected indices by construction.
+
+        NaN has no place in that (value desc, index asc) order, so a row
+        holding one raises :class:`ValueError`, as in
+        :meth:`select_row_reference`.
         """
         r, s = int(n_rows), int(row_len)
         if not 1 <= k <= s:
@@ -266,6 +302,7 @@ class SadsSorter:
             width = hi - lo
             quota = int(quotas[seg])
             seg_max = block.max(axis=1)
+            _reject_nan(seg_max)
             if quota > 0:
                 threshold = np.where(
                     np.isfinite(running_max), running_max - self.config.radius, -np.inf
@@ -273,8 +310,8 @@ class SadsSorter:
                 survivors = (block >= threshold[:, None]).sum(axis=1)
                 take = min(quota, width)
                 # The chosen entries, then the segment's top excluded
-                # candidates: the head of one stable descending argsort.
-                head = np.argsort(-block, axis=1, kind="stable")[:, : take + rounds]
+                # candidates: the head of a stable descending argsort.
+                head = _stable_head(block, take + rounds)
                 head_vals = block[rows, head]
                 chosen_parts.append(head[:, :take] + lo)
                 chosen_val_parts.append(head_vals[:, :take])

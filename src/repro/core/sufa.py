@@ -30,6 +30,16 @@ interchangeable **kernel** from :mod:`repro.kernels`:
   advances one selected key per Python iteration - the original loop,
   retained as the golden model for differential testing.
 
+Kernels never see a pre-gathered ``(R, kk, D)`` key or value stack.  They
+take the ``(U, D)`` / ``(U, Dv)`` slabs of the U generated tokens plus an
+``(R, kk)`` index of slab rows, and gather about one tile's worth at a
+time - the hardware's on-demand K/V generation feeding SU-FA tile by
+tile.  Value tiles are gathered inside the stream loop.  Keys are
+gathered in the shared prologue, in blocks of rows, so each row keeps one
+``(kk, D)`` score contraction: BLAS gemv computes output entries in
+groups, so a score's bits can depend on its position in the contraction,
+and column tiles of other widths would not reproduce them.
+
 The streaming semantics are **tile-synchronized**, mirroring the
 hardware's dataflow: per-key state (running max, Max-Ensuring violations,
 softmax weights, op/trigger accounting) evolves key by key, while the
@@ -38,10 +48,11 @@ the carried normalizer/output at the tile boundary - the PE-column
 partials meeting the accumulator at tile sync, the same boundary the
 per-tile synchronization op has always charged.  Both kernels share one
 prologue (score gather, warmup max scan), one epilogue (tile-sync
-accounting, final normalization), and one batch-invariant tile-merge
-primitive (:func:`repro.numerics.linalg.det_pv_contract`), so every row's
-result is **bit-identical** across kernels and whether one row or ten
-thousand share the call - which is what lets the batched engine
+accounting, final normalization), one value-tile gather
+(:func:`_value_tile`), and one batch-invariant tile-merge primitive
+(:func:`repro.numerics.linalg.det_pv_contract`), so every row's result is
+**bit-identical** across kernels and whether one row or ten thousand
+share the call - which is what lets the batched engine
 (``repro.engine``) and the cluster workers reuse this core while matching
 the per-head operator exactly.
 """
@@ -111,10 +122,13 @@ class SufaStackResult:
 
 def _stream_prologue(
     q_rows: np.ndarray,
-    k_sel: np.ndarray,
-    v_sel: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    index: np.ndarray,
     order: UpdateOrder,
+    tile_cols: int,
 ) -> tuple[
+    np.ndarray,
     np.ndarray,
     np.ndarray,
     dict[str, np.ndarray],
@@ -125,30 +139,44 @@ def _stream_prologue(
 ]:
     """Kernel-shared entry work: score gather, op tallies, warmup max scan.
 
-    Returns ``(scores, values, op_rows, m, l, o, triggers)`` with ``scores``
-    and ``values`` already flipped into processing order.  Every kernel must
-    start from this state so the per-row op accounting and the mode-1 warmup
-    semantics stay identical across implementations.
+    Returns ``(scores, values, index, op_rows, m, l, o, triggers)`` with
+    ``scores`` and ``index`` already flipped into processing order, so
+    value tile ``lo:hi`` is ``_value_tile(values, index, lo, hi)``.  Every
+    kernel must start from this state so the per-row op accounting and the
+    mode-1 warmup semantics stay identical across implementations.
     """
     q_rows = np.asarray(q_rows, dtype=np.float64)
-    k_sel = np.asarray(k_sel, dtype=np.float64)
-    v_sel = np.asarray(v_sel, dtype=np.float64)
+    keys = np.asarray(keys, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    index = np.asarray(index, dtype=np.intp)
     r, d = q_rows.shape
-    kk = k_sel.shape[1]
-    dv = v_sel.shape[2]
+    if keys.ndim != 2 or values.ndim != 2 or index.ndim != 2 or index.shape[0] != r:
+        raise ValueError(
+            f"need (U, D) keys, (U, Dv) values and an ({r}, kk) index, got "
+            f"{keys.shape}, {values.shape} and {index.shape}"
+        )
+    kk = index.shape[1]
+    dv = values.shape[1]
     scale = 1.0 / np.sqrt(d)
 
     # Scale folded into q before the gather: one (R, D) multiply instead of
-    # an extra full pass over the (R, kk) score matrix.
-    scores = det_stack_scores(k_sel, q_rows * scale)  # (R, kk)
+    # an extra full pass over the (R, kk) score matrix.  Keys are gathered
+    # for a block of rows at a time, about one tile's worth of keys, and
+    # each row keeps its whole (kk, D) contraction (see the module note).
+    q_scaled = q_rows * scale
+    scores = np.empty((r, kk))
+    step = max(r * max(int(tile_cols), 1) // max(kk, 1), 1)
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        scores[lo:hi] = det_stack_scores(
+            np.take(keys, index[lo:hi], axis=0), q_scaled[lo:hi]
+        )
     if order is UpdateOrder.ASCENDING:
         # Materialized (not viewed) reversals: downstream primitives must
         # see one canonical layout, because BLAS-backed contractions take a
         # different (bit-divergent) path for negative-stride operands.
         scores = np.ascontiguousarray(scores[:, ::-1])
-        values = np.ascontiguousarray(v_sel[:, ::-1, :])
-    else:
-        values = v_sel
+        index = np.ascontiguousarray(index[:, ::-1])
 
     op_rows: dict[str, np.ndarray] = {
         # the QK^T gather work, charged as a (1, d) x (d, kk) matmul per row
@@ -169,7 +197,16 @@ def _stream_prologue(
     l = np.zeros(r)
     o = np.zeros((r, dv))
     triggers = np.zeros(r, dtype=np.int64)
-    return scores, values, op_rows, m, l, o, triggers
+    return scores, values, index, op_rows, m, l, o, triggers
+
+
+def _value_tile(values: np.ndarray, index: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The ``(R, hi - lo, Dv)`` value tile of processing positions ``lo:hi``.
+
+    A fresh C-contiguous gather from the slab, so every row's ``(B, Dv)``
+    slice is contiguous - the layout :func:`det_pv_contract` requires.
+    """
+    return np.take(values, index[:, lo:hi], axis=0)
 
 
 def _stream_epilogue(
@@ -191,8 +228,9 @@ def _stream_epilogue(
 
 def stream_selected_reference(
     q_rows: np.ndarray,
-    k_sel: np.ndarray,
-    v_sel: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    index: np.ndarray,
     order: UpdateOrder = UpdateOrder.DESCENDING,
     max_assurance: bool = True,
     tile_cols: int = 64,
@@ -217,12 +255,12 @@ def stream_selected_reference(
     bit (``tests/test_kernels_sufa.py``); serving paths reach it via
     ``kernel="reference"``.
     """
-    scores, values, op_rows, m, l, o, triggers = _stream_prologue(
-        q_rows, k_sel, v_sel, order
+    scores, values, index, op_rows, m, l, o, triggers = _stream_prologue(
+        q_rows, keys, values, index, order, tile_cols
     )
     r = scores.shape[0]
     kk = scores.shape[1]
-    dv = values.shape[2]
+    dv = values.shape[1]
     block = max(int(tile_cols), 1)
 
     for lo in range(0, kk, block):
@@ -261,29 +299,33 @@ def stream_selected_reference(
         # Tile sync: fold this tile's weight/value mass into the carried
         # state through the shared contraction primitives.
         l = l + det_tile_mass(p_tile)
-        o = o + det_pv_contract(p_tile, values[:, lo:hi, :])
+        o = o + det_pv_contract(p_tile, _value_tile(values, index, lo, hi))
 
     return _stream_epilogue(o, l, op_rows, triggers, kk, tile_cols)
 
 
 def stream_selected(
     q_rows: np.ndarray,
-    k_sel: np.ndarray,
-    v_sel: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    index: np.ndarray,
     order: UpdateOrder = UpdateOrder.DESCENDING,
     max_assurance: bool = True,
     tile_cols: int = 64,
     kernel: str | None = None,
 ) -> SufaStackResult:
-    """Stream pre-gathered (K, V) pairs through the sorted-updating engine.
+    """Stream each row's selected (K, V) pairs through the sorted-updating engine.
 
     Parameters
     ----------
     q_rows:
         ``(R, D)`` query rows (one per selected-key list).
-    k_sel / v_sel:
-        ``(R, kk, D)`` / ``(R, kk, Dv)`` keys and values already gathered in
-        SADS output order (descending estimated score).
+    keys / values:
+        ``(U, D)`` / ``(U, Dv)`` slabs of generated keys and values.
+    index:
+        ``(R, kk)`` slab rows of each query row's selected keys, in SADS
+        output order (descending estimated score).  Kernels gather from the
+        slabs tile by tile; no ``(R, kk, D)`` copy is ever built.
     order / max_assurance / tile_cols:
         As in :func:`sorted_updating_attention`.
     kernel:
@@ -301,8 +343,9 @@ def stream_selected(
     impl = get_kernel("stream", kernel)
     return impl(
         q_rows,
-        k_sel,
-        v_sel,
+        keys,
+        values,
+        index,
         order=order,
         max_assurance=max_assurance,
         tile_cols=tile_cols,
@@ -350,8 +393,9 @@ def sorted_updating_attention(
 
     res = stream_selected(
         q,
-        k[sorted_indices],
-        v[sorted_indices],
+        k,
+        v,
+        sorted_indices,
         order=order,
         max_assurance=max_assurance,
         tile_cols=tile_cols,

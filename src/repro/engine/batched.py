@@ -11,9 +11,16 @@ there is no Python loop over heads in any compute stage:
   stack is computed by one exact matmul and fed straight to the streaming
   SADS selector (:meth:`repro.core.sads.SadsSorter.select_stack_streamed`)
   before the next tile - the full score matrix is never built.
+* **On-demand K/V** is generated once per unique selected token: a
+  ``(U, D)`` key slab and a ``(U, Dv)`` value slab for the U tokens any
+  head selected (``v=`` value caches are gathered into the same slab
+  form), and ``selected`` is remapped to slab rows by one ``cumsum`` over
+  the selection mask.  No ``(N, S, D)`` or ``(N, T, kk, D)`` K/V array is
+  built.
 * **SU-FA** streams all ``N*T`` rows through the sorted-updating core in
-  lockstep (:func:`repro.core.sufa.stream_selected`), mirroring how the
-  hardware's PE columns share one K/V stream across rows.
+  lockstep (:func:`repro.core.sufa.stream_selected`), gathering K/V from
+  the slabs tile by tile, mirroring how the hardware's PE columns share
+  one K/V stream across rows.
 
 Failure semantics follow the fusion: with ``max_assurance=False`` a
 mispredicted ordering in *any* head aborts the whole call (streaming state
@@ -206,28 +213,25 @@ class BatchedSofaAttention:
             np.put_along_axis(sel_mask, selected.reshape(n, t * kk), True, axis=1)
             head_idx, tok_idx = np.nonzero(sel_mask)  # per head, ascending tokens
             unique_counts = sel_mask.sum(axis=1)
+            # Slab row of each selected (head, token): the number of selected
+            # entries before it in the head-major mask, i.e. its position in
+            # (head_idx, tok_idx).
+            slab_row = (np.cumsum(sel_mask, axis=None) - 1).reshape(n, s)
+            index = slab_row[np.arange(n)[:, None, None], selected].reshape(n * t, kk)
 
             toks_sel = tokens[head_idx, tok_idx]  # (U, H)
-            k_mat = np.zeros((n, s, dk))
-            k_mat[head_idx, tok_idx] = (
-                det_gathered_project(toks_sel, self._wk, head_idx) * k_scales[head_idx, None]
-            )
+            keys = det_gathered_project(toks_sel, self._wk, head_idx) * k_scales[head_idx, None]
             if v is None:
-                dv = self._wv.shape[2]
-                v_mat = np.zeros((n, s, dv))
-                v_mat[head_idx, tok_idx] = (
+                values = (
                     det_gathered_project(toks_sel, self._wv, head_idx)
                     * v_scales[head_idx, None]
                 )
             else:
-                v_mat = np.asarray(v, dtype=np.float64)
-                if v_mat.ndim != 3 or v_mat.shape[:2] != (n, s):
+                v_arr = np.asarray(v, dtype=np.float64)
+                if v_arr.ndim != 3 or v_arr.shape[:2] != (n, s):
                     raise ValueError(f"value caches must be ({n}, {s}, Dv)")
-                dv = v_mat.shape[2]
-
-            head_arange = np.arange(n)[:, None, None]
-            k_sel = k_mat[head_arange, selected]  # (N, T, kk, Dk)
-            v_sel = v_mat[head_arange, selected]  # (N, T, kk, Dv)
+                values = v_arr[head_idx, tok_idx]
+            dv = values.shape[1]
         with obs.span(
             "stage.stream",
             attrs={"rows": n * t, "k": kk},
@@ -235,8 +239,9 @@ class BatchedSofaAttention:
         ):
             stream = stream_selected(
                 q.reshape(n * t, d),
-                k_sel.reshape(n * t, kk, dk),
-                v_sel.reshape(n * t, kk, dv),
+                keys,
+                values,
+                index,
                 order=UpdateOrder.DESCENDING if cfg.sufa.descending else UpdateOrder.ASCENDING,
                 max_assurance=cfg.sufa.max_assurance,
                 tile_cols=cfg.tile_cols,

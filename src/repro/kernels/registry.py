@@ -6,8 +6,14 @@ One pipeline stage resolves its implementation through a named registry:
     SU-FA streaming - the contract of
     :func:`repro.core.sufa.stream_selected` minus the ``kernel`` argument::
 
-        kernel(q_rows, k_sel, v_sel, *, order, max_assurance, tile_cols)
+        kernel(q_rows, keys, values, index, *, order, max_assurance, tile_cols)
             -> SufaStackResult
+
+    ``keys`` is the ``(U, D)`` and ``values`` the ``(U, Dv)`` slab of the
+    U generated tokens; ``index`` is ``(R, kk)``, each query row's
+    selected slab rows in SADS output order.  A kernel gathers K/V from
+    the slabs about one ``tile_cols`` tile's worth at a time; it is never
+    handed a pre-gathered ``(R, kk, D)`` stack.
 
 DLZS prediction and SADS selection have no registry: the batched engine
 always runs them through the fused predict+select kernel
@@ -41,7 +47,7 @@ Adding a kernel takes one call (or decorator use)::
     from repro.kernels import register_kernel
 
     @register_kernel("stream", "mine")
-    def stream_selected_mine(q_rows, k_sel, v_sel, *, order, ...):
+    def stream_selected_mine(q_rows, keys, values, index, *, order, ...):
         ...
 
 after which ``SufaConfig(kernel="mine")`` (or ``SOFA_SUFA_KERNEL=mine``)

@@ -41,7 +41,11 @@ Why the result is bit-for-bit identical to the reference loop:
   :func:`~repro.numerics.linalg.det_pv_contract`, invoked on the whole
   stack with identical shapes and layouts - never on row subsets - so the
   merge contributes bit-identical addends no matter how rows were split
-  between fast path and replay.
+  between fast path and replay.  The value operand is the same per-tile
+  gather from the value slab in both kernels
+  (:func:`repro.core.sufa._value_tile`): a fresh ``(R, B, Dv)`` array, so
+  every row's ``(B, Dv)`` slice is contiguous, as ``det_pv_contract``
+  requires.
 * **Op tallies are closed-form per block.**  The loop's unconditional
   per-step charges sum to ``B``-scaled constants; its violation charges
   sum to the per-row violation count, which the exact violation mask
@@ -62,6 +66,7 @@ from repro.core.sufa import (
     UpdateOrder,
     _stream_epilogue,
     _stream_prologue,
+    _value_tile,
 )
 from repro.numerics.linalg import det_pv_contract, det_tile_mass
 
@@ -101,8 +106,9 @@ def _replay_block(
 
 def stream_selected_blocked(
     q_rows: np.ndarray,
-    k_sel: np.ndarray,
-    v_sel: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    index: np.ndarray,
     order: UpdateOrder = UpdateOrder.DESCENDING,
     max_assurance: bool = True,
     tile_cols: int = 64,
@@ -113,12 +119,12 @@ def stream_selected_blocked(
     :func:`repro.core.sufa.stream_selected_reference`; see the module
     docstring for the parity argument.
     """
-    scores, values, op_rows, m, l, o, triggers = _stream_prologue(
-        q_rows, k_sel, v_sel, order
+    scores, values, index, op_rows, m, l, o, triggers = _stream_prologue(
+        q_rows, keys, values, index, order, tile_cols
     )
     r = scores.shape[0]
     kk = scores.shape[1]
-    dv = values.shape[2]
+    dv = values.shape[1]
     block = max(int(tile_cols), 1)
     ascending = order is UpdateOrder.ASCENDING
     # One weight buffer reused across full-width blocks (the common case);
@@ -179,6 +185,6 @@ def stream_selected_blocked(
         # Tile sync, identical (stack-wide) primitive calls to the
         # reference's boundary merge.
         l += det_tile_mass(p_buf)
-        o += det_pv_contract(p_buf, values[:, lo:hi, :])
+        o += det_pv_contract(p_buf, _value_tile(values, index, lo, hi))
 
     return _stream_epilogue(o, l, op_rows, triggers, kk, tile_cols)

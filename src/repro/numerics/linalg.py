@@ -26,10 +26,10 @@ Three families of primitives restore the invariance:
   whose internal reduction order - do not depend on the stack size, so rows
   stay batch-invariant at full BLAS speed.  What IS forbidden remains one
   fused gemm over the whole stack, whose blocking would couple rows;
-* integer matmuls (``exact_int_matmul``, the DLZS score matmul) may use
-  float64 BLAS freely whenever :func:`_blas_exact` proves every partial sum
-  is an exactly representable integer: then any summation order yields the
-  exact result.
+* integer matmuls (``exact_int_matmul``: DLZS phase 1.1 and the score
+  matmul) may use float64 BLAS freely whenever :func:`_blas_exact` proves
+  every partial sum is an exactly representable integer: then any
+  summation order yields the exact result.
 
 Either way, every row's output is independent of how many other rows share
 the call.
@@ -66,17 +66,18 @@ def _blas_exact(a: np.ndarray, b: np.ndarray) -> bool:
     return depth * max_a * max_b < _EXACT_WINDOW
 
 
-def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer ``a @ b`` (stacked like ``np.matmul``), returned as float64.
+def exact_int_matmul(a: np.ndarray, b: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Integer ``a @ b`` (stacked like ``np.matmul``), returned as ``dtype``.
 
-    Equals ``(a @ b).astype(np.float64)`` bit for bit.  Inside the
+    Equals ``(a @ b).astype(dtype)`` bit for bit.  Inside the
     :func:`_blas_exact` window the product runs as a float64 BLAS matmul
     (every partial sum is an exact integer, so the blocking is irrelevant);
-    outside it falls back to the exact int64 matmul.
+    outside it falls back to the exact int64 matmul, so ``dtype=np.int64``
+    returns the exact integer product on both sides of the window.
     """
     if not _blas_exact(a, b):
-        return (a @ b).astype(np.float64)
-    return a.astype(np.float64) @ b.astype(np.float64)
+        return (a @ b).astype(dtype, copy=False)
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(dtype, copy=False)
 
 
 def _contract(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -188,8 +189,8 @@ def det_pv_contract(p_tile: np.ndarray, v_tile: np.ndarray) -> np.ndarray:
     holds no matter how the BLAS orders the ``B`` products internally.
 
     Callers must pass the whole streaming stack with each row's ``(B,
-    Dv)`` value slice laid out contiguously (true for every tile slice of
-    a gathered ``(R, kk, Dv)`` stack); tiny-shape matmuls take
+    Dv)`` value slice laid out contiguously (true for every per-tile
+    gather from the value slab); tiny-shape matmuls take
     layout-dependent internal paths, so the kernel layer keeps every call
     site on this one canonical layout rather than contracting row subsets.
     """

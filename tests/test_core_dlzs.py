@@ -9,11 +9,14 @@ from hypothesis.extra import numpy as hnp
 from repro.core.config import DlzsConfig
 from repro.core.dlzs import (
     DlzsPredictor,
+    StackedDlzsPredictor,
     dlzs_matmul,
     dlzs_relative_error,
     vanilla_lz_matmul,
 )
 from repro.attention.topk import exact_topk_indices, topk_recall
+from repro.numerics.fixed_point import quantize_stack
+from repro.numerics.linalg import _blas_exact
 from repro.utils.rng import make_rng
 
 int8_matrices = hnp.arrays(
@@ -141,3 +144,19 @@ def test_relative_error_scale_free():
     exact = rng.normal(size=64)
     approx = 3.7 * exact
     assert dlzs_relative_error(approx, exact) < 1e-10
+
+
+def test_stacked_phase_one_exact_on_both_sides_of_the_blas_window():
+    """Phase 1.1 runs on float64 BLAS only inside the exact window; integer
+    tokens large enough to leave it fall back to the int64 matmul, and
+    ``k_hat`` equals the int64 matmul's either way."""
+    rng = make_rng(12)
+    n, s, h, d = 2, 40, 8, 8
+    cfg = DlzsConfig()
+    pred = StackedDlzsPredictor(rng.normal(size=(n, h, d)), cfg)
+    q = rng.normal(size=(n, 3, d))
+    for bits, inside in ((20, True), (50, False)):
+        tokens = rng.integers(-(2**bits), 2**bits, size=(n, s, h))
+        assert _blas_exact(tokens, pred._wk_pow2) is inside
+        want = quantize_stack(tokens @ pred._wk_pow2, cfg.intermediate_bits).values
+        assert np.array_equal(pred.predict_prepared(tokens, q).k_hat, want)

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.attention.topk import exact_topk_indices, topk_recall
 from repro.core.config import SadsConfig
-from repro.core.sads import SadsSorter, vanilla_sort_ops
+from repro.core.sads import SadsSorter, _stable_head, vanilla_sort_ops
 from repro.model.workloads import synthetic_scores
 from repro.utils.rng import make_rng
 
@@ -178,3 +178,21 @@ def test_select_row_clipping_matches_reference_on_clipped_rows():
     golden = sorter.select_row_reference(row, 8)
     assert routed.clipped == golden.clipped > 0
     assert np.array_equal(routed.indices, golden.indices)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 9, 64, 65])
+def test_stable_head_equals_stable_argsort_head(w):
+    """The unstable-sort head with tie repair is the stable argsort head,
+    for every m <= w, on distinct, tie-heavy, signed-zero and infinite rows."""
+    rng = make_rng(100 + w)
+    r = 33
+    layouts = [
+        rng.normal(size=(r, w)),
+        rng.integers(-2, 3, size=(r, w)).astype(np.float64),
+        rng.choice([-0.0, 0.0, 1.0], size=(r, w)),
+        rng.choice([-np.inf, np.inf, 0.0, 2.0], size=(r, w)),
+    ]
+    for block in layouts:
+        stable = np.argsort(-block, axis=1, kind="stable")
+        for m in range(w + 1):
+            assert np.array_equal(_stable_head(block, m), stable[:, :m]), m

@@ -8,6 +8,8 @@ randomized shapes/configs (including tie-heavy integer-valued scores, where
 sorting tie-breaks are most fragile) and compare everything exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,24 @@ def test_sads_select_stack_matches_select_row(seed):
     for op in set(batch.ops.counts) | set(loop_ops.counts):
         assert batch.ops[op] == loop_ops[op], op
     assert batch.clipped_fraction == pytest.approx(clipped / scores.size)
+
+
+def test_call_peak_memory_stays_below_one_gathered_kv_stack():
+    """A 2-head call at S=4096, T=128 never holds a gathered (N, T, kk, D)
+    K or V stack: SU-FA gathers from the (U, D) slabs a tile at a time, so
+    the call's peak (tracemalloc sees NumPy's allocations) stays below the
+    size of one such float64 stack."""
+    rng = make_rng(4096)
+    n, s, t, h, d = 2, 4096, 128, 32, 32
+    cfg = SofaConfig(tile_cols=64, top_k=0.1)
+    op = BatchedSofaAttention(rng.normal(size=(n, h, d)), rng.normal(size=(n, h, d)), cfg)
+    tokens = rng.integers(-100, 100, size=(n, s, h)).astype(np.float64)
+    q = rng.normal(size=(n, t, d))
+    stack_bytes = n * t * cfg.resolve_top_k(s) * d * 8
+    tracemalloc.start()
+    try:
+        op(tokens, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes, f"peak {peak / 2**20:.1f} MiB >= {stack_bytes / 2**20:.1f} MiB"

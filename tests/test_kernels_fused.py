@@ -74,14 +74,74 @@ def _layout(rng, kind, r, s):
         scores = rng.integers(-3, 4, size=(r, s)).astype(np.float64)
         scores[rng.random((r, s)) < 0.5] = -np.inf
         return scores
+    if kind == "signed_zero":  # -0.0 and 0.0 compare equal: index breaks ties
+        scores = rng.integers(-1, 2, size=(r, s)).astype(np.float64)
+        return np.where(scores == 0, np.where(rng.random((r, s)) < 0.5, -0.0, 0.0), scores)
+    if kind == "nan":  # at least one NaN in every row
+        scores = rng.normal(size=(r, s))
+        scores[rng.random((r, s)) < 0.1] = np.nan
+        scores[np.arange(r), rng.integers(0, s, size=r)] = np.nan
+        return scores
     return rng.normal(size=(r, s))
 
 
+def _cut_ties(rng, sorter, r, s, k):
+    """Distinct normal scores, except that in every segment the entry just
+    past the quota cut and the one just past the ``take + rounds`` cut copy
+    the value before them: ties exactly where a segment's head is cut."""
+    scores = rng.normal(size=(r, s))
+    n = min(sorter.config.n_segments, k, s)
+    bounds = np.linspace(0, s, n + 1, dtype=np.int64)
+    quotas = sorter._capped_quotas(k, bounds)
+    rows = np.arange(r)
+    for lo, hi, quota in zip(bounds[:-1], bounds[1:], quotas):
+        seg = scores[:, lo:hi]  # a view: writes land in scores
+        order = np.argsort(-seg, axis=1)
+        for cut in (int(quota), int(quota) + sorter.config.adjust_rounds):
+            if 0 < cut < hi - lo:
+                seg[rows, order[:, cut]] = seg[rows, order[:, cut - 1]]
+    return scores
+
+
+def _assert_every_selector_rejects_nan(sorter, scores, k):
+    r, s = scores.shape
+    with pytest.raises(ValueError, match="NaN"):
+        sorter.select_stack(scores, k)
+    with pytest.raises(ValueError, match="NaN"):
+        sorter.select_stack_streamed(lambda seg, lo, hi: scores[:, lo:hi], r, s, k)
+    for row in scores:
+        with pytest.raises(ValueError, match="NaN"):
+            sorter.select_row_reference(row, k)
+        with pytest.raises(ValueError, match="NaN"):
+            sorter.select_row(row, k)
+    # The fused kernel's tiles are integer scores times a per-head scale,
+    # so a NaN scale is the way NaN reaches it.
+    from repro.core.dlzs import PreparedStackPrediction
+    from repro.numerics.complexity import OpCounter
+
+    prep = PreparedStackPrediction(
+        k_hat=np.ones((1, s, 1), dtype=np.int64),
+        pow2=np.ones((1, r, 1), dtype=np.int64),
+        scales=np.array([np.nan]),
+        head_ops=[OpCounter()],
+    )
+
+    class _StubPredictor:
+        def predict_prepared(self, tokens, q, cache=None, cache_keys=None):
+            return prep
+
+    with pytest.raises(ValueError, match="NaN"):
+        FUSED.run_stacked(_StubPredictor(), sorter, None, None, k)
+
+
 # ----------------------------------------------------- streamed selection
-@pytest.mark.parametrize("kind", ["random", "sorted", "ties", "constant", "neg_inf"])
+@pytest.mark.parametrize(
+    "kind",
+    ["random", "sorted", "ties", "constant", "neg_inf", "cut_ties", "signed_zero", "nan"],
+)
 def test_streamed_select_matches_reference_sweep(kind):
     """select_stack and select_stack_streamed == select_row_reference per
-    row, over layouts x shapes x rounds."""
+    row, over layouts x shapes x rounds; NaN scores raise in every one."""
     rng = make_rng(hash(kind) % 2**31)
     for _ in range(40):
         r = int(rng.integers(1, 7))
@@ -93,7 +153,13 @@ def test_streamed_select_matches_reference_sweep(kind):
             adjust_rounds=int(rng.integers(0, 6)),
         )
         sorter = SadsSorter(cfg)
-        scores = _layout(rng, kind, r, s)
+        if kind == "cut_ties":
+            scores = _cut_ties(rng, sorter, r, s, k)
+        else:
+            scores = _layout(rng, kind, r, s)
+        if kind == "nan":
+            _assert_every_selector_rejects_nan(sorter, scores, k)
+            continue
         _assert_rows_match_reference(sorter, scores, k, sorter.select_stack(scores, k))
         got = sorter.select_stack_streamed(
             lambda seg, lo, hi: scores[:, lo:hi], r, s, k

@@ -35,8 +35,11 @@ ORDERS = (UpdateOrder.DESCENDING, UpdateOrder.ASCENDING)
 
 
 def _gathered(rng, r, kk, d, dv, ordering="sorted"):
-    """A pre-gathered (q, k_sel, v_sel) stack in the SADS output convention.
+    """A (q, keys, values, index) stack in the SADS output convention.
 
+    Every row selects ``kk`` distinct rows of one shared ``(U, D)`` /
+    ``(U, Dv)`` slab (``U > kk``, so rows overlap the way heads'
+    selections share tokens); ``index`` lists them per row.
     ``ordering`` shapes where Max-Ensuring violations occur:
 
     - ``sorted``: exact descending scores - no violations;
@@ -47,10 +50,12 @@ def _gathered(rng, r, kk, d, dv, ordering="sorted"):
       the true maximum displaced into that block, forcing a violation
       exactly there.
     """
+    u = 2 * kk + 3
     q = rng.normal(size=(r, d))
-    k = rng.normal(size=(r, kk, d))
-    v = rng.normal(size=(r, kk, dv))
-    scores = (k * q[:, None, :]).sum(-1)
+    keys = rng.normal(size=(u, d))
+    values = rng.normal(size=(u, dv))
+    sel = np.argsort(rng.random((r, u)), axis=1)[:, :kk]  # distinct per row
+    scores = (keys[sel] * q[:, None, :]).sum(-1)
     idx = np.argsort(-scores, axis=1)
     if ordering == "reversed":
         idx = idx[:, ::-1]
@@ -61,14 +66,12 @@ def _gathered(rng, r, kk, d, dv, ordering="sorted"):
                "last_block": kk - 1}[ordering]
         idx = idx.copy()
         idx[:, [0, pos]] = idx[:, [pos, 0]]
-    k = np.take_along_axis(k, idx[:, :, None], axis=1)
-    v = np.take_along_axis(v, idx[:, :, None], axis=1)
-    return q, k, v
+    return q, keys, values, np.take_along_axis(sel, idx, axis=1)
 
 
-def _assert_kernels_agree(q, k, v, order, tile_cols, expect_triggers=None):
-    ref = stream_selected_reference(q, k, v, order=order, tile_cols=tile_cols)
-    blk = stream_selected_blocked(q, k, v, order=order, tile_cols=tile_cols)
+def _assert_kernels_agree(q, keys, values, index, order, tile_cols, expect_triggers=None):
+    ref = stream_selected_reference(q, keys, values, index, order=order, tile_cols=tile_cols)
+    blk = stream_selected_blocked(q, keys, values, index, order=order, tile_cols=tile_cols)
     assert ref.output.tobytes() == blk.output.tobytes()
     assert np.array_equal(ref.trigger_rows, blk.trigger_rows)
     assert set(ref.op_rows) == set(blk.op_rows)
@@ -93,13 +96,13 @@ def test_differential_sweep_bit_exact(order, ordering):
         (9, 48, 4, 2, 5),     # tiny tiles, tiny value dim
         (5, 96, 8, 1, 64),    # single-lane values
     ]:
-        q, k, v = _gathered(rng, r, kk, d, dv, ordering)
+        q, keys, values, index = _gathered(rng, r, kk, d, dv, ordering)
         # sorted order only violates when fed as 'descending' data but
         # processed ascending (the reversal makes every key a new max)
         expect = None
         if ordering in ("first_block", "middle_block", "last_block"):
             expect = order is UpdateOrder.DESCENDING or None
-        _assert_kernels_agree(q, k, v, order, tc, expect_triggers=expect)
+        _assert_kernels_agree(q, keys, values, index, order, tc, expect_triggers=expect)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -108,18 +111,18 @@ def test_short_selections_and_single_rows(order):
     rng = make_rng(77)
     for r, kk in [(1, 1), (1, 3), (4, 2), (1, 17), (6, 1)]:
         for ordering in ("sorted", "shuffled"):
-            q, k, v = _gathered(rng, r, kk, 8, 5, ordering)
-            _assert_kernels_agree(q, k, v, order, tile_cols=4)
+            q, keys, values, index = _gathered(rng, r, kk, 8, 5, ordering)
+            _assert_kernels_agree(q, keys, values, index, order, tile_cols=4)
 
 
 def test_single_row_matches_stack_rows():
     """A row streamed alone is bit-identical to the same row in a stack."""
     rng = make_rng(91)
-    q, k, v = _gathered(rng, 12, 96, 8, 8, "shuffled")
-    whole = stream_selected_blocked(q, k, v, tile_cols=32)
+    q, keys, values, index = _gathered(rng, 12, 96, 8, 8, "shuffled")
+    whole = stream_selected_blocked(q, keys, values, index, tile_cols=32)
     for row in (0, 5, 11):
         alone = stream_selected_blocked(
-            q[row : row + 1], k[row : row + 1], v[row : row + 1], tile_cols=32
+            q[row : row + 1], keys, values, index[row : row + 1], tile_cols=32
         )
         assert alone.output.tobytes() == whole.output[row : row + 1].tobytes()
         assert alone.trigger_rows[0] == whole.trigger_rows[row]
@@ -128,21 +131,45 @@ def test_single_row_matches_stack_rows():
 @pytest.mark.parametrize("kernel", ["blocked", "reference"])
 def test_assurance_disabled_raises_in_every_kernel(kernel):
     rng = make_rng(13)
-    q, k, v = _gathered(rng, 4, 64, 8, 4, "reversed")
+    q, keys, values, index = _gathered(rng, 4, 64, 8, 4, "reversed")
     with pytest.raises(RuntimeError, match="max assurance"):
-        stream_selected(q, k, v, max_assurance=False, kernel=kernel)
+        stream_selected(q, keys, values, index, max_assurance=False, kernel=kernel)
 
 
 def test_tile_cols_only_moves_work_not_triggers():
     """Block width changes sync op counts, never triggers or selections."""
     rng = make_rng(29)
-    q, k, v = _gathered(rng, 6, 120, 8, 6, "shuffled")
-    a = stream_selected_blocked(q, k, v, tile_cols=8)
-    b = stream_selected_blocked(q, k, v, tile_cols=64)
+    q, keys, values, index = _gathered(rng, 6, 120, 8, 6, "shuffled")
+    a = stream_selected_blocked(q, keys, values, index, tile_cols=8)
+    b = stream_selected_blocked(q, keys, values, index, tile_cols=64)
     assert np.array_equal(a.trigger_rows, b.trigger_rows)
     assert np.array_equal(a.op_rows["exp"], b.op_rows["exp"])
     assert a.op_rows["compare"].sum() > b.op_rows["compare"].sum()
     np.testing.assert_allclose(a.output, b.output, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", ["blocked", "reference"])
+@pytest.mark.parametrize("order", ORDERS)
+def test_slab_gather_equals_pregathered_stack(kernel, order):
+    """Streaming from a shared slab through ``index`` gives the same bits
+    as streaming every row's keys and values laid out back to back."""
+    rng = make_rng(31)
+    r, kk, d, dv = 7, 70, 8, 6
+    q, keys, values, index = _gathered(rng, r, kk, d, dv, "shuffled")
+    flat = np.arange(r * kk).reshape(r, kk)
+    for tc in (1, 5, 16, 64):
+        shared = stream_selected(q, keys, values, index, order=order, tile_cols=tc,
+                                 kernel=kernel)
+        laid_out = stream_selected(
+            q, keys[index].reshape(r * kk, d), values[index].reshape(r * kk, dv), flat,
+            order=order, tile_cols=tc, kernel=kernel,
+        )
+        assert shared.output.tobytes() == laid_out.output.tobytes()
+        assert np.array_equal(shared.trigger_rows, laid_out.trigger_rows)
+        for op in shared.op_rows:
+            assert np.array_equal(shared.op_rows[op], laid_out.op_rows[op]), op
+    with pytest.raises(ValueError, match="index"):
+        stream_selected(q, keys, values, index[:, :, None], kernel=kernel)
 
 
 # ---------------------------------------------------------------- registry
@@ -177,18 +204,18 @@ def test_registry_rejects_unknown_and_reserved_names():
 def test_register_custom_kernel(monkeypatch):
     calls = []
 
-    def probe(q_rows, k_sel, v_sel, **kwargs):
+    def probe(q_rows, keys, values, index, **kwargs):
         calls.append(kwargs)
-        return stream_selected_reference(q_rows, k_sel, v_sel, **kwargs)
+        return stream_selected_reference(q_rows, keys, values, index, **kwargs)
 
     register_kernel("stream", "probe-kernel", probe, overwrite=True)
     try:
         rng = make_rng(3)
-        q, k, v = _gathered(rng, 2, 16, 4, 4)
-        res = stream_selected(q, k, v, kernel="probe-kernel")
+        q, keys, values, index = _gathered(rng, 2, 16, 4, 4)
+        res = stream_selected(q, keys, values, index, kernel="probe-kernel")
         assert calls and res.output.shape == (2, 4)
         monkeypatch.setenv(kernel_env_var("stream"), "probe-kernel")
-        stream_selected(q, k, v)
+        stream_selected(q, keys, values, index)
         assert len(calls) == 2
     finally:
         from repro.kernels.registry import _REGISTRIES

@@ -129,6 +129,23 @@ def test_exact_int_matmul_outside_the_window_falls_back_to_int64():
     assert exact_int_matmul(np.array([[big, -(big - 1)]]), ones)[0, 0] == 1.0
 
 
+def test_exact_int_matmul_int64_output_is_the_integer_product():
+    """``dtype=np.int64`` returns ``a @ b`` itself on both sides of the
+    window, including products no float64 can hold."""
+    ones = np.ones((2, 1), dtype=np.int64)
+    rng = make_rng(6)
+    a = rng.integers(-(2**15), 2**15, size=(2, 30, 8))
+    b = rng.integers(-(2**7), 2**7, size=(2, 8, 5))
+    for x, y, blas in (
+        (a, b, True),
+        (np.array([[2**53 + 1, 2]]), ones, False),  # 2**53 + 3: not a float64
+        (a * 2**30, b, False),  # products near 2**55
+    ):
+        assert _blas_exact(x, y) is blas
+        got = exact_int_matmul(x, y, dtype=np.int64)
+        assert got.dtype == np.int64 and np.array_equal(got, x @ y)
+
+
 def test_det_stack_scores_matches_rowdot_values_and_is_batch_invariant():
     rng = make_rng(2)
     k_sel = rng.normal(size=(23, 70, 12))
