@@ -24,7 +24,7 @@ ablations can compare DLZS against 4-bit multiplication baselines.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
@@ -355,6 +355,13 @@ class StackedDlzsPredictor:
         uncached computation: cached rows are reused only when the token
         prefix matches exactly AND the appended rows cannot change the
         symmetric quantization scale (see :mod:`repro.engine.cache`).
+
+        A hit quantizes and projects only the appended rows and stores
+        them with ``cache.put(..., base=entry)``, so the store's work is
+        proportional to the new rows, not the sequence.  When the store
+        refuses that append (the key's state changed after the get) the
+        whole grown sequence is put instead.  A miss runs the full
+        phase 1.1 and replaces the entry.
         """
         # Function-local on purpose: repro.engine.batched imports this
         # module, so a module-level import of repro.engine.cache would be a
@@ -393,28 +400,31 @@ class StackedDlzsPredictor:
                 if reusable:
                     new_vals = quantize_with_scale(new, scale, bits)
             if reusable:
-                if new_vals.shape[0]:
-                    tok_values = np.concatenate([entry.tok_values, new_vals])
-                    key_values = np.concatenate(
-                        [entry.key_values, new_vals @ self._wk_pow2[i]]
-                    )
-                else:
-                    tok_values, key_values = entry.tok_values, entry.key_values
+                new_keys = new_vals @ self._wk_pow2[i]
+                key_values = np.concatenate([entry.key_values, new_keys])
                 cache.record_hit(
-                    reused_rows=entry.seq_len,
-                    appended_rows=t_i.shape[0] - entry.seq_len,
+                    reused_rows=entry.seq_len, appended_rows=new.shape[0]
                 )
-                cache.put(
-                    store_key,
-                    DecodeCacheEntry(
-                        tokens=t_i.copy(),
-                        tok_values=tok_values,
-                        tok_scale=scale,
-                        tok_max_abs=max_abs,
-                        key_values=key_values,
-                        quantized=floating,
-                    ),
+                appended = DecodeCacheEntry(
+                    tokens=new,
+                    tok_values=new_vals,
+                    tok_scale=scale,
+                    tok_max_abs=max_abs,
+                    key_values=new_keys,
+                    quantized=floating,
                 )
+                if not cache.put(store_key, appended, base=entry):
+                    # The key's state changed since the get (replaced,
+                    # dropped, or put by another thread): store it whole.
+                    cache.put(
+                        store_key,
+                        replace(
+                            appended,
+                            tokens=t_i.copy(),
+                            tok_values=np.concatenate([entry.tok_values, new_vals]),
+                            key_values=key_values,
+                        ),
+                    )
                 return key_values
 
         # Miss: unknown sequence, rewritten/shrunk prefix, dtype switch, or
@@ -491,7 +501,9 @@ class StackedDlzsPredictor:
                     sub_tok = quantize_stack(sub, self.config.token_bits).values
                 else:
                     sub_tok = sub.astype(np.int64)
-                key_values[keyless] = sub_tok @ self._wk_pow2[keyless]
+                key_values[keyless] = exact_int_matmul(
+                    sub_tok, self._wk_pow2[keyless], dtype=np.int64
+                )
             for i in keyed:
                 key_values[i] = self._phase1_head_cached(
                     i, tokens[i], cache, cache_keys[i]

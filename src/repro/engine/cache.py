@@ -37,6 +37,18 @@ newly appended token rows are quantized and projected; on a **miss**
 (unknown key, prefix changed, sequence shrank) the full phase-1.1 runs and
 the entry is replaced.
 
+Both stores take a hit's new rows through the **append form** of put,
+``put(key, rows, base=entry)``: ``entry`` is what ``get`` returned and
+``rows`` holds only the rows past ``entry.seq_len``, with ``entry``'s
+quantization state (:func:`can_append`).  The flat store concatenates
+them onto ``entry``; the paged store hashes and pools only the grown tail
+block.  ``put`` returns ``False`` and changes nothing when the key no
+longer holds the state ``entry`` was read from (replaced, invalidated,
+expired or evicted since the get, e.g. by another thread), and the
+predictor then puts the whole sequence.  A full put returns ``True``.
+On the paged store every put references its new blocks before it
+releases the old ones, so a re-put never frees its own unchanged blocks.
+
 Bit-for-bit parity is preserved because reuse is only attempted when it is
 *provably* equal to the uncached computation:
 
@@ -199,6 +211,26 @@ def prefix_matches(store_key: Hashable, prefix: Hashable) -> bool:
     return isinstance(user_key, tuple) and bool(user_key) and user_key[0] == prefix
 
 
+def can_append(base: DecodeCacheEntry, rows: DecodeCacheEntry) -> bool:
+    """Can ``rows`` extend ``base`` in a ``put(key, rows, base=base)``?
+
+    The appended rows must carry ``base``'s quantization state (scale,
+    maximum and ``quantized`` flag) and its array dtypes and row shapes:
+    the store concatenates them onto ``base``'s rows as they are.  Both
+    stores refuse an append that fails this check, like a stale one.
+    """
+    state = (rows.tok_scale, rows.tok_max_abs, rows.quantized)
+    if state != (base.tok_scale, base.tok_max_abs, base.quantized):
+        return False
+    return all(
+        new.dtype == old.dtype and new.shape[1:] == old.shape[1:]
+        for new, old in zip(
+            (rows.tokens, rows.tok_values, rows.key_values),
+            (base.tokens, base.tok_values, base.key_values),
+        )
+    )
+
+
 #: Store kinds accepted by :func:`make_decode_cache`.
 CACHE_KINDS = ("paged", "flat")
 
@@ -332,17 +364,41 @@ class DecodeStepCache:
         obs.observe_since("sofa_cache_lookup_seconds", t0)
         return entry
 
-    def put(self, key: Hashable, entry: DecodeCacheEntry) -> None:
+    def put(
+        self,
+        key: Hashable,
+        entry: DecodeCacheEntry,
+        *,
+        base: DecodeCacheEntry | None = None,
+    ) -> bool:
         """Insert/replace the entry for ``key``, evicting LRU overflow.
+
+        With ``base`` - the entry :meth:`get` returned for ``key`` -
+        ``entry`` holds only the rows appended past ``base.seq_len``; they
+        are concatenated onto ``base`` and the result replaces it.  Returns
+        ``False`` and changes nothing when ``key`` no longer holds ``base``
+        (replaced, invalidated, expired or evicted since the get) or the
+        rows cannot extend it (:func:`can_append`); otherwise ``True``.
 
         Overflow is bounded on entry *count* and - when ``max_bytes`` is set
         - on total resident payload bytes (entries scale with context
         length, so a count bound alone is no byte bound); a single entry
         larger than ``max_bytes`` is still admitted, alone.
         """
+        if base is not None and not can_append(base, entry):
+            return False
         with self._lock:
             now = self._clock()
             self._sweep_expired_locked(now)
+            if base is not None:
+                if self._entries.get(key) is not base:
+                    return False
+                entry = replace(
+                    base,
+                    tokens=np.concatenate([base.tokens, entry.tokens]),
+                    tok_values=np.concatenate([base.tok_values, entry.tok_values]),
+                    key_values=np.concatenate([base.key_values, entry.key_values]),
+                )
             old = self._entries.pop(key, None)
             if old is not None:
                 self.stats.resident_bytes -= old.nbytes
@@ -358,6 +414,7 @@ class DecodeStepCache:
                 del self._last_used[evicted_key]
                 self.stats.resident_bytes -= evicted.nbytes
                 self.stats.evictions += 1
+            return True
 
     def invalidate(self, key: Hashable) -> bool:
         """Explicitly drop one sequence's state (e.g. its session ended)."""

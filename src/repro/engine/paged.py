@@ -19,7 +19,20 @@ entries.  This module is the block-pool analogue of a paged KV cache:
 * Blocks are **immutable** and refcounted: growth or divergence of a
   sequence produces new tail blocks and drops references to replaced
   ones (copy-on-write by construction - a shared block is never written
-  through).  A block whose refcount reaches zero leaves the pool.
+  through).  A put references its new chain *before* it releases the
+  old one, so blocks the two chains share are never freed, unlinked
+  from the spill tier or re-copied.  A block whose refcount reaches zero
+  leaves the pool.
+* A decode step grows a sequence by a few rows, so ``put`` has an
+  **append form**: ``put(key, rows, base=entry)`` with the entry
+  :meth:`~PagedDecodeCache.get` returned and only the new rows.  The
+  store keeps the key's unchanged full blocks and their hashes, and
+  re-chunks and hashes only the partial tail block plus the new rows -
+  O(tail) work instead of re-hashing and re-copying the whole sequence.
+  The chain it builds is the one a full put would build, so sharing and
+  the persist manifest are unchanged.  The append is refused (``False``,
+  nothing changed) when the key's chain is no longer the one ``base``
+  came from; the caller then puts the whole sequence.
 * Under a ``max_bytes`` RAM budget, cold blocks **spill to disk** as
   content-addressed ``.npz`` files instead of being dropped.  The budget
   is a hard invariant: after every operation the resident payload is at
@@ -43,19 +56,25 @@ goes through :func:`~repro.engine.cache.make_decode_cache`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pickle
 import tempfile
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable
 
 import numpy as np
 
-from repro.engine.cache import CacheStats, DecodeCacheEntry, prefix_matches
+from repro.engine.cache import (
+    CacheStats,
+    DecodeCacheEntry,
+    can_append,
+    prefix_matches,
+)
 from repro.obs import get_telemetry
 
 #: order of the per-row arrays inside a block / spill file.
@@ -74,10 +93,16 @@ def block_content_hash(rows: tuple[np.ndarray, ...]) -> str:
     """
     digest = hashlib.sha1()
     for array in rows:
-        digest.update(str(array.dtype).encode())
+        digest.update(_dtype_name(array.dtype).encode())
         digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
+        digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, which NumPy rebuilds in Python on every call."""
+    return str(dtype)
 
 
 class _Block:
@@ -122,6 +147,15 @@ class _PagedEntry:
     tok_max_abs: float
     quantized: bool
     specs: tuple[tuple[str, tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
+class _PagedView(DecodeCacheEntry):
+    """What :meth:`PagedDecodeCache.get` returns: the assembled entry plus
+    the stored chain it came from, which ``put(..., base=)`` compares by
+    identity to refuse an append onto a chain that has since changed."""
+
+    source: _PagedEntry = field(compare=False, repr=False)
 
 
 class PagedDecodeCache:
@@ -211,20 +245,28 @@ class PagedDecodeCache:
         self._write_block(block)
         block.arrays = None
 
-    def _load_block(self, block: _Block) -> bool:
-        """Fault a spilled block back into RAM; False if unreadable."""
+    def _read_block(self, block: _Block) -> tuple[np.ndarray, ...] | None:
+        """A block's row arrays, read from disk if spilled; None if unreadable.
+
+        Reading does not make a spilled block resident.
+        """
         if block.resident:
-            return True
+            return block.arrays
         obs = get_telemetry()
         t0 = obs.clock()
         try:
             with np.load(self._block_path(block.content_hash)) as archive:
-                block.arrays = tuple(archive[name] for name in _FIELDS)
+                arrays = tuple(archive[name] for name in _FIELDS)
         except Exception:
-            return False
+            return None
         obs.observe_since("sofa_cache_spill_load_seconds", t0)
         self.stats.spill_loads += 1
-        return True
+        return arrays
+
+    def _load_block(self, block: _Block) -> bool:
+        """Fault a spilled block back into RAM; False if unreadable."""
+        block.arrays = self._read_block(block)
+        return block.resident
 
     def _unlink_block_file(self, block: _Block) -> None:
         if block.on_disk and self._spill_dir is not None:
@@ -373,24 +415,50 @@ class PagedDecodeCache:
             self._last_used[key] = now
             self._enforce_budget()
             self._refresh_gauges()
-            return DecodeCacheEntry(
+            return _PagedView(
                 tokens=arrays[0],
                 tok_values=arrays[1],
                 tok_scale=entry.tok_scale,
                 tok_max_abs=entry.tok_max_abs,
                 key_values=arrays[2],
                 quantized=entry.quantized,
+                source=entry,
             )
 
-    def put(self, key: Hashable, entry: DecodeCacheEntry) -> None:
-        """Decompose ``entry`` into pooled blocks and store its chain.
+    def put(
+        self,
+        key: Hashable,
+        entry: DecodeCacheEntry,
+        *,
+        base: DecodeCacheEntry | None = None,
+    ) -> bool:
+        """Store ``entry``'s chain for ``key``; with ``base``, append to it.
 
-        Row slices whose content hash is already pooled are shared (their
-        refcount grows); new content gets fresh immutable copies.  The old
-        chain for ``key`` is dereferenced first, so a grown sequence keeps
-        its unchanged prefix blocks and only allocates the new tail -
-        copy-on-write falls out of block immutability.
+        A full put decomposes ``entry`` into ``block_tokens``-row slices:
+        slices whose content hash is already pooled are shared (their
+        refcount grows), new content gets fresh immutable copies.  With
+        ``base`` - the entry :meth:`get` returned for ``key`` - ``entry``
+        holds only the rows appended past ``base.seq_len``.  The store
+        then builds the grown chain itself: it keeps the key's unchanged
+        full blocks (and their hashes), reads the partial tail block
+        (from the spill tier if it has spilled), and pools tail + new
+        rows, so an append hashes ``ceil((tail + new) / block_tokens)``
+        blocks instead of the whole sequence.  The chain is the one a full
+        put of the grown sequence would build, block for block.
+
+        Either way the new chain is referenced before the old one is
+        released, so blocks the two share are never freed, unlinked from
+        the spill tier or re-copied.  Returns ``False`` and changes
+        nothing when an append cannot apply: the rows cannot extend
+        ``base`` (:func:`~repro.engine.cache.can_append`), the key's chain
+        is no longer the one ``base`` was assembled from (replaced,
+        invalidated, expired, evicted, or put by another thread in
+        between), or its tail block's spill file is unreadable (the key is
+        then dropped, as :meth:`get` would).  Callers fall back to a full
+        put.
         """
+        if base is not None and not can_append(base, entry):
+            return False
         rows_of = tuple(
             np.ascontiguousarray(a)
             for a in (entry.tokens, entry.tok_values, entry.key_values)
@@ -398,37 +466,65 @@ class PagedDecodeCache:
         with self._lock:
             now = self._clock()
             self._sweep_expired_locked(now)
-            if key in self._entries:
-                self._drop_entry(key)
-            hashes: list[str] = []
-            for lo in range(0, entry.seq_len, self.block_tokens):
-                slices = tuple(a[lo : lo + self.block_tokens] for a in rows_of)
-                content_hash = block_content_hash(slices)
-                block = self._blocks.get(content_hash)
-                if block is None:
-                    copies = tuple(s.copy() for s in slices)
-                    block = _Block(
-                        content_hash,
-                        copies,
-                        n_rows=copies[0].shape[0],
-                        nbytes=sum(c.nbytes for c in copies),
+            old = self._entries.get(key)
+            kept: tuple[str, ...] = ()
+            seq_len = entry.seq_len
+            if base is not None:
+                if old is None or getattr(base, "source", None) is not old:
+                    return False
+                kept = old.block_hashes[: old.seq_len // self.block_tokens]
+                if len(kept) < len(old.block_hashes):
+                    tail_hash = old.block_hashes[-1]
+                    tail = self._read_block(self._blocks[tail_hash])
+                    if tail is None:
+                        self._drop_block_and_owners(tail_hash)
+                        self._refresh_gauges()
+                        return False
+                    rows_of = tuple(
+                        np.concatenate([t, r]) for t, r in zip(tail, rows_of)
                     )
-                    self._blocks[content_hash] = block
-                else:
-                    self._blocks.move_to_end(content_hash)
-                block.refcount += 1
-                hashes.append(content_hash)
+                seq_len += old.seq_len
+            for content_hash in kept:
+                self._blocks.move_to_end(content_hash)
+                self._blocks[content_hash].refcount += 1
+            hashes = list(kept)
+            for lo in range(0, rows_of[0].shape[0], self.block_tokens):
+                slices = tuple(a[lo : lo + self.block_tokens] for a in rows_of)
+                hashes.append(self._pool(slices))
+            if old is not None:
+                for content_hash in old.block_hashes:
+                    self._decref(content_hash)
             self._entries[key] = _PagedEntry(
                 block_hashes=tuple(hashes),
-                seq_len=entry.seq_len,
+                seq_len=seq_len,
                 tok_scale=entry.tok_scale,
                 tok_max_abs=entry.tok_max_abs,
                 quantized=entry.quantized,
-                specs=tuple((str(a.dtype), a.shape[1:]) for a in rows_of),
+                specs=tuple((_dtype_name(a.dtype), a.shape[1:]) for a in rows_of),
             )
+            self._entries.move_to_end(key)
             self._last_used[key] = now
             self._enforce_budget()
             self._refresh_gauges()
+            return True
+
+    def _pool(self, slices: tuple[np.ndarray, ...]) -> str:
+        """Reference the pooled block holding ``slices``; returns its hash."""
+        content_hash = block_content_hash(slices)
+        block = self._blocks.get(content_hash)
+        if block is None:
+            copies = tuple(s.copy() for s in slices)
+            block = _Block(
+                content_hash,
+                copies,
+                n_rows=copies[0].shape[0],
+                nbytes=sum(c.nbytes for c in copies),
+            )
+            self._blocks[content_hash] = block
+        else:
+            self._blocks.move_to_end(content_hash)
+        block.refcount += 1
+        return content_hash
 
     def invalidate(self, key: Hashable) -> bool:
         """Explicitly drop one sequence's state (e.g. its session ended)."""
@@ -526,9 +622,11 @@ class PagedDecodeCache:
 
         Restored entries start with every block in the spill tier (RAM
         empty) and fault blocks back in on first :meth:`get`.  A missing
-        or unreadable manifest - or an entry whose spill files vanished -
-        is skipped silently: restoring is an optimization, never a
-        correctness dependency (the worst case is a recompute).
+        or unreadable manifest, one written at another ``block_tokens``
+        (an append relies on every chain being cut at this cache's block
+        size), or an entry whose spill files vanished is skipped silently:
+        restoring is an optimization, never a correctness dependency (the
+        worst case is a recompute).
         """
         assert self._spill_dir is not None
         path = self._spill_dir / MANIFEST_NAME
@@ -538,6 +636,8 @@ class PagedDecodeCache:
             with open(path, "rb") as fh:
                 manifest = pickle.load(fh)
             if manifest.get("version") != 1:
+                return
+            if manifest.get("block_tokens") != self.block_tokens:
                 return
             blocks = manifest["blocks"]
             entries = manifest["entries"]

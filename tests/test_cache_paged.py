@@ -6,8 +6,9 @@ store cannot do: cross-sequence prefix sharing, a hard RAM budget served
 from a disk spill tier, and restart survival.  These tests drive the same
 shared-prefix decode workload through all three cache modes across the
 engine, threaded, and cluster tiers and assert every output, selection and
-op count is bit-identical - including sequences that diverge mid-decode
-and entries reloaded from the spill tier.
+op count is bit-identical - including sequences that diverge mid-decode,
+entries reloaded from the spill tier, and appends the store refuses
+because another writer changed the key between the lookup and the put.
 """
 
 import time
@@ -18,6 +19,7 @@ import pytest
 from repro.core.config import SofaConfig
 from repro.engine import AttentionRequest, SofaEngine
 from repro.engine.cache import make_decode_cache
+from repro.engine.paged import PagedDecodeCache
 from repro.utils.rng import make_rng
 
 CFG = SofaConfig(tile_cols=16, top_k=8)
@@ -60,10 +62,38 @@ def _assert_result_identical(ref, got):
             assert st_r.ops[opn] == st_g.ops[opn]
 
 
+class _RacingCache(PagedDecodeCache):
+    """A paged store in which another writer changes every key right
+    after its lookup: it re-puts the identical entry (a new chain) or
+    drops the key, alternately.  The predictor's append then always sees
+    a stale ``base`` and must fall back to a full put."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.lookups = self.refused = 0
+
+    def get(self, key):
+        entry = super().get(key)
+        if entry is not None:
+            self.lookups += 1
+            if self.lookups % 2:
+                super().put(key, entry)
+            else:
+                self.invalidate(key)
+        return entry
+
+    def put(self, key, entry, *, base=None):
+        stored = super().put(key, entry, base=base)
+        self.refused += not stored
+        return stored
+
+
 def _run_sweep(backend: str):
     wk, wv, prefix, tails, queries = _workload(41)
     uncached = SofaEngine(CFG, backend=backend)
     flat = SofaEngine(CFG, backend=backend, cache_kind="flat")
+    racing_cache = _RacingCache(block_tokens=BLOCK_TOKENS)
+    racing = SofaEngine(CFG, backend=backend, cache=racing_cache)
     paged = SofaEngine(
         CFG,
         backend=backend,
@@ -87,12 +117,15 @@ def _run_sweep(backend: str):
                     paged.submit(
                         AttentionRequest(**base, cache_key=("sess", session))
                     ),
+                    racing.submit(
+                        AttentionRequest(**base, cache_key=("sess", session))
+                    ),
                 ]
-                for engine in (uncached, flat, paged):
+                for engine in (uncached, flat, paged, racing):
                     engine.flush()
                 ref = futures[0].result()
-                _assert_result_identical(ref, futures[1].result())
-                _assert_result_identical(ref, futures[2].result())
+                for future in futures[1:]:
+                    _assert_result_identical(ref, future.result())
             if step == 0:
                 # All sessions just submitted the identical prompt: their
                 # entries are the same four blocks, all shared.
@@ -110,9 +143,14 @@ def _run_sweep(backend: str):
         assert paged_stats.spill_loads > 0
         assert paged_stats.resident_bytes <= paged.cache.max_bytes
         assert paged_stats.evictions == 0  # spill, not data loss
+        # Every hit's append met a stale base and fell back to a full
+        # put, which re-stored the grown entry: the next step hits again.
+        assert racing.cache.stats.hits == flat_stats.hits
+        assert racing_cache.refused == racing_cache.lookups == flat_stats.hits
     finally:
-        for engine in (uncached, flat, paged):
+        for engine in (uncached, flat, paged, racing):
             engine.shutdown()
+        racing_cache.close()
 
 
 @pytest.mark.paged_cache
