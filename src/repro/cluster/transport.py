@@ -57,6 +57,15 @@ class TransportError(RuntimeError):
     """A transport could not establish or operate a worker link."""
 
 
+def default_start_method() -> str:
+    """``fork`` where the platform has it, else ``spawn``.
+
+    The local transport's workers and the gateway's decode process both
+    start this way: fork skips re-importing the package in the child.
+    """
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
 #: Worker subprocesses spawned by any SocketTransport in this process -
 #: the test suite's leak guard sweeps this after every test.
 _SPAWNED_WORKERS: list[subprocess.Popen] = []
@@ -199,9 +208,7 @@ class LocalTransport(ClusterTransport):
     reuses_worker_ids = True
 
     def __init__(self, start_method: str | None = None):
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(start_method or default_start_method())
         self._outbox = self._ctx.Queue()
         #: test hook - the next N spawns produce a worker that dies before
         #: reporting ready (a failure *during* respawn).

@@ -27,7 +27,9 @@ framework, stdlib only:
     events) as the JSON body.
 
 Request lifecycle (``docs/architecture.md`` walks the full path):
-arrival -> :class:`~repro.gateway.admission.AdmissionController` verdict
+arrival -> :func:`decode_attention_request` (inline for small bodies, in
+the gateway's forked decode process from ``DECODE_OFFLOAD_BYTES`` up) ->
+:class:`~repro.gateway.admission.AdmissionController` verdict
 (429/503 rejections answer immediately, with ``Retry-After``) ->
 priority queue -> dispatcher (bounded in-flight) -> ``AsyncSofaClient``
 -> worker engine -> JSON reply.  Expired tickets are shed at dispatch
@@ -38,13 +40,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import os
+import stat
 import time
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from json.decoder import WHITESPACE, scanstring
 from typing import Any
 
+import multiprocessing as mp
 import numpy as np
 
 from repro.cluster.aio import AsyncSofaClient
-from repro.engine.serving import AttentionRequest, validate_request
+from repro.cluster.transport import default_start_method
+from repro.core.config import SofaConfig
+from repro.engine.serving import AttentionRequest, SofaEngine, validate_request
 from repro.gateway.admission import AdmissionController, GatewayConfig, Ticket
 from repro.obs import (
     MetricsRegistry,
@@ -54,8 +66,10 @@ from repro.obs import (
 )
 
 __all__ = [
+    "DECODE_OFFLOAD_BYTES",
     "GatewayError",
     "SofaGateway",
+    "decode_attention_request",
     "request_from_json",
     "result_to_json",
 ]
@@ -74,6 +88,10 @@ _STATUS_TEXT = {
 #: is a malformed or abusive payload, not a legitimate request.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: bodies at least this large are decoded in the gateway's decode process;
+#: smaller ones cost less to parse than to ship there and back.
+DECODE_OFFLOAD_BYTES = 64 * 1024
+
 
 class GatewayError(Exception):
     """A request failed inside the gateway (shed, shutdown, backend)."""
@@ -91,7 +109,8 @@ def request_from_json(body: dict[str, Any]) -> AttentionRequest:
     Tensors arrive as nested lists and become float64 arrays - the same
     dtype the Python API uses - so serving a JSON request is bit-for-bit
     the same computation as serving the equivalent in-process request.
-    Raises :class:`ValueError` on missing/malformed fields (-> 400).
+    Raises :class:`ValueError` on missing/malformed fields and on
+    non-finite tensors or scales (-> 400).
     """
 
     def tensor(name: str, required: bool = True) -> np.ndarray | None:
@@ -100,10 +119,26 @@ def request_from_json(body: dict[str, Any]) -> AttentionRequest:
             if required:
                 raise ValueError(f"missing tensor field {name!r}")
             return None
-        array = np.asarray(value, dtype=np.float64)
+        try:
+            array = np.asarray(value, dtype=np.float64)
+        except OverflowError as error:
+            raise ValueError(f"tensor field {name!r} holds an out-of-range number") from error
         if array.ndim != 2:
             raise ValueError(f"tensor field {name!r} must be 2-D")
+        if not np.isfinite(array).all():
+            # 1e400 parses to inf and "nan" strings convert to nan: both
+            # would be served, and a NaN output is not valid JSON.
+            raise ValueError(f"tensor field {name!r} must be finite")
         return array
+
+    def scale(name: str) -> float:
+        try:
+            value = float(body.get(name, 1.0))
+        except OverflowError as error:
+            raise ValueError(f"{name} is out of range") from error
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        return value
 
     tag = body.get("tag")
     if tag is not None and not isinstance(tag, str):
@@ -117,12 +152,171 @@ def request_from_json(body: dict[str, Any]) -> AttentionRequest:
         q=tensor("q"),
         wk=tensor("wk"),
         wv=tensor("wv"),
-        k_scale=float(body.get("k_scale", 1.0)),
-        v_scale=float(body.get("v_scale", 1.0)),
+        k_scale=scale("k_scale"),
+        v_scale=scale("v_scale"),
         v=tensor("v", required=False),
         tag=tag,
         cache_key=cache_key,
     )
+
+
+def _reject_constant(name: str) -> Any:
+    """``json.loads`` hook for ``NaN``/``Infinity``/``-Infinity``: a 400.
+
+    Python's decoder accepts these non-standard literals by default; a
+    ``NaN`` token would quantize to a meaningless (finite) code and be
+    served 200.
+    """
+    raise ValueError(f"non-finite JSON number {name} is not accepted")
+
+
+#: ``json.loads``'s own parser pieces: the C value scanner (with the same
+#: non-finite-literal hook) and the whitespace rule between tokens.
+_SCAN_ONCE = json.JSONDecoder(parse_constant=_reject_constant).scan_once
+_SKIP_WS = WHITESPACE.match
+
+#: Fields whose decoded arrays are interned by their exact JSON text.
+_INTERNED_FIELDS = ("wk", "wv")
+#: Weight texts -> read-only float64 arrays, least recently used first.
+#: Sized like the engine's operator cache, which keys on the same weights.
+#: One table per process, so the decode process keeps it across calls.  It
+#: needs no lock: a lookup that races an eviction raises inside
+#: ``_scan_body`` and falls back to ``json.loads``.
+_INTERN_CAPACITY = SofaEngine._OPERATOR_CACHE_SIZE
+_interned: OrderedDict[str, np.ndarray] = OrderedDict()
+#: A request has about ten fields; past this many (duplicates counted) the
+#: walk, one Python step per field, would be slower than ``json.loads``.
+_MAX_WALKED_FIELDS = 32
+
+
+def _interned_at(text: str, idx: int) -> tuple[str, np.ndarray] | None:
+    """The interned weight whose text ``text`` holds at ``idx``, if any.
+
+    A JSON array value ends at its matching bracket, so when the text at
+    ``idx`` starts with an interned array's complete text, that text *is*
+    the value there - and its array was built from exactly that text.
+    """
+    for known in reversed(_interned):
+        if text.startswith(known, idx):
+            _interned.move_to_end(known)
+            return known, _interned[known]
+    return None
+
+
+def _intern(text: str, array: np.ndarray) -> None:
+    array.setflags(write=False)
+    _interned.pop(text, None)
+    _interned[text] = array  # a new key goes last
+    while len(_interned) > _INTERN_CAPACITY:
+        _interned.popitem(last=False)
+
+
+def _scan_body(body: bytes) -> tuple[dict[str, Any] | None, dict[str, str]]:
+    """Decode a top-level JSON object, reusing interned weight arrays.
+
+    Returns ``(fields, texts)``: the object ``json.loads`` would return,
+    except that an interned ``wk``/``wv`` value is already its array, and
+    the text of each weight value decoded afresh.  Any input this walk
+    does not take - an error, a non-object, trailing data, too many
+    fields - returns ``(None, {})`` so the caller falls back to
+    ``json.loads`` for the canonical result or error.
+    """
+    try:
+        text = body.decode(json.detect_encoding(body), "surrogatepass")
+        fields: dict[str, Any] = {}
+        texts: dict[str, str] = {}
+        idx = _SKIP_WS(text, 0).end()
+        if text[idx:idx + 1] != "{":
+            return None, {}
+        idx = _SKIP_WS(text, idx + 1).end()
+        closed = text[idx:idx + 1] == "}"
+        if closed:
+            idx = _SKIP_WS(text, idx + 1).end()
+        walked = 0
+        while not closed:
+            walked += 1
+            if text[idx:idx + 1] != '"' or walked > _MAX_WALKED_FIELDS:
+                return None, {}
+            key, idx = scanstring(text, idx + 1)
+            idx = _SKIP_WS(text, idx).end()
+            if text[idx:idx + 1] != ":":
+                return None, {}
+            idx = _SKIP_WS(text, idx + 1).end()
+            texts.pop(key, None)  # a duplicate key: the last one wins
+            hit = _interned_at(text, idx) if key in _INTERNED_FIELDS else None
+            if hit is not None:
+                fields[key] = hit[1]
+                end = idx + len(hit[0])
+            else:
+                fields[key], end = _SCAN_ONCE(text, idx)
+                if key in _INTERNED_FIELDS and text[idx] == "[":
+                    texts[key] = text[idx:end]
+            idx = _SKIP_WS(text, end).end()
+            closed = text[idx:idx + 1] == "}"
+            if not closed and text[idx:idx + 1] != ",":
+                return None, {}
+            idx = _SKIP_WS(text, idx + 1).end()
+        if idx != len(text):
+            return None, {}
+        return fields, texts
+    except Exception:  # noqa: BLE001 - json.loads gives the canonical error
+        return None, {}
+
+
+def decode_attention_request(
+    body: bytes, config: SofaConfig
+) -> tuple[AttentionRequest, float | None, str]:
+    """A ``POST /v1/attention`` body -> ``(request, deadline_ms, tenant)``.
+
+    Decode, :func:`request_from_json`, :func:`validate_request` against
+    the backend ``config``, and the gateway's own fields, in one call the
+    decode process can run.  Any exception means a malformed body (400).
+    The request's arrays are bit-identical to ``json.loads`` followed by
+    :func:`request_from_json`; ``wk``/``wv`` texts seen before reuse
+    their read-only arrays instead of being parsed again.
+    """
+    fields, texts = _scan_body(body)
+    if fields is None:
+        fields = json.loads(body, parse_constant=_reject_constant)
+        if not isinstance(fields, dict):
+            raise ValueError("body must be a JSON object")
+    request = request_from_json(fields)
+    validate_request(request, config)
+    deadline_ms = fields.get("deadline_ms")
+    if deadline_ms is not None:
+        deadline_ms = float(deadline_ms)
+        if deadline_ms < 0 or not math.isfinite(deadline_ms):
+            raise ValueError("deadline_ms must be finite and >= 0")
+    tenant = fields.get("tenant", "default")
+    if not isinstance(tenant, str):
+        raise ValueError("tenant must be a string")
+    for name, text in texts.items():
+        _intern(text, getattr(request, name))
+    return request, deadline_ms, tenant
+
+
+def _detach_inherited_sockets() -> None:
+    """Decode-process initializer: let go of the gateway's sockets.
+
+    A forked child inherits the listener and every open client
+    connection; while it holds them, a connection the gateway closes
+    never reaches its client as EOF and a stopped gateway's port stays
+    bound.  Each inherited socket descriptor is pointed at /dev/null
+    (not closed, so a stale socket object can never close a reused
+    descriptor).  The executor's own channels are pipes and stay.
+    """
+    try:
+        fds = [int(fd) for fd in os.listdir("/proc/self/fd")]
+    except OSError:
+        return  # no procfs: the child keeps them until it exits
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:
+            pass  # the listing's own descriptor, already closed
+    os.close(devnull)
 
 
 def result_to_json(result) -> dict[str, Any]:
@@ -144,8 +338,9 @@ class SofaGateway:
     """One HTTP front door over one :class:`AsyncSofaClient`.
 
     The gateway does not own the client's backend: ``stop()`` fails any
-    queued tickets and closes the listener, but shutting the cluster
-    down stays the caller's job (typically ``async with client:``).
+    queued tickets, closes the listener and joins the decode process,
+    but shutting the cluster down stays the caller's job (typically
+    ``async with client:``).
 
     Parameters
     ----------
@@ -182,6 +377,8 @@ class SofaGateway:
         self._dispatcher: asyncio.Task | None = None
         self._tasks: set[asyncio.Task] = set()
         self._work = asyncio.Event()
+        #: forked lazily by the first large body; see _decode
+        self._decode_pool: ProcessPoolExecutor | None = None
         self._admission = AdmissionController(self.config, time.monotonic())
         # The gateway's own registry is always on (serving metrics are
         # the product here, not a debug aid); /metrics merges it with
@@ -207,6 +404,9 @@ class SofaGateway:
         self._h_latency = reg.histogram(
             "sofa_gateway_request_latency_seconds",
             "arrival to response, admitted requests")
+        self._h_decode = reg.histogram(
+            "sofa_gateway_decode_seconds",
+            "body to validated request, inline or in the decode process")
 
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -245,6 +445,10 @@ class SofaGateway:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self._decode_pool is not None:
+            # Joins the decode process: nothing forked outlives stop().
+            self._decode_pool.shutdown(wait=True, cancel_futures=True)
+            self._decode_pool = None
 
     async def __aenter__(self) -> "SofaGateway":
         await self.start()
@@ -304,7 +508,13 @@ class SofaGateway:
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
-                status, payload, extra = await self._route(method, path, body)
+                try:
+                    status, payload, extra = await self._route(method, path, body)
+                except Exception as error:  # noqa: BLE001 - answered, not dropped
+                    # Every parsed request gets exactly one response.
+                    self._c_errors.inc()
+                    status, extra = 500, {}
+                    payload = _json_bytes({"error": f"internal error: {error!r}"})
                 keep_alive = headers.get("connection", "keep-alive") != "close"
                 await self._write_response(
                     writer, status, payload, extra, keep_alive
@@ -399,22 +609,17 @@ class SofaGateway:
     ) -> tuple[int, bytes, dict[str, str]]:
         arrival = time.monotonic()
         self._c_requests.inc()
+        start = time.perf_counter()
         try:
-            decoded = json.loads(body, parse_constant=_reject_constant)
-            if not isinstance(decoded, dict):
-                raise ValueError("body must be a JSON object")
-            request = request_from_json(decoded)
-            validate_request(request, self._backend_config())
-            deadline_ms = decoded.get("deadline_ms")
-            if deadline_ms is not None:
-                deadline_ms = float(deadline_ms)
-                if deadline_ms < 0 or not np.isfinite(deadline_ms):
-                    raise ValueError("deadline_ms must be finite and >= 0")
-            tenant = decoded.get("tenant", "default")
-            if not isinstance(tenant, str):
-                raise ValueError("tenant must be a string")
-        except (ValueError, TypeError, KeyError) as error:
-            return 400, _json_bytes({"error": str(error)}), {}
+            request, deadline_ms, tenant = await self._decode(body)
+        except GatewayError as error:
+            return error.status, _json_bytes({"error": error.reason}), {}
+        except Exception as error:  # noqa: BLE001 - any decode failure is a 400
+            # Hostile bodies raise more than ValueError: a 400-digit integer
+            # overflows float64, a 100k-deep array exhausts recursion.
+            return 400, _json_bytes({"error": str(error) or repr(error)}), {}
+        finally:
+            self._h_decode.observe(time.perf_counter() - start)
         deadline = (
             None if deadline_ms is None else arrival + deadline_ms / 1000.0
         )
@@ -461,6 +666,42 @@ class SofaGateway:
     def _backend_config(self):
         return self.client.backend.config
 
+    async def _decode(
+        self, body: bytes
+    ) -> tuple[AttentionRequest, float | None, str]:
+        """:func:`decode_attention_request`, off the event loop if large.
+
+        Large bodies go to one decode process per gateway, so the event
+        loop keeps serving while a megabyte of JSON is parsed.  A decode
+        process that dies fails its requests with a 503
+        ``decode_unavailable``; the next large body forks a fresh one.
+        """
+        config = self._backend_config()
+        if len(body) < DECODE_OFFLOAD_BYTES:
+            return decode_attention_request(body, config)
+        if self._server is None:
+            raise GatewayError(503, "gateway_shutdown")
+        pool = self._decode_pool
+        if pool is None:
+            pool = self._decode_pool = ProcessPoolExecutor(
+                1,
+                mp_context=mp.get_context(default_start_method()),
+                initializer=_detach_inherited_sockets,
+            )
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                pool, decode_attention_request, body, config
+            )
+        except BrokenProcessPool as error:
+            if self._decode_pool is pool:
+                self._decode_pool = None
+            # The executor reaps the dead process itself; waiting here
+            # could wedge the event loop on an interpreter whose executor
+            # hangs when a child dies mid-transfer (3.10).
+            pool.shutdown(wait=False)
+            self._c_errors.inc()
+            raise GatewayError(503, "decode_unavailable") from error
+
     # -------------------------------------------------------------- observability
     def render_metrics(self) -> str:
         """The merged Prometheus view this gateway's /metrics serves."""
@@ -501,15 +742,7 @@ class SofaGateway:
         return (200 if live else 503), body
 
 
-def _reject_constant(name: str) -> Any:
-    """``json.loads`` hook for ``NaN``/``Infinity``/``-Infinity``: a 400.
-
-    Python's decoder accepts these non-standard literals by default; a
-    ``NaN`` token would quantize to a meaningless (finite) code and be
-    served 200.
-    """
-    raise ValueError(f"non-finite JSON number {name} is not accepted")
-
-
 def _json_bytes(payload: dict[str, Any]) -> bytes:
-    return json.dumps(payload).encode()
+    # A non-finite float must fail here (500) rather than go out as NaN,
+    # which no strict JSON parser reads.
+    return json.dumps(payload, allow_nan=False).encode()

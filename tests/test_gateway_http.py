@@ -11,6 +11,10 @@ queues answer 503 instead of hanging, and expired tickets shed.
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
+import time
 from contextlib import asynccontextmanager
 
 import pytest
@@ -26,6 +30,8 @@ from repro.gateway import (
     request_from_json,
     result_to_json,
 )
+from repro.gateway import server
+from repro.gateway.server import DECODE_OFFLOAD_BYTES
 from repro.utils.rng import make_rng
 
 pytestmark = pytest.mark.gateway
@@ -46,6 +52,24 @@ def _bodies(seed: int, n: int, **extra) -> list[dict]:
         }
         for i in range(n)
     ]
+
+
+def _large_bodies(seed: int, n: int) -> list[dict]:
+    """Bodies over the offload threshold that share one head's weights."""
+    rng = make_rng(seed)
+    wk, wv = rng.normal(size=(8, 8)).tolist(), rng.normal(size=(8, 8)).tolist()
+    bodies = [
+        {
+            "tokens": rng.normal(size=(512, 8)).tolist(),
+            "q": rng.normal(size=(2, 8)).tolist(),
+            "wk": wk,
+            "wv": wv,
+            "tag": f"large-{seed}-{i}",
+        }
+        for i in range(n)
+    ]
+    assert all(len(json.dumps(b)) >= DECODE_OFFLOAD_BYTES for b in bodies)
+    return bodies
 
 
 def _reference_json(bodies: list[dict]) -> list[dict]:
@@ -142,6 +166,8 @@ def test_healthz_and_metrics_and_routing():
             assert "sofa_gateway_completed_total 3" in text
             assert "sofa_gateway_queue_depth 0" in text
             assert "sofa_gateway_request_latency_seconds_count 3" in text
+            assert "# TYPE sofa_gateway_decode_seconds histogram" in text
+            assert "sofa_gateway_decode_seconds_count 3" in text
 
             status, _, resp = await http.request("GET", "/nope")
             assert status == 404
@@ -195,8 +221,16 @@ def test_non_integer_content_length_closes_the_connection_quietly():
     asyncio.run(main())
 
 
+def _hostile(literal: str) -> bytes:
+    """A valid body with its first token replaced by ``literal``."""
+    body = _bodies(seed=20, n=1)[0]
+    body["tokens"][0][0] = 0.0625  # the first number in the text
+    return json.dumps(body).replace("0.0625", literal, 1).encode()
+
+
 def test_non_finite_json_numbers_are_rejected_with_400():
-    """``NaN``/``Infinity``/``-Infinity`` literals never reach the engine."""
+    """``NaN``/``Infinity``/``-Infinity`` literals never reach the engine,
+    and neither do numbers or strings that become non-finite floats."""
 
     async def main():
         async with _gateway(SofaEngine(CFG)) as (_gw, _client, http):
@@ -207,10 +241,154 @@ def test_non_finite_json_numbers_are_rejected_with_400():
                 status, _, resp = await http.attention(body)
                 assert status == 400, resp
                 assert f"number {literal} " in resp["error"]
+            valid = _bodies(seed=19, n=1)[0]
+            for raw in (
+                _hostile("1e400"), _hostile("-1e400"), _hostile('"nan"'),
+                _hostile('"inf"'), _hostile('"-Infinity"'),
+                json.dumps(dict(valid, k_scale="nan")).encode(),
+                json.dumps(dict(valid, v_scale="-inf")).encode(),
+            ):
+                status, _, resp = await http.request("POST", "/v1/attention", raw)
+                assert status == 400, resp
+                assert "finite" in json.loads(resp)["error"]
             status, _, resp = await http.attention(_bodies(seed=19, n=1)[0])
             assert status == 200, resp
 
     asyncio.run(main())
+
+
+@pytest.mark.parametrize("raw", [
+    _hostile("1" + "0" * 400),  # np.asarray raises OverflowError
+    b'{"tokens": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # RecursionError
+], ids=["huge-integer", "deep-nesting"])
+def test_hostile_bodies_get_a_400_not_a_dropped_connection(raw):
+    async def main():
+        loop = asyncio.get_running_loop()
+        escaped = []
+        loop.set_exception_handler(lambda _loop, context: escaped.append(context))
+        async with _gateway(SofaEngine(CFG)) as (_gw, _client, http):
+            status, _, resp = await http.request("POST", "/v1/attention", raw)
+            assert status == 400, resp
+            assert json.loads(resp)["error"]
+            # Same keep-alive connection: still served.
+            status, _, _resp = await http.attention(_bodies(seed=20, n=1)[0])
+            assert status == 200
+        assert escaped == []
+
+    asyncio.run(main())
+
+
+def test_an_unexpected_failure_is_answered_500(monkeypatch):
+    """Every parsed request gets exactly one response, even on a bug."""
+
+    def broken(_result):
+        raise RuntimeError("encoder bug")
+
+    async def main():
+        async with _gateway(SofaEngine(CFG)) as (gw, _client, http):
+            status, _, resp = await http.attention(_bodies(seed=21, n=1)[0])
+            assert status == 500
+            assert "encoder bug" in resp["error"]
+            assert gw._c_errors.value == 1
+            monkeypatch.undo()
+            status, _, _resp = await http.attention(_bodies(seed=21, n=1)[0])
+            assert status == 200
+
+    monkeypatch.setattr(server, "result_to_json", broken)
+    asyncio.run(main())
+
+
+# ------------------------------------------------------------- decode process
+@pytest.mark.parametrize("kind", ["engine", "local"])
+def test_large_bodies_decode_off_loop_with_interned_weights(kind):
+    """Bodies over the threshold decode in the forked decode process, the
+    repeats of one head's weights come from its intern table, and the
+    replies still equal engine-direct serving bit for bit - also across
+    the cluster's process hop, which encodes the read-only arrays."""
+    bodies = _large_bodies(seed=22, n=3)
+    small = _bodies(seed=23, n=1) * 2  # inline decode, interned the second time
+    expected = _reference_json(bodies + small)
+
+    async def main():
+        async with _gateway(_make_backend(kind)) as (gw, _client, http):
+            got = []
+            for body in bodies + small + bodies:
+                status, _, resp = await http.attention(body)
+                assert status == 200, resp
+                got.append(resp)
+            assert gw._decode_pool is not None
+            return got
+
+    got = asyncio.run(main())
+    assert got == expected + expected[:3]
+    assert multiprocessing.active_children() == []
+
+
+def test_connections_open_at_fork_still_see_the_gateway_close_them():
+    """The forked decode process must not keep client sockets alive: a
+    connection accepted before the fork gets EOF when the gateway drops it."""
+
+    async def main():
+        async with _gateway(SofaEngine(CFG)) as (gw, _client, http):
+            reader, writer = await asyncio.open_connection("127.0.0.1", gw.port)
+            writer.write(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")  # accepted and served
+            length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+            await reader.readexactly(length)
+
+            status, _, _resp = await http.attention(_large_bodies(seed=25, n=1)[0])
+            assert status == 200  # the decode process now exists
+            writer.write(b"POST /v1/attention HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            writer.close()
+            await writer.wait_closed()
+
+    asyncio.run(main())
+
+
+def _slow_decode(body, config):
+    """Stands in for the decoder in the decode process: stalls on one tag."""
+    if b'"stall-me"' in body:
+        time.sleep(30.0)
+    return _real_decode(body, config)
+
+
+_real_decode = server.decode_attention_request
+
+
+def test_killed_decode_process_answers_503_then_a_fresh_one_serves(monkeypatch):
+    # The stall makes "killed mid-decode" deterministic: the request is in
+    # the decode process's hands for 30 s, and the kill lands after 0.3 s.
+    monkeypatch.setattr(server, "decode_attention_request", _slow_decode)
+    bodies = _large_bodies(seed=24, n=3)
+    stalled = dict(bodies[1], tag="stall-me")
+    expected = _reference_json([bodies[0], bodies[2]])
+
+    async def main():
+        async with _gateway(SofaEngine(CFG)) as (gw, _client, http):
+            status, _, resp = await http.attention(bodies[0])
+            assert status == 200 and resp == expected[0]
+            (child,) = multiprocessing.active_children()
+
+            pending = asyncio.create_task(http.attention(stalled))
+            while gw._c_requests.value < 2:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.3)
+            os.kill(child.pid, signal.SIGKILL)
+            status, _, resp = await asyncio.wait_for(pending, timeout=30.0)
+            assert (status, resp) == (503, {"error": "decode_unavailable"})
+
+            # Same connection, next large body: a new decode process.
+            status, _, resp = await http.attention(bodies[2])
+            assert status == 200 and resp == expected[1]
+            (fresh,) = multiprocessing.active_children()
+            assert fresh.pid != child.pid
+            assert gw._c_requests.value == 3
+
+    asyncio.run(main())
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------------- overload
