@@ -56,6 +56,9 @@ def assert_same_verdict(body: bytes):
     want = _outcome(_reference, body)
     assert isinstance(got, Exception) == isinstance(want, Exception), (got, want)
     if isinstance(want, Exception):
+        # One error type for every bad body: the gateway answers it 400 and
+        # keeps any other exception for its own failures.
+        assert type(got) is server.BodyError, got
         return None
     (request, deadline_ms, tenant), (ref, ref_deadline, ref_tenant) = got, want
     for name in TENSORS:
@@ -263,6 +266,39 @@ def test_intern_table_is_a_bounded_lru():
     assert len(server._interned) == server._INTERN_CAPACITY
 
 
+def test_intern_table_is_bounded_in_bytes(monkeypatch):
+    """However wide the weights a client sends, the table holds at most
+    ``_INTERN_MAX_BYTES`` of text plus arrays; a weight larger than the
+    whole budget is decoded but never interned."""
+    server._interned.clear()
+
+    def wide(seed, hidden):
+        return json.dumps(_body(seed, tokens=[[1.0] * hidden] * 16, wk=_matrix(
+            np.random.default_rng(seed), hidden, 8), wv=_matrix(
+            np.random.default_rng(seed + 1), hidden, 8))).encode()
+
+    one_pair = sum(server._footprint(*entry) for entry in _intern_entries(wide(200, 40)))
+    monkeypatch.setattr(server, "_INTERN_MAX_BYTES", int(2.5 * one_pair))
+    server._interned.clear()
+    for seed in range(201, 206):
+        assert_same_verdict(wide(seed, 40))
+        held = sum(server._footprint(*entry) for entry in server._interned.items())
+        assert held <= server._INTERN_MAX_BYTES
+    assert 4 <= len(server._interned) < 10  # about two pairs fit, not five
+    # Wider than the budget: served bit-identically, interned never.
+    huge = wide(300, 400)
+    request = assert_same_verdict(huge)
+    assert request.wk.flags.writeable
+    assert all(known is not request.wk for known in server._interned.values())
+    server._interned.clear()
+
+
+def _intern_entries(raw: bytes) -> list:
+    server._interned.clear()
+    decode_attention_request(raw, CFG)
+    return list(server._interned.items())
+
+
 def test_rejected_bodies_intern_nothing():
     server._interned.clear()
     bad = _body(9, tokens=[[1.0, 2.0]])  # hidden size disagrees with wk
@@ -302,5 +338,5 @@ def test_hostile_numbers_are_rejected_as_value_errors(mutate):
     with pytest.raises(Exception) as caught:
         decode_attention_request(raw, CFG)
     # Not served, and nothing escapes that the gateway would not map to 400.
-    assert isinstance(caught.value, (ValueError, RecursionError))
+    assert type(caught.value) is server.BodyError
     assert_same_verdict(raw)

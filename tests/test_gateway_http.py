@@ -10,11 +10,13 @@ queues answer 503 instead of hanging, and expired tickets shed.
 """
 
 import asyncio
+import errno
 import json
 import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import asynccontextmanager
 
 import pytest
@@ -60,7 +62,7 @@ def _large_bodies(seed: int, n: int) -> list[dict]:
     wk, wv = rng.normal(size=(8, 8)).tolist(), rng.normal(size=(8, 8)).tolist()
     bodies = [
         {
-            "tokens": rng.normal(size=(512, 8)).tolist(),
+            "tokens": rng.normal(size=(2048, 8)).tolist(),
             "q": rng.normal(size=(2, 8)).tolist(),
             "wk": wk,
             "wv": wv,
@@ -386,6 +388,33 @@ def test_killed_decode_process_answers_503_then_a_fresh_one_serves(monkeypatch):
             (fresh,) = multiprocessing.active_children()
             assert fresh.pid != child.pid
             assert gw._c_requests.value == 3
+
+    asyncio.run(main())
+    assert multiprocessing.active_children() == []
+
+
+def test_a_decode_process_that_cannot_fork_answers_503_not_400(monkeypatch):
+    """A failure of the gateway's own decode machinery is not the body's
+    fault: a fork that fails (EAGAIN) answers 503 ``decode_unavailable``
+    and counts as an error, and the next large body forks normally."""
+
+    class Unforkable(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(server, "ProcessPoolExecutor", Unforkable)
+    bodies = _large_bodies(seed=26, n=2)
+    expected = _reference_json(bodies)
+
+    async def main():
+        async with _gateway(SofaEngine(CFG)) as (gw, _client, http):
+            status, _, resp = await http.attention(bodies[0])
+            assert (status, resp) == (503, {"error": "decode_unavailable"})
+            assert gw._c_errors.value == 1
+            monkeypatch.undo()
+            status, _, resp = await http.attention(bodies[1])
+            assert status == 200 and resp == expected[1]
+            assert gw._c_errors.value == 1
 
     asyncio.run(main())
     assert multiprocessing.active_children() == []
