@@ -7,8 +7,9 @@ measured single-worker service rate, through three phases:
 
 ``unloaded``
     Sequential posts against an idle 1-worker cluster: the baseline
-    requests/sec and latency distribution (``p99_unloaded`` anchors the
-    acceptance bar below).
+    latency distribution (``p99_unloaded`` anchors the acceptance bar
+    below) and the capacity, the best requests/sec over
+    ``CAPACITY_WINDOWS`` consecutive closed-loop windows of those posts.
 ``overload/unprotected``
     Same cluster, but the gateway's queue bound is effectively removed
     (huge ``max_queue``, no deadlines, no autoscaler) and arrivals run at
@@ -72,9 +73,17 @@ from repro.utils.rng import make_rng
 #: worker pool, not the HTTP parser.  quick/full differ only in how long
 #: the overload drive runs and how many unloaded samples anchor p99.
 WORKLOAD = {
-    False: dict(s=2048, t=48, h=8, dk=64, n_unloaded=40, drive_s=6.0),
-    True: dict(s=2048, t=48, h=8, dk=64, n_unloaded=12, drive_s=2.0),
+    False: dict(s=2048, t=48, h=8, dk=64, n_unloaded=41, drive_s=6.0),
+    True: dict(s=2048, t=48, h=8, dk=64, n_unloaded=21, drive_s=2.0),
 }
+#: Capacity is the best rate over this many consecutive windows of the
+#: unloaded posts.  A slow stretch (a busy neighbour process, a collector
+#: pause) lowers the windows it lands in, never the best one, so the
+#: overload drive's offered rate stays above what the worker serves and
+#: the unprotected queue always builds.  A mean over all posts swung
+#: 9.7-25 rps between runs on a 2-CPU VM; at the low end the "overload"
+#: was no overload and built no backlog.
+CAPACITY_WINDOWS = 4
 N_UNIQUE_BODIES = 10
 CFG = SofaConfig(tile_cols=32, top_k=0.25)
 
@@ -171,13 +180,19 @@ async def _measure(quick: bool) -> dict:
     # Warmup distorts the first request (imports, allocator); drop it.
     latencies = latencies[1:]
     p99_unloaded = _quantile(latencies, 0.99)
+    size = len(latencies) // CAPACITY_WINDOWS
+    window_rps = [
+        size / sum(latencies[i * size : (i + 1) * size])
+        for i in range(CAPACITY_WINDOWS)
+    ]
     unloaded = {
         "n": len(latencies),
         "requests_per_sec": len(latencies) / sum(latencies),
+        "window_requests_per_sec": window_rps,
         "p50_s": _quantile(latencies, 0.50),
         "p99_s": p99_unloaded,
     }
-    capacity = unloaded["requests_per_sec"]
+    capacity = max(window_rps)
     offered = OVERLOAD_FACTOR * capacity
     n_posts = int(offered * w["drive_s"])
 

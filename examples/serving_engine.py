@@ -82,10 +82,13 @@ from repro.utils.rng import make_rng
 
 
 def make_wave(rng: np.random.Generator, n_requests: int, tag: str) -> list[AttentionRequest]:
-    """A mixed request wave: two sequence-length classes, per-head weights."""
+    """A mixed request wave: two sequence lengths, per-head weights.
+
+    Both lengths share batches: each head keeps its own tiling grid.
+    """
     requests = []
     for i in range(n_requests):
-        s = 256 if i % 3 else 128  # two shape classes interleaved
+        s = 256 if i % 3 else 128  # two lengths interleaved
         h, d, t = 32, 32, 8
         requests.append(
             AttentionRequest(
@@ -114,10 +117,11 @@ def act_continuous(rng: np.random.Generator) -> None:
             f"  wave {wave}: +{len(wave_reqs)} requests -> "
             f"{len(records)} batch(es) ready, {engine.pending} pending"
         )
-    # a lonely shape with a deadline in the past: executes next round alone
+    # a lonely shape (its own T) with a deadline in the past: executes
+    # next round alone
     lonely = AttentionRequest(
         tokens=rng.integers(-100, 100, size=(192, 32)).astype(np.float64),
-        q=rng.normal(size=(8, 32)),
+        q=rng.normal(size=(4, 32)),
         wk=rng.normal(size=(32, 32)),
         wv=rng.normal(size=(32, 32)),
         deadline=time.monotonic() - 1.0,
@@ -127,8 +131,8 @@ def act_continuous(rng: np.random.Generator) -> None:
     print(f"  drained: {len(records)} more batch(es), {engine.pending} pending")
     for rec in engine.stats.batches:
         print(
-            f"    - {rec.n_heads:2d} heads on the (S={rec.seq_len}, "
-            f"Bc={rec.tile_cols}) grid after {rec.waited_rounds} round(s) waited"
+            f"    - {rec.n_heads:2d} heads (T={rec.n_queries}, longest S={rec.seq_len}, "
+            f"Bc={rec.tile_cols}) after {rec.waited_rounds} round(s) waited"
         )
     assert all(f.done() for f in futures)
     print(f"  mean heads per batch    : {engine.stats.mean_batch_heads:.1f}")

@@ -41,6 +41,7 @@ import os
 import queue
 import select
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -64,6 +65,33 @@ def default_start_method() -> str:
     start this way: fork skips re-importing the package in the child.
     """
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+def detach_inherited_sockets() -> None:
+    """Forked-child start-up: let go of every socket the parent held.
+
+    A child forked while a gateway serves (a local worker respawned by
+    supervision or added by the autoscaler, the gateway's decode process)
+    inherits the listener and every open client connection; while it
+    holds them, a connection the gateway closes never reaches its client
+    as EOF and a stopped gateway's port stays bound.  Each inherited
+    socket descriptor is pointed at /dev/null (not closed, so a stale
+    socket object can never close a reused descriptor).  The children's
+    own channels (``multiprocessing`` queues, the executor's call queues)
+    are pipes and stay.
+    """
+    try:
+        fds = [int(fd) for fd in os.listdir("/proc/self/fd")]
+    except OSError:
+        return  # no procfs: the child keeps them until it exits
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:
+            pass  # the listing's own descriptor, already closed
+    os.close(devnull)
 
 
 #: Worker subprocesses spawned by any SocketTransport in this process -

@@ -69,6 +69,7 @@ import queue
 from dataclasses import asdict
 from typing import Any, Callable
 
+from repro.cluster.transport import detach_inherited_sockets
 from repro.engine.codec import (
     decode_config,
     decode_request,
@@ -249,7 +250,13 @@ def _build_engine(engine_kwargs: dict[str, Any], worker_id: int | None = None) -
 
 def worker_main(worker_id: int, inbox, outbox, engine_kwargs: dict[str, Any]) -> None:
     """The local (queue) worker body (top-level so every start method can
-    spawn it)."""
+    spawn it).
+
+    Its first act drops the sockets a fork inherited: a worker respawned
+    or added while a gateway serves must not hold the gateway's
+    connections open.
+    """
+    detach_inherited_sockets()
     engine = _build_engine(engine_kwargs, worker_id)
     server = EngineMessageServer(worker_id, engine, outbox.put)
     outbox.put(("ready", worker_id))

@@ -278,7 +278,7 @@ class StackedPredictionResult:
     """
 
     a_hat: np.ndarray
-    k_hat: np.ndarray
+    k_hat: np.ndarray  # head-major rows, as in PreparedStackPrediction
     head_ops: list[OpCounter]
     scales: np.ndarray
 
@@ -287,18 +287,30 @@ class StackedPredictionResult:
 class PreparedStackPrediction:
     """Stacked phase-1.1 state plus encoded queries, before the score matmul.
 
-    The stacked twin of :class:`PreparedPrediction`: ``a_hat`` for the
-    whole stack equals ``(pow2 @ k_hat.transpose(0, 2, 1)).astype(float64)
-    * scales[:, None, None]``, and any column block of it follows from the
-    matching ``k_hat`` slice - exactly - so fused kernels can stream score
-    tiles per segment.  ``head_ops`` already carries the complete per-head
-    accounting.
+    The stacked twin of :class:`PreparedPrediction`.  Heads may differ in
+    ``S``, so ``k_hat`` holds every head's rows back to back: head ``i``'s
+    ``(S_i, D')`` block is :meth:`head_k_hat`, and its score matrix equals
+    ``(pow2[i] @ head_k_hat(i).T).astype(float64) * scales[i]``.  Any
+    column block of it follows from the matching ``k_hat`` rows -
+    exactly - so fused kernels can stream score tiles per segment.
+    ``head_ops`` already carries the complete per-head accounting.
     """
 
-    k_hat: np.ndarray  # (N, S, D') int64, truncated
+    k_hat: np.ndarray  # (sum S_i, D') int64, truncated; head-major rows
     pow2: np.ndarray  # (N, T, D') int64 signed power-of-two query codes
     scales: np.ndarray  # (N,) per-head quantization scales
     head_ops: list[OpCounter]
+    seq_lens: np.ndarray  # (N,) int64, each head's S
+
+    @property
+    def starts(self) -> np.ndarray:
+        """``(N,)`` first row of each head's block in ``k_hat``."""
+        return np.cumsum(self.seq_lens) - self.seq_lens
+
+    def head_k_hat(self, i: int) -> np.ndarray:
+        """Head ``i``'s ``(S_i, D')`` truncated ``K_hat`` (a view)."""
+        start = int(self.starts[i])
+        return self.k_hat[start : start + int(self.seq_lens[i])]
 
 
 class StackedDlzsPredictor:
@@ -326,6 +338,7 @@ class StackedDlzsPredictor:
         self._wk_signs = np.sign(self._wk_int)
         self._wk_lz = leading_zeros(self._wk_int, w)
         self._wk_pow2 = self._wk_signs * lz_decode_magnitude(self._wk_lz, w)
+        self._wk_nonzero = np.count_nonzero(self._wk_pow2, axis=(1, 2))
         self._head_digests: list[str] | None = None
 
     @property
@@ -453,7 +466,7 @@ class StackedDlzsPredictor:
 
     def predict_prepared(
         self,
-        tokens: np.ndarray,
+        tokens: "np.ndarray | Sequence[np.ndarray]",
         q: np.ndarray,
         cache: "DecodeStepCache | None" = None,
         cache_keys: Sequence[Hashable | None] | None = None,
@@ -464,54 +477,52 @@ class StackedDlzsPredictor:
         interaction) but returns the :class:`PreparedStackPrediction` from
         which ``a_hat`` - or any column block - follows by one exact
         integer matmul per block.
+
+        ``tokens`` is an ``(N, S, H)`` stack or a sequence of N ``(S_i,
+        H)`` arrays of different lengths.  Every head is quantized,
+        projected and truncated over its own rows only, with its own
+        scales, so nothing is padded and the result holds ``sum S_i`` key
+        rows; each head's bits are those of :class:`DlzsPredictor` on it.
         """
-        tokens = np.asarray(tokens)
+        heads = [np.asarray(x) for x in tokens]
         q_arr = np.asarray(q)
-        if tokens.ndim != 3 or q_arr.ndim != 3:
-            raise ValueError("stacked predict needs (N, S, H) tokens and (N, T, D) q")
         n = self.n_heads
-        if tokens.shape[0] != n or q_arr.shape[0] != n:
+        if q_arr.ndim != 3 or any(np.ndim(x) != 2 for x in heads):
+            raise ValueError("stacked predict needs (N, S, H) tokens and (N, T, D) q")
+        if len(heads) != n or q_arr.shape[0] != n:
             raise ValueError("leading axis must match the weight stack")
         if cache_keys is not None and len(cache_keys) != n:
             raise ValueError("need one cache key (or None) per head")
+        seq_lens = np.array([x.shape[0] for x in heads], dtype=np.int64)
+        h = heads[0].shape[1]
 
         # Phase 1.1: K_hat = tokens @ Wk via pre-converted LZ weights.
         keyed = (
-            [i for i in range(n) if cache_keys[i] is not None]
+            {i for i in range(n) if cache_keys[i] is not None}
             if cache is not None and cache_keys is not None
-            else []
+            else set()
         )
-        if not keyed:
-            if np.issubdtype(tokens.dtype, np.floating):
-                tok = quantize_stack(tokens, self.config.token_bits).values
+        # Head by head: keyed heads keep their sequence's cached state, and
+        # every head has its own length and scales.  Integer matmuls are
+        # exact, so the split changes no bits.
+        k_hat = np.empty((int(seq_lens.sum()), self._wk_pow2.shape[2]), dtype=np.int64)
+        k_scales = np.empty(n)
+        start = 0
+        for i, x in enumerate(heads):
+            if i in keyed:
+                key_values = self._phase1_head_cached(i, x, cache, cache_keys[i])
             else:
-                tok = tokens.astype(np.int64)
-            # Exact integer K_hat; float64 BLAS inside the proven window.
-            key_values = exact_int_matmul(tok, self._wk_pow2, dtype=np.int64)
-        else:
-            # Keyed heads run per head so each sequence's state stays
-            # independent; keyless batch-mates keep the fused stack path.
-            # Integer matmuls are exact, so the split changes no bits.
-            s_len = tokens.shape[1]
-            key_values = np.empty((n, s_len, self._wk_pow2.shape[2]), dtype=np.int64)
-            keyless = [i for i in range(n) if cache_keys[i] is None]
-            if keyless:
-                sub = tokens[keyless]
-                if np.issubdtype(sub.dtype, np.floating):
-                    sub_tok = quantize_stack(sub, self.config.token_bits).values
+                if np.issubdtype(x.dtype, np.floating):
+                    tok = quantize_stack(x[None], self.config.token_bits).values[0]
                 else:
-                    sub_tok = sub.astype(np.int64)
-                key_values[keyless] = exact_int_matmul(
-                    sub_tok, self._wk_pow2[keyless], dtype=np.int64
-                )
-            for i in keyed:
-                key_values[i] = self._phase1_head_cached(
-                    i, tokens[i], cache, cache_keys[i]
-                )
-
-        # Truncate K_hat to the intermediate width (hardware keeps <=16 bits).
-        k_hat_q = quantize_stack(key_values, self.config.intermediate_bits)
-        k_hat = k_hat_q.values
+                    tok = x.astype(np.int64)
+                # Exact integer K_hat; float64 BLAS inside the proven window.
+                key_values = exact_int_matmul(tok, self._wk_pow2[i], dtype=np.int64)
+            # Truncate K_hat to the intermediate width (hardware keeps <=16 bits).
+            trunc = quantize_stack(key_values[None], self.config.intermediate_bits)
+            k_hat[start : start + x.shape[0]] = trunc.values[0]
+            k_scales[i] = trunc.scales[0]
+            start += x.shape[0]
 
         # Phase 1.2: convert Q through the 16-bit-mode LZE, shift K_hat.
         if np.issubdtype(q_arr.dtype, np.floating):
@@ -525,15 +536,14 @@ class StackedDlzsPredictor:
         width = self.config.query_bits
         pow2 = q_signs * lz_decode_magnitude(q_lz, width)  # (N, T, D)
 
-        scales = q_scales * k_hat_q.scales
-        s = tokens.shape[1]
+        scales = q_scales * k_scales
         t, d = q_int.shape[1], q_int.shape[2]
-        h = tokens.shape[2]
         dw = self._wk_pow2.shape[2]
-        wk_nonzero = np.count_nonzero(self._wk_pow2, axis=(1, 2))
+        wk_nonzero = self._wk_nonzero
         q_nonzero = np.count_nonzero(pow2, axis=(1, 2))
         head_ops: list[OpCounter] = []
         for i in range(n):  # per-head bookkeeping only; the math is fused
+            s = int(seq_lens[i])
             ops = OpCounter()
             ops.add_op("shift", float(s) * int(wk_nonzero[i]))
             ops.add_op("xor", float(s) * int(wk_nonzero[i]))
@@ -545,20 +555,21 @@ class StackedDlzsPredictor:
             head_ops.append(ops)
 
         return PreparedStackPrediction(
-            k_hat=k_hat, pow2=pow2, scales=scales, head_ops=head_ops
+            k_hat=k_hat, pow2=pow2, scales=scales, head_ops=head_ops, seq_lens=seq_lens
         )
 
     def predict(
         self,
-        tokens: np.ndarray,
+        tokens: "np.ndarray | Sequence[np.ndarray]",
         q: np.ndarray,
         cache: "DecodeStepCache | None" = None,
         cache_keys: Sequence[Hashable | None] | None = None,
     ) -> StackedPredictionResult:
-        """Stack-fused phases 1.1/1.2: ``(N, S, H)`` tokens -> ``(N, T, S)``.
+        """Stacked phases 1.1/1.2: ``(N, S, H)`` tokens -> ``(N, T, S)``.
 
-        All heavy arithmetic is batched (integer matmuls over the whole
-        stack); only the per-head op-counter assembly iterates over heads.
+        Heads of different ``S`` give an ``(N, T, max S)`` ``a_hat`` that
+        is zero past a head's own ``S``, and the ``k_hat`` of
+        :class:`PreparedStackPrediction` (head-major rows).
 
         When ``cache`` and ``cache_keys`` are given, phase 1.1 runs through
         the decode-step cache head by head: head ``i`` with a non-``None``
@@ -569,7 +580,10 @@ class StackedDlzsPredictor:
         whose outcome is provably unchanged.
         """
         prep = self.predict_prepared(tokens, q, cache=cache, cache_keys=cache_keys)
-        a_hat = exact_int_matmul(prep.pow2, prep.k_hat.transpose(0, 2, 1))  # (N, T, S)
+        n, t = prep.pow2.shape[:2]
+        a_hat = np.zeros((n, t, int(prep.seq_lens.max())))
+        for i, s in enumerate(prep.seq_lens):
+            a_hat[i, :, :s] = exact_int_matmul(prep.pow2[i], prep.head_k_hat(i).T)
         return StackedPredictionResult(
             a_hat=a_hat * prep.scales[:, None, None],
             k_hat=prep.k_hat,

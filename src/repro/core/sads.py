@@ -219,34 +219,59 @@ class SadsSorter:
     def select_stack(self, scores: np.ndarray, k: int) -> SadsStackResult:
         """Vectorized distributed top-k over a ``(R, S)`` stack of rows.
 
-        :meth:`select_stack_streamed` over column slices of ``scores``: every
-        row of every head in a batch runs through the same segment grid in
-        lockstep, and per-row comparator tallies are returned so callers can
-        group them back per head.  Row semantics (selection, ordering, tie
-        breaks, op counts) exactly match :meth:`select_row_reference`.
+        :meth:`select_stack_streamed` over column windows of ``scores``:
+        every row of every head in a batch runs through the same segment
+        grid in lockstep, and per-row comparator tallies are returned so
+        callers can group them back per head.  Row semantics (selection,
+        ordering, tie breaks, op counts) exactly match
+        :meth:`select_row_reference`.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
             raise ValueError("scores must be 2-D")
         r, s = scores.shape
         return self.select_stack_streamed(
-            lambda seg, lo, hi: scores[:, lo:hi], r, s, k
+            lambda seg, lo, hi: column_windows(scores, lo, hi), r, s, k
         )
 
     def select_stack_streamed(
-        self, tile_fn, n_rows: int, row_len: int, k: int
+        self,
+        tile_fn,
+        n_rows: int,
+        row_len: "int | np.ndarray",
+        k: "int | np.ndarray",
+        n_segments: "int | np.ndarray | None" = None,
     ) -> SadsStackResult:
-        """Distributed top-k over *streamed* score tiles.
+        """Distributed top-k over *streamed* score tiles, rows of any length.
 
-        ``tile_fn(seg, lo, hi)`` must return the ``(n_rows, hi - lo)``
-        float64 score block of segment ``seg`` (columns ``lo:hi`` of the
-        conceptual ``(n_rows, row_len)`` score matrix).  Each row's
-        selection - indices, ordering, tie breaks, comparator and clipped
-        tallies - is **bit-identical** to :meth:`select_row_reference` on
-        that row, but no state larger than one segment block (plus O(rows *
-        k) selection state) is ever held: this is the entry point of the
-        fused predict+select kernel, which feeds DLZS score tiles straight
-        from the prediction matmul.
+        ``row_len``, ``k`` and ``n_segments`` are scalars or ``(n_rows,)``
+        arrays: row ``r`` is a row of ``row_len[r]`` scores selecting
+        ``k[r]`` entries over ``min(n_segments[r], k[r], row_len[r])``
+        segments (``n_segments`` defaults to ``config.n_segments``).  Each
+        row keeps its own ``linspace`` segment bounds and capped quotas, so
+        rows of different lengths share one call.  Rows must come ordered
+        by non-increasing segment count (:func:`segment_counts`), so the
+        rows still active in segment ``j`` are a prefix: a row whose grid
+        has fewer segments sits out the later ones, and a call costs the
+        sum of the rows' segments, not rows times the longest grid.
+
+        ``tile_fn(seg, lo, hi)`` gets the ``(m,)`` int arrays of the
+        segment-``seg`` column windows ``lo[r]:hi[r]`` of the first ``m``
+        rows (those with more than ``seg`` segments) and must return an
+        ``(m, W)`` float64 block, ``W = max(hi - lo)``, whose row ``r``
+        holds those columns left-aligned; entries past ``hi[r] - lo[r]``
+        are ignored (:func:`column_windows` is the materialized form).  The
+        selector writes ``-inf`` over those entries in place, so the block
+        must be a fresh array, not a view of data the caller keeps.
+        Each row's selection - indices, ordering, tie breaks, comparator
+        and clipped tallies - is **bit-identical** to
+        :meth:`select_row_reference` on that row, but no state larger than
+        one segment block (plus O(rows * k) selection state) is ever held:
+        this is the entry point of the fused predict+select kernel, which
+        feeds DLZS score tiles straight from the prediction matmul.
+
+        ``indices`` of the result is ``(n_rows, max k)``; row ``r``'s
+        selection is ``indices[r, :k[r]]`` and the rest holds ``-1``.
 
         Exactness argument, stage by stage:
 
@@ -255,6 +280,12 @@ class SadsSorter:
           comparator switching), so selection is a stable descending sort;
           the survivor count drives op/power accounting and the
           below-quota hardware fallback;
+        * a row's window is padded to ``W`` with ``-inf`` placed *after*
+          its real columns, so the stable descending order puts every
+          padding entry behind every real one (ties break by position).
+          Padding never reaches a row's quota (``quota <= width``), never
+          raises its segment max, and is masked out of the survivor count
+          (the first segment's ``-inf`` threshold would pass it);
         * the adjustive exchange needs, per round, the *maximum excluded*
           entry under numpy's argmax tie-break (value descending, then
           lowest index).  A per-row pool of the top-``adjust_rounds``
@@ -263,7 +294,8 @@ class SadsSorter:
           swapped-out selected value, so the pool's real population never
           shrinks, and any excluded entry outside a segment's top-
           ``adjust_rounds`` is dominated (value, then index) by ones
-          inside it, for every round;
+          inside it, for every round.  Padding candidates are ``-inf``,
+          which never beats a selected value, so they are never swapped in;
         * the final descending reorder uses the retained selected values,
           which are the scores at the selected indices by construction.
 
@@ -271,81 +303,139 @@ class SadsSorter:
         holding one raises :class:`ValueError`, as in
         :meth:`select_row_reference`.
         """
-        r, s = int(n_rows), int(row_len)
-        if not 1 <= k <= s:
-            raise ValueError(f"k={k} out of range for row of length {s}")
-        n = min(self.config.n_segments, k, s)
-        bounds = np.linspace(0, s, n + 1, dtype=np.int64)
-        quotas = self._capped_quotas(k, bounds)
+        r = int(n_rows)
+        s_rows = np.broadcast_to(np.asarray(row_len, dtype=np.int64), (r,))
+        k_rows = np.broadcast_to(np.asarray(k, dtype=np.int64), (r,))
+        if r == 0:
+            return SadsStackResult(
+                indices=np.empty((0, int(np.max(k, initial=0))), dtype=np.int64),
+                compare_rows=np.zeros(0),
+                clipped_rows=np.zeros(0, dtype=np.int64),
+            )
+        bad = np.flatnonzero((k_rows < 1) | (k_rows > s_rows))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"k={k_rows[i]} out of range for row of length {s_rows[i]}")
+        seg_counts = segment_counts(
+            s_rows, k_rows, self.config.n_segments if n_segments is None else n_segments
+        )
+        if int(seg_counts.min()) < 1:
+            raise ValueError("n_segments must be >= 1")
+        if (np.diff(seg_counts) > 0).any():
+            raise ValueError("rows must be ordered by non-increasing segment count")
+        lo_tab, hi_tab, quota_tab, merge_rows = _row_plans(s_rows, k_rows, seg_counts)
         fresh = max(self.config.sorter_width - self.config.sorter_keep, 1)
         per_pass = _bitonic_comparators(self.config.sorter_width)
         rounds = self.config.adjust_rounds
+        n_max = lo_tab.shape[1]
+        # Rows with more than j segments: a prefix, by the ordering above.
+        active = (seg_counts[None, :] > np.arange(n_max)[:, None]).sum(axis=1)
 
-        rows = np.arange(r)[:, None]
-        compare_rows = np.zeros(r, dtype=np.float64)
-        clipped_rows = np.zeros(r, dtype=np.int64)
+        # Per-segment tables, one column per segment (zero width and quota
+        # where a row sits out): window widths, the widest window, and
+        # where each row's excluded candidates sit in the segment's head.
+        width_tab = hi_tab - lo_tab
+        seg_w = width_tab.max(axis=0)
+        q_cols = quota_tab.max(axis=0)
+        head_w = np.minimum(q_cols + rounds, seg_w)  # columns of _stable_head
+        pos_tab = quota_tab[:, :, None] + np.arange(rounds)
+        pos_ok = pos_tab < width_tab[:, :, None]
+        pos_tab = np.minimum(pos_tab, head_w[:, None] - 1)
+        # Threshold survivors per segment, and whether the threshold was
+        # still -inf (padding passes it then, and is taken back out).
+        surv_tab = np.zeros(width_tab.shape, dtype=np.int64)
+        open_tab = np.zeros(width_tab.shape, dtype=bool)
+
+        k_max = int(k_rows.max())
         running_max = np.full(r, -np.inf)
-        chosen_parts: list[np.ndarray] = []
-        chosen_val_parts: list[np.ndarray] = []
+        # Segment j's chosen entries land in columns off[j]:off[j] + q_cols[j]
+        # of the chosen buffers, each row's quota left-aligned there, so a
+        # row's picks stay in segment order; `picked` marks the real ones.
+        off = np.cumsum(q_cols) - q_cols
+        seg_of_col = np.repeat(np.arange(n_max), q_cols)
+        picked = (np.arange(seg_of_col.size) - off[seg_of_col]) < quota_tab[:, seg_of_col]
+        chosen_idx = np.empty(picked.shape, dtype=np.int64)
+        chosen_vals = np.empty(picked.shape)
         # Each segment's top-`rounds` excluded (value, index) candidates, in
         # (value desc, index asc) order within the segment.
-        extra_val_parts: list[np.ndarray] = []
-        extra_idx_parts: list[np.ndarray] = []
+        cand_vals = np.empty((r, n_max * rounds))
+        cand_idx = np.empty((r, n_max * rounds), dtype=np.int64)
 
-        for seg in range(n):
-            lo, hi = int(bounds[seg]), int(bounds[seg + 1])
+        for seg in range(n_max):
+            m = int(active[seg])
+            lo, hi, width = lo_tab[:m, seg], hi_tab[:m, seg], width_tab[:m, seg]
+            w = int(seg_w[seg])
             block = np.asarray(tile_fn(seg, lo, hi), dtype=np.float64)
-            if block.shape != (r, hi - lo):
-                raise ValueError(
-                    f"tile_fn returned {block.shape}, expected {(r, hi - lo)}"
-                )
-            width = hi - lo
-            quota = int(quotas[seg])
+            if block.shape != (m, w):
+                raise ValueError(f"tile_fn returned {block.shape}, expected {(m, w)}")
+            short = np.flatnonzero(width < w)  # rows with padding to overwrite
+            block[short] = np.where(np.arange(w) < width[short, None], block[short], -np.inf)
             seg_max = block.max(axis=1)
             _reject_nan(seg_max)
-            if quota > 0:
-                threshold = np.where(
-                    np.isfinite(running_max), running_max - self.config.radius, -np.inf
-                )
-                survivors = (block >= threshold[:, None]).sum(axis=1)
-                take = min(quota, width)
-                # The chosen entries, then the segment's top excluded
-                # candidates: the head of a stable descending argsort.
-                head = _stable_head(block, take + rounds)
-                head_vals = block[rows, head]
-                chosen_parts.append(head[:, :take] + lo)
-                chosen_val_parts.append(head_vals[:, :take])
-                cand = np.where(survivors < quota, take, survivors)
-                clipped_rows += width - cand
-                compare_rows += width  # threshold check on every element
-                compare_rows += (-(-cand // fresh)) * per_pass
-                if take < head.shape[1]:
-                    extra_val_parts.append(head_vals[:, take:])
-                    extra_idx_parts.append(head[:, take:] + lo)
-            running_max = np.maximum(running_max, seg_max)
+            threshold = np.where(
+                np.isfinite(running_max[:m]), running_max[:m] - self.config.radius, -np.inf
+            )
+            surv_tab[:m, seg] = (block >= threshold[:, None]).sum(axis=1)
+            open_tab[:m, seg] = threshold == -np.inf
+            # The chosen entries, then the segment's top excluded
+            # candidates: the head of a stable descending argsort.
+            # Capped quotas never exceed the window, so a row takes its quota.
+            qm = int(q_cols[seg])
+            head = _stable_head(block, qm + rounds)
+            rows = np.arange(m)[:, None]
+            head_idx = head + lo[:, None]
+            head_vals = block[rows, head]
+            chosen = slice(int(off[seg]), int(off[seg]) + qm)
+            chosen_idx[:m, chosen] = head_idx[:, :qm]
+            chosen_vals[:m, chosen] = head_vals[:, :qm]
+            # Each row's candidates follow its own quota.
+            cols = slice(seg * rounds, (seg + 1) * rounds)
+            cand_vals[:m, cols] = head_vals[rows, pos_tab[:m, seg]]
+            cand_idx[:m, cols] = head_idx[rows, pos_tab[:m, seg]]
+            running_max[:m] = np.maximum(running_max[:m], seg_max)
 
-        # Excluded-candidate pool: per row, the top-`rounds` excluded
-        # candidates in argmax tie-break order.  Segments arrive in index
-        # order, so one stable sort on value keeps index ascending among
-        # ties.  Padding sorts last: -inf value, out-of-range index.
+        # Per-segment tallies of every row at once: a sitting-out cell has
+        # zero width, quota and survivors, so it adds nothing.
+        survivors = surv_tab - np.where(open_tab, seg_w - width_tab, 0)
+        cand = np.where(survivors < quota_tab, quota_tab, survivors)
+        clipped_rows = (width_tab - cand).sum(axis=1)
+        compare_rows = width_tab.sum(axis=1).astype(np.float64)  # threshold checks
+        compare_rows += ((-(-cand // fresh)) * per_pass).sum(axis=1)
+
+        # Candidates past a row's window, or of a segment it sits out, are
+        # padding: (-inf, out-of-range index), and so is the tail the pool
+        # needs when there are fewer than `rounds` real ones.
         m_pool = max(rounds, 1)
-        pad_vals = np.full((r, m_pool), -np.inf)
-        pad_idx = np.full((r, m_pool), s, dtype=np.int64)
-        cand_vals = np.concatenate(extra_val_parts + [pad_vals], axis=1)
-        cand_idx = np.concatenate(extra_idx_parts + [pad_idx], axis=1)
+        real = pos_ok.reshape(r, -1)
+        cand_vals = np.concatenate(
+            [np.where(real, cand_vals, -np.inf), np.full((r, m_pool), -np.inf)], axis=1
+        )
+        cand_idx = np.concatenate(
+            [np.where(real, cand_idx, s_rows[:, None]), np.repeat(s_rows[:, None], m_pool, axis=1)],
+            axis=1,
+        )
+        # Excluded-candidate pool: per row, the top-`rounds` excluded
+        # entries in (value desc, index asc) order.  Candidates arrive
+        # segment-major, i.e. index-ascending, so a stable sort settles
+        # ties.  Padding sorts last: -inf value, out-of-range index.
         top = np.argsort(-cand_vals, axis=1, kind="stable")[:, :m_pool]
         pool_vals = np.take_along_axis(cand_vals, top, axis=1)
         pool_idx = np.take_along_axis(cand_idx, top, axis=1)
 
-        sel = np.concatenate(chosen_parts, axis=1)[:, :k]
-        selvals = np.concatenate(chosen_val_parts, axis=1)[:, :k]
+        # Cells that are no pick hold (-1, +inf): the exchange's argmin,
+        # which breaks ties by position, never lands there, and the picks
+        # keep the order they would have packed to the front.
+        sel = np.where(picked, chosen_idx, -1)
+        selvals = np.where(picked, chosen_vals, np.inf)
         compare_rows += self._pooled_exchange(
-            sel, selvals, pool_vals, pool_idx, s, k
+            sel, selvals, pool_vals, pool_idx, s_rows, k_rows
         )
 
-        order = np.argsort(-selvals, axis=1, kind="stable")
-        indices = np.take_along_axis(sel, order, axis=1)
-        compare_rows += _final_merge_compares(k, n)
+        # Descending by value, ties by position; NaN sorts after every
+        # value, -inf included, so each row's k picks come first and -1 pads.
+        order = np.argsort(-np.where(picked, selvals, np.nan), axis=1, kind="stable")
+        indices = np.take_along_axis(sel, order[:, :k_max], axis=1)
+        compare_rows += merge_rows
         return SadsStackResult(
             indices=indices, compare_rows=compare_rows, clipped_rows=clipped_rows
         )
@@ -356,8 +446,8 @@ class SadsSorter:
         selvals: np.ndarray,
         pool_vals: np.ndarray,
         pool_idx: np.ndarray,
-        s: int,
-        k: int,
+        s: np.ndarray,
+        k: np.ndarray,
     ) -> np.ndarray:
         """Adjustive exchange against the excluded-candidate pool (in place).
 
@@ -368,17 +458,19 @@ class SadsSorter:
         swapped-out selected entry at its (value desc, index asc) pool
         position - the pool's real population is invariant under swaps, so
         ``adjust_rounds`` entries are enough for ``adjust_rounds`` rounds.
+        ``s`` and ``k`` are per-row lengths and counts; cells of ``sel``
+        that hold no pick must hold ``+inf`` values so argmin skips them.
         Mutates ``sel``/``selvals``; returns per-row comparator counts.
         """
         rounds = self.config.adjust_rounds
-        r, k_sel = sel.shape
+        r = sel.shape[0]
         compare_rows = np.zeros(r, dtype=np.float64)
         if rounds <= 0:
             return compare_rows
         rows = np.arange(r)
         # A row has excluded candidates iff s > k - constant across rounds,
         # because every swap removes one excluded entry and adds another.
-        alive = np.full(r, s > k_sel, dtype=bool)
+        alive = s > k
         m_pool = pool_vals.shape[1]
         for _ in range(rounds):
             if not alive.any():
@@ -388,7 +480,7 @@ class SadsSorter:
             min_idx = sel[rows, min_pos]
             exc_val = pool_vals[:, 0]
             exc_idx = pool_idx[:, 0]
-            compare_rows[alive] += k_sel + 1
+            compare_rows[alive] += k[alive] + 1
             swap = alive & (exc_val > min_val)
             if swap.any():
                 sw = np.flatnonzero(swap)
@@ -402,7 +494,7 @@ class SadsSorter:
                 pv[:, :-1] = pv[:, 1:]
                 pi[:, :-1] = pi[:, 1:]
                 pv[:, -1] = -np.inf
-                pi[:, -1] = s
+                pi[:, -1] = s[sw]
                 ins_val = min_val[sw]
                 ins_idx = min_idx[sw]
                 before = (pv > ins_val[:, None]) | (
@@ -424,14 +516,16 @@ class SadsSorter:
         return compare_rows
 
     # ------------------------------------------------------------- internals
-    def _segment_quotas(self, k: int, n: int) -> np.ndarray:
+    @staticmethod
+    def _segment_quotas(k: int, n: int) -> np.ndarray:
         """Distribute k across n segments (first segments absorb remainder)."""
         base, rem = divmod(k, n)
         quotas = np.full(n, base, dtype=np.int64)
         quotas[:rem] += 1
         return quotas
 
-    def _capped_quotas(self, k: int, bounds: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _capped_quotas(k: int, bounds: np.ndarray) -> np.ndarray:
         """Width-aware quotas: never assign a segment more than it holds.
 
         The even split can exceed a narrow segment's width when k approaches
@@ -440,7 +534,7 @@ class SadsSorter:
         are always selected.
         """
         widths = np.diff(bounds)
-        quotas = np.minimum(self._segment_quotas(k, widths.size), widths)
+        quotas = np.minimum(SadsSorter._segment_quotas(k, widths.size), widths)
         shortfall = k - int(quotas.sum())
         while shortfall > 0:
             for i in range(widths.size):
@@ -515,6 +609,68 @@ class SadsSorter:
             excluded_mask[indices[min_pos]] = True
             indices[min_pos] = exc_idx
         return indices, ops
+
+
+def segment_counts(
+    row_len: "int | np.ndarray", k: "int | np.ndarray", n_segments: "int | np.ndarray"
+) -> np.ndarray:
+    """Each row's segment count ``min(n_segments, k, row_len)``, as an array."""
+    return np.minimum(np.minimum(n_segments, k), row_len).astype(np.int64)
+
+
+def _row_plans(
+    s_rows: np.ndarray, k_rows: np.ndarray, n_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row segment tables ``(lo, hi, quota)`` and final-merge compares.
+
+    The formulas :meth:`SadsSorter.select_row_reference` evaluates, once
+    per distinct ``(row length, k, segments)`` in the call.
+    ``lo``/``hi``/``quota`` are ``(R, max segments)``: row ``r``'s segment
+    ``j`` spans columns ``lo[r, j]:hi[r, j]`` with quota ``quota[r, j]``;
+    past a row's own segment count the window is empty and the quota 0.
+    """
+    index: dict[tuple[int, int, int], int] = {}
+    inverse = np.array(
+        [
+            index.setdefault(key, len(index))
+            for key in zip(s_rows.tolist(), k_rows.tolist(), n_rows.tolist())
+        ],
+        dtype=np.intp,
+    )
+    n_max = max(n for _, _, n in index)
+    lo = np.empty((len(index), n_max), dtype=np.int64)
+    hi = np.empty_like(lo)
+    quota = np.zeros_like(lo)
+    merge = np.empty(len(index))
+    for u, (s, k, n) in enumerate(index):
+        bounds = np.linspace(0, s, n + 1, dtype=np.int64)
+        lo[u, :n], hi[u, :n] = bounds[:-1], bounds[1:]
+        lo[u, n:] = hi[u, n:] = s
+        quota[u, :n] = SadsSorter._capped_quotas(k, bounds)
+        merge[u] = _final_merge_compares(k, n)
+    return lo[inverse], hi[inverse], quota[inverse], merge[inverse]
+
+
+def window_columns(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``(m, max(hi - lo))`` column indices of the windows ``lo[r]:hi[r]``.
+
+    Left-aligned; past a row's own width they repeat its last column, so
+    a gather never leaves the window.  Every width must be at least 1.
+    """
+    width = hi - lo
+    return lo[:, None] + np.minimum(np.arange(int(width.max())), width[:, None] - 1)
+
+
+def column_windows(matrix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row ``r``'s columns ``lo[r]:hi[r]`` of ``matrix``, left-aligned.
+
+    ``matrix`` is ``(R, S, ...)`` and ``lo``/``hi`` cover its first
+    ``len(lo)`` rows; returns ``(len(lo), max(hi - lo), ...)``, padded as
+    :func:`window_columns` says (the selector ignores the padding).  Over
+    a score matrix this is the materialized ``tile_fn`` of
+    :meth:`SadsSorter.select_stack_streamed`.
+    """
+    return matrix[np.arange(len(lo))[:, None], window_columns(lo, hi)]
 
 
 def _final_merge_compares(k: int, n_segments: int) -> float:

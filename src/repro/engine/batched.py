@@ -28,13 +28,24 @@ advances per step for the full stack), so callers needing per-head fault
 isolation - like :class:`~repro.engine.serving.SofaEngine` - serve such
 requests unbatched.
 
-The mapping to the paper's Fig. 6 tiling grid is unchanged: every head in
-the batch shares the same ``(S, tile_cols)`` grid, so the SADS sub-segments
-of all heads are the same Bc tiles the SU-FA stage consumes.  Batching adds
-a fourth reuse axis (heads) on top of the paper's three-stage reuse without
-touching the per-head dataflow - which is why the result is **bit-for-bit**
-identical to running :class:`repro.core.pipeline.SofaAttention` per head,
-including the per-head :class:`~repro.core.pipeline.StageTrace` accounting.
+The mapping to the paper's Fig. 6 tiling grid is unchanged, and it stays
+per head: each head has its own ``(S, tile_cols)`` grid, so heads of
+different ``S`` share one call (decode sessions of different lengths).  A
+head's SADS sub-segments are its own Bc tiles - ``n_tiles(S)`` of them,
+with its own bounds, quotas and ``k`` - and they are the tiles its SU-FA
+stream consumes.  Every head's tokens and ``K_hat`` rows are kept at its
+own length (``K_hat`` is one head-major ``(sum S, D')`` array), and a head
+takes part only in its own segments, so a call's work and memory follow
+the sum of the heads' lengths, not heads times the longest one.
+``selected`` of the stacked result is padded to the largest ``k`` with
+``-1``; each ``per_head`` result carries exactly its own ``k`` columns.
+SU-FA streams once per distinct ``k``, so every row streams its own
+selection under the unchanged kernel contract.
+Batching adds a fourth reuse axis (heads) on top of the paper's
+three-stage reuse without touching the per-head dataflow - which is why
+the result is **bit-for-bit** identical to running
+:class:`repro.core.pipeline.SofaAttention` per head, including the
+per-head :class:`~repro.core.pipeline.StageTrace` accounting.
 """
 
 from __future__ import annotations
@@ -74,7 +85,7 @@ class BatchedSofaResult:
     """
 
     outputs: np.ndarray  # (N, T, Dv)
-    selected: np.ndarray  # (N, T, k)
+    selected: np.ndarray  # (N, T, max k); -1 past a head's own k
     per_head: list[SofaAttentionResult]
 
     @property
@@ -130,11 +141,11 @@ class BatchedSofaAttention:
 
     def __call__(
         self,
-        tokens: np.ndarray,
+        tokens: "np.ndarray | Sequence[np.ndarray]",
         q: np.ndarray,
         k_scale: float | np.ndarray = 1.0,
         v_scale: float | np.ndarray = 1.0,
-        v: np.ndarray | None = None,
+        v: "np.ndarray | Sequence[np.ndarray] | None" = None,
         cache: "DecodeStepCache | None" = None,
         cache_keys: Sequence[Hashable | None] | None = None,
     ) -> BatchedSofaResult:
@@ -143,65 +154,67 @@ class BatchedSofaAttention:
         Parameters
         ----------
         tokens:
-            ``(N, S, H)`` per-head token activations.
+            Per-head token activations: N ``(S_i, H)`` arrays, whose
+            lengths may differ, or one ``(N, S, H)`` stack.
         q:
             ``(N, T, D)`` per-head query matrices.
         k_scale / v_scale:
             Scalar or ``(N,)`` per-head K/V generation scales.
         v:
-            Optional ``(N, S, Dv)`` per-head value caches; when given the
-            on-demand value generation is skipped (serving decode reuses the
-            cache), matching ``SofaAttention(..., v=v[i])`` per head.
+            Optional per-head value caches, N ``(S_i, Dv)`` arrays or one
+            ``(N, S, Dv)`` stack; when given the on-demand value generation
+            is skipped (serving decode reuses the cache), matching
+            ``SofaAttention(..., v=v[i])`` per head.
         cache / cache_keys:
             Optional decode-step cache and one key (or ``None``) per head;
             keyed heads reuse/extend their quantized ``K_hat`` state across
             calls (see :mod:`repro.engine.cache`).  Results stay bit-for-bit
             identical to the uncached call.
         """
-        tokens = np.asarray(tokens, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
         n = self.n_heads
-        if tokens.ndim != 3 or tokens.shape[0] != n or tokens.shape[2] != self._wk.shape[1]:
-            raise ValueError(f"tokens must be ({n}, S, {self._wk.shape[1]})")
-        if q.ndim != 3 or q.shape[0] != n or q.shape[2] != self._wk.shape[2]:
-            raise ValueError(f"q must be ({n}, T, {self._wk.shape[2]})")
+        h, dk = self._wk.shape[1], self._wk.shape[2]
+        heads = [np.asarray(x, dtype=np.float64) for x in tokens]
+        if len(heads) != n or any(x.ndim != 2 or x.shape[1] != h for x in heads):
+            raise ValueError(f"tokens must be {n} (S, {h}) arrays")
+        q = np.asarray(q, dtype=np.float64)
+        if q.ndim != 3 or q.shape[0] != n or q.shape[2] != dk:
+            raise ValueError(f"q must be ({n}, T, {dk})")
         k_scales = _as_head_scales(k_scale, n)
         v_scales = _as_head_scales(v_scale, n)
-        s, h = tokens.shape[1], tokens.shape[2]
         t, d = q.shape[1], q.shape[2]
-        dk = self._wk.shape[2]
         cfg = self.config
-        k_count = cfg.resolve_top_k(s)
-        n_tiles = cfg.n_tiles(s)
+        seq_lens = np.array([x.shape[0] for x in heads], dtype=np.int64)
+        s_max = int(seq_lens.max())
+        k_counts = np.array([cfg.resolve_top_k(int(s)) for s in seq_lens], dtype=np.int64)
+        n_tiles = np.array([cfg.n_tiles(int(s)) for s in seq_lens], dtype=np.int64)
 
         # ------------------------------------------- stages 1+2: DLZS + SADS
         # Prediction and selection run tile by tile: the full (N*T, S) score
         # matrix is never built, and the bits (indices, per-head op tallies)
         # are those of the golden predict -> select_stack pipeline.
-        # The coordinated tiling: the sorter's segments ARE the Bc tiles,
-        # identical for every head in the batch (shared (S, Bc) grid).
-        sorter = SadsSorter(cfg.sads_for(n_tiles))
+        # The coordinated tiling: each head's sorter segments ARE its own Bc
+        # tiles (n_tiles(S_i) of them), so heads of different S share a call.
+        sorter = SadsSorter(cfg.sads)
         obs = get_telemetry()
         with obs.span(
             "stage.predict_select_fused",
-            attrs={"rows": n * t, "s": s},
+            attrs={"rows": n * t, "s": s_max},
             hist="sofa_stage_predict_select_fused_seconds",
         ):
             prep, stack = FUSED.run_stacked(
                 self.predictor,
                 sorter,
-                tokens,
+                heads,
                 q,
-                k_count,
+                k_counts,
                 cache=cache,
                 cache_keys=cache_keys,
+                n_segments=n_tiles,
             )
         head_ops = prep.head_ops
-        pred_dram, pred_sram = prediction_trace_bytes(cfg, s, h, dk, t)
-        kk = stack.indices.shape[1]
+        kk = stack.indices.shape[1]  # the largest k; shorter rows pad with -1
         selected = stack.indices.reshape(n, t, kk)
         sads_compare = stack.compare_rows.reshape(n, t)
-        sads_sram = sads_trace_sram(cfg, t, k_count)
 
         # ------------------------------------------- stage 3: on-demand KV + SU-FA
         with obs.span(
@@ -209,17 +222,26 @@ class BatchedSofaAttention:
             attrs={"rows": n * t, "k": kk},
             hist="sofa_stage_kv_gather_seconds",
         ):
-            sel_mask = np.zeros((n, s), dtype=bool)
-            np.put_along_axis(sel_mask, selected.reshape(n, t * kk), True, axis=1)
-            head_idx, tok_idx = np.nonzero(sel_mask)  # per head, ascending tokens
-            unique_counts = sel_mask.sum(axis=1)
+            # One mask over every head's tokens back to back, laid out as
+            # K_hat's rows; the last slot absorbs the -1 padding of rows
+            # with a smaller k.
+            starts = prep.starts
+            n_tokens = int(seq_lens.sum())
+            flat_sel = np.where(selected < 0, n_tokens, selected + starts[:, None, None])
+            sel_mask = np.zeros(n_tokens + 1, dtype=bool)
+            sel_mask[flat_sel] = True
+            pos = np.flatnonzero(sel_mask[:n_tokens])  # per head, ascending tokens
+            head_idx = np.searchsorted(starts, pos, side="right") - 1
+            tok_idx = pos - starts[head_idx]
+            unique_counts = np.bincount(head_idx, minlength=n)
             # Slab row of each selected (head, token): the number of selected
             # entries before it in the head-major mask, i.e. its position in
             # (head_idx, tok_idx).
-            slab_row = (np.cumsum(sel_mask, axis=None) - 1).reshape(n, s)
-            index = slab_row[np.arange(n)[:, None, None], selected].reshape(n * t, kk)
+            slab_row = np.cumsum(sel_mask) - 1
+            index = slab_row[flat_sel].reshape(n * t, kk)
+            head_tok = np.split(tok_idx, np.cumsum(unique_counts)[:-1])
 
-            toks_sel = tokens[head_idx, tok_idx]  # (U, H)
+            toks_sel = np.concatenate([x[idx] for x, idx in zip(heads, head_tok)])  # (U, H)
             keys = det_gathered_project(toks_sel, self._wk, head_idx) * k_scales[head_idx, None]
             if v is None:
                 values = (
@@ -227,35 +249,51 @@ class BatchedSofaAttention:
                     * v_scales[head_idx, None]
                 )
             else:
-                v_arr = np.asarray(v, dtype=np.float64)
-                if v_arr.ndim != 3 or v_arr.shape[:2] != (n, s):
-                    raise ValueError(f"value caches must be ({n}, {s}, Dv)")
-                values = v_arr[head_idx, tok_idx]
+                caches = [np.asarray(x, dtype=np.float64) for x in v]
+                if len(caches) != n or any(
+                    c.ndim != 2 or c.shape != (x.shape[0], caches[0].shape[1])
+                    for c, x in zip(caches, heads)
+                ):
+                    raise ValueError(f"value caches must be {n} (S, Dv) arrays")
+                values = np.concatenate([c[idx] for c, idx in zip(caches, head_tok)])
             dv = values.shape[1]
         with obs.span(
             "stage.stream",
             attrs={"rows": n * t, "k": kk},
             hist="sofa_stage_stream_seconds",
         ):
-            stream = stream_selected(
-                q.reshape(n * t, d),
-                keys,
-                values,
-                index,
-                order=UpdateOrder.DESCENDING if cfg.sufa.descending else UpdateOrder.ASCENDING,
-                max_assurance=cfg.sufa.max_assurance,
-                tile_cols=cfg.tile_cols,
-                kernel=cfg.sufa.kernel,
-            )
-        outputs = stream.output.reshape(n, t, dv)
-        sufa_ops_rows = {
-            op: counts.reshape(n, t) for op, counts in stream.op_rows.items()
-        }
-        triggers = stream.trigger_rows.reshape(n, t).sum(axis=1)
+            # One stream call per distinct k: a row streams exactly its own
+            # selection, so both kernels run their usual (R, k) contract.
+            q_rows = q.reshape(n * t, d)
+            k_rows = np.repeat(k_counts, t)
+            out_rows = np.empty((n * t, dv))
+            trigger_rows = np.empty(n * t, dtype=np.int64)
+            op_rows: dict[str, np.ndarray] = {}
+            for k_count in sorted(set(k_counts.tolist())):
+                rows = np.flatnonzero(k_rows == k_count)
+                stream = stream_selected(
+                    q_rows[rows],
+                    keys,
+                    values,
+                    index[rows, :k_count],
+                    order=UpdateOrder.DESCENDING if cfg.sufa.descending else UpdateOrder.ASCENDING,
+                    max_assurance=cfg.sufa.max_assurance,
+                    tile_cols=cfg.tile_cols,
+                    kernel=cfg.sufa.kernel,
+                )
+                out_rows[rows] = stream.output
+                trigger_rows[rows] = stream.trigger_rows
+                for op, counts in stream.op_rows.items():
+                    op_rows.setdefault(op, np.empty(n * t))[rows] = counts
+        outputs = out_rows.reshape(n, t, dv)
+        sufa_ops_rows = {op: counts.reshape(n, t) for op, counts in op_rows.items()}
+        triggers = trigger_rows.reshape(n, t).sum(axis=1)
 
         # ------------------------------- per-head accounting (bookkeeping only)
         per_head: list[SofaAttentionResult] = []
         for i in range(n):
+            s, k_count, u = int(seq_lens[i]), int(k_counts[i]), int(unique_counts[i])
+            pred_dram, pred_sram = prediction_trace_bytes(cfg, s, h, dk, t)
             stage1 = StageTrace(
                 "dlzs_prediction", head_ops[i], pred_dram, pred_sram
             )
@@ -265,9 +303,8 @@ class BatchedSofaAttention:
                 "sads_topk",
                 sads_ops,
                 0.0,  # Pre-Atten tiles never leave SRAM in the tiled dataflow
-                sads_sram,
+                sads_trace_sram(cfg, t, k_count),
             )
-            u = int(unique_counts[i])
             kv_ops = matmul_ops(u, h, dk)
             if v is None:
                 kv_ops = kv_ops + matmul_ops(u, h, self._wv.shape[2])
@@ -280,7 +317,7 @@ class BatchedSofaAttention:
             )
             result = SofaAttentionResult(
                 output=outputs[i],
-                selected=selected[i],
+                selected=np.ascontiguousarray(selected[i, :, :k_count]),
                 stages=[stage1, stage2, stage3],
                 assurance_triggers=int(triggers[i]),
             )

@@ -8,10 +8,11 @@ analogue of the accelerator's head-level scheduler:
 * **Request queue with continuous admission** - callers
   :meth:`~SofaEngine.submit` independent :class:`AttentionRequest` objects
   and receive an :class:`AttentionFuture` immediately.  Admission is
-  *continuous*: a new request joins the not-yet-executed group sharing its
-  cross-stage tiling grid (the batch key is ``(S, T, H, Dk, Dv, config)``,
-  i.e. requests batch together exactly when they agree on the paper's
-  ``(S, tile_cols)`` grid), so groups keep filling between scheduling
+  *continuous*: a new request joins the not-yet-executed group one fused
+  call can serve (the batch key is ``(T, H, Dk, Dv, config)``; ``S`` is
+  not in it, because each head keeps its own ``(S, tile_cols)``
+  cross-stage grid inside the call, so decode sessions of different
+  lengths batch together), and groups keep filling between scheduling
   rounds instead of only seeing what was queued before one flush.
 * **Starvation-free scheduling** - :meth:`~SofaEngine.step` runs one
   scheduling round: groups execute when full (``max_batch_heads``), when
@@ -192,6 +193,9 @@ def validate_request(request: AttentionRequest, default_config: SofaConfig) -> N
 @dataclass
 class BatchRecord:
     """One executed batch: its grid, size, and how long it waited.
+
+    ``seq_len`` is the longest ``S`` in the batch (its heads may differ in
+    ``S``; each keeps its own grid).
 
     ``queue_wait_s`` is the monotonic-clock span from the *earliest*
     member's submission to the batch starting to execute; ``execute_s``
@@ -472,7 +476,13 @@ class SofaEngine:
 
     # -------------------------------------------------------------- scheduling
     def _batch_key(self, request: AttentionRequest) -> Hashable:
-        """Requests batch together iff they share one cross-stage grid."""
+        """Requests batch together iff one fused call can serve them.
+
+        That takes the same ``(T, H, Dk, Dv)`` shapes, value-cache form and
+        config.  ``S`` is not part of the key: each head keeps its own
+        ``(S, tile_cols)`` cross-stage grid inside the call, so decode
+        sessions of different lengths share one batch.
+        """
         cfg = request.config or self.config
         tokens = np.asarray(request.tokens)
         q = np.asarray(request.q)
@@ -486,7 +496,6 @@ class SofaEngine:
         else:
             dv = wv_cols
         return (
-            tokens.shape[0],  # S: the tiled key axis
             q.shape[0],  # T
             tokens.shape[1],  # H
             q.shape[1],  # Dk
@@ -630,25 +639,37 @@ class SofaEngine:
         return records
 
     def _operator(
-        self, wk: np.ndarray, wv: np.ndarray, cfg: SofaConfig
+        self, wk: list[np.ndarray], wv: list[np.ndarray], cfg: SofaConfig
     ) -> BatchedSofaAttention:
         """Build (or reuse) the pre-converted operator for a weight stack.
 
         Weight pre-conversion is the offline model-preparation step; serving
         loops resubmit the same projections every forward pass, so operators
-        are cached under a digest of the weight bytes plus the config.
+        are cached under a digest of each head's weight bytes plus the
+        config.  Heads of one batch often pass the very same array object
+        (a layer's weights, shared by every session), so each distinct
+        object is hashed once per call; the stack is only built on a miss.
         """
+        digests: dict[int, tuple] = {}
+
+        def head_key(arr: np.ndarray) -> tuple:
+            # Keyed by identity only within this call, while every array
+            # is alive and unchanged; the digest itself is of the bytes.
+            found = digests.get(id(arr))
+            if found is None:
+                found = (arr.shape, hashlib.sha1(arr.tobytes()).hexdigest())
+                digests[id(arr)] = found
+            return found
+
         key = (
             cfg,
-            wk.shape,
-            wv.shape,
-            hashlib.sha1(wk.tobytes()).hexdigest(),
-            hashlib.sha1(wv.tobytes()).hexdigest(),
+            tuple(head_key(a) for a in wk),
+            tuple(head_key(a) for a in wv),
         )
         with self._op_lock:
             op = self._operators.get(key)
             if op is None:
-                op = BatchedSofaAttention(wk, wv, cfg)
+                op = BatchedSofaAttention(np.stack(wk), np.stack(wv), cfg)
                 self._operators[key] = op
                 while len(self._operators) > self._OPERATOR_CACHE_SIZE:
                     self._operators.popitem(last=False)
@@ -664,15 +685,18 @@ class SofaEngine:
         start = time.monotonic()
         requests = [r for r, _ in chunk]
         cfg = requests[0].config or self.config
-        wk = np.stack([np.asarray(r.wk, dtype=np.float64) for r in requests])
-        wv = np.stack([np.asarray(r.wv, dtype=np.float64) for r in requests])
-        tokens = np.stack([np.asarray(r.tokens, dtype=np.float64) for r in requests])
+        wk = [np.asarray(r.wk, dtype=np.float64) for r in requests]
+        wv = [np.asarray(r.wv, dtype=np.float64) for r in requests]
+        # Per-head token arrays and value caches: heads of different S
+        # share the call, so nothing along S is stacked.
+        tokens = [np.asarray(r.tokens, dtype=np.float64) for r in requests]
         q = np.stack([np.asarray(r.q, dtype=np.float64) for r in requests])
         k_scales = np.array([r.k_scale for r in requests], dtype=np.float64)
         v_scales = np.array([r.v_scale for r in requests], dtype=np.float64)
         v = None
         if requests[0].v is not None:
-            v = np.stack([np.asarray(r.v, dtype=np.float64) for r in requests])
+            v = [np.asarray(r.v, dtype=np.float64) for r in requests]
+        seq_len = max(x.shape[0] for x in tokens)
         cache_keys = None
         if any(r.cache_key is not None for r in requests):
             cache_keys = [r.cache_key for r in requests]
@@ -681,7 +705,7 @@ class SofaEngine:
         obs = get_telemetry()
         with obs.span(
             "engine.batch",
-            attrs={"n_heads": len(chunk), "s": int(tokens.shape[1]),
+            attrs={"n_heads": len(chunk), "s": seq_len,
                    "waited_rounds": waited_rounds},
         ):
             result = op(
@@ -712,7 +736,7 @@ class SofaEngine:
                 )
         return BatchRecord(
             n_heads=len(chunk),
-            seq_len=tokens.shape[1],
+            seq_len=seq_len,
             n_queries=q.shape[1],
             tile_cols=cfg.tile_cols,
             waited_rounds=waited_rounds,

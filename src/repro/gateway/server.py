@@ -41,8 +41,6 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import os
-import stat
 import sys
 import time
 from collections import OrderedDict
@@ -54,7 +52,7 @@ import multiprocessing as mp
 import numpy as np
 
 from repro.cluster.aio import AsyncSofaClient
-from repro.cluster.transport import default_start_method
+from repro.cluster.transport import default_start_method, detach_inherited_sockets
 from repro.core.config import SofaConfig
 from repro.engine.serving import AttentionRequest, SofaEngine, validate_request
 from repro.gateway.admission import AdmissionController, GatewayConfig, Ticket
@@ -322,30 +320,6 @@ def decode_attention_request(
     for name, text in texts.items():
         _intern(text, getattr(request, name))
     return request, deadline_ms, tenant
-
-
-def _detach_inherited_sockets() -> None:
-    """Decode-process initializer: let go of the gateway's sockets.
-
-    A forked child inherits the listener and every open client
-    connection; while it holds them, a connection the gateway closes
-    never reaches its client as EOF and a stopped gateway's port stays
-    bound.  Each inherited socket descriptor is pointed at /dev/null
-    (not closed, so a stale socket object can never close a reused
-    descriptor).  The executor's own channels are pipes and stay.
-    """
-    try:
-        fds = [int(fd) for fd in os.listdir("/proc/self/fd")]
-    except OSError:
-        return  # no procfs: the child keeps them until it exits
-    devnull = os.open(os.devnull, os.O_RDWR)
-    for fd in fds:
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.dup2(devnull, fd)
-        except OSError:
-            pass  # the listing's own descriptor, already closed
-    os.close(devnull)
 
 
 def result_to_json(result) -> dict[str, Any]:
@@ -713,7 +687,7 @@ class SofaGateway:
             pool = self._decode_pool = ProcessPoolExecutor(
                 1,
                 mp_context=mp.get_context(default_start_method()),
-                initializer=_detach_inherited_sockets,
+                initializer=detach_inherited_sockets,
             )
         try:
             return await asyncio.get_running_loop().run_in_executor(

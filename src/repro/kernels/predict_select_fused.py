@@ -22,8 +22,11 @@ through it.  One fused kernel
 Bit-exactness rests on two facts, each proven at its site:
 
 * integer matmul is exact per output element, so a column block of the
-  score matrix equals the matmul against the matching ``k_hat`` row
-  slice, bit for bit (see :class:`~repro.core.dlzs.PreparedStackPrediction`);
+  score matrix equals the matmul against the matching ``k_hat`` rows, bit
+  for bit, wherever they are gathered from (see
+  :class:`~repro.core.dlzs.PreparedStackPrediction`).  Heads of different
+  ``S`` therefore share one call: each head's rows of a tile are its own
+  segment window of its own ``k_hat``;
 * the streaming selector equals the per-row golden selector
   (:meth:`~repro.core.sads.SadsSorter.select_row_reference`) whatever the
   tiles' source, and ``select_stack`` is the same selector over slices of
@@ -45,11 +48,12 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
+from repro.core.sads import SadsStackResult, segment_counts, window_columns
 from repro.numerics.linalg import _blas_exact
 
 if TYPE_CHECKING:
     from repro.core.dlzs import PreparedStackPrediction, StackedDlzsPredictor
-    from repro.core.sads import SadsSorter, SadsStackResult
+    from repro.core.sads import SadsSorter
     from repro.engine.cache import DecodeStepCache
 
 
@@ -59,7 +63,8 @@ class FusedProbe:
 
     ``peak_tile_elems`` is the largest score block the run ever held;
     tests assert it stays a tile, not the ``full_matrix_elems`` the
-    unfused golden pipeline materializes.
+    unfused golden pipeline materializes.  ``row_len`` is the longest
+    head's ``S``.
     """
 
     rows: int
@@ -89,38 +94,76 @@ class FusedPredictSelect:
         self,
         predictor: "StackedDlzsPredictor",
         sorter: "SadsSorter",
-        tokens: np.ndarray,
+        tokens: "np.ndarray | Sequence[np.ndarray]",
         q: np.ndarray,
-        k: int,
+        k: "int | np.ndarray",
         cache: "DecodeStepCache | None" = None,
         cache_keys: "Sequence[Hashable | None] | None" = None,
+        n_segments: "int | np.ndarray | None" = None,
     ) -> "tuple[PreparedStackPrediction, SadsStackResult]":
+        """Predict and select for a head stack whose heads may differ in ``S``.
+
+        ``tokens`` is an ``(N, S, H)`` array or N ``(S_i, H)`` arrays;
+        ``k`` and ``n_segments`` are scalars or ``(N,)`` per-head values
+        (``n_segments`` defaults to the sorter's own).  Head ``i`` owns
+        rows ``i*T .. i*T + T - 1`` of the stack result, and segment
+        ``j`` of those rows scores head ``i``'s own column window of its
+        own ``k_hat`` rows: the gathered key rows feed the same exact
+        integer matmul, so the window's position changes no bit.  The
+        selector sees the heads ordered by segment count, most first, so a
+        head takes part only in its own segments.
+        """
         prep = predictor.predict_prepared(tokens, q, cache=cache, cache_keys=cache_keys)
         n, t = prep.pow2.shape[0], prep.pow2.shape[1]
-        s = prep.k_hat.shape[1]
+        lens = prep.seq_lens
+        k_heads = np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
+        seg_heads = segment_counts(
+            lens, k_heads, sorter.config.n_segments if n_segments is None else n_segments
+        )
+        order = np.argsort(-seg_heads, kind="stable")
         exact = _blas_exact(prep.pow2, prep.k_hat)
         probe = FusedProbe(
             rows=n * t,
-            row_len=s,
+            row_len=int(lens.max()),
             peak_tile_elems=0,
-            full_matrix_elems=n * t * s,
+            full_matrix_elems=t * int(lens.sum()),
             exact_blas=exact,
         )
-        scales = prep.scales[:, None, None]
-        if exact:  # exact integers in float64
-            pow2, k_hat = prep.pow2.astype(np.float64), prep.k_hat.astype(np.float64)
-        else:
-            pow2, k_hat = prep.pow2, prep.k_hat
+        scales = prep.scales[order, None, None]
+        pow2 = prep.pow2[order].astype(np.float64 if exact else np.int64)
+        starts = prep.starts[order]
 
-        def tile_fn(seg: int, lo: int, hi: int) -> np.ndarray:
-            block = pow2 @ k_hat[:, lo:hi, :].transpose(0, 2, 1)
+        def tile_fn(seg: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            # Rows are head-major, so every T-th row carries its head's
+            # window; the first m heads are the ones still active.
+            m = len(lo) // t
+            k_tile = prep.k_hat[starts[:m, None] + window_columns(lo[::t], hi[::t])]
+            if exact:
+                k_tile = k_tile.astype(np.float64)
+            block = pow2[:m] @ k_tile.transpose(0, 2, 1)
             probe.peak_tile_elems = max(probe.peak_tile_elems, block.size)
-            block = block.astype(np.float64, copy=False) * scales
-            return block.reshape(n * t, hi - lo)
+            block = block.astype(np.float64, copy=False) * scales[:m]
+            return block.reshape(m * t, k_tile.shape[1])
 
-        stack = sorter.select_stack_streamed(tile_fn, n * t, s, k)
+        stack = sorter.select_stack_streamed(
+            tile_fn,
+            n * t,
+            np.repeat(lens[order], t),
+            np.repeat(k_heads[order], t),
+            np.repeat(seg_heads[order], t),
+        )
+        # Back to the callers' head order: sorted row p is original row rows[p].
+        rows = (order[:, None] * t + np.arange(t)).ravel()
+        result = SadsStackResult(
+            indices=np.empty_like(stack.indices),
+            compare_rows=np.empty_like(stack.compare_rows),
+            clipped_rows=np.empty_like(stack.clipped_rows),
+        )
+        result.indices[rows] = stack.indices
+        result.compare_rows[rows] = stack.compare_rows
+        result.clipped_rows[rows] = stack.clipped_rows
         self.last_probe = probe
-        return prep, stack
+        return prep, result
 
 
 #: The process-wide fused execution engine the batched engine runs.

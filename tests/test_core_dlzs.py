@@ -159,7 +159,8 @@ def test_stacked_phase_one_exact_on_both_sides_of_the_blas_window():
         tokens = rng.integers(-(2**bits), 2**bits, size=(n, s, h))
         assert _blas_exact(tokens, pred._wk_pow2) is inside
         want = quantize_stack(tokens @ pred._wk_pow2, cfg.intermediate_bits).values
-        assert np.array_equal(pred.predict_prepared(tokens, q).k_hat, want)
+        # k_hat holds the heads' rows back to back.
+        assert np.array_equal(pred.predict_prepared(tokens, q).k_hat, want.reshape(n * s, d))
 
 
 @pytest.mark.parametrize("kind", ["flat", "paged"])
@@ -186,6 +187,6 @@ def test_keyed_phase_one_exact_on_both_sides_of_the_blas_window(kind):
             got = pred.predict_prepared(
                 grown, q, cache=cache, cache_keys=[("seq", bits), None]
             ).k_hat
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want.reshape(n * length, d))
         assert (cache.stats.misses, cache.stats.hits) == (1, 1)
         cache.close()

@@ -77,11 +77,11 @@ def test_max_wait_batches_bounds_starvation():
 def test_deadline_expired_group_executes_without_full_batch():
     engine = SofaEngine(CFG, max_batch_heads=8)
     rng = make_rng(5)
-    patient = engine.submit(_request(rng, s=96))
+    patient = engine.submit(_request(rng, t=2))
     urgent = engine.submit(_request(rng, deadline=time.monotonic() - 1.0))
     records = engine.step()
     # only the deadline-carrying group ran; the other shape keeps waiting
-    assert [r.seq_len for r in records] == [64]
+    assert [r.n_queries for r in records] == [4]
     assert urgent.done() and not patient.done()
     assert engine.pending == 1
 

@@ -51,13 +51,31 @@ def test_incompatible_shapes_split_batches():
     engine = SofaEngine(SofaConfig(tile_cols=16, top_k=8))
     rng = make_rng(4)
     engine.submit_many(
-        [_request(rng, s=64), _request(rng, s=96), _request(rng, s=64)]
+        [_request(rng, t=4), _request(rng, t=2), _request(rng, t=4)]
     )
     records = engine.flush()
     sizes = sorted(r.n_heads for r in records)
     assert sizes == [1, 2]
-    lens = sorted(r.seq_len for r in records)
-    assert lens == [64, 96]
+    assert sorted(r.n_queries for r in records) == [2, 4]
+
+
+def test_mixed_lengths_batch_together():
+    """Requests that differ only in S share one fused call, each head on
+    its own grid; the record reports the longest S."""
+    cfg = SofaConfig(tile_cols=16, top_k=8)
+    engine = SofaEngine(cfg)
+    rng = make_rng(14)
+    requests = [_request(rng, s=s) for s in (64, 96, 17, 64, 130)]
+    futures = engine.submit_many(requests)
+    records = engine.flush()
+    assert len(records) == 1
+    assert records[0].n_heads == len(requests)
+    assert records[0].seq_len == 130
+    for request, future in zip(requests, futures):
+        want = SofaAttention(request.wk, request.wv, cfg)(request.tokens, request.q)
+        got = future.result()
+        assert got.output.tobytes() == want.output.tobytes()
+        assert np.array_equal(got.selected, want.selected)
 
 
 def test_config_override_splits_batches():

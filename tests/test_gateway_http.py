@@ -21,7 +21,7 @@ from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.cluster import AsyncSofaClient, AutoscalerConfig, EngineCluster
+from repro.cluster import AsyncSofaClient, AutoscalerConfig, EngineCluster, SupervisorConfig
 from repro.core.config import SofaConfig
 from repro.engine import SofaEngine
 from repro.gateway import (
@@ -346,6 +346,64 @@ def test_connections_open_at_fork_still_see_the_gateway_close_them():
             assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
             writer.close()
             await writer.wait_closed()
+
+    asyncio.run(main())
+
+
+async def _served_connection(port: int):
+    """A keep-alive connection the gateway has accepted and served once."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+    await writer.drain()
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+    await reader.readexactly(length)
+    return reader, writer
+
+
+def test_connections_open_at_a_worker_respawn_still_see_the_gateway_close_them():
+    """A local worker forked while the gateway serves (here: respawned by
+    supervision after a SIGKILL) must not keep the gateway's client
+    sockets alive: connections opened before the respawn still get their
+    reply and EOF when the gateway closes them."""
+    supervisor = SupervisorConfig(
+        heartbeat_interval_s=0.05, heartbeat_timeout_s=5.0,
+        backoff_initial_s=0.02, backoff_max_s=0.5,
+    )
+
+    async def main():
+        cluster = EngineCluster(n_workers=1, config=CFG, supervisor=supervisor)
+        async with _gateway(cluster) as (gw, _client, http):
+            status, _, _ = await http.attention(_bodies(seed=31, n=1)[0])
+            assert status == 200
+            closing = await _served_connection(gw.port)
+            unframeable = await _served_connection(gw.port)
+
+            cluster.crash_worker(0, hard=True)  # SIGKILL
+            deadline = time.monotonic() + 20.0
+            while cluster.stats.n_respawns < 1:
+                assert time.monotonic() < deadline, "the worker never respawned"
+                cluster.poll(0.05)
+                await asyncio.sleep(0.01)
+
+            reader, writer = closing
+            writer.write(
+                b"POST /v1/attention HTTP/1.1\r\nContent-Length: 3\r\n"
+                b"Connection: close\r\n\r\nabc"
+            )
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=3.0)  # to EOF
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            reader, writer = unframeable
+            writer.write(b"POST /v1/attention HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), timeout=3.0) == b""
+            for _, writer in (closing, unframeable):
+                writer.close()
+                await writer.wait_closed()
+
+            status, _, _ = await http.attention(_bodies(seed=32, n=1)[0])
+            assert status == 200  # the respawned worker serves
 
     asyncio.run(main())
 

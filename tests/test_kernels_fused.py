@@ -22,7 +22,7 @@ import pytest
 from repro.core.config import DlzsConfig, SadsConfig, SofaConfig, SufaConfig
 from repro.core.dlzs import DlzsPredictor, StackedDlzsPredictor
 from repro.core.pipeline import SofaAttention
-from repro.core.sads import SadsSorter
+from repro.core.sads import SadsSorter, column_windows
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
 from repro.kernels import (
     FUSED,
@@ -108,7 +108,9 @@ def _assert_every_selector_rejects_nan(sorter, scores, k):
     with pytest.raises(ValueError, match="NaN"):
         sorter.select_stack(scores, k)
     with pytest.raises(ValueError, match="NaN"):
-        sorter.select_stack_streamed(lambda seg, lo, hi: scores[:, lo:hi], r, s, k)
+        sorter.select_stack_streamed(
+            lambda seg, lo, hi: column_windows(scores, lo, hi), r, s, k
+        )
     for row in scores:
         with pytest.raises(ValueError, match="NaN"):
             sorter.select_row_reference(row, k)
@@ -120,10 +122,11 @@ def _assert_every_selector_rejects_nan(sorter, scores, k):
     from repro.numerics.complexity import OpCounter
 
     prep = PreparedStackPrediction(
-        k_hat=np.ones((1, s, 1), dtype=np.int64),
+        k_hat=np.ones((s, 1), dtype=np.int64),
         pow2=np.ones((1, r, 1), dtype=np.int64),
         scales=np.array([np.nan]),
         head_ops=[OpCounter()],
+        seq_lens=np.array([s]),
     )
 
     class _StubPredictor:
@@ -162,7 +165,7 @@ def test_streamed_select_matches_reference_sweep(kind):
             continue
         _assert_rows_match_reference(sorter, scores, k, sorter.select_stack(scores, k))
         got = sorter.select_stack_streamed(
-            lambda seg, lo, hi: scores[:, lo:hi], r, s, k
+            lambda seg, lo, hi: column_windows(scores, lo, hi), r, s, k
         )
         _assert_rows_match_reference(sorter, scores, k, got)
 
@@ -186,7 +189,7 @@ def test_streamed_select_edge_cases():
                 sorter, scores, k, sorter.select_stack(scores, k)
             )
             got = sorter.select_stack_streamed(
-                lambda seg, lo, hi: scores[:, lo:hi], r, s, k
+                lambda seg, lo, hi: column_windows(scores, lo, hi), r, s, k
             )
             _assert_rows_match_reference(sorter, scores, k, got)
 
@@ -256,7 +259,11 @@ def test_fused_int64_fallback_stays_exact():
     k_hat = rng.integers(-(2**39), 2**39, size=(1, s, d))
     assert not _blas_exact(pow2, k_hat)
     prep = PreparedStackPrediction(
-        k_hat=k_hat, pow2=pow2, scales=np.array([0.125]), head_ops=[OpCounter()]
+        k_hat=k_hat[0],
+        pow2=pow2,
+        scales=np.array([0.125]),
+        head_ops=[OpCounter()],
+        seq_lens=np.array([s]),
     )
 
     class _StubPredictor:
