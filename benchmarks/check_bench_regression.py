@@ -62,6 +62,11 @@ file                                  metric
 ``BENCH_gateway_quick``               ``protected_completed_rps`` - served
                                       throughput the protected gateway
                                       sustains during the overload drive.
+``BENCH_projection_quick``            worst ``projection_vs_einsum`` across
+                                      the workload shapes - the per-row
+                                      BLAS KV projection's speedup over
+                                      the einsum loop it replaced
+                                      (intra-run *ratio*).
 ====================================  =======================================
 
 Tolerances: a metric regresses when ``fresh < (1 - tolerance) * baseline``.
@@ -89,6 +94,7 @@ Usage (what CI's bench-smoke job does):
     cp benchmarks/BENCH_*_quick.json /tmp/bench-baseline/   # before benches
     python benchmarks/bench_engine_throughput.py --quick --cluster 2
     python benchmarks/bench_kernel_sufa.py --quick
+    python benchmarks/bench_projection.py --quick
     python benchmarks/check_bench_regression.py \
         --baseline /tmp/bench-baseline --fresh benchmarks
 
@@ -148,6 +154,10 @@ def _gateway_p99_bound_ratio(record: dict[str, Any]) -> float:
 
 def _gateway_protected_rps(record: dict[str, Any]) -> float:
     return float(record["protected_completed_rps"])
+
+
+def _projection_min_speedup(record: dict[str, Any]) -> float:
+    return min(float(p["projection_vs_einsum"]) for p in record["points"])
 
 
 #: (file name, human metric name, extractor, kind).  All metrics are
@@ -223,6 +233,12 @@ METRICS: list[tuple[str, str, Callable[[dict[str, Any]], float], str]] = [
         "protected_completed_rps",
         _gateway_protected_rps,
         "rate",
+    ),
+    (
+        "BENCH_projection_quick.json",
+        "min(points[].projection_vs_einsum)",
+        _projection_min_speedup,
+        "ratio",
     ),
 ]
 

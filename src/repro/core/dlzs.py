@@ -294,6 +294,9 @@ class PreparedStackPrediction:
     column block of it follows from the matching ``k_hat`` rows -
     exactly - so fused kernels can stream score tiles per segment.
     ``head_ops`` already carries the complete per-head accounting.
+    ``k_bits`` is the truncation width: every ``k_hat`` code lies in
+    :func:`~repro.numerics.fixed_point.int_range` of it, a bound that needs
+    no scan of ``k_hat``.
     """
 
     k_hat: np.ndarray  # (sum S_i, D') int64, truncated; head-major rows
@@ -301,6 +304,7 @@ class PreparedStackPrediction:
     scales: np.ndarray  # (N,) per-head quantization scales
     head_ops: list[OpCounter]
     seq_lens: np.ndarray  # (N,) int64, each head's S
+    k_bits: int
 
     @property
     def starts(self) -> np.ndarray:
@@ -555,7 +559,12 @@ class StackedDlzsPredictor:
             head_ops.append(ops)
 
         return PreparedStackPrediction(
-            k_hat=k_hat, pow2=pow2, scales=scales, head_ops=head_ops, seq_lens=seq_lens
+            k_hat=k_hat,
+            pow2=pow2,
+            scales=scales,
+            head_ops=head_ops,
+            seq_lens=seq_lens,
+            k_bits=self.config.intermediate_bits,
         )
 
     def predict(

@@ -243,7 +243,7 @@ class PagedDecodeCache:
         if not block.resident:
             return
         self._write_block(block)
-        block.arrays = None
+        self._set_arrays(block, None)
 
     def _read_block(self, block: _Block) -> tuple[np.ndarray, ...] | None:
         """A block's row arrays, read from disk if spilled; None if unreadable.
@@ -265,7 +265,8 @@ class PagedDecodeCache:
 
     def _load_block(self, block: _Block) -> bool:
         """Fault a spilled block back into RAM; False if unreadable."""
-        block.arrays = self._read_block(block)
+        if not block.resident:
+            self._set_arrays(block, self._read_block(block))
         return block.resident
 
     def _unlink_block_file(self, block: _Block) -> None:
@@ -274,13 +275,58 @@ class PagedDecodeCache:
         block.on_disk = False
 
     # ---------------------------------------------------------- pool helpers
+    # The block gauges of ``stats`` change only where a block changes state:
+    # it joins or leaves the pool, its refcount crosses 1, or it moves
+    # between RAM and disk.  No operation walks the pool to recount them.
+    def _count(self, block: _Block, sign: int) -> None:
+        """Add (``sign=1``) or remove (``-1``) one pooled block's gauges."""
+        stats = self.stats
+        if block.resident:
+            stats.resident_blocks += sign
+            stats.resident_bytes += sign * block.nbytes
+        else:
+            stats.spilled_blocks += sign
+            stats.spilled_bytes += sign * block.nbytes
+        if block.refcount > 1:
+            stats.shared_blocks += sign
+
+    def _set_arrays(self, block: _Block, arrays: tuple[np.ndarray, ...] | None) -> None:
+        """Move a pooled block between RAM (``arrays``) and disk (``None``)."""
+        self._count(block, -1)
+        block.arrays = arrays
+        self._count(block, 1)
+
+    def _add_block(self, block: _Block) -> None:
+        """Pool a new block (refcount 0; the caller references it)."""
+        self._blocks[block.content_hash] = block
+        self._count(block, 1)
+
+    def _incref(self, block: _Block) -> None:
+        block.refcount += 1
+        if block.refcount == 2:
+            self.stats.shared_blocks += 1
+
     def _decref(self, content_hash: str) -> None:
         block = self._blocks[content_hash]
         block.refcount -= 1
         assert block.refcount >= 0, "block refcount went negative"
-        if block.refcount == 0:
+        if block.refcount == 1:
+            self.stats.shared_blocks -= 1
+        elif block.refcount == 0:
+            self._count(block, -1)
             del self._blocks[content_hash]
             self._unlink_block_file(block)
+
+    def _reset_pool(self) -> None:
+        """Forget every entry and block; the gauges go back to zero."""
+        self._entries.clear()
+        self._last_used.clear()
+        self._blocks.clear()
+        for name in (
+            "resident_bytes", "resident_blocks", "shared_blocks",
+            "spilled_blocks", "spilled_bytes",
+        ):
+            setattr(self.stats, name, 0)
 
     def _drop_entry(self, key: Hashable) -> _PagedEntry:
         entry = self._entries.pop(key)
@@ -301,10 +347,8 @@ class PagedDecodeCache:
         # stale refcount; drop defensively either way.
         block = self._blocks.pop(content_hash, None)
         if block is not None:
+            self._count(block, -1)
             self._unlink_block_file(block)
-
-    def _resident_bytes(self) -> int:
-        return sum(b.nbytes for b in self._blocks.values() if b.resident)
 
     def _enforce_budget(self) -> None:
         """Whole-entry LRU count bound, then spill down to ``max_bytes``."""
@@ -312,35 +356,12 @@ class PagedDecodeCache:
             oldest = next(iter(self._entries))
             self._drop_entry(oldest)
             self.stats.evictions += 1
-        if self.max_bytes is None:
-            return
-        resident = self._resident_bytes()
-        if resident <= self.max_bytes:
+        if self.max_bytes is None or self.stats.resident_bytes <= self.max_bytes:
             return
         for block in list(self._blocks.values()):  # coldest first
-            if not block.resident:
-                continue
             self._spill_block(block)
-            resident -= block.nbytes
-            if resident <= self.max_bytes:
+            if self.stats.resident_bytes <= self.max_bytes:
                 break
-
-    def _refresh_gauges(self) -> None:
-        resident_bytes = resident_blocks = shared = spilled = spilled_bytes = 0
-        for block in self._blocks.values():
-            if block.resident:
-                resident_blocks += 1
-                resident_bytes += block.nbytes
-            else:
-                spilled += 1
-                spilled_bytes += block.nbytes
-            if block.refcount > 1:
-                shared += 1
-        self.stats.resident_bytes = resident_bytes
-        self.stats.resident_blocks = resident_blocks
-        self.stats.shared_blocks = shared
-        self.stats.spilled_blocks = spilled
-        self.stats.spilled_bytes = spilled_bytes
 
     def _sweep_expired_locked(self, now: float) -> int:
         if self.ttl_s is None:
@@ -368,10 +389,7 @@ class PagedDecodeCache:
     def sweep_expired(self) -> int:
         """Explicitly drop idle-past-TTL entries; returns how many."""
         with self._lock:
-            dropped = self._sweep_expired_locked(self._clock())
-            if dropped:
-                self._refresh_gauges()
-            return dropped
+            return self._sweep_expired_locked(self._clock())
 
     def get(self, key: Hashable) -> DecodeCacheEntry | None:
         """Rebuild the live entry for ``key`` from its blocks.
@@ -393,14 +411,12 @@ class PagedDecodeCache:
             self._sweep_expired_locked(now)
             entry = self._entries.get(key)
             if entry is None:
-                self._refresh_gauges()
                 return None
             per_field: tuple[list[np.ndarray], ...] = ([], [], [])
             for content_hash in entry.block_hashes:
                 block = self._blocks[content_hash]
                 if not self._load_block(block):
                     self._drop_block_and_owners(content_hash)
-                    self._refresh_gauges()
                     return None
                 self._blocks.move_to_end(content_hash)
                 for rows, array in zip(per_field, block.arrays):
@@ -414,7 +430,6 @@ class PagedDecodeCache:
             self._entries.move_to_end(key)
             self._last_used[key] = now
             self._enforce_budget()
-            self._refresh_gauges()
             return _PagedView(
                 tokens=arrays[0],
                 tok_values=arrays[1],
@@ -478,7 +493,6 @@ class PagedDecodeCache:
                     tail = self._read_block(self._blocks[tail_hash])
                     if tail is None:
                         self._drop_block_and_owners(tail_hash)
-                        self._refresh_gauges()
                         return False
                     rows_of = tuple(
                         np.concatenate([t, r]) for t, r in zip(tail, rows_of)
@@ -486,7 +500,7 @@ class PagedDecodeCache:
                 seq_len += old.seq_len
             for content_hash in kept:
                 self._blocks.move_to_end(content_hash)
-                self._blocks[content_hash].refcount += 1
+                self._incref(self._blocks[content_hash])
             hashes = list(kept)
             for lo in range(0, rows_of[0].shape[0], self.block_tokens):
                 slices = tuple(a[lo : lo + self.block_tokens] for a in rows_of)
@@ -505,7 +519,6 @@ class PagedDecodeCache:
             self._entries.move_to_end(key)
             self._last_used[key] = now
             self._enforce_budget()
-            self._refresh_gauges()
             return True
 
     def _pool(self, slices: tuple[np.ndarray, ...]) -> str:
@@ -520,10 +533,10 @@ class PagedDecodeCache:
                 n_rows=copies[0].shape[0],
                 nbytes=sum(c.nbytes for c in copies),
             )
-            self._blocks[content_hash] = block
+            self._add_block(block)
         else:
             self._blocks.move_to_end(content_hash)
-        block.refcount += 1
+        self._incref(block)
         return content_hash
 
     def invalidate(self, key: Hashable) -> bool:
@@ -532,7 +545,6 @@ class PagedDecodeCache:
             if key not in self._entries:
                 return False
             self._drop_entry(key)
-            self._refresh_gauges()
             return True
 
     def invalidate_prefix(self, prefix: Hashable) -> int:
@@ -542,8 +554,6 @@ class PagedDecodeCache:
             doomed = [k for k in self._entries if prefix_matches(k, prefix)]
             for key in doomed:
                 self._drop_entry(key)
-            if doomed:
-                self._refresh_gauges()
             return len(doomed)
 
     def clear(self) -> None:
@@ -552,12 +562,9 @@ class PagedDecodeCache:
         with self._lock:
             for block in self._blocks.values():
                 self._unlink_block_file(block)
-            self._entries.clear()
-            self._last_used.clear()
-            self._blocks.clear()
+            self._reset_pool()
             if self._spill_dir is not None:
                 (self._spill_dir / MANIFEST_NAME).unlink(missing_ok=True)
-            self._refresh_gauges()
 
     def close(self) -> None:
         """Release the spill tier.
@@ -566,10 +573,7 @@ class PagedDecodeCache:
         is left intact so a :meth:`persist`-ed cache survives the process.
         """
         with self._lock:
-            self._entries.clear()
-            self._last_used.clear()
-            self._blocks.clear()
-            self._refresh_gauges()
+            self._reset_pool()
             if self._tmp_dir is not None:
                 self._tmp_dir.cleanup()
                 self._tmp_dir = None
@@ -657,9 +661,8 @@ class PagedDecodeCache:
                 if block is None:
                     n_rows, nbytes = blocks[h]
                     block = _Block(h, None, n_rows=n_rows, nbytes=nbytes)
-                    self._blocks[h] = block
-                block.refcount += 1
+                    self._add_block(block)
+                self._incref(block)
             self._entries[key] = entry
             self._last_used[key] = now
         self._enforce_budget()
-        self._refresh_gauges()

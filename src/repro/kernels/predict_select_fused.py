@@ -34,11 +34,12 @@ Bit-exactness rests on two facts, each proven at its site:
 
 Like the reference predict (:func:`~repro.numerics.linalg.exact_int_matmul`),
 the tiles run on float64 BLAS whenever every partial sum fits in
-float64's 53-bit integer window (:func:`~repro.numerics.linalg._blas_exact`,
-checked against the actual operand magnitudes): the BLAS matmul then
-produces the same integers, hence the same bits after scaling.  Inputs
-too large for the window (never the default 16-bit configs) fall back to
-int64 tiles, trading speed, not correctness.
+float64's 53-bit integer window (:func:`~repro.numerics.linalg._blas_exact`):
+the BLAS matmul then produces the same integers, hence the same bits after
+scaling.  The check reads the queries' actual magnitudes but bounds
+``k_hat`` by its truncation width, so it never scans the ``sum S_i`` key
+rows.  Inputs too large for the window (never the default 16-bit configs)
+fall back to int64 tiles, trading speed, not correctness.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 import numpy as np
 
 from repro.core.sads import SadsStackResult, segment_counts, window_columns
-from repro.numerics.linalg import _blas_exact
+from repro.numerics.fixed_point import int_range
+from repro.numerics.linalg import _blas_exact_bounded
 
 if TYPE_CHECKING:
     from repro.core.dlzs import PreparedStackPrediction, StackedDlzsPredictor
@@ -121,7 +123,7 @@ class FusedPredictSelect:
             lens, k_heads, sorter.config.n_segments if n_segments is None else n_segments
         )
         order = np.argsort(-seg_heads, kind="stable")
-        exact = _blas_exact(prep.pow2, prep.k_hat)
+        exact = _blas_exact_bounded(prep.pow2, int_range(prep.k_bits)[1])
         probe = FusedProbe(
             rows=n * t,
             row_len=int(lens.max()),

@@ -8,24 +8,22 @@ pick different blocking (and therefore different summation orders) depending
 on the operand shapes, so a row's result can change when unrelated rows are
 appended.
 
-Three families of primitives restore the invariance:
+Two families of primitives restore the invariance:
 
-* the KV projection (``det_matmul`` / ``det_gathered_project``) contracts
-  with ``np.einsum("ck,kn->cn")`` on C-contiguous operands, without the
-  BLAS path (``optimize=False``).  For ``N >= 2`` output columns the
-  einsum loop accumulates each output element over ``k`` in order, exactly
-  like the broadcast-multiply-then-``sum(axis=1)`` formula it replaced (a
-  non-contiguous reduced axis is summed sequentially), so the bits are
-  unchanged while no ``(rows, K, N)`` product is ever materialized.  (At
-  ``N == 1`` that formula summed a contiguous axis pairwise, so those bits
-  differ from it; rows stay batch-invariant all the same.)
-  ``det_rowdot`` keeps the materialized broadcast-reduce form;
-* the SU-FA hot-path primitives (``det_stack_scores``, ``det_pv_contract``,
-  ``det_tile_mass``) are *stacked fixed-shape* contractions: each row is its
-  own ``(kk, D) @ (D, 1)``-style BLAS call whose operand shapes - and hence
-  whose internal reduction order - do not depend on the stack size, so rows
-  stay batch-invariant at full BLAS speed.  What IS forbidden remains one
-  fused gemm over the whole stack, whose blocking would couple rows;
+* the *stacked fixed-shape* contractions.  The KV projection
+  (``det_matmul`` / ``det_gathered_project``) contracts each C-contiguous
+  row as its own ``(1, K) @ (K, N)`` BLAS call, and the SU-FA hot-path
+  primitives ``det_stack_scores`` and ``det_pv_contract`` do the same with
+  their ``(kk, D) @ (D, 1)`` and ``(1, B) @ (B, Dv)`` row calls
+  (``det_tile_mass`` sums each contiguous row on its own).  The operand
+  shapes - and hence the internal reduction order - do not depend on the
+  stack size, so rows stay batch-invariant at full BLAS speed.  Their bits are whatever the BLAS kernel's reduction order
+  makes them: they are a function of the row, the matrix and the kernel,
+  not of a fixed summation formula, so they may differ between BLAS builds
+  (or CPU kernels) but never between a row computed alone and the same row
+  inside a stack.  What IS forbidden remains one fused gemm over the whole
+  stack, whose blocking would couple rows.  ``det_rowdot`` keeps the
+  materialized broadcast-reduce form;
 * integer matmuls (``exact_int_matmul``: DLZS phase 1.1 and the score
   matmul) may use float64 BLAS freely whenever :func:`_blas_exact` proves
   every partial sum is an exactly representable integer: then any
@@ -45,6 +43,12 @@ import numpy as np
 _EXACT_WINDOW = float(2**53)
 
 
+def _max_abs(x: np.ndarray) -> float:
+    # From the extremes in float64: np.abs would wrap int64's minimum to a
+    # negative number (and allocate a full temporary).
+    return max(-float(x.min()), float(x.max()))
+
+
 def _blas_exact(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether float64 BLAS reproduces the integer matmul ``a @ b`` bit for bit.
 
@@ -56,14 +60,19 @@ def _blas_exact(a: np.ndarray, b: np.ndarray) -> bool:
     queries and keys give ``depth * 2**15 * 2**15``, exact up to depth
     ``2**23``.
     """
-    if a.size == 0 or b.size == 0:
+    if b.size == 0:
         return True
-    depth = a.shape[-1]
-    # Magnitudes from the extremes in float64: np.abs would wrap int64's
-    # minimum to a negative number (and allocate a full temporary).
-    max_a = max(-float(a.min()), float(a.max()))
-    max_b = max(-float(b.min()), float(b.max()))
-    return depth * max_a * max_b < _EXACT_WINDOW
+    return _blas_exact_bounded(a, _max_abs(b))
+
+
+def _blas_exact_bounded(a: np.ndarray, b_max: float) -> bool:
+    """:func:`_blas_exact` for a ``b`` known only through ``max|b| <= b_max``.
+
+    Callers that already bound ``b`` (a truncation width) skip scanning it.
+    """
+    if a.size == 0:
+        return True
+    return a.shape[-1] * _max_abs(a) * b_max < _EXACT_WINDOW
 
 
 def exact_int_matmul(a: np.ndarray, b: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -81,12 +90,19 @@ def exact_int_matmul(a: np.ndarray, b: np.ndarray, dtype=np.float64) -> np.ndarr
 
 
 def _contract(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``x @ mat`` summed over ``k`` in order, independent of ``x``'s rows."""
-    return np.einsum("ck,kn->cn", x, mat, optimize=False)
+    """``x @ mat`` as one fixed-shape ``(1, K) @ (K, N)`` BLAS call per row.
+
+    ``x`` must be C-contiguous (every caller makes it so): a row whose
+    elements are not unit-strided would leave the BLAS path.  Floating-point
+    status is ignored here; :func:`_warn_if_overflowed` is the one warning
+    source, whatever the BLAS reports.
+    """
+    with np.errstate(all="ignore"):
+        return np.matmul(x[:, None, :], mat)[:, 0, :]
 
 
 def _warn_if_overflowed(out: np.ndarray, *operands: np.ndarray) -> None:
-    """Restore the overflow warning that ``np.einsum`` never raises."""
+    """Warn when finite operands gave a non-finite result: an overflow."""
     if not np.isfinite(out).all() and all(np.isfinite(op).all() for op in operands):
         warnings.warn(
             "overflow encountered in deterministic matmul", RuntimeWarning, stacklevel=3

@@ -71,6 +71,13 @@ def _write_quick_artifacts(directory: pathlib.Path, scale: float = 1.0,
         "overload_p99_bound_ratio": 1.2 * scale,
         "protected_completed_rps": 9.0 * scale,
     }))
+    # KV projection: per-row BLAS vs the einsum loop, an intra-run ratio
+    (directory / "BENCH_projection_quick.json").write_text(json.dumps({
+        "points": [
+            {"projection_vs_einsum": 3.0 * kernel_scale},
+            {"projection_vs_einsum": 4.0 * kernel_scale},
+        ],
+    }))
 
 
 def test_identical_numbers_pass(gate, tmp_path):

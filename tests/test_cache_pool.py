@@ -24,6 +24,7 @@ re-put that keeps its own blocks.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +232,89 @@ def test_refcounts_drop_to_zero_and_blocks_free():
     assert cache.n_blocks == 0
     assert cache.stats.resident_bytes == 0
     cache.close()
+
+
+def _recount_gauges(cache: PagedDecodeCache) -> dict[str, int]:
+    """The block gauges from a full walk of the pool."""
+    blocks = list(cache._blocks.values())
+    return {
+        "resident_bytes": sum(b.nbytes for b in blocks if b.resident),
+        "resident_blocks": sum(b.resident for b in blocks),
+        "spilled_blocks": sum(not b.resident for b in blocks),
+        "spilled_bytes": sum(b.nbytes for b in blocks if not b.resident),
+        "shared_blocks": sum(b.refcount > 1 for b in blocks),
+    }
+
+
+_gauge_op = st.one_of(
+    _op,
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("sweep"), st.integers(0, 3)),
+    st.tuples(st.just("corrupt")),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(_gauge_op, min_size=1, max_size=30),
+    block_tokens=st.sampled_from([1, 3, 7]),
+    max_bytes=st.sampled_from([None, 1, 256, 2048]),
+)
+@pytest.mark.paged_cache
+def test_incremental_gauges_equal_a_full_recount(ops, block_tokens, max_bytes):
+    """The block gauges are kept at the points where blocks change state,
+    never recounted; after every operation of a random mix - puts, appends,
+    lookups (spill loads), invalidations, budget spills, LRU evictions, TTL
+    expiry, unreadable spill files and persist-then-restore - they equal a
+    full recount of the pool."""
+    import tempfile
+
+    now = [0.0]
+    with tempfile.TemporaryDirectory() as spill_dir:
+        kwargs = dict(
+            block_tokens=block_tokens,
+            max_entries=3,  # four keys: puts evict
+            max_bytes=max_bytes,
+            ttl_s=2.0,
+            spill_dir=spill_dir,
+            clock=lambda: now[0],
+        )
+        cache = PagedDecodeCache(**kwargs)
+        streams: dict = {}
+        try:
+            for op in ops:
+                if op[0] == "put":
+                    _, key, stream_id, length = op
+                    cache.put(key, _entry(stream_id, length))
+                    streams[key] = stream_id
+                elif op[0] == "append":
+                    _, key, n_new = op
+                    base = cache.get(key)
+                    if base is not None:
+                        grown = _entry(streams[key], min(base.seq_len + n_new, MAX_ROWS))
+                        cache.put(key, _rows(grown, base.seq_len), base=base)
+                elif op[0] == "invalidate":
+                    cache.invalidate(op[1])
+                elif op[0] == "get":
+                    cache.get(op[1])
+                elif op[0] == "restore":
+                    cache.persist()
+                    cache.close()  # an explicit spill_dir outlives close()
+                    cache = PagedDecodeCache(**kwargs)
+                elif op[0] == "sweep":
+                    now[0] += op[1]
+                    cache.sweep_expired()
+                else:  # every spill file becomes unreadable
+                    for path in Path(spill_dir).glob("*.npz"):
+                        path.write_bytes(b"garbage")
+                assert {g: getattr(cache.stats, g) for g in _GAUGES} == _recount_gauges(cache)
+                if max_bytes is not None:
+                    assert cache.stats.resident_bytes <= max_bytes
+            cache.clear()
+            assert _recount_gauges(cache) == {g: getattr(cache.stats, g) for g in _GAUGES}
+            assert cache.stats.resident_bytes == cache.stats.spilled_blocks == 0
+        finally:
+            cache.close()
 
 
 # -------------------------------------------------------------- TTL boundary

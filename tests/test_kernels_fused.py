@@ -127,6 +127,7 @@ def _assert_every_selector_rejects_nan(sorter, scores, k):
         scales=np.array([np.nan]),
         head_ops=[OpCounter()],
         seq_lens=np.array([s]),
+        k_bits=2,
     )
 
     class _StubPredictor:
@@ -245,9 +246,9 @@ def test_fused_stacked_bit_identical():
 def test_fused_int64_fallback_stays_exact():
     """Operands overflowing the float64 window fall back to int64 tiles.
 
-    No in-tree config can overflow (the LZE caps widths at 16 bits), so a
-    stub predictor hands the fused kernel prepared state with 40-bit
-    operands, where float64 BLAS would actually round.
+    A stub predictor hands the fused kernel prepared state with 40-bit
+    queries and keys (the LZE caps real queries at 16 bits), where float64
+    BLAS would actually round.
     """
     from repro.core.dlzs import PreparedStackPrediction
     from repro.numerics.linalg import _blas_exact
@@ -264,6 +265,7 @@ def test_fused_int64_fallback_stays_exact():
         scales=np.array([0.125]),
         head_ops=[OpCounter()],
         seq_lens=np.array([s]),
+        k_bits=41,  # codes reach -2**39
     )
 
     class _StubPredictor:
@@ -276,6 +278,31 @@ def test_fused_int64_fallback_stays_exact():
     _, got = FUSED.run_stacked(_StubPredictor(), sorter, None, None, 10)
     _assert_stack_equal(ref, got)
     assert not FUSED.last_probe.exact_blas
+
+
+@pytest.mark.parametrize("k_bits, blas", [(16, True), (36, True), (37, False), (40, False)])
+def test_fused_bound_decision_equals_the_scan(k_bits, blas):
+    """The fused kernel bounds ``k_hat`` by its truncation width instead of
+    scanning it.  Truncation saturates the largest code, so on real
+    predictions the bound is tight and the decision equals the scan on both
+    sides of the 2**53 window; widths past it take the exact int64 path."""
+    from repro.numerics.fixed_point import int_range
+    from repro.numerics.linalg import _blas_exact
+
+    rng = make_rng(24)
+    n, s, t, d = 2, 70, 3, 8
+    cfg = SofaConfig(tile_cols=16, dlzs=DlzsConfig(intermediate_bits=k_bits))
+    predictor = StackedDlzsPredictor(rng.normal(size=(n, d, d)), cfg.dlzs)
+    tokens = rng.integers(-50, 50, size=(n, s, d)).astype(np.float64)
+    q = rng.normal(size=(n, t, d))
+    sorter = SadsSorter(cfg.sads_for(cfg.n_tiles(s)))
+    full = predictor.predict(tokens, q)
+    prep, got = FUSED.run_stacked(predictor, sorter, tokens, q, 12)
+    assert prep.k_bits == k_bits
+    assert int(np.abs(prep.k_hat).max()) == int_range(k_bits)[1]
+    assert _blas_exact(prep.pow2, prep.k_hat) is blas
+    assert FUSED.last_probe.exact_blas is blas
+    _assert_stack_equal(sorter.select_stack(full.a_hat.reshape(n * t, s), 12), got)
 
 
 # -------------------------------------------------- pipeline/engine tiers

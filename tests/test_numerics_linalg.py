@@ -5,11 +5,15 @@ is a pure function of that row's data - independent of how many other rows
 share the call.  The engine's bit-parity contract (per-head == batched ==
 cluster) and the SU-FA kernel layer's differential contract both stand on
 these invariances, so they get their own direct tests.  The KV projection
-is also held, bit for bit, to the materialized broadcast-reduce formula it
-replaced (kept inline below as the oracle), and the exact-integer matmul to
-int64 arithmetic on both sides of the float64 window.
+is also held, bit for bit, to each row contracted alone on a fresh
+contiguous copy (the oracle below), across misaligned rows and OpenBLAS
+thread counts, and the exact-integer matmul to int64 arithmetic on both
+sides of the float64 window.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -28,9 +32,9 @@ from repro.numerics.linalg import (
 from repro.utils.rng import make_rng
 
 
-def _broadcast_reduce(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Oracle: the fresh C-contiguous ``(c, K, N)`` product reduced over K."""
-    return (x[:, :, None] * mat[None, :, :]).sum(axis=1)
+def _rows_alone(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Oracle: every row contracted on its own, from a fresh contiguous copy."""
+    return np.stack([row.copy() @ mat for row in x])
 
 
 def _operands(rng, c: int, k: int, n: int, kind: str):
@@ -55,14 +59,14 @@ def test_projection_matches_broadcast_reduce_bit_for_bit(kind, c, k):
     rng = make_rng(10 + c + k)
     for n in (2, 3, 17, 64):
         x, mat = _operands(rng, c, k, n, kind)
-        want = _broadcast_reduce(x, mat)
+        want = _rows_alone(x, mat)
         assert det_matmul(x, mat).tobytes() == want.tobytes()
         # head-sorted runs over a stack, plus runs of length one
         w = np.stack([rng.normal(size=(k, n)), mat, -mat])
         rows = np.sort(rng.integers(0, 3, size=c))
         rows[: c // 2] = rng.integers(0, 3, size=c // 2)
         want = np.concatenate(
-            [_broadcast_reduce(x[i : i + 1], w[rows[i]]) for i in range(c)]
+            [_rows_alone(x[i : i + 1], w[rows[i]]) for i in range(c)]
         )
         assert det_gathered_project(x, w, rows).tobytes() == want.tobytes()
 
@@ -83,6 +87,65 @@ def test_det_matmul_rows_independent_of_batch(n, strided):
     got = det_gathered_project(a, w, rows)
     for i in range(a.shape[0]):
         assert got[i].tobytes() == det_matmul(a[i : i + 1], w[rows[i]])[0].tobytes()
+
+
+def _misaligned(rng, r: int, k: int, offset: int) -> np.ndarray:
+    """A C-contiguous ``(r, k)`` float64 array starting ``offset`` bytes past
+    a 64-byte boundary (so its rows sit at assorted alignments too)."""
+    buf = np.empty(r * k * 8 + 128, dtype=np.uint8)
+    start = (-buf.ctypes.data) % 64 + offset
+    x = buf[start : start + r * k * 8].view(np.float64).reshape(r, k)
+    x[...] = rng.normal(size=(r, k))
+    assert x.ctypes.data % 64 == offset
+    return x
+
+
+@pytest.mark.parametrize("offset", [0, 8, 24])
+@pytest.mark.parametrize("k", [3, 127])
+def test_projection_rows_invariant_when_misaligned(offset, k):
+    rng = make_rng(20 + offset + k)
+    for n in (1, 2, 3, 17, 64):
+        x = _misaligned(rng, 41, k, offset)
+        mat = rng.normal(size=(k, n))
+        full = det_matmul(x, mat)
+        assert full.tobytes() == _rows_alone(x, mat).tobytes()
+        for sl in (slice(0, 1), slice(1, 2), slice(3, 30), slice(40, 41)):
+            assert det_matmul(x[sl], mat).tobytes() == full[sl].tobytes()
+        w = np.stack([mat, rng.normal(size=(k, n))])
+        rows = np.repeat([0, 1, 0], [10, 20, 11])
+        want = np.concatenate([full[:10], _rows_alone(x[10:30], w[1]), full[30:]])
+        assert det_gathered_project(x, w, rows).tobytes() == want.tobytes()
+
+
+_THREADS_PROBE = """
+import hashlib, numpy as np
+from repro.numerics.linalg import det_gathered_project
+rng = np.random.default_rng(3)
+digest = hashlib.sha256()
+for r, k, n, heads in ((300, 64, 64, 2), (190, 128, 64, 16), (64, 256, 64, 3), (50, 127, 17, 2)):
+    x = rng.normal(size=(r, k))
+    w = rng.normal(size=(heads, k, n))
+    rows = np.sort(rng.integers(0, heads, size=r))
+    digest.update(det_gathered_project(x, w, rows).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_projection_digest_independent_of_openblas_threads():
+    """Shapes up to ``256 x 64`` (past OpenBLAS's one-thread gemv cut-off)
+    give the same bytes under one and two BLAS threads."""
+    import repro
+
+    path = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_projection_overflow_still_raises_under_warnings_as_errors():
