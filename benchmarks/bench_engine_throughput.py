@@ -1,4 +1,4 @@
-"""Engine bench: batched serving, executor backends, caching, clustering.
+"""Engine bench: batched serving, continuous streams, caching, clustering.
 
 Three measurements, three artifacts:
 
@@ -8,10 +8,11 @@ Three measurements, three artifacts:
   per-request latency quantiles (p50/p90/p99) read from the telemetry
   plane's ``sofa_engine_request_latency_seconds`` histogram.
 * ``BENCH_engine_continuous.json``: the continuous serving paths - one
-  mixed-shape stream through ``backend="sync"`` vs ``backend="threads"``,
-  and a growing-sequence decode loop with the decode-step cache cold vs
-  warm.  Every path must stay bit-identical; the cached decode loop must
-  record a real speedup (it skips re-quantizing the context prefix).
+  mixed-length stream through the engine (requests/sec, checked bit for
+  bit against per-head ``SofaAttention``), and a growing-sequence decode
+  loop with the decode-step cache cold vs warm.  Every path must stay
+  bit-identical; the cached decode loop must record a real speedup (it
+  skips re-quantizing the context prefix).
 * ``BENCH_cluster.json`` (``--cluster N``): worker-count scaling of the
   sharded :class:`~repro.cluster.EngineCluster` on a decode stream of
   many concurrent sequences under a **fixed per-worker decode-cache
@@ -171,13 +172,11 @@ def _make_stream(quick: bool, seed: int = 31) -> list[AttentionRequest]:
     ]
 
 
-def _stream_through(backend: str, requests: list[AttentionRequest]):
-    with SofaEngine(
-        CONTINUOUS_CONFIG, max_batch_heads=8, backend=backend
-    ) as engine:
-        # Warm-up pass outside the timed region: spawns the thread pool and
-        # builds the per-weight operators, so both backends are measured at
-        # steady state rather than on first-call setup cost.
+def _stream_through(requests: list[AttentionRequest]):
+    with SofaEngine(CONTINUOUS_CONFIG, max_batch_heads=8) as engine:
+        # Warm-up pass outside the timed region: builds the per-weight
+        # operators, so the stream is measured at steady state rather than
+        # on first-call setup cost.
         engine.run(requests)
         t0 = time.perf_counter()
         results = engine.run(requests)
@@ -217,11 +216,14 @@ def _decode_loop(quick: bool, use_cache: bool, seed: int = 41):
 
 
 def measure_continuous(quick: bool = False) -> dict:
-    """Sync vs threads on one stream, plus cold vs warm decode caching."""
+    """One mixed-length stream through the engine, plus cold vs warm
+    decode caching."""
     requests = _make_stream(quick)
-    sync_results, sync_rps = _stream_through("sync", requests)
-    threads_results, threads_rps = _stream_through("threads", requests)
-    stream_exact = _bit_identical(sync_results, threads_results)
+    results, rps = _stream_through(requests)
+    sequential = [
+        SofaAttention(r.wk, r.wv, CONTINUOUS_CONFIG)(r.tokens, r.q) for r in requests
+    ]
+    stream_exact = _bit_identical(sequential, results)
 
     cold_s, cold_out, _ = _decode_loop(quick, use_cache=False)
     warm_s, warm_out, engine = _decode_loop(quick, use_cache=True)
@@ -233,9 +235,7 @@ def measure_continuous(quick: bool = False) -> dict:
         "stream": {
             "n_requests": len(requests),
             "seq_lens": sorted(set(STREAM_SHAPES[quick])),
-            "sync_requests_per_sec": sync_rps,
-            "threads_requests_per_sec": threads_rps,
-            "threads_vs_sync": threads_rps / sync_rps,
+            "sync_requests_per_sec": rps,
             "bit_identical": stream_exact,
         },
         "decode": {
@@ -430,7 +430,7 @@ def test_engine_at_least_matches_sequential_on_8_heads():
 
 
 def test_continuous_paths_stay_bit_identical_quick():
-    """Threads backend and cached decode must not move a single bit."""
+    """The engine stream and cached decode must not move a single bit."""
     record = measure_continuous(quick=True)
     assert record["stream"]["bit_identical"]
     assert record["decode"]["bit_identical"]

@@ -62,6 +62,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from _harness import best_of_interleaved
 from repro.core.config import SofaConfig, SufaConfig
 from repro.core.dlzs import DlzsPredictor, StackedDlzsPredictor
 from repro.core.pipeline import SofaAttention
@@ -223,22 +224,6 @@ def _workload(r: int, kk: int, d: int, dv: int, seed: int = 17):
     return q, k.reshape(r * kk, d), v.reshape(r * kk, dv), index
 
 
-def _best_of_interleaved(fns: dict, repeats: int) -> dict:
-    """Best-of timing with the candidates interleaved round-robin.
-
-    Interleaving exposes every implementation to the same allocator and
-    cache drift within each round, so slow host phases penalize all of
-    them instead of whichever happened to run last.
-    """
-    best = {name: float("inf") for name in fns}
-    for _ in range(repeats):
-        for name, fn in fns.items():
-            t0 = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    return best
-
-
 def measure_kernels(quick: bool = False) -> list[dict]:
     points = []
     for r, kk, d, dv, tc in GRID[quick]:
@@ -257,7 +242,7 @@ def measure_kernels(quick: bool = False) -> list[dict]:
             raise SystemExit(f"kernel parity broken on {(r, kk, d, dv, tc)}")
         if not np.allclose(seed_out.output, blk.output, atol=1e-9):
             raise SystemExit(f"seed-loop output diverged on {(r, kk, d, dv, tc)}")
-        times = _best_of_interleaved(
+        times = best_of_interleaved(
             {
                 "seed": lambda: stream_selected_seed(q, k, v, index, tile_cols=tc),
                 "ref": lambda: stream_selected_reference(q, k, v, index, tile_cols=tc),
@@ -316,7 +301,7 @@ def measure_fused_kernels(quick: bool = False) -> list[dict]:
             raise SystemExit(f"fused parity broken on {(t, s, h, dk, top_k, tc)}")
         if probe.peak_tile_elems >= probe.full_matrix_elems and probe.rows > 1:
             raise SystemExit(f"fused kernel materialized on {(t, s, h, dk)}")
-        times = _best_of_interleaved(
+        times = best_of_interleaved(
             {
                 "unfused": lambda: sorter.select_stack(
                     predictor.predict(tokens, q).a_hat, k_count
@@ -368,7 +353,7 @@ def measure_fused_engine(quick: bool = False) -> dict:
     ]
     with SofaEngine(cfg, max_batch_heads=8) as engine:
         results = engine.run(requests)  # warm: operators built
-        times = _best_of_interleaved(
+        times = best_of_interleaved(
             {"fused": lambda: engine.run(requests)}, REPEATS[quick]
         )
     exact = True
@@ -532,7 +517,7 @@ def test_blocked_beats_seed_loop_locally():
         return
     r, kk, d, dv, tc = GRID[False][0]
     q, k, v, index = _workload(r, kk, d, dv)
-    times = _best_of_interleaved(
+    times = best_of_interleaved(
         {
             "seed": lambda: stream_selected_seed(q, k, v, index, tile_cols=tc),
             "blk": lambda: stream_selected_blocked(q, k, v, index, tile_cols=tc),

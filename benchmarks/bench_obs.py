@@ -14,8 +14,8 @@ the global telemetry switch between the passes, and records
 an intra-run *ratio* (hardware-class independent, like the kernel
 speedups).  The acceptance bar on the full workload is >= 0.97 - i.e.
 under 3% overhead with the full plane live.  Timing interleaves the two
-switch states round-robin (same reason ``_best_of_interleaved`` exists in
-the kernel bench: host-load drift then penalizes both sides).  Outputs
+switch states round-robin (``_harness.best_of_interleaved``: host-load
+drift then penalizes both sides).  Outputs
 must be bit-identical across the toggle - the standing parity contract -
 and a full run aborts if they are not.
 
@@ -35,11 +35,11 @@ import json
 import os
 import pathlib
 import sys
-import time
 
 import numpy as np
 
 import repro.obs as obs
+from _harness import best_of_interleaved
 from repro.core.config import SofaConfig
 from repro.engine import AttentionRequest, SofaEngine
 from repro.utils.rng import make_rng
@@ -70,19 +70,6 @@ def _make_requests(w: dict, seed: int = 47) -> list[AttentionRequest]:
         )
         for _ in range(w["n"])
     ]
-
-
-def _best_of_interleaved(fns: dict, repeats: int) -> dict:
-    """Best-of timing with the candidates interleaved round-robin (the
-    kernel bench's idiom): slow host phases penalize every candidate in
-    the round instead of whichever happened to run last."""
-    best = {name: float("inf") for name in fns}
-    for _ in range(repeats):
-        for name, fn in fns.items():
-            t0 = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    return best
 
 
 def _fingerprints(results):
@@ -128,7 +115,7 @@ def measure_obs_overhead(quick: bool = False) -> dict:
             obs.enable()
             engine.run(requests)
 
-        times = _best_of_interleaved(
+        times = best_of_interleaved(
             {"disabled": run_disabled, "enabled": run_enabled}, REPEATS[quick]
         )
         snapshot = telemetry.registry.snapshot()

@@ -45,7 +45,7 @@ import sys
 
 import numpy as np
 
-from bench_kernel_sufa import _best_of_interleaved
+from _harness import best_of_interleaved
 from repro.numerics.linalg import det_gathered_project
 from repro.utils.rng import make_rng
 
@@ -97,7 +97,7 @@ def measure(quick: bool = False) -> dict:
         x, w, row_matrix = _operands(rows, k, n, heads)
         stacked = det_gathered_project(x, w, row_matrix)
         baseline = gathered_project_einsum(x, w, row_matrix)
-        times = _best_of_interleaved(
+        times = best_of_interleaved(
             {
                 "einsum": lambda: gathered_project_einsum(x, w, row_matrix),
                 "blas": lambda: det_gathered_project(x, w, row_matrix),

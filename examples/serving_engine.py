@@ -1,23 +1,22 @@
-"""Serving demo: batching, backends, decode caching, and the cluster tier.
+"""Serving demo: batching, decode caching, and the cluster tier.
 
 Simulates production traffic against :class:`~repro.engine.serving.SofaEngine`
-in eight acts:
+in seven acts:
 
 1. **Continuous batching** - requests arrive in waves *between* scheduling
    rounds; new arrivals join not-yet-executed shape groups, under-full
    groups age out after ``max_wait_batches`` rounds, and a deadline forces
-   a lonely shape through without batch-mates (the starvation bound).
-2. **Executor backends** - the same stream through ``backend="sync"`` and
-   ``backend="threads"``; results are bit-identical, only wall-clock moves.
-3. **Decode-step cache** - a growing sequence re-submitted step by step
+   a lonely shape through without batch-mates (the starvation bound);
+   every result is bit-identical to the per-head operator.
+2. **Decode-step cache** - a growing sequence re-submitted step by step
    with a ``cache_key`` reuses its quantized ``K_hat`` prefix instead of
    re-running DLZS phase 1.1 over the whole context.
-4. **Cluster tier** - an asyncio loop drives a 2-worker
+3. **Cluster tier** - an asyncio loop drives a 2-worker
    :class:`~repro.cluster.EngineCluster` through the
    :class:`~repro.cluster.AsyncSofaClient`: sharded worker processes,
    cross-request dedup, a mid-stream worker crash survived by re-routing -
    and every awaited result still bit-identical to the sequential operator.
-5. **Socket transport + supervision** - the same cluster over
+4. **Socket transport + supervision** - the same cluster over
    ``transport="socket"``: standalone worker processes behind TCP
    listeners (the multi-host topology; here spawned on localhost),
    length-prefixed checksummed frames carrying the same codec payloads,
@@ -25,14 +24,14 @@ in eight acts:
    heartbeats the workers, survives a hard kill mid-stream, auto-respawns
    the dead worker, and serves post-respawn traffic - bit-identical
    throughout.
-6. **Paged cache, shared prefixes** - many sessions decoding off one
+5. **Paged cache, shared prefixes** - many sessions decoding off one
    system prompt through the paged block-pool store
    (``cache_kind="paged"``, the default): the prompt's blocks are pooled
    once and refcounted across sessions, divergence is copy-on-write, a
    byte budget is held by spilling cold blocks to disk instead of
    dropping entries - and every output stays bit-identical to the
    uncached computation.
-7. **Telemetry plane** - the same 2-worker socket cluster with
+6. **Telemetry plane** - the same 2-worker socket cluster with
    ``SOFA_TELEMETRY=1``: every request produces a stitched trace
    (frontend ``cluster.request``/``cluster.rpc`` spans and the worker's
    ``worker.request``/``engine.batch``/``stage.*`` spans share one trace
@@ -40,7 +39,7 @@ in eight acts:
    can open in Perfetto, plus a merged frontend+worker metrics snapshot
    with per-request latency quantiles - all without moving a single
    output bit.
-8. **HTTP gateway** - the front door over a 2-worker socket cluster:
+7. **HTTP gateway** - the front door over a 2-worker socket cluster:
    two tenants (a high-priority ``pro`` plan and a tightly rate-limited
    ``free`` plan) flood :class:`~repro.gateway.SofaGateway` with more
    concurrent requests than the pool can absorb.  Admission control
@@ -108,9 +107,10 @@ def act_continuous(rng: np.random.Generator) -> None:
     engine = SofaEngine(
         SofaConfig(tile_cols=32, top_k=0.15), max_batch_heads=8, max_wait_batches=2
     )
-    futures = []
+    requests, futures = [], []
     for wave in range(3):
         wave_reqs = make_wave(rng, 6, f"wave{wave}")
+        requests += wave_reqs
         futures += engine.submit_many(wave_reqs)
         records = engine.step()
         print(
@@ -126,6 +126,7 @@ def act_continuous(rng: np.random.Generator) -> None:
         wv=rng.normal(size=(32, 32)),
         deadline=time.monotonic() - 1.0,
     )
+    requests.append(lonely)
     futures.append(engine.submit(lonely))
     records = engine.run_until_drained()
     print(f"  drained: {len(records)} more batch(es), {engine.pending} pending")
@@ -136,41 +137,16 @@ def act_continuous(rng: np.random.Generator) -> None:
         )
     assert all(f.done() for f in futures)
     print(f"  mean heads per batch    : {engine.stats.mean_batch_heads:.1f}")
-
-
-def act_backends(rng: np.random.Generator) -> None:
-    print("\n[2] executor backends: sync vs threads, bit-identical")
-    print("-" * 60)
-    config = SofaConfig(tile_cols=32, top_k=0.15)
-    requests = make_wave(rng, 24, "traffic")
-
-    t0 = time.perf_counter()
-    sequential = [SofaAttention(r.wk, r.wv, config)(r.tokens, r.q) for r in requests]
-    sequential_s = time.perf_counter() - t0
-
-    results, timings = {}, {}
-    for backend in ("sync", "threads"):
-        with SofaEngine(config, max_batch_heads=16, backend=backend) as engine:
-            t0 = time.perf_counter()
-            results[backend] = engine.run(requests)
-            timings[backend] = time.perf_counter() - t0
-
     exact = all(
-        a.output.tobytes() == b.output.tobytes() == c.output.tobytes()
-        and np.array_equal(a.selected, b.selected)
-        for a, b, c in zip(sequential, results["sync"], results["threads"])
+        f.result().output.tobytes()
+        == SofaAttention(r.wk, r.wv, engine.config)(r.tokens, r.q).output.tobytes()
+        for r, f in zip(requests, futures)
     )
-    print(f"  requests                : {len(requests)}")
-    print(f"  bit-identical (3 paths) : {exact}")
-    print(f"  sequential loop         : {sequential_s * 1e3:8.1f} ms "
-          f"({len(requests) / sequential_s:7.1f} req/s)")
-    for backend, spent in timings.items():
-        print(f"  engine [{backend:7s}]       : {spent * 1e3:8.1f} ms "
-              f"({len(requests) / spent:7.1f} req/s)")
+    print(f"  bit-identical vs seq    : {exact}")
 
 
 def act_decode_cache(rng: np.random.Generator) -> None:
-    print("\n[3] decode-step cache: growing sequence, K_hat prefix reuse")
+    print("\n[2] decode-step cache: growing sequence, K_hat prefix reuse")
     print("-" * 60)
     config = SofaConfig(tile_cols=32, top_k=0.25)
     h, d, t = 48, 48, 1
@@ -214,7 +190,7 @@ def act_decode_cache(rng: np.random.Generator) -> None:
 
 
 def act_cluster(rng: np.random.Generator) -> None:
-    print("\n[4] cluster tier: async frontend over 2 sharded worker processes")
+    print("\n[3] cluster tier: async frontend over 2 sharded worker processes")
     print("-" * 60)
     config = SofaConfig(tile_cols=32, top_k=0.15)
     requests = make_wave(rng, 12, "async")
@@ -259,7 +235,7 @@ def act_cluster(rng: np.random.Generator) -> None:
 
 
 def act_socket_supervised(rng: np.random.Generator) -> None:
-    print("\n[5] socket transport: supervised standalone workers, kill + respawn")
+    print("\n[4] socket transport: supervised standalone workers, kill + respawn")
     print("-" * 60)
     config = SofaConfig(tile_cols=32, top_k=0.15)
     requests = make_wave(rng, 10, "socket")
@@ -303,7 +279,7 @@ def act_socket_supervised(rng: np.random.Generator) -> None:
 
 
 def act_paged_cache(rng: np.random.Generator) -> None:
-    print("\n[6] paged cache: sessions sharing a system prompt, spill under budget")
+    print("\n[5] paged cache: sessions sharing a system prompt, spill under budget")
     print("-" * 60)
     config = SofaConfig(tile_cols=32, top_k=0.25)
     h, d, n_sessions, steps = 48, 48, 6, 4
@@ -352,7 +328,7 @@ def act_paged_cache(rng: np.random.Generator) -> None:
 
 
 def act_telemetry(rng: np.random.Generator) -> None:
-    print("\n[7] telemetry plane: stitched traces + metrics from a 2-worker cluster")
+    print("\n[6] telemetry plane: stitched traces + metrics from a 2-worker cluster")
     print("-" * 60)
     config = SofaConfig(tile_cols=32, top_k=0.15)
     requests = make_wave(rng, 6, "traced")
@@ -413,7 +389,7 @@ def act_telemetry(rng: np.random.Generator) -> None:
 
 
 def act_gateway(rng: np.random.Generator) -> None:
-    print("\n[8] HTTP gateway: mixed-tenant overload, shedding + autoscale")
+    print("\n[7] HTTP gateway: mixed-tenant overload, shedding + autoscale")
     print("-" * 60)
     config = SofaConfig(tile_cols=32, top_k=0.15)
     requests = make_wave(rng, 24, "http")
@@ -512,7 +488,6 @@ def main() -> None:
     print("SOFA serving engine demo")
     print("=" * 60)
     act_continuous(rng)
-    act_backends(rng)
     act_decode_cache(rng)
     act_cluster(rng)
     act_socket_supervised(rng)

@@ -8,10 +8,12 @@ worker processes.  Four policies are provided:
 ``round_robin``
     Cycle over the live workers.  Baseline fairness, no affinity.
 ``shape_affinity``
-    Requests sharing one cross-stage tiling grid - the engine batch key
-    ``(S, T, H, Dk, Dv, config)`` - land on the same worker, so they join
-    the same shape group there and execute as one fused call (the paper's
-    Fig. 6 grid reuse, preserved across the process boundary).
+    Requests sharing one engine batch key ``(T, H, Dk, Dv, config)`` land
+    on the same worker, so they join the same shape group there and
+    execute as one fused call (the paper's Fig. 6 grid reuse, preserved
+    across the process boundary).  ``S`` is not in the key, as in the
+    engine: each head keeps its own ``(S, tile_cols)`` grid inside the
+    call, so decode sessions of different lengths share a worker.
 ``cache_affinity``
     Requests carrying a ``cache_key`` stick to the worker holding their
     decode-step-cache state; keyless requests fall back to shape affinity.
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Any
 
 from repro.hw.scheduler.rass import LaneLoadBalancer
 
@@ -61,6 +64,27 @@ class RequestInfo:
     shape_key: bytes
     cache_key: bytes | None
     cost: float
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "RequestInfo":
+        """The routing view of a request encoded by
+        :func:`~repro.engine.codec.encode_request`.
+
+        ``shape_key`` matches ``SofaEngine``'s batch key: ``S`` is left
+        out of it (requests of any length batch together), but stays in
+        ``cost``.
+        """
+        s, h = payload["tokens"][2]
+        t, dk = payload["q"][2]
+        wv_cols = payload["wv"][2][1]
+        has_v = payload["value_cache"] is not None
+        dv = payload["value_cache"][2][1] if has_v else wv_cols
+        shape_key = repr((t, h, dk, dv, wv_cols, has_v, payload["config"])).encode()
+        return cls(
+            shape_key=shape_key,
+            cache_key=payload["cache_key"],
+            cost=float(s) * float(t),
+        )
 
 
 def _rendezvous(key: bytes, live: list[int]) -> int:

@@ -24,7 +24,7 @@ Responsibilities of this frontend:
 * **Routing** - every submitted request is encoded once
   (:mod:`repro.engine.codec`) and routed by a pluggable policy
   (:mod:`repro.cluster.routing`): ``round_robin``, ``shape_affinity``
-  (same tiling grid -> same worker -> same fused batch), ``cache_affinity``
+  (same engine batch key -> same worker -> same fused batch), ``cache_affinity``
   (decode ``cache_key`` sticks to the worker holding its cached state) or
   ``least_loaded`` (RASS lane balancing over processes).
 * **Cross-request dedup** - bit-identical requests (equal codec
@@ -392,7 +392,7 @@ class EngineCluster:
         How long to wait for all workers to report ready.
     **engine_options:
         Every other keyword is a :class:`SofaEngine` option
-        (``max_batch_heads``, ``backend``, ``max_workers``,
+        (``max_batch_heads``, ``max_wait_batches``,
         ``cache_kind``/``cache_bytes``/... - see its docstring), forwarded
         unchanged to every worker's engine.  Names are checked against
         :class:`SofaEngine`'s signature here, so a typo raises
@@ -677,7 +677,7 @@ class EngineCluster:
                 obs.end_span(span, deduped=True)
                 return future
 
-            info = self._request_info(payload, fingerprint)
+            info = RequestInfo.from_payload(payload)
             self._reap_dead_workers()
             self._supervise()
             self._autoscale()
@@ -734,22 +734,6 @@ class EngineCluster:
         obs.end_span(record.span, **extra)
         record.rpc_span = None
         record.span = None
-
-    def _request_info(self, payload: dict[str, Any], fingerprint: str) -> RequestInfo:
-        """Build the routing view: shape key, cache key, S*T cost."""
-        s, h = payload["tokens"][2]
-        t, dk = payload["q"][2]
-        wv_cols = payload["wv"][2][1]
-        has_v = payload["value_cache"] is not None
-        dv = payload["value_cache"][2][1] if has_v else wv_cols
-        shape_key = repr(
-            (s, t, h, dk, dv, wv_cols, has_v, payload["config"])
-        ).encode()
-        return RequestInfo(
-            shape_key=shape_key,
-            cache_key=payload["cache_key"],
-            cost=float(s) * float(t),
-        )
 
     # ------------------------------------------------------------------ pumping
     def poll(self, timeout: float = 0.0) -> int:

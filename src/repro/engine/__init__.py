@@ -10,9 +10,8 @@ scales the functional model along that axis:
     sequential :class:`~repro.core.pipeline.SofaAttention` per head.
 :class:`~repro.engine.serving.SofaEngine`
     A request queue with a continuously-batching, starvation-free scheduler
-    (``max_wait_batches``/deadline admission), per-request futures, and a
-    ``backend="sync"|"threads"`` execution switch - the software analogue
-    of the accelerator's head scheduler.
+    (``max_wait_batches``/deadline admission) and per-request futures -
+    the software analogue of the accelerator's head scheduler.
 :class:`~repro.engine.cache.DecodeStepCache` /
 :class:`~repro.engine.paged.PagedDecodeCache`
     Keyed reuse of quantized ``K_hat``/DLZS prediction state across decode
@@ -23,8 +22,6 @@ scales the functional model along that axis:
     into a refcounted content-addressed block pool with cross-sequence
     prefix sharing, a hard RAM budget enforced by disk spill, and
     restart survival through ``persist()``.
-:mod:`repro.engine.executor`
-    The execution backends behind the engine's futures API.
 :mod:`repro.engine.codec`
     The explicit wire codec (requests/results as plain built-ins,
     bit-exact tensor round-trips) that carries work to ``repro.cluster``
@@ -46,7 +43,6 @@ from repro.engine.codec import (
     encode_result,
     request_fingerprint,
 )
-from repro.engine.executor import SyncExecutor, ThreadedExecutor, make_executor
 from repro.engine.paged import PagedDecodeCache
 from repro.engine.serving import (
     AttentionFuture,
@@ -69,14 +65,11 @@ __all__ = [
     "EngineStats",
     "PagedDecodeCache",
     "SofaEngine",
-    "SyncExecutor",
-    "ThreadedExecutor",
     "decode_request",
     "decode_result",
     "encode_request",
     "encode_result",
     "make_decode_cache",
-    "make_executor",
     "prefix_matches",
     "request_fingerprint",
     "validate_request",

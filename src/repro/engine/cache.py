@@ -68,9 +68,9 @@ Bit-for-bit parity is preserved because reuse is only attempted when it is
   bit-identical - sharing can never substitute different bits - and the
   spill codec (``.npz``) round-trips arrays bit-exactly.
 
-Entries are immutable after insertion (updates replace the entry), so the
-store is safe to share with the threaded executor backend: a stale read can
-only cost a recompute, never a wrong bit.
+Entries are immutable after insertion (updates replace the entry), so one
+store is safe to share between engines on different threads: a stale read
+can only cost a recompute, never a wrong bit.
 """
 
 from __future__ import annotations
@@ -278,8 +278,9 @@ class DecodeStepCache:
     Keys are caller-composed hashables; consumers (the DLZS predictor via
     :class:`~repro.engine.batched.BatchedSofaAttention`) namespace the
     user-visible key with the weight/config identity so one store can serve
-    many operators without cross-talk.  All methods are thread-safe: the
-    threaded executor backend may look up and replace entries concurrently.
+    many operators without cross-talk.  All methods are thread-safe: engines
+    on different threads sharing one store may look up and replace entries
+    concurrently.
 
     Size ``max_entries`` to cover the *concurrent working set* (e.g.
     ``n_layers * n_heads`` per live decode session): decode scans its keys

@@ -21,16 +21,13 @@ analogue of the accelerator's head-level scheduler:
   forever for batch-mates.  :meth:`~SofaEngine.flush` force-drains
   everything, and :meth:`~SofaEngine.run_until_drained` loops rounds until
   the queue is empty.
-* **Pluggable execution backend** - ready chunks run through
-  :mod:`repro.engine.executor`: ``backend="sync"`` executes inline,
-  ``backend="threads"`` dispatches independent chunks onto a thread pool
-  (since the SU-FA core moved to the tile-blocked kernel
-  (:mod:`repro.kernels`), chunks spend most of their time in fused
-  NumPy/BLAS ops that release the GIL, so thread overlap applies to the
-  whole pipeline rather than stopping at the streaming stage).  Outcomes
-  are gathered in dispatch order, so statistics, error reporting and -
-  thanks to the batch-invariant numerics - every result bit are identical
-  across backends.
+* **One execution path** - a scheduling round's ready chunks run inline,
+  one after another, on the calling thread.  Parallelism lives *inside*
+  each fused call (every head of a chunk shares its stacked BLAS ops,
+  the software analogue of the paper's parallel sorters and PE lanes
+  working one coordinated tile dataflow), not across calls.  A failing
+  chunk does not stop the round: every chunk runs, and statistics and
+  the first-error choice follow dispatch order.
 * **Decode-step cache** - requests carrying a ``cache_key`` reuse their
   quantized ``K_hat``/DLZS prediction state across steps of a growing
   sequence (:mod:`repro.engine.cache`), skipping re-quantization of the
@@ -39,13 +36,13 @@ analogue of the accelerator's head-level scheduler:
 * **Per-request futures** - every request resolves to the same
   :class:`~repro.core.pipeline.SofaAttentionResult` the sequential operator
   would have produced (bit-for-bit), so downstream accounting code cannot
-  tell it was served from a batch, a thread, or a cache hit.
+  tell it was served from a batch or a cache hit.
 
-Determinism remains part of the engine's contract: the scheduler and both
-backends produce bit-identical results in deterministic arrival order; the
-executor and the cache only change *when* work happens, never what it
-computes.  Submissions are expected from one caller thread; worker threads
-are engine-internal.
+Determinism remains part of the engine's contract: the scheduler produces
+bit-identical results in deterministic arrival order; batching and the
+cache only change *when* work happens, never what it computes.
+Submissions are expected from one caller thread; a ``cache=`` instance
+may be shared by engines on different caller threads.
 
 This engine is the innermost serving tier.  :class:`repro.cluster.EngineCluster`
 shards many of them across worker processes (with supervision, autoscaling
@@ -73,7 +70,6 @@ from repro.core.config import SofaConfig
 from repro.core.pipeline import SofaAttentionResult
 from repro.engine.batched import BatchedSofaAttention
 from repro.engine.cache import CacheStats, DecodeStepCache, make_decode_cache
-from repro.engine.executor import make_executor
 from repro.kernels import resolved_kernels
 from repro.obs import get_telemetry
 
@@ -288,7 +284,7 @@ class _Group:
 
 
 class SofaEngine:
-    """Serving frontend: continuous batching scheduler, backends, futures.
+    """Serving frontend: continuous batching scheduler and futures.
 
     Parameters
     ----------
@@ -301,8 +297,6 @@ class SofaEngine:
         source-attributed message, not inside the first batch.
     max_batch_heads:
         Fused-call width; a group executes as soon as it can fill one chunk.
-    backend / max_workers:
-        ``"sync"`` (inline) or ``"threads"`` (thread-pool chunk overlap).
     max_wait_batches:
         Starvation bound: a group executes after waiting this many
         scheduling rounds even if under-full.  ``None`` means groups wait
@@ -334,8 +328,6 @@ class SofaEngine:
         self,
         config: SofaConfig | None = None,
         max_batch_heads: int = 64,
-        backend: str = "sync",
-        max_workers: int | None = None,
         max_wait_batches: int | None = None,
         cache: DecodeStepCache | None = None,
         cache_kind: str = "paged",
@@ -353,7 +345,6 @@ class SofaEngine:
         resolved_kernels(self.config)  # a kernel typo fails here, not mid-batch
         self.max_batch_heads = max_batch_heads
         self.max_wait_batches = max_wait_batches
-        self.executor = make_executor(backend, max_workers=max_workers)
         self._owns_cache = cache is None
         self.cache = (
             cache
@@ -370,7 +361,7 @@ class SofaEngine:
         self.stats = EngineStats(cache=self.cache.stats)
         self._groups: OrderedDict[Hashable, _Group] = OrderedDict()
         self._operators: OrderedDict[Hashable, BatchedSofaAttention] = OrderedDict()
-        self._op_lock = threading.Lock()  # worker threads share the LRU
+        self._op_lock = threading.Lock()  # guards the operator LRU
         obs = get_telemetry()
         if obs.enabled:
             self.stats.register_metrics(obs.registry)
@@ -380,18 +371,11 @@ class SofaEngine:
                 lambda: float(e.pending) if (e := engine_ref()) else 0.0,
             )
 
-    @property
-    def backend(self) -> str:
-        return self.executor.name
-
     def shutdown(self) -> None:
-        """Release backend resources (idle engines hold none).
-
-        An engine-owned cache is closed too (dropping an owned temporary
-        spill directory); a shared ``cache=`` instance is left alone for
-        its other users.
+        """Close an engine-owned cache (dropping an owned temporary spill
+        directory); a shared ``cache=`` instance is left alone for its
+        other users.
         """
-        self.executor.shutdown()
         if self._owns_cache:
             self.cache.close()
 
@@ -592,11 +576,12 @@ class SofaEngine:
 
     # -------------------------------------------------------------- execution
     def _execute_keys(self, keys: list[Hashable]) -> list[BatchRecord]:
-        """Chunk and execute the named groups through the backend.
+        """Chunk and execute the named groups, one chunk after another.
 
-        Chunks are dispatched together (one backend round) and their
-        outcomes gathered in dispatch order, so statistics and the
-        first-error choice are identical for every backend.
+        Every chunk runs even after an earlier one raised: a failing chunk
+        resolves only its own futures, with its error.  Statistics count
+        the successful chunks in dispatch order, and the first error is
+        re-raised once the round is done.
         """
         chunks: list[tuple[list[tuple[AttentionRequest, AttentionFuture]], int]] = []
         for key in keys:
@@ -613,25 +598,21 @@ class SofaEngine:
         if not chunks:
             return []
 
-        tasks = [
-            (lambda chunk=chunk, age=age: self._execute(chunk, age))
-            for chunk, age in chunks
-        ]
-        outcomes = self.executor.run(tasks)
-
         records: list[BatchRecord] = []
         first_error: Exception | None = None
         obs = get_telemetry()
-        for (chunk, _age), outcome in zip(chunks, outcomes):
-            if isinstance(outcome, Exception):
+        for chunk, age in chunks:
+            try:
+                record = self._execute(chunk, age)
+            except Exception as error:  # noqa: BLE001 - re-raised after the round
                 for _, future in chunk:
-                    future.set_error(outcome)
-                    obs.end_span(future.span, error=repr(outcome))
+                    future.set_error(error)
+                    obs.end_span(future.span, error=repr(error))
                     future.span = None
                 if first_error is None:
-                    first_error = outcome
+                    first_error = error
             else:
-                records.append(outcome)
+                records.append(record)
                 self.stats.n_requests += len(chunk)
         self.stats.record_batches(records)
         if first_error is not None:

@@ -15,9 +15,9 @@ it is executed:
   kernel (``tile_cols`` keys per Python step), registered as
   ``"blocked"`` next to the per-key golden model ``"reference"``.
 
-Every serving tier (per-head pipeline, batched engine, thread backends,
-cluster/socket workers) resolves the stream stage through the registry,
-so the cross-tier parity contract cannot drift: one implementation per
+Every serving tier (per-head pipeline, batched engine, cluster/socket
+workers) resolves the stream stage through the registry, so the
+cross-tier parity contract cannot drift: one implementation per
 selection, and any registered kernel must be differentially bit-equal to
 the golden model (enforced by the kernel test suites, re-run per kernel
 by CI's kernel-matrix job).  The same seam is where array-API backends

@@ -25,7 +25,7 @@ stage: same output bits, same op tallies and trigger counts as that
 stage's golden model on any input (the differential sweep in
 ``tests/test_kernels_sufa.py`` is the enforcement, re-run per registered
 kernel by CI's kernel-matrix job).  Because all serving tiers (per-head
-pipeline, batched engine, thread backends, cluster workers) reach the
+pipeline, batched engine, cluster workers) reach the
 stage through this registry, their mutual parity contract holds by
 construction - there is only one implementation per process-wide
 selection, not one per tier.  The same seam is where array-API backends

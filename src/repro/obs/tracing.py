@@ -12,7 +12,7 @@ form a tree through ``parent_id``; a per-thread stack makes nesting
 automatic for context-manager spans (:meth:`Tracer.span`), while
 start/end pairs (:meth:`Tracer.start` / :meth:`Tracer.end`) cross
 threads and methods freely (a request span starts on the submit path and
-ends on whichever executor thread resolves its future).
+ends on whichever thread resolves its future).
 
 **Cross-process stitching.**  Trace and span IDs are random 64-bit hex
 strings; the cluster frontend injects its root span's ``(trace_id,

@@ -5,8 +5,8 @@ The paged store's contract is the flat store's contract - a hit is
 store cannot do: cross-sequence prefix sharing, a hard RAM budget served
 from a disk spill tier, and restart survival.  These tests drive the same
 shared-prefix decode workload through all three cache modes across the
-engine, threaded, and cluster tiers and assert every output, selection and
-op count is bit-identical - including sequences that diverge mid-decode,
+engine and cluster tiers and assert every output, selection and op
+count is bit-identical - including sequences that diverge mid-decode,
 entries reloaded from the spill tier, and appends the store refuses
 because another writer changed the key between the lookup and the put.
 """
@@ -88,15 +88,15 @@ class _RacingCache(PagedDecodeCache):
         return stored
 
 
-def _run_sweep(backend: str):
+@pytest.mark.paged_cache
+def test_differential_sweep_engine():
     wk, wv, prefix, tails, queries = _workload(41)
-    uncached = SofaEngine(CFG, backend=backend)
-    flat = SofaEngine(CFG, backend=backend, cache_kind="flat")
+    uncached = SofaEngine(CFG)
+    flat = SofaEngine(CFG, cache_kind="flat")
     racing_cache = _RacingCache(block_tokens=BLOCK_TOKENS)
-    racing = SofaEngine(CFG, backend=backend, cache=racing_cache)
+    racing = SofaEngine(CFG, cache=racing_cache)
     paged = SofaEngine(
         CFG,
-        backend=backend,
         cache_kind="paged",
         cache_block_tokens=BLOCK_TOKENS,
         # Tight RAM budget: blocks spill between steps and reload on the
@@ -151,12 +151,6 @@ def _run_sweep(backend: str):
         for engine in (uncached, flat, paged, racing):
             engine.shutdown()
         racing_cache.close()
-
-
-@pytest.mark.paged_cache
-@pytest.mark.parametrize("backend", ["sync", "threads"])
-def test_differential_sweep_engine_and_threads(backend):
-    _run_sweep(backend)
 
 
 @pytest.mark.paged_cache

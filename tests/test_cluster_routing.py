@@ -56,6 +56,20 @@ def test_shape_affinity_same_grid_same_worker():
         key = rng.bytes(12)
         first = policy.route(_info(key), live)
         assert all(policy.route(_info(key), live) == first for _ in range(3))
+    # S is not in the engine's batch key, so requests that differ only in
+    # S batch together and must share a worker; S still weighs the cost.
+    lengths = (16, 24, 32, 48, 64, 96, 128, 256)
+    wk, wv, q = rng.normal(size=(8, 8)), rng.normal(size=(8, 8)), rng.normal(size=(2, 8))
+    infos = [
+        RequestInfo.from_payload(
+            encode_request(
+                AttentionRequest(tokens=rng.normal(size=(s, 8)), q=q, wk=wk, wv=wv)
+            )
+        )
+        for s in lengths
+    ]
+    assert len({policy.route(info, live) for info in infos}) == 1
+    assert [info.cost for info in infos] == [s * 2.0 for s in lengths]
 
 
 def test_affinity_rendezvous_only_remaps_keys_of_the_dead_worker():
@@ -165,9 +179,12 @@ def test_randomized_sweep_survives_mid_stream_worker_death(routing):
         half = len(requests) // 2
         futures = cluster.submit_many(requests[:half])
         cluster.flush()
-        # Stall worker 1 so the second half queues behind its crash point.
-        cluster.stall_worker(1, 0.5)
-        cluster.crash_worker(1, hard=False, wait=False)
+        # Crash the worker that served most of the first half (a worker
+        # the stream never reached would hold nothing to re-route), and
+        # stall it first so the second half queues behind its crash point.
+        victim = max(cluster.stats.workers, key=lambda w: w.n_requests).worker_id
+        cluster.stall_worker(victim, 0.5)
+        cluster.crash_worker(victim, hard=False, wait=False)
         futures += cluster.submit_many(requests[half:])
         cluster.flush()
         got = [f.result() for f in futures]

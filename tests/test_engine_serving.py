@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import SofaConfig
+from repro.core.config import SadsConfig, SofaConfig
 from repro.core.pipeline import SofaAttention
 from repro.engine import AttentionRequest, SofaEngine
 from repro.utils.rng import make_rng
@@ -183,24 +183,31 @@ def test_invalid_request_rejected_at_submit():
 
 def test_failing_request_does_not_strand_siblings():
     """max_assurance=False requests run unbatched; a misprediction resolves
-    only the offending future with the error, and siblings still serve."""
+    only the offending future with the error, and siblings still serve -
+    also when the failing chunk runs first."""
     from repro.core.config import SufaConfig
 
     cfg = SofaConfig(tile_cols=16, top_k=12, sufa=SufaConfig(max_assurance=False))
-    engine = SofaEngine(cfg)
-    good = _request(make_rng(0))  # seed 0: ordering prediction holds
-    bad = _request(make_rng(1))  # seed 1: ordering prediction is violated
-    fut_good = engine.submit(good)
-    fut_bad = engine.submit(bad)
-    with pytest.raises(RuntimeError):
-        engine.flush()
-    assert fut_good.done() and fut_bad.done()
-    assert engine.pending == 0
-    assert fut_good.result().output.shape == (4, 16)
-    with pytest.raises(RuntimeError):
-        fut_bad.result()
-    # only the successful request counts as served traffic
-    assert engine.stats.n_requests == 1
+    for bad_first in (False, True):
+        engine = SofaEngine(cfg)
+        good = _request(make_rng(0))  # seed 0: ordering prediction holds
+        bad = _request(make_rng(1))  # seed 1: ordering prediction is violated
+        if bad_first:
+            fut_bad = engine.submit(bad)
+            fut_good = engine.submit(good)
+        else:
+            fut_good = engine.submit(good)
+            fut_bad = engine.submit(bad)
+        with pytest.raises(RuntimeError):
+            engine.flush()
+        assert fut_good.done() and fut_bad.done()
+        assert engine.pending == 0
+        assert fut_good.result().output.shape == (4, 16)
+        with pytest.raises(RuntimeError):
+            fut_bad.result()
+        # only the successful request counts as served traffic
+        assert engine.stats.n_requests == 1
+        assert engine.stats.n_batches == 1
 
 
 def test_operator_cache_reuses_prepared_weights():
@@ -228,3 +235,55 @@ def test_stats_accumulate_across_flushes():
     assert engine.stats.n_requests == 5
     assert engine.stats.n_batches == 2
     assert engine.stats.mean_batch_heads == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_sads_configs_bit_identical_to_sequential(seed):
+    """Randomized sweep over SADS configs, chunked at 3 heads per call:
+    every served result equals per-head SofaAttention, exactly."""
+    rng = make_rng(4000 + seed)
+    s = int(rng.integers(32, 160))
+    cfg = SofaConfig(
+        tile_cols=int(rng.choice([8, 16, 32])),
+        top_k=int(rng.integers(1, s + 1)),
+        sads=SadsConfig(
+            n_segments=int(rng.integers(1, 6)),
+            radius=float(rng.uniform(1.0, 6.0)),
+            adjust_rounds=int(rng.integers(0, 3)),
+        ),
+    )
+    requests = [_request(rng, s=s) for _ in range(int(rng.integers(2, 9)))]
+    with SofaEngine(cfg, max_batch_heads=3) as engine:
+        results = engine.run(requests)
+    for req, res in zip(requests, results):
+        seq = SofaAttention(req.wk, req.wv, cfg)(req.tokens, req.q)
+        np.testing.assert_array_equal(seq.selected, res.selected)
+        assert seq.output.tobytes() == res.output.tobytes()
+        assert seq.assurance_triggers == res.assurance_triggers
+        for st_s, st_b in zip(seq.stages, res.stages):
+            assert st_s.dram_bytes == st_b.dram_bytes
+            assert st_s.sram_peak_bytes == st_b.sram_peak_bytes
+            for op in set(st_s.ops.counts) | set(st_b.ops.counts):
+                assert st_s.ops[op] == st_b.ops[op], (st_s.name, op)
+
+
+def test_batch_stats_follow_dispatch_order():
+    """Batch records land in dispatch order: chunks of one group in
+    submission order, each recording its longest S."""
+    rng = make_rng(50)
+    shapes = [64, 96, 64, 128, 96, 64, 128, 64]
+    with SofaEngine(SofaConfig(tile_cols=16, top_k=8), max_batch_heads=2) as engine:
+        engine.run([_request(rng, s=s) for s in shapes])
+        records = [(r.n_heads, r.seq_len, r.tile_cols) for r in engine.stats.batches]
+        assert engine.stats.n_requests == len(shapes)
+    assert records == [(2, 96, 16), (2, 128, 16), (2, 96, 16), (2, 128, 16)]
+
+
+def test_futures_drain_after_shutdown_and_shutdown_is_idempotent():
+    """A future read after the engine's ``with`` block still serves, and a
+    second shutdown is a no-op."""
+    with SofaEngine(SofaConfig(tile_cols=16, top_k=8)) as engine:
+        future = engine.submit(_request(make_rng(2)))
+    assert future.result().output.shape == (4, 16)
+    engine.shutdown()
+    assert engine.run([_request(make_rng(3))])[0].output.shape == (4, 16)

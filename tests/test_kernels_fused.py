@@ -11,7 +11,7 @@ golden selector ``select_row_reference`` over sorted/shuffled/heavy-tie/
 adversarial score layouts, tile remainders, one-row stacks, select-all
 and single-survivor edge cases.  The engine tests cover prefill and the
 cached-decode interaction with the paged store across the per-head,
-batched, threads and engine tiers; the cluster/socket tests cover env-var
+batched and engine tiers; the cluster/socket tests cover env-var
 stream-kernel selection propagating across the process boundary (worker
 engines must resolve - and report - the same kernels as the frontend).
 """
@@ -351,11 +351,10 @@ def _golden(request, cfg=None):
     return op(request.tokens, request.q)
 
 
-@pytest.mark.parametrize("backend", ["sync", "threads"])
-def test_engine_fused_mapping_parity(backend):
+def test_engine_fused_mapping_parity():
     rng = make_rng(41)
     requests = _engine_requests(rng)
-    with SofaEngine(max_batch_heads=4, backend=backend) as engine:
+    with SofaEngine(max_batch_heads=4) as engine:
         got = engine.run(requests)
     for request, result in zip(requests, got):
         _assert_results_equal(_golden(request), result)

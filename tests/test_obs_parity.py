@@ -2,8 +2,8 @@
 
 The standing contract is bit-for-bit parity across every serving tier;
 this suite turns the telemetry switch on and re-asserts it for the
-in-process engine (sync and threads backends) and the cluster (local and
-socket transports), down to op counters and stage traces.  It also pins
+in-process engine and the cluster (local and socket transports), down
+to op counters and stage traces.  It also pins
 the codec's optional ``trace`` field (old frames still decode, dedup
 fingerprints ignore it) and the acceptance criterion of the plane: one
 request served over the socket transport yields a single stitched trace -
@@ -75,14 +75,13 @@ def telemetry_env_on(monkeypatch):
 
 
 # ------------------------------------------------------------ engine parity
-@pytest.mark.parametrize("backend", ["sync", "threads"])
-def test_engine_parity_with_telemetry(backend, telemetry_off):
+def test_engine_parity_with_telemetry(telemetry_off):
     requests = _make_requests(seed=31, n=6)
-    with SofaEngine(CFG, backend=backend) as engine:
+    with SofaEngine(CFG) as engine:
         ref = _fingerprints(engine.run(requests))
 
     obs.reset_telemetry(enabled=True)
-    with SofaEngine(CFG, backend=backend) as engine:
+    with SofaEngine(CFG) as engine:
         got = _fingerprints(engine.run(requests))
     assert ref == got
 
