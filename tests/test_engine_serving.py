@@ -181,33 +181,47 @@ def test_invalid_request_rejected_at_submit():
         SofaEngine(max_batch_heads=0)
 
 
-def test_failing_request_does_not_strand_siblings():
-    """max_assurance=False requests run unbatched; a misprediction resolves
-    only the offending future with the error, and siblings still serve -
-    also when the failing chunk runs first."""
+def _serve_good_and_bad(bad_first):
+    """Submit a good and a mispredicting request under max_assurance=False
+    (so they run unbatched) and flush; return the engine and both futures."""
     from repro.core.config import SufaConfig
 
     cfg = SofaConfig(tile_cols=16, top_k=12, sufa=SufaConfig(max_assurance=False))
-    for bad_first in (False, True):
-        engine = SofaEngine(cfg)
-        good = _request(make_rng(0))  # seed 0: ordering prediction holds
-        bad = _request(make_rng(1))  # seed 1: ordering prediction is violated
-        if bad_first:
-            fut_bad = engine.submit(bad)
-            fut_good = engine.submit(good)
-        else:
-            fut_good = engine.submit(good)
-            fut_bad = engine.submit(bad)
-        with pytest.raises(RuntimeError):
-            engine.flush()
-        assert fut_good.done() and fut_bad.done()
-        assert engine.pending == 0
-        assert fut_good.result().output.shape == (4, 16)
-        with pytest.raises(RuntimeError):
-            fut_bad.result()
-        # only the successful request counts as served traffic
-        assert engine.stats.n_requests == 1
-        assert engine.stats.n_batches == 1
+    engine = SofaEngine(cfg)
+    good = _request(make_rng(0))  # seed 0: ordering prediction holds
+    bad = _request(make_rng(1))  # seed 1: ordering prediction is violated
+    if bad_first:
+        fut_bad = engine.submit(bad)
+        fut_good = engine.submit(good)
+    else:
+        fut_good = engine.submit(good)
+        fut_bad = engine.submit(bad)
+    with pytest.raises(RuntimeError):
+        engine.flush()
+    return engine, fut_good, fut_bad
+
+
+def _assert_only_bad_failed(engine, fut_good, fut_bad):
+    assert fut_good.done() and fut_bad.done()
+    assert engine.pending == 0
+    assert fut_good.result().output.shape == (4, 16)
+    with pytest.raises(RuntimeError):
+        fut_bad.result()
+    # only the successful request counts as served traffic
+    assert engine.stats.n_requests == 1
+    assert engine.stats.n_batches == 1
+
+
+def test_failing_request_does_not_strand_siblings():
+    """A misprediction resolves only the offending future with the error,
+    and siblings still serve."""
+    _assert_only_bad_failed(*_serve_good_and_bad(bad_first=False))
+
+
+def test_failing_request_first_does_not_strand_later_siblings():
+    """A chunk that raises first does not stop the later chunks of the
+    same round: they still run and resolve their own futures."""
+    _assert_only_bad_failed(*_serve_good_and_bad(bad_first=True))
 
 
 def test_operator_cache_reuses_prepared_weights():
