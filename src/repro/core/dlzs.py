@@ -31,7 +31,12 @@ import numpy as np
 
 from repro.core.config import DlzsConfig
 from repro.numerics.complexity import OpCounter
-from repro.numerics.fixed_point import quantize, quantize_stack, quantize_with_scale
+from repro.numerics.fixed_point import (
+    quantize,
+    quantize_stack,
+    quantize_with_scale,
+    stack_scale,
+)
 from repro.numerics.linalg import exact_int_matmul
 
 from repro.numerics.leading_zero import (
@@ -41,7 +46,7 @@ from repro.numerics.leading_zero import (
 )
 
 if TYPE_CHECKING:
-    from repro.engine.cache import DecodeStepCache
+    from repro.engine.cache import DecodeCacheView, DecodeStepCache
 
 
 @dataclass
@@ -269,6 +274,11 @@ class DlzsPredictor:
         )
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """``max|x|`` as a float, 0.0 for an empty array."""
+    return float(np.max(np.abs(x))) if x.size else 0.0
+
+
 @dataclass
 class StackedPredictionResult:
     """Cross-phase DLZS prediction for a stack of heads.
@@ -364,27 +374,33 @@ class StackedDlzsPredictor:
         return self._head_digests[i]
 
     def _phase1_head_cached(
-        self, i: int, t_i: np.ndarray, cache: "DecodeStepCache", key: Hashable
-    ) -> np.ndarray:
-        """Phase 1.1 for one head through the decode-step cache.
+        self,
+        i: int,
+        t_i: np.ndarray,
+        cache: "DecodeStepCache",
+        key: Hashable,
+        out: np.ndarray,
+    ) -> float:
+        """Phase 1.1 and the ``K_hat`` truncation for one head, through
+        the decode-step cache.
 
-        Returns the raw int64 ``K_hat`` rows, bit-identical to the fused
-        uncached computation: cached rows are reused only when the token
-        prefix matches exactly AND the appended rows cannot change the
-        symmetric quantization scale (see :mod:`repro.engine.cache`).
+        Writes the head's truncated ``K_hat`` codes into ``out`` (its
+        ``(S_i, D')`` rows of the stacked ``k_hat``) and returns their
+        truncation scale, both bit-identical to the uncached computation:
+        cached state is reused only when the token prefix matches exactly
+        AND the appended rows change neither the token scale nor the
+        truncation scale (see :mod:`repro.engine.cache`).
 
-        A hit quantizes and projects only the appended rows and stores
-        them with ``cache.put(..., base=entry)``, so the store's work is
-        proportional to the new rows, not the sequence.  When the store
-        refuses that append (the key's state changed after the get) the
-        whole grown sequence is put instead.  A miss runs the full
-        phase 1.1 and replaces the entry.
+        A hit reads the store's blocks in place: it compares the token
+        prefix block by block, copies the cached codes into ``out``, and
+        quantizes, projects and truncates only the appended rows, which it
+        stores with ``cache.put(..., base=view)``.  When the store refuses
+        that append (the key's state changed after the get) the whole
+        grown sequence is put instead.  A hit whose new ``K_hat`` rows are
+        louder than the cached ``key_max_abs`` is a rescale: every raw row
+        is rebuilt from the cached token codes and re-truncated.  A miss
+        runs the full phase 1.1 and replaces the entry.
         """
-        # Function-local on purpose: repro.engine.batched imports this
-        # module, so a module-level import of repro.engine.cache would be a
-        # core -> engine cycle.  Do not hoist.
-        from repro.engine.cache import DecodeCacheEntry
-
         floating = bool(np.issubdtype(t_i.dtype, np.floating))
         if floating:
             # quantize/quantize_stack round in float64; narrower float input
@@ -393,80 +409,140 @@ class StackedDlzsPredictor:
             t_i = np.asarray(t_i, dtype=np.float64)
         bits = self.config.token_bits
         store_key = (key, self.config, self._head_digest(i))
-        entry = cache.get(store_key)
+        view = cache.get(store_key)
 
-        if (
-            entry is not None
-            and entry.quantized == floating
-            and entry.seq_len <= t_i.shape[0]
-            and np.array_equal(t_i[: entry.seq_len], entry.tokens)
-        ):
-            new = t_i[entry.seq_len :]
+        if view is not None and view.quantized == floating and view.has_prefix(t_i):
+            new = t_i[view.seq_len :]
+            new_vals = None
             if not floating:
                 new_vals = new.astype(np.int64)
-                reusable = True
-                scale, max_abs = entry.tok_scale, entry.tok_max_abs
-            else:
-                new_max = float(np.max(np.abs(new))) if new.size else 0.0
-                # The per-tensor scale is max|x|/hi over the FULL matrix: the
-                # cached codes stay bit-exact only while the prefix still
-                # holds the maximum.  A louder new token changes the scale
-                # for every row -> invalidate and recompute.
-                reusable = new_max <= entry.tok_max_abs
-                scale, max_abs = entry.tok_scale, entry.tok_max_abs
-                if reusable:
-                    new_vals = quantize_with_scale(new, scale, bits)
-            if reusable:
-                new_keys = new_vals @ self._wk_pow2[i]
-                key_values = np.concatenate([entry.key_values, new_keys])
-                cache.record_hit(
-                    reused_rows=entry.seq_len, appended_rows=new.shape[0]
+            elif _max_abs(new) <= view.tok_max_abs:
+                # The per-tensor scale is max|x|/hi over the FULL matrix:
+                # the cached codes stay bit-exact only while the prefix
+                # still holds the maximum.  A louder new token changes the
+                # scale for every row: a miss.
+                new_vals = quantize_with_scale(new, view.tok_scale, bits)
+            if new_vals is not None:
+                return self._extend_cached(
+                    i, t_i, new_vals, view, cache, store_key, out
                 )
-                appended = DecodeCacheEntry(
-                    tokens=new,
-                    tok_values=new_vals,
-                    tok_scale=scale,
-                    tok_max_abs=max_abs,
-                    key_values=new_keys,
-                    quantized=floating,
-                )
-                if not cache.put(store_key, appended, base=entry):
-                    # The key's state changed since the get (replaced,
-                    # dropped, or put by another thread): store it whole.
-                    cache.put(
-                        store_key,
-                        replace(
-                            appended,
-                            tokens=t_i.copy(),
-                            tok_values=np.concatenate([entry.tok_values, new_vals]),
-                            key_values=key_values,
-                        ),
-                    )
-                return key_values
 
         # Miss: unknown sequence, rewritten/shrunk prefix, dtype switch, or
-        # scale invalidation - run the full per-head phase 1.1.
-        cache.record_miss(invalidated=entry is not None)
+        # token-scale invalidation - run the full per-head phase 1.1.
+        cache.record_miss(invalidated=view is not None)
         if floating:
             qt = quantize(t_i, bits)
             tok_values, scale = qt.values, qt.scale
-            max_abs = float(np.max(np.abs(t_i))) if t_i.size else 0.0
+            max_abs = _max_abs(t_i)
         else:
             tok_values = t_i.astype(np.int64)
             scale, max_abs = 1.0, 0.0
-        key_values = tok_values @ self._wk_pow2[i]
+        return self._put_truncated(
+            i, t_i, tok_values, scale, max_abs, floating, cache, store_key, out
+        )
+
+    def _extend_cached(
+        self,
+        i: int,
+        t_i: np.ndarray,
+        new_vals: np.ndarray,
+        view: "DecodeCacheView",
+        cache: "DecodeStepCache",
+        store_key: Hashable,
+        out: np.ndarray,
+    ) -> float:
+        """The hit path of :meth:`_phase1_head_cached`: ``new_vals`` are
+        the appended rows' token codes at the cached token scale."""
+        # Function-local on purpose: repro.engine.batched imports this
+        # module, so a module-level import of repro.engine.cache would be a
+        # core -> engine cycle.  Do not hoist.
+        from repro.engine.cache import DecodeCacheEntry
+
+        seq_len = view.seq_len
+        new_keys = new_vals @ self._wk_pow2[i]
+        if _max_abs(new_keys) > view.key_max_abs:
+            # A louder K_hat row moves the truncation scale of every row.
+            cache.record_hit(
+                reused_rows=seq_len, appended_rows=new_vals.shape[0], rescaled=True
+            )
+            tok_values = np.concatenate([view.tok_values, new_vals])
+            return self._put_truncated(
+                i, t_i, tok_values, view.tok_scale, view.tok_max_abs,
+                view.quantized, cache, store_key, out,
+            )
+        k_bits = self.config.intermediate_bits
+        k_scale = stack_scale(view.key_max_abs, k_bits)
+        new_codes = quantize_with_scale(new_keys, k_scale, k_bits)
+        view.fill("key_codes", out)
+        out[seq_len:] = new_codes
+        cache.record_hit(reused_rows=seq_len, appended_rows=new_vals.shape[0])
+        appended = DecodeCacheEntry(
+            tokens=t_i[seq_len:],
+            tok_values=new_vals,
+            tok_scale=view.tok_scale,
+            tok_max_abs=view.tok_max_abs,
+            key_codes=new_codes,
+            key_max_abs=view.key_max_abs,
+            quantized=view.quantized,
+        )
+        if not cache.put(store_key, appended, base=view):
+            # The key's state changed since the get (replaced, dropped, or
+            # put by another thread): store it whole.
+            cache.put(
+                store_key,
+                replace(
+                    appended,
+                    tokens=t_i.copy(),
+                    tok_values=np.concatenate([view.tok_values, new_vals]),
+                    key_codes=out.copy(),
+                ),
+            )
+        return k_scale
+
+    def _put_truncated(
+        self,
+        i: int,
+        t_i: np.ndarray,
+        tok_values: np.ndarray,
+        tok_scale: float,
+        tok_max_abs: float,
+        quantized: bool,
+        cache: "DecodeStepCache",
+        store_key: Hashable,
+        out: np.ndarray,
+    ) -> float:
+        """Project and truncate every row of ``tok_values`` (the codes of
+        the tokens ``t_i``), write the codes into ``out`` and put the whole
+        entry; returns the truncation scale."""
+        from repro.engine.cache import DecodeCacheEntry  # see _extend_cached
+
+        key_values, codes, k_scale = self._project_truncate(i, tok_values, out)
         cache.put(
             store_key,
             DecodeCacheEntry(
                 tokens=t_i.copy(),
                 tok_values=tok_values,
-                tok_scale=scale,
-                tok_max_abs=max_abs,
-                key_values=key_values,
-                quantized=floating,
+                tok_scale=tok_scale,
+                tok_max_abs=tok_max_abs,
+                key_codes=codes,
+                key_max_abs=_max_abs(key_values),
+                quantized=quantized,
             ),
         )
-        return key_values
+        return k_scale
+
+    def _project_truncate(
+        self, i: int, tok: np.ndarray, out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Phase 1.1 of head ``i`` over every row of the token codes
+        ``tok``: the raw ``K_hat`` rows, their truncated codes (also written
+        into ``out``) and the truncation scale."""
+        # Exact integer K_hat; float64 BLAS inside the proven window.
+        key_values = exact_int_matmul(tok, self._wk_pow2[i], dtype=np.int64)
+        # Truncate K_hat to the intermediate width (hardware keeps <=16 bits).
+        trunc = quantize_stack(key_values[None], self.config.intermediate_bits)
+        out[:] = trunc.values[0]
+        return key_values, trunc.values[0], float(trunc.scales[0])
 
     def predict_prepared(
         self,
@@ -513,20 +589,16 @@ class StackedDlzsPredictor:
         k_scales = np.empty(n)
         start = 0
         for i, x in enumerate(heads):
-            if i in keyed:
-                key_values = self._phase1_head_cached(i, x, cache, cache_keys[i])
-            else:
-                if np.issubdtype(x.dtype, np.floating):
-                    tok = quantize_stack(x[None], self.config.token_bits).values[0]
-                else:
-                    tok = x.astype(np.int64)
-                # Exact integer K_hat; float64 BLAS inside the proven window.
-                key_values = exact_int_matmul(tok, self._wk_pow2[i], dtype=np.int64)
-            # Truncate K_hat to the intermediate width (hardware keeps <=16 bits).
-            trunc = quantize_stack(key_values[None], self.config.intermediate_bits)
-            k_hat[start : start + x.shape[0]] = trunc.values[0]
-            k_scales[i] = trunc.scales[0]
+            rows = k_hat[start : start + x.shape[0]]
             start += x.shape[0]
+            if i in keyed:
+                k_scales[i] = self._phase1_head_cached(i, x, cache, cache_keys[i], rows)
+                continue
+            if np.issubdtype(x.dtype, np.floating):
+                tok = quantize_stack(x[None], self.config.token_bits).values[0]
+            else:
+                tok = x.astype(np.int64)
+            k_scales[i] = self._project_truncate(i, tok, rows)[2]
 
         # Phase 1.2: convert Q through the 16-bit-mode LZE, shift K_hat.
         if np.issubdtype(q_arr.dtype, np.floating):

@@ -32,6 +32,7 @@ from repro.engine.batched import BatchedSofaAttention, BatchedSofaResult
 from repro.engine.cache import (
     CacheStats,
     DecodeCacheEntry,
+    DecodeCacheView,
     DecodeStepCache,
     make_decode_cache,
     prefix_matches,
@@ -61,6 +62,7 @@ __all__ = [
     "BatchRecord",
     "CacheStats",
     "DecodeCacheEntry",
+    "DecodeCacheView",
     "DecodeStepCache",
     "EngineStats",
     "PagedDecodeCache",

@@ -2,10 +2,10 @@
 
 A decode loop re-submits the *same* attention problem every step with one
 more token appended: the token prefix - and therefore the quantized token
-codes and the phase-1.1 ``K_hat = tokens @ Wk`` rows derived from it - is
-identical to the previous step's.  The accelerator analogue is keeping the
-predicted-key SRAM resident between steps instead of re-running the
-pre-compute stage over the whole context.
+codes and the truncated phase-1.1 ``K_hat = tokens @ Wk`` codes derived
+from it - is identical to the previous step's.  The accelerator analogue
+is keeping the predicted-key SRAM resident between steps instead of
+re-running the pre-compute stage over the whole context.
 
 Two stores implement one surface (``get``/``put``/``invalidate``/
 ``invalidate_prefix``/``sweep_expired``/``clear`` plus the
@@ -33,21 +33,29 @@ Two stores implement one surface (``get``/``put``/``invalidate``/
 
 Consumers are store-blind: :class:`~repro.core.dlzs.StackedDlzsPredictor`
 consults the cache inside the batched pipeline - on a **hit** only the
-newly appended token rows are quantized and projected; on a **miss**
-(unknown key, prefix changed, sequence shrank) the full phase-1.1 runs and
-the entry is replaced.
+newly appended token rows are quantized, projected and truncated; on a
+**miss** (unknown key, prefix changed, sequence shrank) the full phase 1.1
+runs and the entry is replaced.
+
+``get`` returns a read-only :class:`DecodeCacheView`: the entry's scalar
+state plus each field's stored row blocks, with nothing concatenated (the
+flat store's view has one block per field).  A hit compares its token
+prefix and copies its ``K_hat`` codes block by block, so it never
+assembles an O(S) array; a field is assembled only if a fallback path
+asks for it (:attr:`DecodeCacheView.tokens` and its siblings).
 
 Both stores take a hit's new rows through the **append form** of put,
-``put(key, rows, base=entry)``: ``entry`` is what ``get`` returned and
-``rows`` holds only the rows past ``entry.seq_len``, with ``entry``'s
+``put(key, rows, base=view)``: ``view`` is what ``get`` returned and
+``rows`` holds only the rows past ``view.seq_len``, with ``view``'s
 quantization state (:func:`can_append`).  The flat store concatenates
-them onto ``entry``; the paged store hashes and pools only the grown tail
-block.  ``put`` returns ``False`` and changes nothing when the key no
-longer holds the state ``entry`` was read from (replaced, invalidated,
-expired or evicted since the get, e.g. by another thread), and the
-predictor then puts the whole sequence.  A full put returns ``True``.
-On the paged store every put references its new blocks before it
-releases the old ones, so a re-put never frees its own unchanged blocks.
+them onto the stored entry; the paged store hashes and pools only the
+grown tail block.  ``put`` returns ``False`` and changes nothing when the
+key no longer holds the state ``view`` was read from (replaced,
+invalidated, expired or evicted since the get, e.g. by another thread),
+and the predictor then puts the whole sequence.  A full put returns
+``True``.  On the paged store every put references its new blocks before
+it releases the old ones, so a re-put never frees its own unchanged
+blocks.
 
 Bit-for-bit parity is preserved because reuse is only attempted when it is
 *provably* equal to the uncached computation:
@@ -57,13 +65,18 @@ Bit-for-bit parity is preserved because reuse is only attempted when it is
   their magnitudes stay within the cached maximum (the scale - and hence
   every previously quantized code - is then bit-identical).  A louder new
   token **invalidates** the entry and recomputes everything.
-* the raw integer ``K_hat`` rows are exact row-independent int64 matmuls,
-  so appending rows never perturbs cached rows.
-* the intermediate-width truncation of ``K_hat`` (whose scale also depends
-  on a global maximum) is recomputed from the full raw rows every call - it
-  is cheap elementwise work, not the matmul the cache exists to skip.
+* the raw integer ``K_hat`` rows are exact row-independent integer
+  matmuls, so appending rows never perturbs cached rows.
+* the store keeps ``K_hat`` already truncated to the intermediate width,
+  with ``key_max_abs``, the raw ``max|K_hat|`` the truncation scale is
+  derived from.  While the new rows' ``max|K_hat|`` stays within it the
+  scale is unchanged, so only the new rows are truncated and the cached
+  codes are reused bit for bit.  A louder ``K_hat`` row is a
+  **rescale**: the raw rows are rebuilt from the cached token codes,
+  re-truncated together and the whole entry is put again (still a hit,
+  counted in ``CacheStats.rescales``).
 * the paged store shares blocks **only by content hash over the exact
-  bytes** (tokens, quantized codes and ``K_hat`` rows together), so two
+  bytes** (tokens, quantized codes and ``K_hat`` codes together), so two
   sequences share storage exactly when their per-row state is already
   bit-identical - sharing can never substitute different bits - and the
   spill codec (``.npz``) round-trips arrays bit-exactly.
@@ -78,12 +91,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Hashable
 
 from repro.obs import get_telemetry
 
 import numpy as np
+
+
+#: The per-row arrays of an entry, in block and spill-file order.
+ENTRY_FIELDS = ("tokens", "tok_values", "key_codes")
 
 
 @dataclass(frozen=True)
@@ -92,17 +109,21 @@ class DecodeCacheEntry:
 
     ``tokens`` is the float64 token matrix the entry was built from (the
     prefix-equality witness); ``tok_values`` its quantized int64 codes with
-    ``tok_scale`` / ``tok_max_abs`` the per-tensor quantization state, and
-    ``key_values`` the raw (pre-truncation) integer ``K_hat`` rows.
-    ``quantized`` records whether the float quantization path was taken
-    (integer-dtype submissions bypass it and must not mix with float ones).
+    ``tok_scale`` / ``tok_max_abs`` the per-tensor quantization state.
+    ``key_codes`` are the ``K_hat`` rows already truncated to the
+    intermediate width, and ``key_max_abs`` is the float ``max|K_hat|`` of
+    the raw rows, from which the truncation scale follows
+    (:func:`~repro.numerics.fixed_point.stack_scale`).  ``quantized``
+    records whether the float quantization path was taken (integer-dtype
+    submissions bypass it and must not mix with float ones).
     """
 
     tokens: np.ndarray
     tok_values: np.ndarray
     tok_scale: float
     tok_max_abs: float
-    key_values: np.ndarray
+    key_codes: np.ndarray
+    key_max_abs: float
     quantized: bool
 
     @property
@@ -112,7 +133,99 @@ class DecodeCacheEntry:
     @property
     def nbytes(self) -> int:
         """Resident payload: entries grow with context length, not count."""
-        return self.tokens.nbytes + self.tok_values.nbytes + self.key_values.nbytes
+        return self.tokens.nbytes + self.tok_values.nbytes + self.key_codes.nbytes
+
+    def view(self) -> "DecodeCacheView":
+        """This entry as a one-block :class:`DecodeCacheView` (read-only)."""
+        arrays = tuple(getattr(self, name) for name in ENTRY_FIELDS)
+        return DecodeCacheView(
+            seq_len=self.seq_len,
+            tok_scale=self.tok_scale,
+            tok_max_abs=self.tok_max_abs,
+            key_max_abs=self.key_max_abs,
+            quantized=self.quantized,
+            columns=tuple((_read_only(a),) for a in arrays),
+            specs=tuple((a.dtype, a.shape[1:]) for a in arrays),
+            source=self,
+        )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
+class DecodeCacheView:
+    """A stored entry read in place: what a store's ``get`` returns.
+
+    It holds the entry's scalar state and, per field of
+    :data:`ENTRY_FIELDS`, the stored row blocks in order
+    (``columns[j]``), with nothing concatenated.  The block arrays are
+    read-only.  ``specs`` gives each field's dtype and trailing shape, so
+    a field's type is known without touching a block.  ``source`` is the
+    stored object the view was read from; ``put(..., base=view)``
+    compares it by identity to refuse an append onto state that has
+    changed since.
+
+    A hit needs only :meth:`has_prefix` and :meth:`fill`.  The array
+    properties (:attr:`tokens`, :attr:`tok_values`, :attr:`key_codes`)
+    assemble a fresh copy of the field on every access; they are for
+    fallback paths and tests.
+    """
+
+    seq_len: int
+    tok_scale: float
+    tok_max_abs: float
+    key_max_abs: float
+    quantized: bool
+    columns: tuple[tuple[np.ndarray, ...], ...]
+    specs: tuple[tuple[np.dtype | str, tuple[int, ...]], ...]
+    source: object = field(compare=False, repr=False)
+
+    def has_prefix(self, rows: np.ndarray) -> bool:
+        """Are the stored tokens equal to the first ``seq_len`` of ``rows``?
+
+        Compares block by block (``==``, so NaN never matches), allocating
+        nothing larger than one block.
+        """
+        if rows.shape[0] < self.seq_len or rows.shape[1:] != self.specs[0][1]:
+            return False
+        lo = 0
+        for block in self.columns[0]:
+            hi = lo + block.shape[0]
+            if not (rows[lo:hi] == block).all():
+                return False
+            lo = hi
+        return True
+
+    def fill(self, name: str, out: np.ndarray) -> None:
+        """Copy field ``name``'s stored rows into ``out[:seq_len]``."""
+        lo = 0
+        for block in self.columns[ENTRY_FIELDS.index(name)]:
+            hi = lo + block.shape[0]
+            out[lo:hi] = block
+            lo = hi
+
+    def assemble(self, name: str) -> np.ndarray:
+        """A fresh, writable copy of field ``name``'s stored rows."""
+        dtype, trailing = self.specs[ENTRY_FIELDS.index(name)]
+        out = np.empty((self.seq_len, *trailing), dtype=np.dtype(dtype))
+        self.fill(name, out)
+        return out
+
+    @property
+    def tokens(self) -> np.ndarray:
+        return self.assemble("tokens")
+
+    @property
+    def tok_values(self) -> np.ndarray:
+        return self.assemble("tok_values")
+
+    @property
+    def key_codes(self) -> np.ndarray:
+        return self.assemble("key_codes")
 
 
 @dataclass
@@ -145,6 +258,7 @@ class CacheStats:
     expirations: int = 0
     rows_reused: int = 0
     rows_appended: int = 0
+    rescales: int = 0
     resident_bytes: int = 0
     resident_blocks: int = 0
     shared_blocks: int = 0
@@ -211,22 +325,22 @@ def prefix_matches(store_key: Hashable, prefix: Hashable) -> bool:
     return isinstance(user_key, tuple) and bool(user_key) and user_key[0] == prefix
 
 
-def can_append(base: DecodeCacheEntry, rows: DecodeCacheEntry) -> bool:
+def can_append(base: DecodeCacheView, rows: DecodeCacheEntry) -> bool:
     """Can ``rows`` extend ``base`` in a ``put(key, rows, base=base)``?
 
-    The appended rows must carry ``base``'s quantization state (scale,
-    maximum and ``quantized`` flag) and its array dtypes and row shapes:
-    the store concatenates them onto ``base``'s rows as they are.  Both
-    stores refuse an append that fails this check, like a stale one.
+    The appended rows must carry ``base``'s quantization state (both
+    scales' maxima, the token scale and the ``quantized`` flag) and its
+    array dtypes and row shapes, read from ``base.specs``: the store
+    appends them to ``base``'s rows as they are.  Both stores refuse an
+    append that fails this check, like a stale one.
     """
-    state = (rows.tok_scale, rows.tok_max_abs, rows.quantized)
-    if state != (base.tok_scale, base.tok_max_abs, base.quantized):
+    state = (rows.tok_scale, rows.tok_max_abs, rows.key_max_abs, rows.quantized)
+    if state != (base.tok_scale, base.tok_max_abs, base.key_max_abs, base.quantized):
         return False
     return all(
-        new.dtype == old.dtype and new.shape[1:] == old.shape[1:]
-        for new, old in zip(
-            (rows.tokens, rows.tok_values, rows.key_values),
-            (base.tokens, base.tok_values, base.key_values),
+        new.dtype == np.dtype(dtype) and new.shape[1:] == trailing
+        for new, (dtype, trailing) in zip(
+            (getattr(rows, name) for name in ENTRY_FIELDS), base.specs
         )
     )
 
@@ -351,8 +465,9 @@ class DecodeStepCache:
         with self._lock:
             return self._sweep_expired_locked(self._clock())
 
-    def get(self, key: Hashable) -> DecodeCacheEntry | None:
-        """Return the live entry for ``key`` (marking it recently used)."""
+    def get(self, key: Hashable) -> DecodeCacheView | None:
+        """Return the live entry for ``key`` as a one-block read-only view
+        (marking it recently used)."""
         obs = get_telemetry()
         t0 = obs.clock()
         with self._lock:
@@ -363,23 +478,24 @@ class DecodeStepCache:
                 self._entries.move_to_end(key)
                 self._last_used[key] = now
         obs.observe_since("sofa_cache_lookup_seconds", t0)
-        return entry
+        return None if entry is None else entry.view()
 
     def put(
         self,
         key: Hashable,
         entry: DecodeCacheEntry,
         *,
-        base: DecodeCacheEntry | None = None,
+        base: DecodeCacheView | None = None,
     ) -> bool:
         """Insert/replace the entry for ``key``, evicting LRU overflow.
 
-        With ``base`` - the entry :meth:`get` returned for ``key`` -
+        With ``base`` - the view :meth:`get` returned for ``key`` -
         ``entry`` holds only the rows appended past ``base.seq_len``; they
-        are concatenated onto ``base`` and the result replaces it.  Returns
-        ``False`` and changes nothing when ``key`` no longer holds ``base``
-        (replaced, invalidated, expired or evicted since the get) or the
-        rows cannot extend it (:func:`can_append`); otherwise ``True``.
+        are concatenated onto the stored entry and the result replaces
+        it.  Returns ``False`` and changes nothing when ``key`` no longer
+        holds the entry ``base`` was read from (replaced, invalidated,
+        expired or evicted since the get) or the rows cannot extend it
+        (:func:`can_append`); otherwise ``True``.
 
         Overflow is bounded on entry *count* and - when ``max_bytes`` is set
         - on total resident payload bytes (entries scale with context
@@ -392,14 +508,13 @@ class DecodeStepCache:
             now = self._clock()
             self._sweep_expired_locked(now)
             if base is not None:
-                if self._entries.get(key) is not base:
+                stored = self._entries.get(key)
+                if stored is not base.source:
                     return False
-                entry = replace(
-                    base,
-                    tokens=np.concatenate([base.tokens, entry.tokens]),
-                    tok_values=np.concatenate([base.tok_values, entry.tok_values]),
-                    key_values=np.concatenate([base.key_values, entry.key_values]),
-                )
+                entry = replace(stored, **{
+                    name: np.concatenate([getattr(stored, name), getattr(entry, name)])
+                    for name in ENTRY_FIELDS
+                })
             old = self._entries.pop(key, None)
             if old is not None:
                 self.stats.resident_bytes -= old.nbytes
@@ -456,11 +571,14 @@ class DecodeStepCache:
         self.clear()
 
     # ------------------------------------------------------- counter helpers
-    def record_hit(self, reused_rows: int, appended_rows: int) -> None:
+    def record_hit(
+        self, reused_rows: int, appended_rows: int, rescaled: bool = False
+    ) -> None:
         with self._lock:
             self.stats.hits += 1
             self.stats.rows_reused += reused_rows
             self.stats.rows_appended += appended_rows
+            self.stats.rescales += rescaled
 
     def record_miss(self, invalidated: bool) -> None:
         with self._lock:

@@ -3,11 +3,11 @@
 The flat :class:`~repro.engine.cache.DecodeStepCache` stores one monolithic
 :class:`~repro.engine.cache.DecodeCacheEntry` per sequence, so two sessions
 decoding from the same system prompt each pin a full copy of the prompt's
-quantized tokens and ``K_hat`` rows, and byte pressure can only drop whole
+quantized tokens and ``K_hat`` codes, and byte pressure can only drop whole
 entries.  This module is the block-pool analogue of a paged KV cache:
 
 * Entries are decomposed into fixed-size **blocks** of ``block_tokens``
-  consecutive rows (tokens, quantized codes and raw ``K_hat`` rows
+  consecutive rows (tokens, quantized codes and truncated ``K_hat`` codes
   together).  Blocks live in one pool keyed by a SHA-1 **content hash**
   over their exact bytes, dtypes and shapes - two entries reference the
   same block exactly when their per-row state is bit-identical, so
@@ -23,12 +23,16 @@ entries.  This module is the block-pool analogue of a paged KV cache:
   old one, so blocks the two chains share are never freed, unlinked
   from the spill tier or re-copied.  A block whose refcount reaches zero
   leaves the pool.
+* :meth:`~PagedDecodeCache.get` reads in place: it returns a read-only
+  :class:`~repro.engine.cache.DecodeCacheView` of the chain's block
+  arrays and concatenates nothing.
 * A decode step grows a sequence by a few rows, so ``put`` has an
-  **append form**: ``put(key, rows, base=entry)`` with the entry
+  **append form**: ``put(key, rows, base=view)`` with the view
   :meth:`~PagedDecodeCache.get` returned and only the new rows.  The
-  store keeps the key's unchanged full blocks and their hashes, and
-  re-chunks and hashes only the partial tail block plus the new rows -
-  O(tail) work instead of re-hashing and re-copying the whole sequence.
+  store leaves the key's unchanged full blocks alone (no refcount or
+  recency change), and re-chunks and hashes only the partial tail block
+  plus the new rows - O(tail) work instead of re-hashing and re-copying
+  the whole sequence.
   The chain it builds is the one a full put would build, so sharing and
   the persist manifest are unchanged.  The append is refused (``False``,
   nothing changed) when the key's chain is no longer the one ``base``
@@ -38,9 +42,8 @@ entries.  This module is the block-pool analogue of a paged KV cache:
   is a hard invariant: after every operation the resident payload is at
   most ``max_bytes`` - an entry larger than the whole budget ends fully
   spilled (and still servable) rather than silently overshooting.
-  Lookups that need spilled blocks reload them (``spill_loads``) and
-  rebuild the entry bit-exactly (the ``.npy`` codec round-trips arrays
-  exactly).
+  Lookups that need spilled blocks reload them (``spill_loads``)
+  bit-exactly (the ``.npy`` codec round-trips arrays exactly).
 * :meth:`PagedDecodeCache.persist` writes every block plus a manifest to
   ``spill_dir`` so a long-lived session's cache survives a process
   restart: a new cache constructed over the same directory restores the
@@ -63,25 +66,28 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable
 
 import numpy as np
 
 from repro.engine.cache import (
+    ENTRY_FIELDS,
     CacheStats,
     DecodeCacheEntry,
+    DecodeCacheView,
     can_append,
     prefix_matches,
 )
 from repro.obs import get_telemetry
 
-#: order of the per-row arrays inside a block / spill file.
-_FIELDS = ("tokens", "tok_values", "key_values")
-
 #: name of the restart-survival index written by :meth:`PagedDecodeCache.persist`.
 MANIFEST_NAME = "manifest.pkl"
+
+#: layout of the manifest and spill files; version 1 blocks held raw
+#: ``K_hat`` rows (``key_values``), version 2 holds truncated codes.
+MANIFEST_VERSION = 2
 
 
 def block_content_hash(rows: tuple[np.ndarray, ...]) -> str:
@@ -108,10 +114,11 @@ def _dtype_name(dtype: np.dtype) -> str:
 class _Block:
     """One immutable pooled slice of ``block_tokens`` rows.
 
-    ``arrays`` holds the (tokens, tok_values, key_values) row slices while
-    the block is RAM-resident and is ``None`` once spilled; ``on_disk``
-    records whether the content-addressed ``.npz`` file exists (a block can
-    be both resident and on disk after a reload or :meth:`persist`).
+    ``arrays`` holds the read-only (tokens, tok_values, key_codes) row
+    slices while the block is RAM-resident and is ``None`` once spilled;
+    ``on_disk`` records whether the content-addressed ``.npz`` file exists
+    (a block can be both resident and on disk after a reload or
+    :meth:`persist`).
     """
 
     __slots__ = ("content_hash", "n_rows", "nbytes", "refcount", "arrays", "on_disk")
@@ -145,17 +152,9 @@ class _PagedEntry:
     seq_len: int
     tok_scale: float
     tok_max_abs: float
+    key_max_abs: float
     quantized: bool
     specs: tuple[tuple[str, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class _PagedView(DecodeCacheEntry):
-    """What :meth:`PagedDecodeCache.get` returns: the assembled entry plus
-    the stored chain it came from, which ``put(..., base=)`` compares by
-    identity to refuse an append onto a chain that has since changed."""
-
-    source: _PagedEntry = field(compare=False, repr=False)
 
 
 class PagedDecodeCache:
@@ -207,7 +206,7 @@ class PagedDecodeCache:
         self.stats = CacheStats()
         self._entries: OrderedDict[Hashable, _PagedEntry] = OrderedDict()
         self._last_used: dict[Hashable, float] = {}
-        #: pool in touch order - iteration order is coldest-first spill order.
+        #: pool in lookup order - iteration order is coldest-first spill order.
         self._blocks: OrderedDict[str, _Block] = OrderedDict()
         self._lock = threading.RLock()
         self._tmp_dir: tempfile.TemporaryDirectory | None = None
@@ -234,7 +233,7 @@ class PagedDecodeCache:
         obs = get_telemetry()
         t0 = obs.clock()
         np.savez(self._block_path(block.content_hash),
-                 **dict(zip(_FIELDS, block.arrays)))
+                 **dict(zip(ENTRY_FIELDS, block.arrays)))
         obs.observe_since("sofa_cache_spill_write_seconds", t0)
         block.on_disk = True
 
@@ -256,9 +255,11 @@ class PagedDecodeCache:
         t0 = obs.clock()
         try:
             with np.load(self._block_path(block.content_hash)) as archive:
-                arrays = tuple(archive[name] for name in _FIELDS)
+                arrays = tuple(archive[name] for name in ENTRY_FIELDS)
         except Exception:
             return None
+        for array in arrays:
+            array.flags.writeable = False
         obs.observe_since("sofa_cache_spill_load_seconds", t0)
         self.stats.spill_loads += 1
         return arrays
@@ -391,12 +392,13 @@ class PagedDecodeCache:
         with self._lock:
             return self._sweep_expired_locked(self._clock())
 
-    def get(self, key: Hashable) -> DecodeCacheEntry | None:
-        """Rebuild the live entry for ``key`` from its blocks.
+    def get(self, key: Hashable) -> DecodeCacheView | None:
+        """The live entry for ``key``, read in place from its blocks.
 
-        Spilled blocks are faulted back in (counted as ``spill_loads``);
-        the returned :class:`DecodeCacheEntry` owns fresh arrays, so
-        callers can never write through to pooled blocks.  An unreadable
+        Spilled blocks are faulted back in (counted as ``spill_loads``).
+        The returned :class:`~repro.engine.cache.DecodeCacheView` holds the
+        chain's read-only block arrays, so callers can never write through
+        to pooled blocks, and nothing is concatenated.  An unreadable
         spill file demotes every entry referencing that block to a miss.
         """
         obs = get_telemetry()
@@ -405,38 +407,35 @@ class PagedDecodeCache:
         obs.observe_since("sofa_cache_lookup_seconds", t0)
         return entry
 
-    def _get_entry(self, key: Hashable) -> DecodeCacheEntry | None:
+    def _get_entry(self, key: Hashable) -> DecodeCacheView | None:
         with self._lock:
             now = self._clock()
             self._sweep_expired_locked(now)
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            per_field: tuple[list[np.ndarray], ...] = ([], [], [])
+            blocks = self._blocks
+            per_block = []
             for content_hash in entry.block_hashes:
-                block = self._blocks[content_hash]
-                if not self._load_block(block):
+                block = blocks[content_hash]
+                if block.arrays is None and not self._load_block(block):
                     self._drop_block_and_owners(content_hash)
                     return None
-                self._blocks.move_to_end(content_hash)
-                for rows, array in zip(per_field, block.arrays):
-                    rows.append(array)
-            arrays = []
-            for (dtype, trailing), rows in zip(entry.specs, per_field):
-                if rows:
-                    arrays.append(np.concatenate(rows, axis=0))
-                else:
-                    arrays.append(np.empty((0, *trailing), dtype=np.dtype(dtype)))
+                blocks.move_to_end(content_hash)
+                per_block.append(block.arrays)
             self._entries.move_to_end(key)
             self._last_used[key] = now
+            # A block spilled here stays readable through the view, which
+            # holds its arrays.
             self._enforce_budget()
-            return _PagedView(
-                tokens=arrays[0],
-                tok_values=arrays[1],
+            return DecodeCacheView(
+                seq_len=entry.seq_len,
                 tok_scale=entry.tok_scale,
                 tok_max_abs=entry.tok_max_abs,
-                key_values=arrays[2],
+                key_max_abs=entry.key_max_abs,
                 quantized=entry.quantized,
+                columns=tuple(zip(*per_block)) or ((),) * len(ENTRY_FIELDS),
+                specs=entry.specs,
                 source=entry,
             )
 
@@ -445,28 +444,30 @@ class PagedDecodeCache:
         key: Hashable,
         entry: DecodeCacheEntry,
         *,
-        base: DecodeCacheEntry | None = None,
+        base: DecodeCacheView | None = None,
     ) -> bool:
         """Store ``entry``'s chain for ``key``; with ``base``, append to it.
 
         A full put decomposes ``entry`` into ``block_tokens``-row slices:
         slices whose content hash is already pooled are shared (their
         refcount grows), new content gets fresh immutable copies.  With
-        ``base`` - the entry :meth:`get` returned for ``key`` - ``entry``
+        ``base`` - the view :meth:`get` returned for ``key`` - ``entry``
         holds only the rows appended past ``base.seq_len``.  The store
-        then builds the grown chain itself: it keeps the key's unchanged
-        full blocks (and their hashes), reads the partial tail block
-        (from the spill tier if it has spilled), and pools tail + new
-        rows, so an append hashes ``ceil((tail + new) / block_tokens)``
-        blocks instead of the whole sequence.  The chain is the one a full
-        put of the grown sequence would build, block for block.
+        then builds the grown chain itself: it leaves the key's unchanged
+        full blocks alone (their references, hashes and recency, which
+        the get refreshed), reads the partial tail block (from the spill
+        tier if it has spilled), pools tail + new rows and releases only
+        the old tail block.  An append therefore hashes ``ceil((tail +
+        new) / block_tokens)`` blocks and touches no other block.  The
+        chain is the one a full put of the grown sequence would build,
+        block for block.
 
-        Either way the new chain is referenced before the old one is
-        released, so blocks the two share are never freed, unlinked from
-        the spill tier or re-copied.  Returns ``False`` and changes
+        Either way the new blocks are referenced before old ones are
+        released, so blocks the two chains share are never freed, unlinked
+        from the spill tier or re-copied.  Returns ``False`` and changes
         nothing when an append cannot apply: the rows cannot extend
         ``base`` (:func:`~repro.engine.cache.can_append`), the key's chain
-        is no longer the one ``base`` was assembled from (replaced,
+        is no longer the one ``base`` was read from (replaced,
         invalidated, expired, evicted, or put by another thread in
         between), or its tail block's spill file is unreadable (the key is
         then dropped, as :meth:`get` would).  Callers fall back to a full
@@ -474,45 +475,40 @@ class PagedDecodeCache:
         """
         if base is not None and not can_append(base, entry):
             return False
-        rows_of = tuple(
-            np.ascontiguousarray(a)
-            for a in (entry.tokens, entry.tok_values, entry.key_values)
-        )
+        rows_of = tuple(np.ascontiguousarray(getattr(entry, name)) for name in ENTRY_FIELDS)
         with self._lock:
             now = self._clock()
             self._sweep_expired_locked(now)
             old = self._entries.get(key)
             kept: tuple[str, ...] = ()
+            released: tuple[str, ...] = old.block_hashes if old is not None else ()
             seq_len = entry.seq_len
             if base is not None:
-                if old is None or getattr(base, "source", None) is not old:
+                if old is None or base.source is not old:
                     return False
-                kept = old.block_hashes[: old.seq_len // self.block_tokens]
-                if len(kept) < len(old.block_hashes):
-                    tail_hash = old.block_hashes[-1]
-                    tail = self._read_block(self._blocks[tail_hash])
+                n_full = old.seq_len // self.block_tokens
+                kept, released = old.block_hashes[:n_full], old.block_hashes[n_full:]
+                if released:
+                    tail = self._read_block(self._blocks[released[0]])
                     if tail is None:
-                        self._drop_block_and_owners(tail_hash)
+                        self._drop_block_and_owners(released[0])
                         return False
                     rows_of = tuple(
                         np.concatenate([t, r]) for t, r in zip(tail, rows_of)
                     )
                 seq_len += old.seq_len
-            for content_hash in kept:
-                self._blocks.move_to_end(content_hash)
-                self._incref(self._blocks[content_hash])
             hashes = list(kept)
             for lo in range(0, rows_of[0].shape[0], self.block_tokens):
                 slices = tuple(a[lo : lo + self.block_tokens] for a in rows_of)
                 hashes.append(self._pool(slices))
-            if old is not None:
-                for content_hash in old.block_hashes:
-                    self._decref(content_hash)
+            for content_hash in released:
+                self._decref(content_hash)
             self._entries[key] = _PagedEntry(
                 block_hashes=tuple(hashes),
                 seq_len=seq_len,
                 tok_scale=entry.tok_scale,
                 tok_max_abs=entry.tok_max_abs,
+                key_max_abs=entry.key_max_abs,
                 quantized=entry.quantized,
                 specs=tuple((_dtype_name(a.dtype), a.shape[1:]) for a in rows_of),
             )
@@ -522,11 +518,18 @@ class PagedDecodeCache:
             return True
 
     def _pool(self, slices: tuple[np.ndarray, ...]) -> str:
-        """Reference the pooled block holding ``slices``; returns its hash."""
+        """Reference the pooled block holding ``slices``; returns its hash.
+
+        A block already pooled keeps its place in the spill order: only
+        :meth:`get` refreshes recency, so a full put and an append of the
+        same rows leave the same order.
+        """
         content_hash = block_content_hash(slices)
         block = self._blocks.get(content_hash)
         if block is None:
             copies = tuple(s.copy() for s in slices)
+            for copy in copies:
+                copy.flags.writeable = False
             block = _Block(
                 content_hash,
                 copies,
@@ -534,8 +537,6 @@ class PagedDecodeCache:
                 nbytes=sum(c.nbytes for c in copies),
             )
             self._add_block(block)
-        else:
-            self._blocks.move_to_end(content_hash)
         self._incref(block)
         return content_hash
 
@@ -580,11 +581,14 @@ class PagedDecodeCache:
                 self._spill_dir = None
 
     # ------------------------------------------------------- counter helpers
-    def record_hit(self, reused_rows: int, appended_rows: int) -> None:
+    def record_hit(
+        self, reused_rows: int, appended_rows: int, rescaled: bool = False
+    ) -> None:
         with self._lock:
             self.stats.hits += 1
             self.stats.rows_reused += reused_rows
             self.stats.rows_appended += appended_rows
+            self.stats.rescales += rescaled
 
     def record_miss(self, invalidated: bool) -> None:
         with self._lock:
@@ -607,7 +611,7 @@ class PagedDecodeCache:
             for block in self._blocks.values():
                 self._write_block(block)
             manifest = {
-                "version": 1,
+                "version": MANIFEST_VERSION,
                 "block_tokens": self.block_tokens,
                 "blocks": {
                     h: (b.n_rows, b.nbytes) for h, b in self._blocks.items()
@@ -626,11 +630,12 @@ class PagedDecodeCache:
 
         Restored entries start with every block in the spill tier (RAM
         empty) and fault blocks back in on first :meth:`get`.  A missing
-        or unreadable manifest, one written at another ``block_tokens``
-        (an append relies on every chain being cut at this cache's block
-        size), or an entry whose spill files vanished is skipped silently:
-        restoring is an optimization, never a correctness dependency (the
-        worst case is a recompute).
+        or unreadable manifest, one of another :data:`MANIFEST_VERSION`
+        (its blocks hold another layout), one written at another
+        ``block_tokens`` (an append relies on every chain being cut at
+        this cache's block size), or an entry whose spill files vanished
+        is skipped silently: restoring is an optimization, never a
+        correctness dependency (the worst case is a recompute).
         """
         assert self._spill_dir is not None
         path = self._spill_dir / MANIFEST_NAME
@@ -639,7 +644,7 @@ class PagedDecodeCache:
         try:
             with open(path, "rb") as fh:
                 manifest = pickle.load(fh)
-            if manifest.get("version") != 1:
+            if manifest.get("version") != MANIFEST_VERSION:
                 return
             if manifest.get("block_tokens") != self.block_tokens:
                 return

@@ -109,6 +109,19 @@ class StackQuantizedTensor:
         return self.values.astype(np.float64) * self.scales.reshape(shape)
 
 
+def stack_scale(max_abs: float, bits: int) -> float:
+    """The scale :func:`quantize_stack` gives a slice whose ``max|x|`` is
+    ``max_abs``: ``max_abs / hi``, or 1.0 when that is not > 0.
+
+    Lets a caller that keeps a slice's maximum extend the slice without
+    re-scanning it: while new elements stay within ``max_abs``, the scale
+    and every existing code are unchanged.
+    """
+    _, hi = int_range(bits)
+    scale = max_abs / hi
+    return scale if scale > 0 else 1.0
+
+
 def quantize_stack(x: np.ndarray, bits: int) -> StackQuantizedTensor:
     """Quantize each slice along axis 0 with its own symmetric scale.
 

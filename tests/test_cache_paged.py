@@ -11,13 +11,14 @@ entries reloaded from the spill tier, and appends the store refuses
 because another writer changed the key between the lookup and the put.
 """
 
+import pickle
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.config import SofaConfig
-from repro.engine import AttentionRequest, SofaEngine
+from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
 from repro.engine.cache import make_decode_cache
 from repro.engine.paged import PagedDecodeCache
 from repro.utils.rng import make_rng
@@ -167,7 +168,8 @@ def test_oversized_entry_spills_instead_of_overshooting():
         tok_values=np.rint(tokens * 50).astype(np.int64),
         tok_scale=0.02,
         tok_max_abs=float(np.max(np.abs(tokens))),
-        key_values=rng.integers(-500, 500, size=(64, D)).astype(np.int64),
+        key_codes=rng.integers(-500, 500, size=(64, D)).astype(np.int64),
+        key_max_abs=500.0,
         quantized=True,
     )
     cache = make_decode_cache(
@@ -180,7 +182,7 @@ def test_oversized_entry_spills_instead_of_overshooting():
     got = cache.get("big")
     assert got.tokens.tobytes() == entry.tokens.tobytes()
     assert got.tok_values.tobytes() == entry.tok_values.tobytes()
-    assert got.key_values.tobytes() == entry.key_values.tobytes()
+    assert got.key_codes.tobytes() == entry.key_codes.tobytes()
     assert got.tokens.dtype == entry.tokens.dtype
     assert cache.stats.spill_loads > 0
     assert cache.stats.resident_bytes <= cache.max_bytes  # re-enforced
@@ -226,6 +228,81 @@ def test_persisted_cache_survives_restart_bit_exactly(tmp_path):
 
 
 @pytest.mark.paged_cache
+def test_version_1_spill_dir_restores_nothing(tmp_path):
+    """Version-1 spill files held raw ``K_hat`` rows under ``key_values``;
+    blocks now hold truncated codes.  A spill dir in the version-1 layout
+    restores nothing: its lookup misses and the output is bit-identical
+    to uncached serving."""
+    wk, wv, prefix, tails, queries = _workload(59)
+    spill = tmp_path / "cache"
+    tokens = _session_tokens(prefix, tails, 0, 2)
+    first = SofaEngine(
+        CFG, cache_kind="paged", cache_block_tokens=BLOCK_TOKENS,
+        cache_spill_dir=str(spill),
+    )
+    first.run([AttentionRequest(tokens=tokens, q=queries[2], wk=wk, wv=wv,
+                                cache_key=("sess", 0))])
+    manifest_path = first.cache.persist()
+    first.shutdown()
+    with open(manifest_path, "rb") as fh:
+        manifest = pickle.load(fh)
+    assert manifest["version"] == 2
+    manifest["version"] = 1
+    with open(manifest_path, "wb") as fh:
+        pickle.dump(manifest, fh)
+    for path in spill.glob("*.npz"):
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["key_values"] = arrays.pop("key_codes")
+        np.savez(path, **arrays)
+
+    grown = _session_tokens(prefix, tails, 0, 3)
+    second = SofaEngine(
+        CFG, cache_kind="paged", cache_block_tokens=BLOCK_TOKENS,
+        cache_spill_dir=str(spill),
+    )
+    uncached = SofaEngine(CFG)
+    try:
+        assert len(second.cache) == 0
+        got = second.run([AttentionRequest(tokens=grown, q=queries[3], wk=wk,
+                                           wv=wv, cache_key=("sess", 0))])[0]
+        ref = uncached.run([AttentionRequest(tokens=grown, q=queries[3],
+                                             wk=wk, wv=wv)])[0]
+        _assert_result_identical(ref, got)
+        assert (second.stats.cache_hits, second.stats.cache_misses) == (0, 1)
+    finally:
+        second.shutdown()
+        uncached.shutdown()
+
+
+@pytest.mark.paged_cache
+def test_sessions_share_the_prompt_when_it_holds_the_key_max():
+    """Blocks hold truncated ``K_hat`` codes, whose scale follows the
+    sequence's loudest ``K_hat`` row.  When that row (and the token max)
+    lives in a shared prompt, sessions that diverge after it keep the
+    prompt's codes and so keep sharing its blocks, step after step."""
+    rng = make_rng(61)
+    wk1, wv1 = rng.normal(size=(H, D)), rng.normal(size=(H, D))
+    op = BatchedSofaAttention(np.stack([wk1, wk1]), np.stack([wv1, wv1]), CFG)
+    pow2 = op.predictor._wk_pow2[0]
+    prompt = rng.integers(-60, 60, size=(PREFIX_LEN, H)).astype(np.float64)
+    col = int(np.argmax(np.abs(pow2).sum(axis=0)))
+    prompt[5] = 100.0 * np.sign(pow2[:, col])  # both maxima in the prompt
+    tails = rng.integers(-60, 60, size=(2, N_STEPS, H)).astype(np.float64)
+    cache = PagedDecodeCache(block_tokens=BLOCK_TOKENS)
+    for step in range(1, N_STEPS + 1):
+        tokens = np.stack([np.concatenate([prompt, tail[:step]]) for tail in tails])
+        q = rng.normal(size=(2, 2, D))
+        ref = op(tokens, q)
+        got = op(tokens, q, cache=cache, cache_keys=["a", "b"])
+        for i in range(2):
+            _assert_result_identical(ref.per_head[i], got.per_head[i])
+        assert cache.stats.shared_blocks == PREFIX_LEN // BLOCK_TOKENS
+    assert (cache.stats.hits, cache.stats.rescales) == (2 * (N_STEPS - 1), 0)
+    cache.close()
+
+
+@pytest.mark.paged_cache
 def test_corrupt_spill_file_degrades_to_miss(tmp_path):
     """An unreadable spill file may only cost a recompute, never wrong bits
     or a crash: the entry demotes to a miss."""
@@ -234,8 +311,8 @@ def test_corrupt_spill_file_degrades_to_miss(tmp_path):
     tokens = np.arange(18, dtype=np.float64).reshape(6, 3)
     entry = DecodeCacheEntry(
         tokens=tokens, tok_values=tokens.astype(np.int64), tok_scale=1.0,
-        tok_max_abs=17.0, key_values=np.zeros((6, 2), dtype=np.int64),
-        quantized=True,
+        tok_max_abs=17.0, key_codes=np.zeros((6, 2), dtype=np.int64),
+        key_max_abs=0.0, quantized=True,
     )
     cache = make_decode_cache(
         "paged", block_tokens=2, max_bytes=1, spill_dir=str(tmp_path)

@@ -47,18 +47,19 @@ def _stream(stream_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(1000 + stream_id)
     tokens = rng.integers(-90, 90, size=(MAX_ROWS, H)).astype(np.float64)
     tok_values = np.rint(tokens / 0.75).astype(np.int64)
-    key_values = rng.integers(-400, 400, size=(MAX_ROWS, DK)).astype(np.int64)
-    return tokens, tok_values, key_values
+    key_codes = rng.integers(-400, 400, size=(MAX_ROWS, DK)).astype(np.int64)
+    return tokens, tok_values, key_codes
 
 
 def _entry(stream_id: int, length: int) -> DecodeCacheEntry:
-    tokens, tok_values, key_values = _stream(stream_id)
+    tokens, tok_values, key_codes = _stream(stream_id)
     return DecodeCacheEntry(
         tokens=tokens[:length].copy(),
         tok_values=tok_values[:length].copy(),
         tok_scale=0.75,
         tok_max_abs=90.0,
-        key_values=key_values[:length].copy(),
+        key_codes=key_codes[:length].copy(),
+        key_max_abs=400.0,
         quantized=True,
     )
 
@@ -70,7 +71,8 @@ def _rows(entry: DecodeCacheEntry, start: int) -> DecodeCacheEntry:
         tok_values=entry.tok_values[start:],
         tok_scale=entry.tok_scale,
         tok_max_abs=entry.tok_max_abs,
-        key_values=entry.key_values[start:],
+        key_codes=entry.key_codes[start:],
+        key_max_abs=entry.key_max_abs,
         quantized=entry.quantized,
     )
 
@@ -78,11 +80,12 @@ def _rows(entry: DecodeCacheEntry, start: int) -> DecodeCacheEntry:
 def _assert_entries_equal(got: DecodeCacheEntry, expected: DecodeCacheEntry):
     assert got.tokens.tobytes() == expected.tokens.tobytes()
     assert got.tok_values.tobytes() == expected.tok_values.tobytes()
-    assert got.key_values.tobytes() == expected.key_values.tobytes()
+    assert got.key_codes.tobytes() == expected.key_codes.tobytes()
     assert got.tokens.dtype == expected.tokens.dtype
     assert got.tokens.shape == expected.tokens.shape
     assert got.tok_scale == expected.tok_scale
     assert got.tok_max_abs == expected.tok_max_abs
+    assert got.key_max_abs == expected.key_max_abs
     assert got.quantized == expected.quantized
 
 
@@ -106,7 +109,7 @@ def _check_invariants(cache: PagedDecodeCache, shadow: dict):
             assert cache._load_block(block)  # spill -> load is bit-exact too
             for array, source in zip(
                 block.arrays,
-                (expected.tokens, expected.tok_values, expected.key_values),
+                (expected.tokens, expected.tok_values, expected.key_codes),
             ):
                 assert array.tobytes() == source[row : row + block.n_rows].tobytes()
             row += block.n_rows
@@ -200,13 +203,14 @@ def test_cow_growth_never_mutates_a_shared_block():
     cache.put("b", _entry(0, 12))  # same stream: fully shared chain
     assert cache.stats.shared_blocks == 3
     # Diverge "a": same 12-row prefix, different tail rows.
-    tokens, tok_values, key_values = _stream(0)
+    tokens, tok_values, key_codes = _stream(0)
     diverged = DecodeCacheEntry(
         tokens=np.concatenate([tokens[:12], tokens[20:24] + 1.0]),
         tok_values=np.concatenate([tok_values[:12], tok_values[20:24] + 1]),
         tok_scale=0.75,
         tok_max_abs=91.0,
-        key_values=np.concatenate([key_values[:12], key_values[20:24]]),
+        key_codes=np.concatenate([key_codes[:12], key_codes[20:24]]),
+        key_max_abs=400.0,
         quantized=True,
     )
     cache.put("a", diverged)
@@ -361,20 +365,21 @@ def _prompt_streams(seed: int, n_streams: int, prompt: int, length: int):
     streams = []
     for _ in range(n_streams):
         own = rows(length - prompt)
-        tokens, key_values = (np.concatenate(pair) for pair in zip(shared, own))
+        tokens, key_codes = (np.concatenate(pair) for pair in zip(shared, own))
         tok_values = np.rint(np.nan_to_num(tokens) / 0.75).astype(np.int64)
-        streams.append((tokens, tok_values, key_values))
+        streams.append((tokens, tok_values, key_codes))
     return streams
 
 
 def _cut(stream, lo: int, hi: int) -> DecodeCacheEntry:
-    tokens, tok_values, key_values = stream
+    tokens, tok_values, key_codes = stream
     return DecodeCacheEntry(
         tokens=tokens[lo:hi].copy(),
         tok_values=tok_values[lo:hi].copy(),
         tok_scale=0.75,
         tok_max_abs=90.0,
-        key_values=key_values[lo:hi].copy(),
+        key_codes=key_codes[lo:hi].copy(),
+        key_max_abs=400.0,
         quantized=True,
     )
 

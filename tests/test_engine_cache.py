@@ -6,12 +6,21 @@ scale), anything else is a miss that recomputes from scratch.  Counters are
 exact and observable through ``SofaEngine.stats``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.config import SofaConfig
+from repro.core.dlzs import StackedDlzsPredictor
+from repro.core.pipeline import SofaAttention
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
-from repro.engine.cache import DecodeCacheEntry, DecodeStepCache, make_decode_cache
+from repro.engine.cache import (
+    ENTRY_FIELDS,
+    DecodeCacheEntry,
+    DecodeStepCache,
+    make_decode_cache,
+)
 from repro.utils.rng import make_rng
 
 CFG = SofaConfig(tile_cols=16, top_k=8)
@@ -24,7 +33,8 @@ def _entry(s=4, h=3, dk=2) -> DecodeCacheEntry:
         tok_values=tokens.astype(np.int64),
         tok_scale=1.0,
         tok_max_abs=0.0,
-        key_values=np.zeros((s, dk), dtype=np.int64),
+        key_codes=np.zeros((s, dk), dtype=np.int64),
+        key_max_abs=0.0,
         quantized=True,
     )
 
@@ -162,6 +172,101 @@ def test_louder_token_invalidates_scale_and_stays_identical():
     got = op(tokens, q, cache=cache, cache_keys=["s"])
     assert op(tokens, q).per_head[0].output.tobytes() == got.per_head[0].output.tobytes()
     assert cache.stats.hits == 2
+
+
+def _loudest_key_row(wk_pow2: np.ndarray, magnitude: float) -> np.ndarray:
+    """A token row whose ``K_hat`` row is at least as loud as any row of
+    tokens within ``magnitude``: it saturates the column of ``wk_pow2``
+    with the largest absolute sum, with that column's signs."""
+    col = int(np.argmax(np.abs(wk_pow2).sum(axis=0)))
+    return magnitude * np.sign(wk_pow2[:, col])
+
+
+def _only_entry(cache):
+    (key,) = list(cache._entries)
+    return cache.get(key)
+
+
+@pytest.mark.parametrize("kind", ["flat", "paged"])
+def test_louder_key_row_rescales_as_a_hit_and_stays_identical(kind):
+    """A new token within the token max whose ``K_hat`` row exceeds the
+    cached ``key_max_abs`` moves the truncation scale of every row.  The
+    hit rebuilds the raw rows from the cached token codes, re-truncates
+    them all and puts the whole entry: bit-identical to the uncached
+    engine and to the per-head ``SofaAttention``, counted as a hit with
+    one rescale, and stored exactly as a full put stores it."""
+    rng = make_rng(32)
+    n, h, d = 1, 12, 12
+    wk = rng.normal(size=(n, h, d))
+    wv = rng.normal(size=(n, h, d))
+    op = BatchedSofaAttention(wk, wv, CFG)
+    cache = make_decode_cache(kind)
+    tokens = rng.uniform(-5, 5, size=(n, 40, h))
+    tokens[0, 3, 5] = 100.0  # the token max lives in the prefix
+    q = rng.normal(size=(n, 2, d))
+    op(tokens, q, cache=cache, cache_keys=["s"])
+    loud = _loudest_key_row(op.predictor._wk_pow2[0], 99.0)
+    tokens = np.concatenate([tokens, loud[None, None]], axis=1)
+    ref = op(tokens, q)
+    got = op(tokens, q, cache=cache, cache_keys=["s"])
+    golden = SofaAttention(wk[0], wv[0], CFG)(tokens[0], q[0])
+    assert got.per_head[0].output.tobytes() == ref.per_head[0].output.tobytes()
+    assert got.per_head[0].output.tobytes() == golden.output.tobytes()
+    stats = cache.stats
+    assert (stats.hits, stats.misses, stats.invalidations, stats.rescales) == (1, 1, 0, 1)
+    assert (stats.rows_reused, stats.rows_appended) == (40, 1)
+
+    full = make_decode_cache(kind)
+    op(tokens, q, cache=full, cache_keys=["s"])  # a miss: a full put
+    assert full.stats.misses == 1
+    stored, want = _only_entry(cache), _only_entry(full)
+    for name in ENTRY_FIELDS:
+        assert getattr(stored, name).tobytes() == getattr(want, name).tobytes()
+    for name in ("seq_len", "tok_scale", "tok_max_abs", "key_max_abs", "quantized"):
+        assert getattr(stored, name) == getattr(want, name)
+
+    # The rescaled entry serves plain hits again.
+    tokens = np.concatenate([tokens, rng.uniform(-5, 5, size=(n, 1, h))], axis=1)
+    got = op(tokens, q, cache=cache, cache_keys=["s"])
+    assert op(tokens, q).per_head[0].output.tobytes() == got.per_head[0].output.tobytes()
+    assert (cache.stats.hits, cache.stats.rescales) == (2, 1)
+    cache.close()
+    full.close()
+
+
+def _hit_allocation(s: int) -> tuple[int, int]:
+    """Peak bytes a cache hit of an ``s``-row sequence allocates, and the
+    size of the ``k_hat`` the caller gets back."""
+    rng = make_rng(33)
+    h = d = 64
+    predictor = StackedDlzsPredictor(rng.normal(size=(1, h, d)))
+    tokens = rng.integers(-60, 60, size=(s + 2, h)).astype(np.float64)
+    tokens[0] = _loudest_key_row(predictor._wk_pow2[0], 100.0)  # both maxima
+    q = rng.normal(size=(1, 1, d))
+    cache = make_decode_cache("paged")
+    for stop in (s, s + 1):  # the fill (a miss), then one warm hit
+        predictor.predict_prepared([tokens[:stop]], q, cache=cache, cache_keys=["k"])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prep = predictor.predict_prepared([tokens], q, cache=cache, cache_keys=["k"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.rescales) == (2, 1, 0)
+    cache.close()
+    return peak - before, prep.k_hat.nbytes
+
+
+def test_a_hit_allocates_nothing_that_grows_with_s():
+    """A paged-cache hit reads the stored blocks in place: apart from the
+    caller's ``k_hat`` rows it allocates no array that grows with ``S``.
+    Only the view's block references do, by a few bytes per 32-row
+    block; one O(S) copy of any field at S = 8k would be >= 512 KiB."""
+    small_peak, small_k_hat = _hit_allocation(1024)
+    large_peak, large_k_hat = _hit_allocation(8192)
+    small, large = small_peak - small_k_hat, large_peak - large_k_hat
+    assert large - small < 32 * 1024, (small, large)
 
 
 def test_rewritten_prefix_and_shrunk_sequence_miss():
