@@ -36,19 +36,19 @@ file                                  metric
                                       kernel) on the long-selection stream.
 ``BENCH_cache_quick``                 ``paged.steady_hit_rate`` - the paged
                                       store's hit rate on the shared-prefix
-                                      stream under byte pressure (the flat
-                                      LRU scores ~0 there; a drop means
-                                      sharing or spill broke).
+                                      stream under byte pressure (a budget
+                                      below the monolithic working set; a
+                                      drop means sharing or spill broke).
 ``BENCH_obs_quick``                   ``obs_overhead_ratio`` - telemetry-
                                       enabled vs -disabled serving rate on
                                       the long-selection stream (a *ratio*
                                       near 1.0; a drop means the obs plane
                                       grew a hot-path cost).
-``BENCH_cache_quick``                 ``paged_vs_flat_requests_per_sec`` -
-                                      the paged store's serving-rate win
-                                      over the flat LRU on that stream.
-                                      Nominally a ratio, but the two
-                                      stores are timed in *separate*
+``BENCH_cache_quick``                 ``paged_vs_uncached_requests_per_sec``
+                                      - the paged store's serving-rate win
+                                      over the uncached engine on that
+                                      stream.  Nominally a ratio, but the
+                                      two engines are timed in *separate*
                                       phases, so runner contention can
                                       skew it asymmetrically - gated with
                                       the wider rate knob.
@@ -144,8 +144,8 @@ def _cache_paged_hit_rate(record: dict[str, Any]) -> float:
     return float(record["paged"]["steady_hit_rate"])
 
 
-def _cache_paged_vs_flat_rps(record: dict[str, Any]) -> float:
-    return float(record["paged_vs_flat_requests_per_sec"])
+def _cache_paged_vs_uncached_rps(record: dict[str, Any]) -> float:
+    return float(record["paged_vs_uncached_requests_per_sec"])
 
 
 def _gateway_p99_bound_ratio(record: dict[str, Any]) -> float:
@@ -217,8 +217,8 @@ METRICS: list[tuple[str, str, Callable[[dict[str, Any]], float], str]] = [
     # Separate-phase timing: contention skews it like a raw rate does.
     (
         "BENCH_cache_quick.json",
-        "paged_vs_flat_requests_per_sec",
-        _cache_paged_vs_flat_rps,
+        "paged_vs_uncached_requests_per_sec",
+        _cache_paged_vs_uncached_rps,
         "rate",
     ),
     # Also separate-phase (quiet unloaded run vs loaded protected run).

@@ -25,12 +25,12 @@ in seven acts:
    the dead worker, and serves post-respawn traffic - bit-identical
    throughout.
 5. **Paged cache, shared prefixes** - many sessions decoding off one
-   system prompt through the paged block-pool store
-   (``cache_kind="paged"``, the default): the prompt's blocks are pooled
-   once and refcounted across sessions, divergence is copy-on-write, a
-   byte budget is held by spilling cold blocks to disk instead of
-   dropping entries - and every output stays bit-identical to the
-   uncached computation.
+   system prompt through the engine's block-pool decode store
+   (:class:`~repro.engine.paged.PagedDecodeCache`): the prompt's blocks
+   are pooled once and refcounted across sessions, divergence is
+   copy-on-write, a byte budget is held by spilling cold blocks to disk
+   instead of dropping entries - and every output stays bit-identical to
+   the uncached computation.
 6. **Telemetry plane** - the same 2-worker socket cluster with
    ``SOFA_TELEMETRY=1``: every request produces a stitched trace
    (frontend ``cluster.request``/``cluster.rpc`` spans and the worker's
@@ -294,7 +294,6 @@ def act_paged_cache(rng: np.random.Generator) -> None:
     paged = SofaEngine(
         config,
         max_batch_heads=4,
-        cache_kind="paged",
         cache_block_tokens=32,
         # One monolithic session's worth: only sharing + spill can hold all 6.
         cache_bytes=prompt.shape[0] * (h * 16 + d * 8),

@@ -393,7 +393,7 @@ class EngineCluster:
     **engine_options:
         Every other keyword is a :class:`SofaEngine` option
         (``max_batch_heads``, ``max_wait_batches``,
-        ``cache_kind``/``cache_bytes``/... - see its docstring), forwarded
+        ``cache_bytes``/``cache_entries``/... - see its docstring), forwarded
         unchanged to every worker's engine.  Names are checked against
         :class:`SofaEngine`'s signature here, so a typo raises
         :class:`TypeError` in the caller's process before any worker

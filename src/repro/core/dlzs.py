@@ -46,7 +46,8 @@ from repro.numerics.leading_zero import (
 )
 
 if TYPE_CHECKING:
-    from repro.engine.cache import DecodeCacheView, DecodeStepCache
+    from repro.engine.cache import DecodeCacheView
+    from repro.engine.paged import PagedDecodeCache
 
 
 @dataclass
@@ -377,7 +378,7 @@ class StackedDlzsPredictor:
         self,
         i: int,
         t_i: np.ndarray,
-        cache: "DecodeStepCache",
+        cache: "PagedDecodeCache",
         key: Hashable,
         out: np.ndarray,
     ) -> float:
@@ -447,7 +448,7 @@ class StackedDlzsPredictor:
         t_i: np.ndarray,
         new_vals: np.ndarray,
         view: "DecodeCacheView",
-        cache: "DecodeStepCache",
+        cache: "PagedDecodeCache",
         store_key: Hashable,
         out: np.ndarray,
     ) -> float:
@@ -507,7 +508,7 @@ class StackedDlzsPredictor:
         tok_scale: float,
         tok_max_abs: float,
         quantized: bool,
-        cache: "DecodeStepCache",
+        cache: "PagedDecodeCache",
         store_key: Hashable,
         out: np.ndarray,
     ) -> float:
@@ -548,7 +549,7 @@ class StackedDlzsPredictor:
         self,
         tokens: "np.ndarray | Sequence[np.ndarray]",
         q: np.ndarray,
-        cache: "DecodeStepCache | None" = None,
+        cache: "PagedDecodeCache | None" = None,
         cache_keys: Sequence[Hashable | None] | None = None,
     ) -> PreparedStackPrediction:
         """Stacked phases 1.1 + query encoding, short of the score matmul.
@@ -643,7 +644,7 @@ class StackedDlzsPredictor:
         self,
         tokens: "np.ndarray | Sequence[np.ndarray]",
         q: np.ndarray,
-        cache: "DecodeStepCache | None" = None,
+        cache: "PagedDecodeCache | None" = None,
         cache_keys: Sequence[Hashable | None] | None = None,
     ) -> StackedPredictionResult:
         """Stacked phases 1.1/1.2: ``(N, S, H)`` tokens -> ``(N, T, S)``.

@@ -12,16 +12,13 @@ scales the functional model along that axis:
     A request queue with a continuously-batching, starvation-free scheduler
     (``max_wait_batches``/deadline admission) and per-request futures -
     the software analogue of the accelerator's head scheduler.
-:class:`~repro.engine.cache.DecodeStepCache` /
 :class:`~repro.engine.paged.PagedDecodeCache`
     Keyed reuse of quantized ``K_hat``/DLZS prediction state across decode
     steps of a growing sequence, with explicit invalidation and exact
-    hit/miss accounting.  The flat store is a per-sequence LRU; the paged
-    store (the serving default, built via
-    :func:`~repro.engine.cache.make_decode_cache`) decomposes entries
-    into a refcounted content-addressed block pool with cross-sequence
-    prefix sharing, a hard RAM budget enforced by disk spill, and
-    restart survival through ``persist()``.
+    hit/miss accounting.  Entries are decomposed into a refcounted
+    content-addressed block pool with cross-sequence prefix sharing, a
+    hard RAM budget enforced by disk spill, and restart survival through
+    ``persist()``.
 :mod:`repro.engine.codec`
     The explicit wire codec (requests/results as plain built-ins,
     bit-exact tensor round-trips) that carries work to ``repro.cluster``
@@ -33,8 +30,6 @@ from repro.engine.cache import (
     CacheStats,
     DecodeCacheEntry,
     DecodeCacheView,
-    DecodeStepCache,
-    make_decode_cache,
     prefix_matches,
 )
 from repro.engine.codec import (
@@ -63,7 +58,6 @@ __all__ = [
     "CacheStats",
     "DecodeCacheEntry",
     "DecodeCacheView",
-    "DecodeStepCache",
     "EngineStats",
     "PagedDecodeCache",
     "SofaEngine",
@@ -71,7 +65,6 @@ __all__ = [
     "decode_result",
     "encode_request",
     "encode_result",
-    "make_decode_cache",
     "prefix_matches",
     "request_fingerprint",
     "validate_request",

@@ -72,7 +72,7 @@ from repro.numerics.complexity import OpCounter, matmul_ops
 from repro.numerics.linalg import det_gathered_project
 
 if TYPE_CHECKING:
-    from repro.engine.cache import DecodeStepCache
+    from repro.engine.paged import PagedDecodeCache
 
 
 @dataclass
@@ -146,7 +146,7 @@ class BatchedSofaAttention:
         k_scale: float | np.ndarray = 1.0,
         v_scale: float | np.ndarray = 1.0,
         v: "np.ndarray | Sequence[np.ndarray] | None" = None,
-        cache: "DecodeStepCache | None" = None,
+        cache: "PagedDecodeCache | None" = None,
         cache_keys: Sequence[Hashable | None] | None = None,
     ) -> BatchedSofaResult:
         """Run the fused pipeline for the whole head stack.

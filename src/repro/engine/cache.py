@@ -7,55 +7,34 @@ from it - is identical to the previous step's.  The accelerator analogue
 is keeping the predicted-key SRAM resident between steps instead of
 re-running the pre-compute stage over the whole context.
 
-Two stores implement one surface (``get``/``put``/``invalidate``/
-``invalidate_prefix``/``sweep_expired``/``clear`` plus the
-``record_hit``/``record_miss`` counter hooks), selected through
-:func:`make_decode_cache`:
+The store is :class:`~repro.engine.paged.PagedDecodeCache`, a refcounted
+block pool with cross-sequence prefix sharing, a RAM budget held by disk
+spill, and restart survival (see :mod:`repro.engine.paged`).  This module
+holds the types the store and its consumer exchange.
 
-:class:`DecodeStepCache` (``kind="flat"``)
-    The original per-sequence LRU: one monolithic
-    :class:`DecodeCacheEntry` per key, whole-entry eviction, no
-    cross-sequence reuse.  Kept as the reference store (and for callers
-    that want its strictly simpler residency model).
-:class:`~repro.engine.paged.PagedDecodeCache` (``kind="paged"``, the
-    serving default)
-    A refcounted fixed-size **block pool**: entries are decomposed into
-    ``block_tokens``-row blocks keyed by content hash, so sequences that
-    share a token prefix (system prompts under real traffic) share the
-    prefix's blocks; divergence is copy-on-write (blocks are immutable -
-    a grown or diverged tail becomes new blocks, never a mutation of a
-    shared one); cold blocks **spill to disk** under the ``max_bytes``
-    RAM budget instead of being dropped, so an entry larger than the
-    whole budget is still servable (satisfying lookups from the spill
-    tier) rather than silently overshooting residency; a
-    ``spill_dir`` + :meth:`~repro.engine.paged.PagedDecodeCache.persist`
-    pair lets long-lived sessions survive a process restart.
-
-Consumers are store-blind: :class:`~repro.core.dlzs.StackedDlzsPredictor`
-consults the cache inside the batched pipeline - on a **hit** only the
-newly appended token rows are quantized, projected and truncated; on a
-**miss** (unknown key, prefix changed, sequence shrank) the full phase 1.1
-runs and the entry is replaced.
+:class:`~repro.core.dlzs.StackedDlzsPredictor` consults the cache inside
+the batched pipeline - on a **hit** only the newly appended token rows are
+quantized, projected and truncated; on a **miss** (unknown key, prefix
+changed, sequence shrank) the full phase 1.1 runs and the entry is
+replaced.
 
 ``get`` returns a read-only :class:`DecodeCacheView`: the entry's scalar
-state plus each field's stored row blocks, with nothing concatenated (the
-flat store's view has one block per field).  A hit compares its token
-prefix and copies its ``K_hat`` codes block by block, so it never
-assembles an O(S) array; a field is assembled only if a fallback path
-asks for it (:attr:`DecodeCacheView.tokens` and its siblings).
+state plus each field's stored row blocks, with nothing concatenated.  A
+hit compares its token prefix and copies its ``K_hat`` codes block by
+block, so it never assembles an O(S) array; a field is assembled only if
+a fallback path asks for it (:attr:`DecodeCacheView.tokens` and its
+siblings).
 
-Both stores take a hit's new rows through the **append form** of put,
+The store takes a hit's new rows through the **append form** of put,
 ``put(key, rows, base=view)``: ``view`` is what ``get`` returned and
 ``rows`` holds only the rows past ``view.seq_len``, with ``view``'s
-quantization state (:func:`can_append`).  The flat store concatenates
-them onto the stored entry; the paged store hashes and pools only the
-grown tail block.  ``put`` returns ``False`` and changes nothing when the
-key no longer holds the state ``view`` was read from (replaced,
+quantization state (:func:`can_append`).  The store hashes and pools only
+the grown tail block.  ``put`` returns ``False`` and changes nothing when
+the key no longer holds the state ``view`` was read from (replaced,
 invalidated, expired or evicted since the get, e.g. by another thread),
 and the predictor then puts the whole sequence.  A full put returns
-``True``.  On the paged store every put references its new blocks before
-it releases the old ones, so a re-put never frees its own unchanged
-blocks.
+``True``.  Every put references its new blocks before it releases the
+old ones, so a re-put never frees its own unchanged blocks.
 
 Bit-for-bit parity is preserved because reuse is only attempted when it is
 *provably* equal to the uncached computation:
@@ -75,7 +54,7 @@ Bit-for-bit parity is preserved because reuse is only attempted when it is
   **rescale**: the raw rows are rebuilt from the cached token codes,
   re-truncated together and the whole entry is put again (still a hit,
   counted in ``CacheStats.rescales``).
-* the paged store shares blocks **only by content hash over the exact
+* the store shares blocks **only by content hash over the exact
   bytes** (tokens, quantized codes and ``K_hat`` codes together), so two
   sequences share storage exactly when their per-row state is already
   bit-identical - sharing can never substitute different bits - and the
@@ -88,13 +67,8 @@ can only cost a recompute, never a wrong bit.
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Hashable
-
-from repro.obs import get_telemetry
+from typing import Hashable
 
 import numpy as np
 
@@ -129,31 +103,6 @@ class DecodeCacheEntry:
     @property
     def seq_len(self) -> int:
         return self.tokens.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        """Resident payload: entries grow with context length, not count."""
-        return self.tokens.nbytes + self.tok_values.nbytes + self.key_codes.nbytes
-
-    def view(self) -> "DecodeCacheView":
-        """This entry as a one-block :class:`DecodeCacheView` (read-only)."""
-        arrays = tuple(getattr(self, name) for name in ENTRY_FIELDS)
-        return DecodeCacheView(
-            seq_len=self.seq_len,
-            tok_scale=self.tok_scale,
-            tok_max_abs=self.tok_max_abs,
-            key_max_abs=self.key_max_abs,
-            quantized=self.quantized,
-            columns=tuple((_read_only(a),) for a in arrays),
-            specs=tuple((a.dtype, a.shape[1:]) for a in arrays),
-            source=self,
-        )
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
 
 
 @dataclass(frozen=True)
@@ -230,24 +179,24 @@ class DecodeCacheView:
 
 @dataclass
 class CacheStats:
-    """Counters of one :class:`DecodeStepCache` since construction.
+    """Counters of one :class:`~repro.engine.paged.PagedDecodeCache` since
+    construction.
 
     ``hits``/``misses`` count lookups; ``invalidations`` the subset of
     misses where a live entry had to be discarded (prefix changed, sequence
     shrank, or a new token exceeded the cached quantization maximum);
     ``evictions`` LRU pressure drops; ``expirations`` TTL drops of entries
     whose sequence went quiet (abandoned decode sessions that never called
-    :meth:`DecodeStepCache.invalidate`).  ``rows_reused``/``rows_appended``
-    tally how many phase-1.1 rows hits skipped vs incrementally computed.
+    ``invalidate``).  ``rows_reused``/``rows_appended`` tally how many
+    phase-1.1 rows hits skipped vs incrementally computed; ``rescales``
+    the hits whose louder ``K_hat`` row re-truncated the whole entry.
 
-    The block-pool gauges describe the paged store
-    (:class:`~repro.engine.paged.PagedDecodeCache`; all zero on the flat
-    LRU): ``resident_blocks``/``spilled_blocks`` partition the pool by
-    tier (RAM vs disk), ``shared_blocks`` counts blocks referenced by more
-    than one entry (the prefix-sharing win), ``spilled_bytes`` is the
-    payload currently parked on disk, and ``spill_loads`` counts block
-    reloads from the spill tier.  ``resident_bytes`` is the *RAM* payload
-    for both stores - on the paged store a shared block is counted once
+    The block-pool gauges: ``resident_blocks``/``spilled_blocks``
+    partition the pool by tier (RAM vs disk), ``shared_blocks`` counts
+    blocks referenced by more than one entry (the prefix-sharing win),
+    ``spilled_bytes`` is the payload currently parked on disk, and
+    ``spill_loads`` counts block reloads from the spill tier.
+    ``resident_bytes`` is the *RAM* payload, a shared block counted once
     (that is the honest residency figure sharing buys).
     """
 
@@ -308,8 +257,8 @@ def prefix_matches(store_key: Hashable, prefix: Hashable) -> bool:
     * scalar (non-tuple) keys written by callers driving the store
       directly - these match when equal to ``prefix``.
 
-    Shared by both cache implementations so ``invalidate_prefix`` agrees
-    on what a session id reaches regardless of the store kind.
+    :meth:`~repro.engine.paged.PagedDecodeCache.invalidate_prefix` drops
+    exactly the keys this matches.
     """
     if not isinstance(store_key, tuple):
         # Plain-string (or other scalar) session ids used as raw store
@@ -331,7 +280,7 @@ def can_append(base: DecodeCacheView, rows: DecodeCacheEntry) -> bool:
     The appended rows must carry ``base``'s quantization state (both
     scales' maxima, the token scale and the ``quantized`` flag) and its
     array dtypes and row shapes, read from ``base.specs``: the store
-    appends them to ``base``'s rows as they are.  Both stores refuse an
+    appends them to ``base``'s rows as they are.  The store refuses an
     append that fails this check, like a stale one.
     """
     state = (rows.tok_scale, rows.tok_max_abs, rows.key_max_abs, rows.quantized)
@@ -343,245 +292,3 @@ def can_append(base: DecodeCacheView, rows: DecodeCacheEntry) -> bool:
             (getattr(rows, name) for name in ENTRY_FIELDS), base.specs
         )
     )
-
-
-#: Store kinds accepted by :func:`make_decode_cache`.
-CACHE_KINDS = ("paged", "flat")
-
-
-def make_decode_cache(
-    kind: str = "paged",
-    max_entries: int = 256,
-    max_bytes: int | None = None,
-    ttl_s: float | None = None,
-    block_tokens: int = 32,
-    spill_dir: str | None = None,
-    clock: Callable[[], float] = time.monotonic,
-):
-    """Build a decode-step cache of the requested ``kind``.
-
-    ``"paged"`` (the serving default) returns a
-    :class:`~repro.engine.paged.PagedDecodeCache` (block pool, prefix
-    sharing, disk spill); ``"flat"`` the original whole-entry
-    :class:`DecodeStepCache` LRU.  ``block_tokens``/``spill_dir`` only
-    apply to the paged store; the rest of the knobs are shared.
-    """
-    if kind == "flat":
-        return DecodeStepCache(
-            max_entries=max_entries, max_bytes=max_bytes, ttl_s=ttl_s, clock=clock
-        )
-    if kind == "paged":
-        # Local on purpose: repro.engine.paged imports this module for the
-        # entry/stats types, so a module-level import would be a cycle.
-        from repro.engine.paged import PagedDecodeCache
-
-        return PagedDecodeCache(
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-            ttl_s=ttl_s,
-            block_tokens=block_tokens,
-            spill_dir=spill_dir,
-            clock=clock,
-        )
-    raise ValueError(f"unknown cache kind {kind!r}; expected one of {CACHE_KINDS}")
-
-
-class DecodeStepCache:
-    """Bounded LRU store of :class:`DecodeCacheEntry` keyed per sequence.
-
-    Keys are caller-composed hashables; consumers (the DLZS predictor via
-    :class:`~repro.engine.batched.BatchedSofaAttention`) namespace the
-    user-visible key with the weight/config identity so one store can serve
-    many operators without cross-talk.  All methods are thread-safe: engines
-    on different threads sharing one store may look up and replace entries
-    concurrently.
-
-    Size ``max_entries`` to cover the *concurrent working set* (e.g.
-    ``n_layers * n_heads`` per live decode session): decode scans its keys
-    in a fixed order every step, and an LRU smaller than the scan length
-    evicts each entry just before its next lookup - every lookup then
-    misses and the cache only costs.  The ``evictions`` counter is the
-    tell-tale.
-
-    ``ttl_s`` bounds how long an *idle* entry may stay resident: a decode
-    session abandoned without :meth:`invalidate` (a dropped connection, a
-    crashed caller) would otherwise pin its context-sized payload until
-    LRU pressure happens to reach it - which on a large cache may be
-    never.  Entries untouched for ``ttl_s`` seconds are dropped lazily on
-    the next cache operation (or an explicit :meth:`sweep_expired`) and
-    counted as ``expirations`` in :class:`CacheStats`.  ``clock`` is
-    injectable for tests and defaults to :func:`time.monotonic`.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = 256,
-        max_bytes: int | None = None,
-        ttl_s: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None)")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError("ttl_s must be > 0 (or None)")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.ttl_s = ttl_s
-        self._clock = clock
-        self.stats = CacheStats()
-        self._entries: OrderedDict[Hashable, DecodeCacheEntry] = OrderedDict()
-        self._last_used: dict[Hashable, float] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def _sweep_expired_locked(self, now: float) -> int:
-        """Drop idle-past-TTL entries; caller holds the lock.
-
-        LRU order *is* idle order (every touch moves the entry to the
-        back), so the scan walks from the front and stops at the first
-        still-fresh entry.
-        """
-        if self.ttl_s is None:
-            return 0
-        dropped = 0
-        while self._entries:
-            key = next(iter(self._entries))
-            if now - self._last_used[key] <= self.ttl_s:
-                break
-            entry = self._entries.pop(key)
-            del self._last_used[key]
-            self.stats.resident_bytes -= entry.nbytes
-            self.stats.expirations += 1
-            dropped += 1
-        return dropped
-
-    def sweep_expired(self) -> int:
-        """Explicitly drop idle-past-TTL entries; returns how many."""
-        with self._lock:
-            return self._sweep_expired_locked(self._clock())
-
-    def get(self, key: Hashable) -> DecodeCacheView | None:
-        """Return the live entry for ``key`` as a one-block read-only view
-        (marking it recently used)."""
-        obs = get_telemetry()
-        t0 = obs.clock()
-        with self._lock:
-            now = self._clock()
-            self._sweep_expired_locked(now)
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._last_used[key] = now
-        obs.observe_since("sofa_cache_lookup_seconds", t0)
-        return None if entry is None else entry.view()
-
-    def put(
-        self,
-        key: Hashable,
-        entry: DecodeCacheEntry,
-        *,
-        base: DecodeCacheView | None = None,
-    ) -> bool:
-        """Insert/replace the entry for ``key``, evicting LRU overflow.
-
-        With ``base`` - the view :meth:`get` returned for ``key`` -
-        ``entry`` holds only the rows appended past ``base.seq_len``; they
-        are concatenated onto the stored entry and the result replaces
-        it.  Returns ``False`` and changes nothing when ``key`` no longer
-        holds the entry ``base`` was read from (replaced, invalidated,
-        expired or evicted since the get) or the rows cannot extend it
-        (:func:`can_append`); otherwise ``True``.
-
-        Overflow is bounded on entry *count* and - when ``max_bytes`` is set
-        - on total resident payload bytes (entries scale with context
-        length, so a count bound alone is no byte bound); a single entry
-        larger than ``max_bytes`` is still admitted, alone.
-        """
-        if base is not None and not can_append(base, entry):
-            return False
-        with self._lock:
-            now = self._clock()
-            self._sweep_expired_locked(now)
-            if base is not None:
-                stored = self._entries.get(key)
-                if stored is not base.source:
-                    return False
-                entry = replace(stored, **{
-                    name: np.concatenate([getattr(stored, name), getattr(entry, name)])
-                    for name in ENTRY_FIELDS
-                })
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.stats.resident_bytes -= old.nbytes
-            self._entries[key] = entry
-            self._last_used[key] = now
-            self.stats.resident_bytes += entry.nbytes
-            while len(self._entries) > self.max_entries or (
-                self.max_bytes is not None
-                and self.stats.resident_bytes > self.max_bytes
-                and len(self._entries) > 1
-            ):
-                evicted_key, evicted = self._entries.popitem(last=False)
-                del self._last_used[evicted_key]
-                self.stats.resident_bytes -= evicted.nbytes
-                self.stats.evictions += 1
-            return True
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Explicitly drop one sequence's state (e.g. its session ended)."""
-        with self._lock:
-            dropped = self._entries.pop(key, None)
-            if dropped is not None:
-                del self._last_used[key]
-                self.stats.resident_bytes -= dropped.nbytes
-            return dropped is not None
-
-    def invalidate_prefix(self, prefix: Hashable) -> int:
-        """Drop every entry namespaced under ``prefix``.
-
-        Key matching is :func:`prefix_matches`: ``(user_key, config,
-        weight_digest)`` store keys match on the user key directly or - for
-        ``(session_id, layer, head)`` user keys - on the bare session id,
-        and scalar store keys match on equality.  Returns the number
-        dropped.
-        """
-        with self._lock:
-            doomed = [k for k in self._entries if prefix_matches(k, prefix)]
-            for k in doomed:
-                self.stats.resident_bytes -= self._entries[k].nbytes
-                del self._entries[k]
-                del self._last_used[k]
-            return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._last_used.clear()
-            self.stats.resident_bytes = 0
-
-    def close(self) -> None:
-        """Release held resources (no-op here; the paged store drops its
-        spill tier).  Part of the shared store surface so owners can close
-        whichever kind :func:`make_decode_cache` handed them."""
-        self.clear()
-
-    # ------------------------------------------------------- counter helpers
-    def record_hit(
-        self, reused_rows: int, appended_rows: int, rescaled: bool = False
-    ) -> None:
-        with self._lock:
-            self.stats.hits += 1
-            self.stats.rows_reused += reused_rows
-            self.stats.rows_appended += appended_rows
-            self.stats.rescales += rescaled
-
-    def record_miss(self, invalidated: bool) -> None:
-        with self._lock:
-            self.stats.misses += 1
-            if invalidated:
-                self.stats.invalidations += 1

@@ -1,10 +1,10 @@
 """Paged decode-step cache: refcounted block pool, prefix sharing, spill.
 
-The flat :class:`~repro.engine.cache.DecodeStepCache` stores one monolithic
-:class:`~repro.engine.cache.DecodeCacheEntry` per sequence, so two sessions
-decoding from the same system prompt each pin a full copy of the prompt's
-quantized tokens and ``K_hat`` codes, and byte pressure can only drop whole
-entries.  This module is the block-pool analogue of a paged KV cache:
+Storing one monolithic :class:`~repro.engine.cache.DecodeCacheEntry` per
+sequence would make two sessions decoding from the same system prompt each
+pin a full copy of the prompt's quantized tokens and ``K_hat`` codes, and
+byte pressure could only drop whole entries.  This module is the
+block-pool analogue of a paged KV cache:
 
 * Entries are decomposed into fixed-size **blocks** of ``block_tokens``
   consecutive rows (tokens, quantized codes and truncated ``K_hat`` codes
@@ -43,18 +43,18 @@ entries.  This module is the block-pool analogue of a paged KV cache:
   most ``max_bytes`` - an entry larger than the whole budget ends fully
   spilled (and still servable) rather than silently overshooting.
   Lookups that need spilled blocks reload them (``spill_loads``)
-  bit-exactly (the ``.npy`` codec round-trips arrays exactly).
+  bit-exactly (the ``.npy`` codec round-trips arrays exactly).  A
+  reloaded block is re-hashed; a file whose content no longer matches its
+  name is treated like an unreadable one.
 * :meth:`PagedDecodeCache.persist` writes every block plus a manifest to
   ``spill_dir`` so a long-lived session's cache survives a process
   restart: a new cache constructed over the same directory restores the
   entries with all blocks in the spill tier and faults them back in on
   first use.
 
-The public surface is the :class:`~repro.engine.cache.DecodeStepCache`
-surface (``get``/``put``/``invalidate``/``invalidate_prefix``/``clear``/
-``sweep_expired``/``close`` plus the counter hooks), so the predictor,
-engine, and cluster wire protocol are store-blind; construction normally
-goes through :func:`~repro.engine.cache.make_decode_cache`.
+The public surface is ``get``/``put``/``invalidate``/``invalidate_prefix``/
+``clear``/``sweep_expired``/``close`` plus the ``record_hit``/
+``record_miss`` counter hooks the predictor calls.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ class _PagedEntry:
 
 
 class PagedDecodeCache:
-    """Paged drop-in for :class:`~repro.engine.cache.DecodeStepCache`.
+    """The decode-step store: a refcounted block pool with disk spill.
 
     Parameters
     ----------
@@ -167,9 +167,9 @@ class PagedDecodeCache:
         cost more hash/bookkeeping per entry; the last block of an entry is
         partial.
     max_entries / ttl_s / clock:
-        Same semantics as the flat store: whole-entry LRU eviction bound,
-        idle TTL (swept lazily on every operation and explicitly via
-        :meth:`sweep_expired`), injectable clock.
+        Whole-entry LRU eviction bound, idle TTL (swept lazily on every
+        operation and explicitly via :meth:`sweep_expired`), injectable
+        clock.
     max_bytes:
         RAM budget over unique resident block payload (shared blocks count
         once).  Enforced by spilling the coldest blocks to disk - never by
@@ -247,7 +247,10 @@ class PagedDecodeCache:
     def _read_block(self, block: _Block) -> tuple[np.ndarray, ...] | None:
         """A block's row arrays, read from disk if spilled; None if unreadable.
 
-        Reading does not make a spilled block resident.
+        A spill file is trusted only if its arrays hash to the block's
+        content hash: a file that parses but holds other rows (another
+        block's, or altered codes) is unreadable too.  Reading does not
+        make a spilled block resident.
         """
         if block.resident:
             return block.arrays
@@ -257,6 +260,8 @@ class PagedDecodeCache:
             with np.load(self._block_path(block.content_hash)) as archive:
                 arrays = tuple(archive[name] for name in ENTRY_FIELDS)
         except Exception:
+            return None
+        if block_content_hash(arrays) != block.content_hash:
             return None
         for array in arrays:
             array.flags.writeable = False

@@ -69,7 +69,8 @@ import numpy as np
 from repro.core.config import SofaConfig
 from repro.core.pipeline import SofaAttentionResult
 from repro.engine.batched import BatchedSofaAttention
-from repro.engine.cache import CacheStats, DecodeStepCache, make_decode_cache
+from repro.engine.cache import CacheStats
+from repro.engine.paged import PagedDecodeCache
 from repro.kernels import resolved_kernels
 from repro.obs import get_telemetry
 
@@ -301,12 +302,12 @@ class SofaEngine:
         Starvation bound: a group executes after waiting this many
         scheduling rounds even if under-full.  ``None`` means groups wait
         for a full chunk, a deadline, or an explicit :meth:`flush`.
-    cache / cache_kind / cache_entries / cache_ttl_s:
+    cache / cache_entries / cache_ttl_s:
         Pass ``cache`` to share a decode-step cache between engines, or
-        let the engine build (and own) one via
-        :func:`~repro.engine.cache.make_decode_cache`:
-        ``cache_kind="paged"`` (default) is the block-pool store with
-        prefix sharing and disk spill, ``"flat"`` the whole-entry LRU.
+        let the engine build (and own) a
+        :class:`~repro.engine.paged.PagedDecodeCache`, the block-pool
+        store with prefix sharing and disk spill, holding at most
+        ``cache_entries`` entries.
         ``cache_ttl_s`` bounds how long an *idle* entry (an abandoned
         decode sequence that never invalidated itself) stays resident;
         on top of the cache's own lazy sweeping the engine sweeps inside
@@ -314,11 +315,9 @@ class SofaEngine:
         when the surviving traffic never touches the cache
         (``stats.cache_expirations`` counts drops).
     cache_bytes / cache_block_tokens / cache_spill_dir:
-        Paged-store knobs: RAM budget (cold blocks spill to disk under
+        The owned store's RAM budget (cold blocks spill to disk under
         it), rows per block, and the spill/persistence directory (a
-        temporary one is created when needed).  ``cache_bytes`` also
-        bounds the flat store (which *evicts* under byte pressure instead
-        of spilling); the other two are paged-only.
+        temporary one is created when needed).
     """
 
     #: cached pre-converted operators kept per (weights, config) identity
@@ -329,8 +328,7 @@ class SofaEngine:
         config: SofaConfig | None = None,
         max_batch_heads: int = 64,
         max_wait_batches: int | None = None,
-        cache: DecodeStepCache | None = None,
-        cache_kind: str = "paged",
+        cache: PagedDecodeCache | None = None,
         cache_entries: int = 256,
         cache_ttl_s: float | None = None,
         cache_bytes: int | None = None,
@@ -349,8 +347,7 @@ class SofaEngine:
         self.cache = (
             cache
             if cache is not None
-            else make_decode_cache(
-                cache_kind,
+            else PagedDecodeCache(
                 max_entries=cache_entries,
                 max_bytes=cache_bytes,
                 ttl_s=cache_ttl_s,

@@ -56,7 +56,7 @@ from repro.numerics.linalg import _blas_exact_bounded
 if TYPE_CHECKING:
     from repro.core.dlzs import PreparedStackPrediction, StackedDlzsPredictor
     from repro.core.sads import SadsSorter
-    from repro.engine.cache import DecodeStepCache
+    from repro.engine.paged import PagedDecodeCache
 
 
 @dataclass
@@ -99,7 +99,7 @@ class FusedPredictSelect:
         tokens: "np.ndarray | Sequence[np.ndarray]",
         q: np.ndarray,
         k: "int | np.ndarray",
-        cache: "DecodeStepCache | None" = None,
+        cache: "PagedDecodeCache | None" = None,
         cache_keys: "Sequence[Hashable | None] | None" = None,
         n_segments: "int | np.ndarray | None" = None,
     ) -> "tuple[PreparedStackPrediction, SadsStackResult]":

@@ -207,8 +207,8 @@ class SparseDecodeSession:
     layer projects the new rows, extends its K/V stacks, and submits one
     :class:`AttentionRequest` per head with ``cache_key=(session_id, layer,
     head)``.  Because a head's K rows double as the SOFA token stream and
-    earlier rows never change, the engine's :class:`~repro.engine.cache.
-    DecodeStepCache` reuses the quantized ``K_hat`` prefix from the previous
+    earlier rows never change, the engine's :class:`~repro.engine.paged.
+    PagedDecodeCache` reuses the quantized ``K_hat`` prefix from the previous
     step - the serving analogue of keeping the predicted-key SRAM resident
     across decode steps.  Outputs are bit-identical to running the same
     requests uncached (``use_cache=False``).

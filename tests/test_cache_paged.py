@@ -1,14 +1,15 @@
-"""Paged decode-cache differential sweep: flat vs paged vs uncached.
+"""Paged decode-cache differential sweep: cached vs uncached.
 
-The paged store's contract is the flat store's contract - a hit is
-*provably* bit-identical to recomputation - plus three things the flat
-store cannot do: cross-sequence prefix sharing, a hard RAM budget served
-from a disk spill tier, and restart survival.  These tests drive the same
-shared-prefix decode workload through all three cache modes across the
-engine and cluster tiers and assert every output, selection and op
-count is bit-identical - including sequences that diverge mid-decode,
-entries reloaded from the spill tier, and appends the store refuses
-because another writer changed the key between the lookup and the put.
+The store's contract is that a hit is *provably* bit-identical to
+recomputation, while it shares prefix blocks across sequences, holds a
+hard RAM budget served from a disk spill tier, and survives a restart.
+These tests drive one shared-prefix decode workload through an uncached
+engine and through cached engines - with and without a byte budget -
+across the engine and cluster tiers, and assert every output, selection
+and op count is bit-identical - including sequences that diverge
+mid-decode, entries reloaded from the spill tier, spill files whose
+content was swapped or altered, and appends the store refuses because
+another writer changed the key between the lookup and the put.
 """
 
 import pickle
@@ -19,7 +20,7 @@ import pytest
 
 from repro.core.config import SofaConfig
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
-from repro.engine.cache import make_decode_cache
+from repro.engine.cache import ENTRY_FIELDS, DecodeCacheEntry
 from repro.engine.paged import PagedDecodeCache
 from repro.utils.rng import make_rng
 
@@ -93,12 +94,11 @@ class _RacingCache(PagedDecodeCache):
 def test_differential_sweep_engine():
     wk, wv, prefix, tails, queries = _workload(41)
     uncached = SofaEngine(CFG)
-    flat = SofaEngine(CFG, cache_kind="flat")
+    unbudgeted = SofaEngine(CFG, cache_block_tokens=BLOCK_TOKENS)
     racing_cache = _RacingCache(block_tokens=BLOCK_TOKENS)
     racing = SofaEngine(CFG, cache=racing_cache)
     paged = SofaEngine(
         CFG,
-        cache_kind="paged",
         cache_block_tokens=BLOCK_TOKENS,
         # Tight RAM budget: blocks spill between steps and reload on the
         # next lookup, so the parity below covers the spill round-trip.
@@ -112,7 +112,7 @@ def test_differential_sweep_engine():
                 base = dict(tokens=tokens, q=q, wk=wk, wv=wv)
                 futures = [
                     uncached.submit(AttentionRequest(**base)),
-                    flat.submit(
+                    unbudgeted.submit(
                         AttentionRequest(**base, cache_key=("sess", session))
                     ),
                     paged.submit(
@@ -122,7 +122,7 @@ def test_differential_sweep_engine():
                         AttentionRequest(**base, cache_key=("sess", session))
                     ),
                 ]
-                for engine in (uncached, flat, paged, racing):
+                for engine in (uncached, unbudgeted, paged, racing):
                     engine.flush()
                 ref = futures[0].result()
                 for future in futures[1:]:
@@ -131,13 +131,14 @@ def test_differential_sweep_engine():
                 # All sessions just submitted the identical prompt: their
                 # entries are the same four blocks, all shared.
                 assert paged.cache.stats.shared_blocks == PREFIX_LEN // BLOCK_TOKENS
-        flat_stats, paged_stats = flat.cache.stats, paged.cache.stats
-        # Spilling never changes a hit/miss decision: the two stores made
-        # identical calls on identical traffic.
-        assert paged_stats.hits == flat_stats.hits > 0
-        assert paged_stats.misses == flat_stats.misses
-        assert paged_stats.invalidations == flat_stats.invalidations
-        assert paged_stats.rows_reused == flat_stats.rows_reused
+        free_stats, paged_stats = unbudgeted.cache.stats, paged.cache.stats
+        # Spilling never changes a hit/miss decision: the budgeted and
+        # the unbudgeted store made identical calls on identical traffic.
+        assert free_stats.spill_loads == 0
+        assert paged_stats.hits == free_stats.hits > 0
+        assert paged_stats.misses == free_stats.misses
+        assert paged_stats.invalidations == free_stats.invalidations
+        assert paged_stats.rows_reused == free_stats.rows_reused
         # Divergence was copy-on-write: the shared prefix blocks survived it.
         assert paged_stats.shared_blocks >= PREFIX_LEN // BLOCK_TOKENS
         # The budget forced the spill tier into the loop, and held.
@@ -146,10 +147,10 @@ def test_differential_sweep_engine():
         assert paged_stats.evictions == 0  # spill, not data loss
         # Every hit's append met a stale base and fell back to a full
         # put, which re-stored the grown entry: the next step hits again.
-        assert racing.cache.stats.hits == flat_stats.hits
-        assert racing_cache.refused == racing_cache.lookups == flat_stats.hits
+        assert racing.cache.stats.hits == free_stats.hits
+        assert racing_cache.refused == racing_cache.lookups == free_stats.hits
     finally:
-        for engine in (uncached, flat, paged, racing):
+        for engine in (uncached, unbudgeted, paged, racing):
             engine.shutdown()
         racing_cache.close()
 
@@ -157,10 +158,8 @@ def test_differential_sweep_engine():
 @pytest.mark.paged_cache
 def test_oversized_entry_spills_instead_of_overshooting():
     """A single entry larger than ``max_bytes`` must not leave
-    ``resident_bytes`` over budget (the flat store's silent overshoot):
-    the paged store parks it in the spill tier and still serves it."""
-    from repro.engine.cache import DecodeCacheEntry
-
+    ``resident_bytes`` over budget: the store parks it in the spill tier
+    and still serves it."""
     rng = make_rng(5)
     tokens = rng.normal(size=(64, H))
     entry = DecodeCacheEntry(
@@ -172,9 +171,8 @@ def test_oversized_entry_spills_instead_of_overshooting():
         key_max_abs=500.0,
         quantized=True,
     )
-    cache = make_decode_cache(
-        "paged", block_tokens=BLOCK_TOKENS, max_bytes=entry.nbytes // 4
-    )
+    nbytes = sum(getattr(entry, name).nbytes for name in ENTRY_FIELDS)
+    cache = PagedDecodeCache(block_tokens=BLOCK_TOKENS, max_bytes=nbytes // 4)
     cache.put("big", entry)
     assert cache.stats.resident_bytes <= cache.max_bytes
     assert cache.stats.spilled_bytes > 0
@@ -198,7 +196,7 @@ def test_persisted_cache_survives_restart_bit_exactly(tmp_path):
     spill = str(tmp_path / "cache")
     tokens = _session_tokens(prefix, tails, 0, 2)
     first = SofaEngine(
-        CFG, cache_kind="paged", cache_block_tokens=BLOCK_TOKENS,
+        CFG, cache_block_tokens=BLOCK_TOKENS,
         cache_spill_dir=spill,
     )
     first.run([AttentionRequest(tokens=tokens, q=queries[2], wk=wk, wv=wv,
@@ -209,7 +207,7 @@ def test_persisted_cache_survives_restart_bit_exactly(tmp_path):
 
     grown = _session_tokens(prefix, tails, 0, 3)
     second = SofaEngine(
-        CFG, cache_kind="paged", cache_block_tokens=BLOCK_TOKENS,
+        CFG, cache_block_tokens=BLOCK_TOKENS,
         cache_spill_dir=spill,
     )
     uncached = SofaEngine(CFG)
@@ -237,7 +235,7 @@ def test_version_1_spill_dir_restores_nothing(tmp_path):
     spill = tmp_path / "cache"
     tokens = _session_tokens(prefix, tails, 0, 2)
     first = SofaEngine(
-        CFG, cache_kind="paged", cache_block_tokens=BLOCK_TOKENS,
+        CFG, cache_block_tokens=BLOCK_TOKENS,
         cache_spill_dir=str(spill),
     )
     first.run([AttentionRequest(tokens=tokens, q=queries[2], wk=wk, wv=wv,
@@ -258,7 +256,7 @@ def test_version_1_spill_dir_restores_nothing(tmp_path):
 
     grown = _session_tokens(prefix, tails, 0, 3)
     second = SofaEngine(
-        CFG, cache_kind="paged", cache_block_tokens=BLOCK_TOKENS,
+        CFG, cache_block_tokens=BLOCK_TOKENS,
         cache_spill_dir=str(spill),
     )
     uncached = SofaEngine(CFG)
@@ -302,25 +300,50 @@ def test_sessions_share_the_prompt_when_it_holds_the_key_max():
     cache.close()
 
 
-@pytest.mark.paged_cache
-def test_corrupt_spill_file_degrades_to_miss(tmp_path):
-    """An unreadable spill file may only cost a recompute, never wrong bits
-    or a crash: the entry demotes to a miss."""
-    from repro.engine.cache import DecodeCacheEntry
-
+def _fully_spilled_cache(spill_dir) -> PagedDecodeCache:
+    """A store holding one 6-row entry ``"k"`` as three spilled blocks."""
     tokens = np.arange(18, dtype=np.float64).reshape(6, 3)
     entry = DecodeCacheEntry(
         tokens=tokens, tok_values=tokens.astype(np.int64), tok_scale=1.0,
         tok_max_abs=17.0, key_codes=np.zeros((6, 2), dtype=np.int64),
         key_max_abs=0.0, quantized=True,
     )
-    cache = make_decode_cache(
-        "paged", block_tokens=2, max_bytes=1, spill_dir=str(tmp_path)
-    )
+    cache = PagedDecodeCache(block_tokens=2, max_bytes=1, spill_dir=str(spill_dir))
     cache.put("k", entry)
     assert cache.stats.spilled_blocks == 3
+    return cache
+
+
+@pytest.mark.paged_cache
+def test_corrupt_spill_file_degrades_to_miss(tmp_path):
+    """An unreadable spill file may only cost a recompute, never wrong bits
+    or a crash: the entry demotes to a miss."""
+    cache = _fully_spilled_cache(tmp_path)
     for path in tmp_path.glob("*.npz"):
         path.write_bytes(b"garbage")
+    assert cache.get("k") is None
+    assert len(cache) == 0
+    cache.close()
+
+
+@pytest.mark.paged_cache
+@pytest.mark.parametrize("tamper", ["other_block", "altered_codes"])
+def test_spill_file_with_other_content_degrades_to_miss(tmp_path, tamper):
+    """A spill file that parses but does not hold its block's content -
+    another block's rows, or the right tokens with altered ``key_codes``
+    (which the token-prefix witness of a hit cannot see) - is treated
+    like an unreadable one: the entry demotes to a miss."""
+    cache = _fully_spilled_cache(tmp_path)
+    first, second, _ = (
+        tmp_path / f"{h}.npz" for h in cache._entries["k"].block_hashes
+    )
+    if tamper == "other_block":
+        first.write_bytes(second.read_bytes())
+    else:
+        with np.load(first) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["key_codes"] = arrays["key_codes"] + 1
+        np.savez(first, **arrays)
     assert cache.get("k") is None
     assert len(cache) == 0
     cache.close()
@@ -350,7 +373,6 @@ def test_differential_sweep_cluster_tier():
         n_workers=2,
         config=CFG,
         routing="cache_affinity",
-        cache_kind="paged",
         cache_block_tokens=BLOCK_TOKENS,
         cache_bytes=4 * BLOCK_TOKENS * H * 8,
     ) as cluster:

@@ -17,8 +17,7 @@ every operation that:
 * the RAM budget is a hard invariant (``resident_bytes <= max_bytes``).
 
 Plus pinned (non-random) tests for the TTL boundary (an entry idle
-*exactly* ``ttl_s`` stays, one idle any longer drops - on both stores)
-and for the append form of ``put``: a differential run against full
+*exactly* ``ttl_s`` stays, one idle any longer drops) and for the append form of ``put``: a differential run against full
 puts, the O(tail) hashing bound, refusal of a stale ``base``, and a
 re-put that keeps its own blocks.
 """
@@ -32,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import paged
-from repro.engine.cache import DecodeCacheEntry, make_decode_cache
+from repro.engine.cache import DecodeCacheEntry
 from repro.engine.paged import PagedDecodeCache
 
 H, DK = 3, 2
@@ -322,13 +321,12 @@ def test_incremental_gauges_equal_a_full_recount(ops, block_tokens, max_bytes):
 
 
 # -------------------------------------------------------------- TTL boundary
-@pytest.mark.parametrize("kind", ["flat", "paged"])
-def test_ttl_boundary_idle_exactly_ttl_stays(kind):
+def test_ttl_boundary_idle_exactly_ttl_stays():
     """Pinned boundary: the keep rule is ``idle <= ttl_s``, so an entry
-    idle *exactly* ``ttl_s`` survives and anything past it drops - on
-    both stores, via lazy sweeping and explicit sweep_expired alike."""
+    idle *exactly* ``ttl_s`` survives and anything past it drops, via
+    lazy sweeping and explicit sweep_expired alike."""
     now = [0.0]
-    cache = make_decode_cache(kind, ttl_s=10.0, clock=lambda: now[0])
+    cache = PagedDecodeCache(ttl_s=10.0, clock=lambda: now[0])
     cache.put("k", _entry(0, 6))
     now[0] = 10.0  # idle == ttl_s exactly
     assert cache.sweep_expired() == 0
@@ -503,23 +501,21 @@ def test_append_hashes_only_the_tail(monkeypatch, block_tokens):
 
 
 def _store_state(cache):
-    blocks = getattr(cache, "_blocks", {})
     return (
         [(key, id(entry)) for key, entry in cache._entries.items()],
-        {h: (b.refcount, b.resident) for h, b in blocks.items()},
+        {h: (b.refcount, b.resident) for h, b in cache._blocks.items()},
         cache.stats.snapshot(),
     )
 
 
-@pytest.mark.parametrize("kind", ["paged", "flat"])
 @pytest.mark.parametrize("how", ["replaced", "invalidated", "expired", "evicted"])
-def test_append_onto_a_stale_base_is_refused(kind, how):
+def test_append_onto_a_stale_base_is_refused(how):
     """A base from an entry that has since changed - replaced (also by an
     identical entry, as a racing thread would), invalidated, expired or
     evicted - makes the append return False and change nothing."""
     now = [0.0]
-    cache = make_decode_cache(
-        kind, max_entries=2, ttl_s=10.0, block_tokens=4, clock=lambda: now[0]
+    cache = PagedDecodeCache(
+        max_entries=2, ttl_s=10.0, block_tokens=4, clock=lambda: now[0]
     )
     cache.put("k", _entry(0, 10))
     base = cache.get("k")
@@ -540,9 +536,8 @@ def test_append_onto_a_stale_base_is_refused(kind, how):
     cache.close()
 
 
-@pytest.mark.parametrize("kind", ["paged", "flat"])
-def test_append_with_another_quantization_state_is_refused(kind):
-    cache = make_decode_cache(kind, block_tokens=4)
+def test_append_with_another_quantization_state_is_refused():
+    cache = PagedDecodeCache(block_tokens=4)
     cache.put("k", _entry(0, 10))
     base = cache.get("k")
     before = _store_state(cache)

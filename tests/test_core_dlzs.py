@@ -163,12 +163,11 @@ def test_stacked_phase_one_exact_on_both_sides_of_the_blas_window():
         assert np.array_equal(pred.predict_prepared(tokens, q).k_hat, want.reshape(n * s, d))
 
 
-@pytest.mark.parametrize("kind", ["flat", "paged"])
-def test_keyed_phase_one_exact_on_both_sides_of_the_blas_window(kind):
+def test_keyed_phase_one_exact_on_both_sides_of_the_blas_window():
     """Keyed heads (through the decode cache, miss then appended hit) and
     their keyless batch-mates give the int64 matmul's ``k_hat`` inside and
     outside the exact BLAS window."""
-    from repro.engine.cache import make_decode_cache
+    from repro.engine.paged import PagedDecodeCache
 
     rng = make_rng(13)
     n, s, h, d = 2, 40, 8, 8
@@ -176,7 +175,7 @@ def test_keyed_phase_one_exact_on_both_sides_of_the_blas_window(kind):
     pred = StackedDlzsPredictor(rng.normal(size=(n, h, d)), cfg)
     q = rng.normal(size=(n, 3, d))
     for bits, inside in ((20, True), (50, False)):
-        cache = make_decode_cache(kind, block_tokens=16)
+        cache = PagedDecodeCache(block_tokens=16)
         tokens = rng.integers(-(2**bits), 2**bits, size=(n, s + 5, h))
         assert _blas_exact(tokens, pred._wk_pow2) is inside
         for length in (s, s + 5):  # a miss, then a hit that appends 5 rows

@@ -15,12 +15,8 @@ from repro.core.config import SofaConfig
 from repro.core.dlzs import StackedDlzsPredictor
 from repro.core.pipeline import SofaAttention
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
-from repro.engine.cache import (
-    ENTRY_FIELDS,
-    DecodeCacheEntry,
-    DecodeStepCache,
-    make_decode_cache,
-)
+from repro.engine.cache import ENTRY_FIELDS, DecodeCacheEntry
+from repro.engine.paged import PagedDecodeCache
 from repro.utils.rng import make_rng
 
 CFG = SofaConfig(tile_cols=16, top_k=8)
@@ -51,7 +47,7 @@ def _decode_request(rng, tokens, wk, wv, cache_key="seq"):
 
 # ------------------------------------------------------------------ unit level
 def test_store_put_get_invalidate_clear():
-    cache = DecodeStepCache(max_entries=4)
+    cache = PagedDecodeCache(max_entries=4)
     key = ("seq", CFG, "digest")
     assert cache.get(key) is None
     cache.put(key, _entry())
@@ -65,7 +61,7 @@ def test_store_put_get_invalidate_clear():
 
 
 def test_store_lru_eviction_counted():
-    cache = DecodeStepCache(max_entries=2)
+    cache = PagedDecodeCache(max_entries=2)
     for i in range(3):
         cache.put((i, CFG, "d"), _entry())
     assert len(cache) == 2
@@ -74,7 +70,7 @@ def test_store_lru_eviction_counted():
 
 
 def test_store_invalidate_prefix_matches_session_tuples():
-    cache = DecodeStepCache()
+    cache = PagedDecodeCache()
     for layer in range(2):
         for head in range(3):
             cache.put((("sess-a", layer, head), CFG, "d"), _entry())
@@ -84,13 +80,12 @@ def test_store_invalidate_prefix_matches_session_tuples():
     assert cache.invalidate_prefix("sess-a") == 0
 
 
-@pytest.mark.parametrize("kind", ["flat", "paged"])
-def test_invalidate_prefix_matches_scalar_and_tuple_keys(kind):
+def test_invalidate_prefix_matches_scalar_and_tuple_keys():
     """Both documented key shapes must be reachable by invalidate_prefix:
     predictor-composed ``(user_key, config, digest)`` tuples AND plain
     scalar keys written by callers driving the store directly (these used
     to fall through the tuple-only matcher and silently drop nothing)."""
-    cache = make_decode_cache(kind)
+    cache = PagedDecodeCache()
     cache.put("plain-session", _entry())  # scalar store key
     cache.put(("tuple-session", CFG, "d"), _entry())
     cache.put((("nested-session", 0, 1), CFG, "d"), _entry())
@@ -105,7 +100,9 @@ def test_invalidate_prefix_matches_scalar_and_tuple_keys(kind):
 
 def test_store_rejects_zero_capacity():
     with pytest.raises(ValueError):
-        DecodeStepCache(max_entries=0)
+        PagedDecodeCache(max_entries=0)
+    with pytest.raises(ValueError):
+        PagedDecodeCache(max_bytes=0)
 
 
 # -------------------------------------------------------------- operator level
@@ -116,7 +113,7 @@ def test_cached_operator_bit_identical_across_growth_and_counters_exact():
     wk = rng.normal(size=(n, h, d))
     wv = rng.normal(size=(n, h, d))
     op = BatchedSofaAttention(wk, wv, CFG)
-    cache = DecodeStepCache()
+    cache = PagedDecodeCache()
     keys = [("s", i) for i in range(n)]
     tokens = rng.integers(-80, 80, size=(n, 48, h)).astype(np.float64)
     for step in range(5):
@@ -150,7 +147,7 @@ def test_louder_token_invalidates_scale_and_stays_identical():
     wk = rng.normal(size=(n, h, d))
     wv = rng.normal(size=(n, h, d))
     op = BatchedSofaAttention(wk, wv, CFG)
-    cache = DecodeStepCache()
+    cache = PagedDecodeCache()
     tokens = rng.uniform(-50, 50, size=(n, 40, h))
     op(tokens, rng.normal(size=(n, 2, d)), cache=cache, cache_keys=["s"])
     # quiet growth: reuse
@@ -187,8 +184,7 @@ def _only_entry(cache):
     return cache.get(key)
 
 
-@pytest.mark.parametrize("kind", ["flat", "paged"])
-def test_louder_key_row_rescales_as_a_hit_and_stays_identical(kind):
+def test_louder_key_row_rescales_as_a_hit_and_stays_identical():
     """A new token within the token max whose ``K_hat`` row exceeds the
     cached ``key_max_abs`` moves the truncation scale of every row.  The
     hit rebuilds the raw rows from the cached token codes, re-truncates
@@ -200,7 +196,7 @@ def test_louder_key_row_rescales_as_a_hit_and_stays_identical(kind):
     wk = rng.normal(size=(n, h, d))
     wv = rng.normal(size=(n, h, d))
     op = BatchedSofaAttention(wk, wv, CFG)
-    cache = make_decode_cache(kind)
+    cache = PagedDecodeCache()
     tokens = rng.uniform(-5, 5, size=(n, 40, h))
     tokens[0, 3, 5] = 100.0  # the token max lives in the prefix
     q = rng.normal(size=(n, 2, d))
@@ -216,7 +212,7 @@ def test_louder_key_row_rescales_as_a_hit_and_stays_identical(kind):
     assert (stats.hits, stats.misses, stats.invalidations, stats.rescales) == (1, 1, 0, 1)
     assert (stats.rows_reused, stats.rows_appended) == (40, 1)
 
-    full = make_decode_cache(kind)
+    full = PagedDecodeCache()
     op(tokens, q, cache=full, cache_keys=["s"])  # a miss: a full put
     assert full.stats.misses == 1
     stored, want = _only_entry(cache), _only_entry(full)
@@ -243,7 +239,7 @@ def _hit_allocation(s: int) -> tuple[int, int]:
     tokens = rng.integers(-60, 60, size=(s + 2, h)).astype(np.float64)
     tokens[0] = _loudest_key_row(predictor._wk_pow2[0], 100.0)  # both maxima
     q = rng.normal(size=(1, 1, d))
-    cache = make_decode_cache("paged")
+    cache = PagedDecodeCache()
     for stop in (s, s + 1):  # the fill (a miss), then one warm hit
         predictor.predict_prepared([tokens[:stop]], q, cache=cache, cache_keys=["k"])
     tracemalloc.start()
@@ -275,7 +271,7 @@ def test_rewritten_prefix_and_shrunk_sequence_miss():
     op = BatchedSofaAttention(
         rng.normal(size=(n, h, d)), rng.normal(size=(n, h, d)), CFG
     )
-    cache = DecodeStepCache()
+    cache = PagedDecodeCache()
     tokens = rng.integers(-50, 50, size=(n, 32, h)).astype(np.float64)
     q = rng.normal(size=(n, 2, d))
     op(tokens, q, cache=cache, cache_keys=["s"])
@@ -300,7 +296,7 @@ def test_mixed_keyed_and_keyless_heads_in_one_stack():
     op = BatchedSofaAttention(
         rng.normal(size=(n, h, d)), rng.normal(size=(n, h, d)), CFG
     )
-    cache = DecodeStepCache()
+    cache = PagedDecodeCache()
     tokens = rng.integers(-60, 60, size=(n, 40, h)).astype(np.float64)
     q = rng.normal(size=(n, 2, d))
     keys = ["a", None, "c"]
@@ -320,7 +316,7 @@ def test_cache_keys_length_validated():
         op(
             rng.integers(-10, 10, size=(2, 32, 8)).astype(np.float64),
             rng.normal(size=(2, 2, 8)),
-            cache=DecodeStepCache(),
+            cache=PagedDecodeCache(),
             cache_keys=["only-one"],
         )
 
@@ -332,7 +328,7 @@ def test_same_user_key_different_weights_do_not_collide():
     h, d = 10, 10
     tokens = rng.integers(-40, 40, size=(1, 36, h)).astype(np.float64)
     q = rng.normal(size=(1, 2, d))
-    cache = DecodeStepCache()
+    cache = PagedDecodeCache()
     op_a = BatchedSofaAttention(
         rng.normal(size=(1, h, d)), rng.normal(size=(1, h, d)), CFG
     )
@@ -357,7 +353,7 @@ def test_float32_tokens_stay_bit_identical_through_cache():
     op = BatchedSofaAttention(
         rng.normal(size=(n, h, d)), rng.normal(size=(n, h, d)), CFG
     )
-    cache = DecodeStepCache()
+    cache = PagedDecodeCache()
     tokens = (rng.uniform(-70, 70, size=(n, 44, h))).astype(np.float32)
     q = rng.normal(size=(n, 2, d))
     for _ in range(4):
@@ -368,22 +364,6 @@ def test_float32_tokens_stay_bit_identical_through_cache():
             [tokens, rng.uniform(-70, 70, size=(n, 1, h)).astype(np.float32)], axis=1
         )
     assert cache.stats.hits >= 1  # growth actually exercised the hit path
-
-
-def test_resident_bytes_tracked_and_byte_bound_evicts():
-    cache = DecodeStepCache(max_entries=64, max_bytes=3 * _entry().nbytes // 2)
-    assert cache.stats.resident_bytes == 0
-    cache.put(("a", CFG, "d"), _entry())
-    one = cache.stats.resident_bytes
-    assert one == _entry().nbytes > 0
-    cache.put(("b", CFG, "d"), _entry())  # over the byte bound -> evict "a"
-    assert cache.stats.evictions == 1
-    assert cache.stats.resident_bytes == one
-    assert cache.get(("a", CFG, "d")) is None
-    cache.invalidate(("b", CFG, "d"))
-    assert cache.stats.resident_bytes == 0
-    with pytest.raises(ValueError):
-        DecodeStepCache(max_bytes=0)
 
 
 # ---------------------------------------------------------------- engine level
@@ -436,7 +416,7 @@ def test_shared_cache_across_engines():
     h, d = 12, 12
     wk = rng.normal(size=(h, d))
     wv = rng.normal(size=(h, d))
-    shared = DecodeStepCache()
+    shared = PagedDecodeCache()
     tokens = rng.integers(-60, 60, size=(40, h)).astype(np.float64)
     first = SofaEngine(CFG, cache=shared)
     first.run([_decode_request(rng, tokens, wk, wv)])
@@ -451,7 +431,7 @@ def test_shared_cache_across_engines():
 # ------------------------------------------------------------------- TTL knob
 def test_ttl_expires_idle_entries_with_injected_clock():
     now = [0.0]
-    cache = DecodeStepCache(max_entries=8, ttl_s=10.0, clock=lambda: now[0])
+    cache = PagedDecodeCache(max_entries=8, ttl_s=10.0, clock=lambda: now[0])
     cache.put(("a", CFG, "d"), _entry())
     cache.put(("b", CFG, "d"), _entry())
     now[0] = 5.0
@@ -465,7 +445,7 @@ def test_ttl_expires_idle_entries_with_injected_clock():
 
 def test_ttl_sweep_expired_explicit_and_bytes_released():
     now = [0.0]
-    cache = DecodeStepCache(max_entries=8, ttl_s=1.0, clock=lambda: now[0])
+    cache = PagedDecodeCache(max_entries=8, ttl_s=1.0, clock=lambda: now[0])
     cache.put(("a", CFG, "d"), _entry())
     assert cache.stats.resident_bytes > 0
     now[0] = 2.0
@@ -477,7 +457,7 @@ def test_ttl_sweep_expired_explicit_and_bytes_released():
 
 def test_ttl_expiration_distinct_from_lru_eviction():
     now = [0.0]
-    cache = DecodeStepCache(max_entries=1, ttl_s=100.0, clock=lambda: now[0])
+    cache = PagedDecodeCache(max_entries=1, ttl_s=100.0, clock=lambda: now[0])
     cache.put(("a", CFG, "d"), _entry())
     cache.put(("b", CFG, "d"), _entry())  # LRU pressure, not TTL
     assert cache.stats.evictions == 1
@@ -486,9 +466,9 @@ def test_ttl_expiration_distinct_from_lru_eviction():
 
 def test_ttl_validated():
     with pytest.raises(ValueError):
-        DecodeStepCache(ttl_s=0.0)
+        PagedDecodeCache(ttl_s=0.0)
     with pytest.raises(ValueError):
-        DecodeStepCache(ttl_s=-1.0)
+        PagedDecodeCache(ttl_s=-1.0)
 
 
 def test_engine_surfaces_ttl_expirations_in_stats():
