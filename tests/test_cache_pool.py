@@ -37,6 +37,10 @@ from repro.engine.paged import PagedDecodeCache
 H, DK = 3, 2
 MAX_ROWS = 40
 
+# The block layouts a store-level test runs under: "flat" keeps every entry
+# whole in one block, "paged" cuts each entry over several blocks.
+BLOCK_LAYOUTS = pytest.mark.parametrize("block_tokens", [64, 3], ids=["flat", "paged"])
+
 _KEYS = ("s0", "s1", "s2", "s3")
 _STREAMS = 3  # token streams; same stream => shared prefix across keys
 
@@ -321,12 +325,15 @@ def test_incremental_gauges_equal_a_full_recount(ops, block_tokens, max_bytes):
 
 
 # -------------------------------------------------------------- TTL boundary
-def test_ttl_boundary_idle_exactly_ttl_stays():
+@BLOCK_LAYOUTS
+def test_ttl_boundary_idle_exactly_ttl_stays(block_tokens):
     """Pinned boundary: the keep rule is ``idle <= ttl_s``, so an entry
     idle *exactly* ``ttl_s`` survives and anything past it drops, via
     lazy sweeping and explicit sweep_expired alike."""
     now = [0.0]
-    cache = PagedDecodeCache(ttl_s=10.0, clock=lambda: now[0])
+    cache = PagedDecodeCache(
+        ttl_s=10.0, block_tokens=block_tokens, clock=lambda: now[0]
+    )
     cache.put("k", _entry(0, 6))
     now[0] = 10.0  # idle == ttl_s exactly
     assert cache.sweep_expired() == 0
@@ -508,14 +515,15 @@ def _store_state(cache):
     )
 
 
+@BLOCK_LAYOUTS
 @pytest.mark.parametrize("how", ["replaced", "invalidated", "expired", "evicted"])
-def test_append_onto_a_stale_base_is_refused(how):
+def test_append_onto_a_stale_base_is_refused(block_tokens, how):
     """A base from an entry that has since changed - replaced (also by an
     identical entry, as a racing thread would), invalidated, expired or
     evicted - makes the append return False and change nothing."""
     now = [0.0]
     cache = PagedDecodeCache(
-        max_entries=2, ttl_s=10.0, block_tokens=4, clock=lambda: now[0]
+        max_entries=2, ttl_s=10.0, block_tokens=block_tokens, clock=lambda: now[0]
     )
     cache.put("k", _entry(0, 10))
     base = cache.get("k")
@@ -536,8 +544,9 @@ def test_append_onto_a_stale_base_is_refused(how):
     cache.close()
 
 
-def test_append_with_another_quantization_state_is_refused():
-    cache = PagedDecodeCache(block_tokens=4)
+@BLOCK_LAYOUTS
+def test_append_with_another_quantization_state_is_refused(block_tokens):
+    cache = PagedDecodeCache(block_tokens=block_tokens)
     cache.put("k", _entry(0, 10))
     base = cache.get("k")
     before = _store_state(cache)

@@ -163,10 +163,12 @@ def test_stacked_phase_one_exact_on_both_sides_of_the_blas_window():
         assert np.array_equal(pred.predict_prepared(tokens, q).k_hat, want.reshape(n * s, d))
 
 
-def test_keyed_phase_one_exact_on_both_sides_of_the_blas_window():
+@pytest.mark.parametrize("block_tokens", [64, 16], ids=["flat", "paged"])
+def test_keyed_phase_one_exact_on_both_sides_of_the_blas_window(block_tokens):
     """Keyed heads (through the decode cache, miss then appended hit) and
     their keyless batch-mates give the int64 matmul's ``k_hat`` inside and
-    outside the exact BLAS window."""
+    outside the exact BLAS window, with each cached entry in one block
+    ("flat") or cut over several ("paged")."""
     from repro.engine.paged import PagedDecodeCache
 
     rng = make_rng(13)
@@ -175,7 +177,7 @@ def test_keyed_phase_one_exact_on_both_sides_of_the_blas_window():
     pred = StackedDlzsPredictor(rng.normal(size=(n, h, d)), cfg)
     q = rng.normal(size=(n, 3, d))
     for bits, inside in ((20, True), (50, False)):
-        cache = PagedDecodeCache(block_tokens=16)
+        cache = PagedDecodeCache(block_tokens=block_tokens)
         tokens = rng.integers(-(2**bits), 2**bits, size=(n, s + 5, h))
         assert _blas_exact(tokens, pred._wk_pow2) is inside
         for length in (s, s + 5):  # a miss, then a hit that appends 5 rows

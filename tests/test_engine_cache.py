@@ -21,6 +21,10 @@ from repro.utils.rng import make_rng
 
 CFG = SofaConfig(tile_cols=16, top_k=8)
 
+# The block layouts a store-level test runs under: "flat" keeps every entry
+# whole in one block, "paged" cuts each entry over several blocks.
+BLOCK_LAYOUTS = pytest.mark.parametrize("block_tokens", [64, 3], ids=["flat", "paged"])
+
 
 def _entry(s=4, h=3, dk=2) -> DecodeCacheEntry:
     tokens = np.zeros((s, h))
@@ -80,12 +84,13 @@ def test_store_invalidate_prefix_matches_session_tuples():
     assert cache.invalidate_prefix("sess-a") == 0
 
 
-def test_invalidate_prefix_matches_scalar_and_tuple_keys():
+@BLOCK_LAYOUTS
+def test_invalidate_prefix_matches_scalar_and_tuple_keys(block_tokens):
     """Both documented key shapes must be reachable by invalidate_prefix:
     predictor-composed ``(user_key, config, digest)`` tuples AND plain
     scalar keys written by callers driving the store directly (these used
     to fall through the tuple-only matcher and silently drop nothing)."""
-    cache = PagedDecodeCache()
+    cache = PagedDecodeCache(block_tokens=block_tokens)
     cache.put("plain-session", _entry())  # scalar store key
     cache.put(("tuple-session", CFG, "d"), _entry())
     cache.put((("nested-session", 0, 1), CFG, "d"), _entry())
@@ -184,7 +189,8 @@ def _only_entry(cache):
     return cache.get(key)
 
 
-def test_louder_key_row_rescales_as_a_hit_and_stays_identical():
+@BLOCK_LAYOUTS
+def test_louder_key_row_rescales_as_a_hit_and_stays_identical(block_tokens):
     """A new token within the token max whose ``K_hat`` row exceeds the
     cached ``key_max_abs`` moves the truncation scale of every row.  The
     hit rebuilds the raw rows from the cached token codes, re-truncates
@@ -196,7 +202,7 @@ def test_louder_key_row_rescales_as_a_hit_and_stays_identical():
     wk = rng.normal(size=(n, h, d))
     wv = rng.normal(size=(n, h, d))
     op = BatchedSofaAttention(wk, wv, CFG)
-    cache = PagedDecodeCache()
+    cache = PagedDecodeCache(block_tokens=block_tokens)
     tokens = rng.uniform(-5, 5, size=(n, 40, h))
     tokens[0, 3, 5] = 100.0  # the token max lives in the prefix
     q = rng.normal(size=(n, 2, d))
@@ -212,7 +218,7 @@ def test_louder_key_row_rescales_as_a_hit_and_stays_identical():
     assert (stats.hits, stats.misses, stats.invalidations, stats.rescales) == (1, 1, 0, 1)
     assert (stats.rows_reused, stats.rows_appended) == (40, 1)
 
-    full = PagedDecodeCache()
+    full = PagedDecodeCache(block_tokens=block_tokens)
     op(tokens, q, cache=full, cache_keys=["s"])  # a miss: a full put
     assert full.stats.misses == 1
     stored, want = _only_entry(cache), _only_entry(full)
