@@ -16,9 +16,9 @@ tiling across spatial lanes, Occamy partitioning across chiplets):
     worker-failure handling (in-flight requests re-route, never drop),
     and opt-in supervision (heartbeats, auto-respawn/reconnect).
 :mod:`repro.cluster.transport`
-    The pluggable transports: ``local`` (``multiprocessing`` children)
-    and ``socket`` (length-prefixed TCP frames to standalone workers,
-    on this host or others - multi-host sharding).
+    The pluggable transports, one framed channel each: ``local``
+    (``multiprocessing`` children on socketpairs) and ``socket`` (TCP to
+    standalone workers, on this host or others - multi-host sharding).
 :class:`~repro.cluster.supervisor.WorkerSupervisor`
     Heartbeat liveness plus bounded-exponential-backoff respawn (local
     workers) / reconnect (remote workers), with in-flight replay.
@@ -32,7 +32,7 @@ tiling across spatial lanes, Occamy partitioning across chiplets):
     The routing policies (rendezvous-hashed affinity, RASS lane
     balancing) over a dynamic worker-id set.
 :mod:`repro.cluster.worker`
-    The worker entrypoint (queue child or ``python -m
+    The worker loop (a socketpair child or ``python -m
     repro.cluster.worker --listen HOST:PORT``) and wire protocol.
 
 The engine's parity contract crosses the process boundary intact: every

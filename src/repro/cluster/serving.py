@@ -11,11 +11,12 @@ kernel selection from the shared registry) behind the message loop of
 hardware lanes.
 
 Workers are reached through a pluggable **transport**
-(:mod:`repro.cluster.transport`): ``transport="local"`` keeps the
-original ``multiprocessing`` children on this host, ``transport="socket"``
-speaks length-prefixed checksummed frames (:mod:`repro.engine.codec`) to
-standalone worker processes - spawned on localhost or listening on other
-hosts (``worker_addresses=[...]``, multi-host sharding).  The frontend
+(:mod:`repro.cluster.transport`), all speaking length-prefixed
+checksummed frames (:mod:`repro.engine.codec`): ``transport="local"``
+starts ``multiprocessing`` children on this host, each on one end of a
+socketpair; ``transport="socket"`` connects over TCP to standalone worker
+processes - spawned on localhost or listening on other hosts
+(``worker_addresses=[...]``, multi-host sharding).  The frontend
 logic is transport-blind, which is what lets the parity sweep assert
 bit-identical serving across transports.
 
@@ -73,7 +74,7 @@ Responsibilities of this frontend:
 
 The parity contract of the engine extends across the process boundary:
 each worker's engine is bit-identical to the sequential operator, the
-codec round-trips tensors bit-exactly over queues and frames alike, and
+codec round-trips tensors bit-exactly through every worker hop, and
 routing/supervision only choose *where and when* a request runs - so
 every result is bit-identical to single-engine serving regardless of
 transport, policy, worker count, dedup, or mid-stream failures.
@@ -361,9 +362,10 @@ class EngineCluster:
     dedup:
         Share one execution among bit-identical in-flight requests.
     transport:
-        ``"local"`` (``multiprocessing`` children), ``"socket"``
-        (standalone workers over length-prefixed TCP frames), or a
-        :class:`~repro.cluster.transport.ClusterTransport` instance.
+        ``"local"`` (``multiprocessing`` children, each reached over a
+        socketpair), ``"socket"`` (standalone workers reached over TCP),
+        or a :class:`~repro.cluster.transport.ClusterTransport` instance.
+        Both carry the same length-prefixed frames.
     worker_addresses:
         Socket transport only: one ``"host:port"`` per slot attaches to an
         externally started worker (``python -m repro.cluster.worker
@@ -1303,8 +1305,7 @@ class EngineCluster:
         worker it severs the link instead (the standalone process loops
         back to ``accept``, which is what reconnection drills want).
         ``hard=False`` asks the worker to ``os._exit`` at its next message
-        read (a clean crash point, so queues are never corrupted
-        mid-write).  Either way the cluster treats it as a real failure:
+        read (a clean crash point, so no frame is cut mid-write).  Either way the cluster treats it as a real failure:
         in-flight requests are re-routed on detection.  ``wait=False``
         returns without joining (the crash lands whenever the worker
         reaches it).
@@ -1333,7 +1334,7 @@ class EngineCluster:
             for handle in self._slots:
                 if handle.alive and handle.link.is_alive():
                     if not handle.link.send(("stop",)):
-                        # Undeliverable stop (torn-down queue/socket): don't
+                        # Undeliverable stop (link already down): don't
                         # spin the drain timeout waiting for its "stopped".
                         handle.alive = False
             try:

@@ -1,25 +1,27 @@
-"""Pluggable transports: how the cluster frontend reaches its workers.
+"""Transports: how the cluster frontend reaches its workers.
 
-:class:`~repro.cluster.serving.EngineCluster` speaks one wire protocol
-(:mod:`repro.cluster.worker`) over an abstract transport:
+Every worker speaks one channel: length-prefixed, checksummed frames
+(:func:`repro.engine.codec.encode_frame`) over a stream socket, served by
+:func:`repro.cluster.worker._serve_connection` on the worker side and read
+and written by one :class:`WorkerLink` on the frontend side.  The
+transports differ only in how the worker process comes to exist:
 
 ``local``  (:class:`LocalTransport`)
-    The original topology: ``multiprocessing`` child processes on this
-    host, one inbox queue per worker plus one shared outbox - zero-copy
-    of nothing, but zero setup and automatic teardown.
+    A ``multiprocessing`` child on this host (fork where available)
+    holding one end of a ``socket.socketpair()``.  A socketpair has no
+    listener, so no other local user can reach a worker while its frames
+    are still unpickled.
 ``socket`` (:class:`SocketTransport`)
     Workers are standalone processes behind a TCP listener
     (``python -m repro.cluster.worker --listen HOST:PORT``), on this host
-    or any other.  Messages travel as length-prefixed, checksummed frames
-    (:func:`repro.engine.codec.encode_frame`) carrying the same versioned
-    codec payloads the queues carry, so the hop is bit-exact either way
-    and the frontend cannot tell the transports apart - which is exactly
-    what the cross-transport parity sweep asserts.  When no address is
-    supplied for a slot the transport spawns the worker itself on
-    ``127.0.0.1`` (tests, CI, single-host dev); addressed slots attach to
-    externally managed workers (multi-host sharding).
+    or any other.  When no address is supplied for a slot the transport
+    spawns the worker itself on ``127.0.0.1`` (tests, CI, single-host
+    dev); addressed slots attach to externally managed workers
+    (multi-host sharding).
 
-Both present the same two surfaces:
+The frames are the same either way, so the hop is bit-exact and the
+frontend cannot tell the transports apart - which is exactly what the
+cross-transport parity sweep asserts.  Both present the same two surfaces:
 
 * :meth:`ClusterTransport.start_worker` - (re)establish one worker and
   return its :class:`WorkerLink` (send messages, probe liveness, kill);
@@ -61,24 +63,25 @@ class TransportError(RuntimeError):
 def default_start_method() -> str:
     """``fork`` where the platform has it, else ``spawn``.
 
-    The local transport's workers and the gateway's decode process both
-    start this way: fork skips re-importing the package in the child.
+    Local workers and the gateway's decode process both start this way:
+    fork skips re-importing the package in the child.
     """
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def detach_inherited_sockets() -> None:
+def detach_inherited_sockets(keep: int | None = None) -> None:
     """Forked-child start-up: let go of every socket the parent held.
 
     A child forked while a gateway serves (a local worker respawned by
     supervision or added by the autoscaler, the gateway's decode process)
-    inherits the listener and every open client connection; while it
-    holds them, a connection the gateway closes never reaches its client
-    as EOF and a stopped gateway's port stays bound.  Each inherited
-    socket descriptor is pointed at /dev/null (not closed, so a stale
-    socket object can never close a reused descriptor).  The children's
-    own channels (``multiprocessing`` queues, the executor's call queues)
-    are pipes and stay.
+    inherits the listener, every open client connection and the
+    frontend's ends of the other workers' socketpairs; while it holds
+    them, a connection the gateway closes never reaches its client as EOF,
+    a stopped gateway's port stays bound and a dead frontend's workers
+    never see EOF.  Each inherited socket descriptor except ``keep`` (a
+    local worker's own end of its socketpair) is pointed at /dev/null (not
+    closed, so a stale socket object can never close a reused descriptor).
+    Pipes (the decode executor's call queues) stay.
     """
     try:
         fds = [int(fd) for fd in os.listdir("/proc/self/fd")]
@@ -86,6 +89,8 @@ def detach_inherited_sockets() -> None:
         return  # no procfs: the child keeps them until it exits
     devnull = os.open(os.devnull, os.O_RDWR)
     for fd in fds:
+        if fd == keep:
+            continue
         try:
             if stat.S_ISSOCK(os.fstat(fd).st_mode):
                 os.dup2(devnull, fd)
@@ -118,210 +123,65 @@ def reap_spawned_workers(timeout_s: float = 5.0) -> list[subprocess.Popen]:
     return leaked
 
 
+class _SpawnedProcess:
+    """A spawned socket worker behind :class:`multiprocessing.Process`'s
+    ``is_alive``/``kill``/``join`` - the process interface a link uses."""
+
+    def __init__(self, proc: subprocess.Popen):
+        self.proc = proc
+
+    def is_alive(self) -> bool:
+        return self.proc.poll() is None
+
+    def kill(self) -> None:
+        self.proc.kill()
+
+    def join(self, timeout: float | None = None) -> None:
+        try:
+            self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            pass
+
+
 class WorkerLink:
-    """Parent-side handle to one worker incarnation (one link session)."""
+    """Parent-side handle to one worker incarnation (one frame stream).
 
-    worker_id: int
-    slot: int
-
-    def send(self, message: tuple) -> bool:
-        """Ship one protocol message; False (not an exception) if the link
-        is already down - the caller's reaping logic owns the recovery."""
-        raise NotImplementedError
-
-    def is_alive(self) -> bool:
-        raise NotImplementedError
-
-    def kill(self) -> None:
-        """Hard-stop the session (and the process, where this side owns it)."""
-        raise NotImplementedError
-
-    def join(self, timeout: float | None = None) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release parent-side resources of this link."""
-        raise NotImplementedError
-
-    @property
-    def error(self) -> Exception | None:
-        """The framing/IO error that killed the link, when one did."""
-        return None
-
-
-class ClusterTransport:
-    """Factory for worker links plus the merged worker->frontend stream."""
-
-    name: str
-    #: True when a respawned slot keeps its worker id (local processes);
-    #: False when a reconnected slot registers as a fresh identity
-    #: (remote workers - their engine state did not survive anyway).
-    reuses_worker_ids: bool
-
-    def start_worker(
-        self, slot: int, worker_id: int, engine_kwargs: dict[str, Any]
-    ) -> WorkerLink:
-        raise NotImplementedError
-
-    def add_slot(self) -> None:
-        """Provision one more worker slot (autoscale-up).
-
-        The local transport needs no bookkeeping (any slot index spawns a
-        child); the socket transport appends a spawn-on-localhost slot.
-        Externally addressed workers cannot be conjured, so socket
-        clusters pinned to ``worker_addresses`` grow with spawned
-        localhost workers beyond their addressed set.
-        """
-
-    def owns_process(self, slot: int) -> bool:
-        """True when this side can (re)spawn the slot's worker process."""
-        raise NotImplementedError
-
-    def recv(self, timeout: float) -> tuple | None:
-        """Next worker->frontend message from any link, or None on timeout."""
-        raise NotImplementedError
-
-    def recv_nowait(self) -> tuple | None:
-        return self.recv(0.0)
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-# ------------------------------------------------------------------- local
-def _crash_before_ready(worker_id, inbox, outbox, engine_kwargs) -> None:
-    """Fault-injection worker body: die before reporting ready.
-
-    Stands in for a worker whose host/process fails *during* a respawn -
-    the supervisor must observe the death and back off, not hang.
+    ``process`` is the worker's process where this side owns it (a
+    ``multiprocessing.Process`` or a :class:`_SpawnedProcess`), None for
+    a remote worker.  A reader thread feeds decoded messages into the
+    transport's merged ``deliveries`` queue; a writer thread encodes and
+    writes queued messages, so :meth:`send` never waits on a busy worker
+    (a large request frame outgrows the socket buffer, and a blocking
+    write would stall the caller for a whole engine batch).
     """
-    os._exit(1)
 
-
-class _LocalWorkerLink(WorkerLink):
-    def __init__(self, slot: int, worker_id: int, process, inbox):
-        self.slot = slot
-        self.worker_id = worker_id
-        self.process = process
-        self.inbox = inbox
-
-    def send(self, message: tuple) -> bool:
-        if not self.process.is_alive():
-            return False
-        try:
-            self.inbox.put(message)
-        except (OSError, ValueError):  # queue torn down under us
-            return False
-        return True
-
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.kill()
-
-    def join(self, timeout: float | None = None) -> None:
-        self.process.join(timeout=timeout)
-
-    def close(self) -> None:
-        self.inbox.close()
-        self.inbox.cancel_join_thread()
-
-
-class LocalTransport(ClusterTransport):
-    """The in-host topology: ``multiprocessing`` children and queues."""
-
-    name = "local"
-    reuses_worker_ids = True
-
-    def __init__(self, start_method: str | None = None):
-        self._ctx = mp.get_context(start_method or default_start_method())
-        self._outbox = self._ctx.Queue()
-        #: test hook - the next N spawns produce a worker that dies before
-        #: reporting ready (a failure *during* respawn).
-        self.spawn_fault_budget = 0
-
-    def start_worker(
-        self, slot: int, worker_id: int, engine_kwargs: dict[str, Any]
-    ) -> WorkerLink:
-        # Imported lazily so ``python -m repro.cluster.worker`` can execute
-        # the worker module as __main__ without runpy's re-import warning.
-        from repro.cluster.worker import worker_main
-
-        inbox = self._ctx.Queue()
-        target = worker_main
-        if self.spawn_fault_budget > 0:
-            self.spawn_fault_budget -= 1
-            target = _crash_before_ready
-        process = self._ctx.Process(
-            target=target,
-            args=(worker_id, inbox, self._outbox, engine_kwargs),
-            name=f"sofa-cluster-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        return _LocalWorkerLink(slot, worker_id, process, inbox)
-
-    def owns_process(self, slot: int) -> bool:
-        return True
-
-    def recv(self, timeout: float) -> tuple | None:
-        try:
-            if timeout <= 0:
-                return self._outbox.get_nowait()
-            return self._outbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def close(self) -> None:
-        self._outbox.close()
-        self._outbox.cancel_join_thread()
-
-
-# ------------------------------------------------------------------ socket
-def parse_address(address: str) -> tuple[str, int]:
-    """``"host:port"`` -> ``(host, port)`` with loud failure modes."""
-    host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"worker address {address!r} is not host:port")
-    try:
-        return host, int(port)
-    except ValueError as error:
-        raise ValueError(f"worker address {address!r} has a non-integer port") from error
-
-
-#: Announce line a listening worker prints (port resolved after binding, so
-#: ``--listen 127.0.0.1:0`` still tells the spawner where to connect).
-ANNOUNCE_PREFIX = "SOFA-WORKER-LISTENING "
-
-
-class _SocketWorkerLink(WorkerLink):
     def __init__(
         self,
         slot: int,
         worker_id: int,
-        sock,
+        sock: socket.socket,
         deliveries: "queue.Queue[tuple]",
-        process: subprocess.Popen | None,
+        process=None,
     ):
         self.slot = slot
         self.worker_id = worker_id
         self.process = process
         self._sock = sock
         self._deliveries = deliveries
-        self._send_lock = threading.Lock()
+        self._outgoing: "queue.SimpleQueue[tuple | None]" = queue.SimpleQueue()
         self._alive = True
         self._error: Exception | None = None
         self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"sofa-link-reader-{worker_id}",
-            daemon=True,
+            target=self._read_loop, name=f"sofa-link-reader-{worker_id}", daemon=True
         )
         self._reader.start()
+        threading.Thread(
+            target=self._write_loop, name=f"sofa-link-writer-{worker_id}", daemon=True
+        ).start()
 
     @property
     def error(self) -> Exception | None:
+        """The framing/IO error that killed the link, when one did."""
         return self._error
 
     def _read_loop(self) -> None:
@@ -350,63 +210,200 @@ class _SocketWorkerLink(WorkerLink):
             for message in messages:
                 self._deliveries.put(message)
         self._alive = False
+        self._outgoing.put(None)  # a dead link's writer ends with it
+
+    def _write_loop(self) -> None:
+        while (message := self._outgoing.get()) is not None:
+            frame = encode_frame(message)
+            obs = get_telemetry()
+            t0 = obs.clock()
+            try:
+                self._sock.sendall(frame)
+            except OSError:
+                self._alive = False
+                return
+            if obs.enabled:
+                obs.observe_since("sofa_transport_send_seconds", t0)
+                obs.inc("sofa_transport_frames_sent_total")
+                obs.inc("sofa_transport_bytes_sent_total", float(len(frame)))
 
     def send(self, message: tuple) -> bool:
+        """Queue one protocol message; False (not an exception) if the link
+        is already down - the caller's reaping logic owns the recovery."""
         if not self.is_alive():
             return False
-        frame = encode_frame(message)
-        obs = get_telemetry()
-        t0 = obs.clock()
-        try:
-            with self._send_lock:
-                self._sock.sendall(frame)
-        except OSError:
-            self._alive = False
-            return False
-        if obs.enabled:
-            obs.observe_since("sofa_transport_send_seconds", t0)
-            obs.inc("sofa_transport_frames_sent_total")
-            obs.inc("sofa_transport_bytes_sent_total", float(len(frame)))
+        self._outgoing.put(message)
         return True
 
     def is_alive(self) -> bool:
-        if self.process is not None and self.process.poll() is not None:
+        if self.process is not None and not self.process.is_alive():
             return False
         return self._alive
 
     def kill(self) -> None:
-        # Owning the process means a real hard kill; a purely remote worker
-        # only loses its session (it loops back to accept, by design - that
-        # is what reconnection attaches to).
-        if self.process is not None and self.process.poll() is None:
+        """Hard-stop the session (and the process, where this side owns it).
+
+        A purely remote worker only loses its session: it loops back to
+        ``accept``, by design - that is what reconnection attaches to.
+        """
+        if self.process is not None and self.process.is_alive():
             self.process.kill()
-        self._close_socket()
+        self.close()
 
     def join(self, timeout: float | None = None) -> None:
         if self.process is not None:
-            try:
-                self.process.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                return
+            self.process.join(timeout=timeout)
         else:
             self._reader.join(timeout=timeout)
 
     def close(self) -> None:
-        self._close_socket()
-
-    def _close_socket(self) -> None:
+        """Release parent-side resources of this link."""
         # shutdown() before close(): closing alone leaves the reader thread
         # blocked in recv() holding the socket open, so the peer never sees
         # EOF - and a remote worker never loops back to accept a reconnect.
         self._alive = False
+        self._outgoing.put(None)
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:  # already disconnected
             pass
+        self._sock.close()
+
+
+class ClusterTransport:
+    """Factory for worker links plus the merged worker->frontend stream."""
+
+    name: str
+    #: True when a respawned slot keeps its worker id (local processes);
+    #: False when a reconnected slot registers as a fresh identity
+    #: (remote workers - their engine state did not survive anyway).
+    reuses_worker_ids: bool
+
+    def __init__(self) -> None:
+        self._deliveries: queue.Queue[tuple] = queue.Queue()
+
+    def start_worker(
+        self, slot: int, worker_id: int, engine_kwargs: dict[str, Any]
+    ) -> WorkerLink:
+        raise NotImplementedError
+
+    def _link(
+        self, slot: int, worker_id: int, sock: socket.socket, process,
+        engine_kwargs: dict[str, Any],
+    ) -> WorkerLink:
+        """Wrap a connected socket in a link and queue its ``init`` frame.
+
+        A worker that dies before reading it shows up as a dead link,
+        which supervision counts as a worker failure.
+        """
+        link = WorkerLink(slot, worker_id, sock, self._deliveries, process)
+        link.send(("init", worker_id, engine_kwargs))
+        return link
+
+    def add_slot(self) -> None:
+        """Provision one more worker slot (autoscale-up).
+
+        The local transport needs no bookkeeping (any slot index spawns a
+        child); the socket transport appends a spawn-on-localhost slot.
+        Externally addressed workers cannot be conjured, so socket
+        clusters pinned to ``worker_addresses`` grow with spawned
+        localhost workers beyond their addressed set.
+        """
+
+    def owns_process(self, slot: int) -> bool:
+        """True when this side can (re)spawn the slot's worker process."""
+        raise NotImplementedError
+
+    def recv(self, timeout: float) -> tuple | None:
+        """Next worker->frontend message from any link, or None on timeout."""
         try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close on a dead socket
-            pass
+            if timeout <= 0:
+                return self._deliveries.get_nowait()
+            return self._deliveries.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    def recv_nowait(self) -> tuple | None:
+        return self.recv(0.0)
+
+    def close(self) -> None:
+        """Release transport resources beyond the links' own."""
+
+
+# ------------------------------------------------------------------- local
+def _crash_before_ready(conn: socket.socket) -> None:
+    """Fault-injection worker body: die before reporting ready.
+
+    Stands in for a worker whose host/process fails *during* a respawn -
+    the supervisor must observe the death and back off, not hang.
+    """
+    os._exit(1)
+
+
+class LocalTransport(ClusterTransport):
+    """The in-host topology: ``multiprocessing`` children on socketpairs."""
+
+    name = "local"
+    reuses_worker_ids = True
+
+    def __init__(self, start_method: str | None = None):
+        super().__init__()
+        self._ctx = mp.get_context(start_method or default_start_method())
+        #: test hook - the next N spawns produce a worker that dies before
+        #: reporting ready (a failure *during* respawn).
+        self.spawn_fault_budget = 0
+
+    def start_worker(
+        self, slot: int, worker_id: int, engine_kwargs: dict[str, Any]
+    ) -> WorkerLink:
+        # Imported lazily so ``python -m repro.cluster.worker`` can execute
+        # the worker module as __main__ without runpy's re-import warning.
+        from repro.cluster.worker import serve_socketpair
+
+        target = serve_socketpair
+        if self.spawn_fault_budget > 0:
+            self.spawn_fault_budget -= 1
+            target = _crash_before_ready
+        ours, theirs = socket.socketpair()
+        process = self._ctx.Process(
+            target=target,
+            args=(theirs,),
+            name=f"sofa-cluster-worker-{worker_id}",
+            daemon=True,
+        )
+        try:
+            process.start()
+        finally:
+            # The child holds its own copy; ours must go, or the worker's
+            # exit would never reach the link's reader as EOF.
+            theirs.close()
+        return self._link(slot, worker_id, ours, process, engine_kwargs)
+
+    def owns_process(self, slot: int) -> bool:
+        return True
+
+
+# ------------------------------------------------------------------ socket
+def parse_address(address: str) -> tuple[str, int]:
+    """``"host:port"`` -> ``(host, port)`` with loud failure modes."""
+    host, sep, port = address.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"worker address {address!r} is not host:port")
+    try:
+        return host, int(port)
+    except ValueError as error:
+        raise ValueError(f"worker address {address!r} has a non-integer port") from error
+
+
+#: Announce line a listening worker prints (port resolved after binding, so
+#: ``--listen 127.0.0.1:0`` still tells the spawner where to connect).
+ANNOUNCE_PREFIX = "SOFA-WORKER-LISTENING "
+
+
+def set_nodelay(sock: socket.socket) -> None:
+    """Disable Nagle's algorithm on a TCP link: protocol messages are
+    small and latency-bound, and Nagle plus delayed ACKs stall each one."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class SocketTransport(ClusterTransport):
@@ -432,6 +429,7 @@ class SocketTransport(ClusterTransport):
         addresses: list[str | None] | int,
         connect_timeout_s: float = 30.0,
     ):
+        super().__init__()
         if isinstance(addresses, int):
             addresses = [None] * addresses
         if not addresses:
@@ -442,7 +440,6 @@ class SocketTransport(ClusterTransport):
         self._external = [addr is not None for addr in self._slot_addresses]
         self._procs: dict[int, subprocess.Popen] = {}
         self.connect_timeout_s = connect_timeout_s
-        self._deliveries: queue.Queue[tuple] = queue.Queue()
 
     @property
     def n_slots(self) -> int:
@@ -511,23 +508,10 @@ class SocketTransport(ClusterTransport):
                 f"could not reach worker slot {slot} at {host}:{port}: {error}"
             ) from error
         sock.settimeout(None)
-        link = _SocketWorkerLink(
-            slot, worker_id, sock, self._deliveries, self._procs.get(slot)
-        )
-        if not link.send(("init", worker_id, engine_kwargs)):
-            link.kill()
-            raise TransportError(
-                f"worker slot {slot} at {host}:{port} dropped the init frame"
-            )
-        return link
-
-    def recv(self, timeout: float) -> tuple | None:
-        try:
-            if timeout <= 0:
-                return self._deliveries.get_nowait()
-            return self._deliveries.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        set_nodelay(sock)
+        proc = self._procs.get(slot)
+        process = None if proc is None else _SpawnedProcess(proc)
+        return self._link(slot, worker_id, sock, process, engine_kwargs)
 
     def close(self) -> None:
         for slot, proc in list(self._procs.items()):

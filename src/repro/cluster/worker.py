@@ -1,35 +1,35 @@
 """Engine worker: one :class:`SofaEngine` behind a message loop.
 
-A cluster worker runs the same serving core over either transport
-(:mod:`repro.cluster.transport`):
+A cluster worker speaks one channel whichever transport started it
+(:mod:`repro.cluster.transport`): length-prefixed, checksummed frames
+(:func:`repro.engine.codec.encode_frame`) over a stream socket, served by
+:func:`_serve_connection`, the only worker loop.  The process comes to
+exist one of two ways:
 
-* **local** - a ``multiprocessing`` child executing :func:`worker_main`
-  (inbox queue in, shared outbox queue out);
+* **local** - a ``multiprocessing`` child running :func:`serve_socketpair`
+  on its end of a ``socket.socketpair()``;
 * **socket** - a standalone process (``python -m repro.cluster.worker
   --listen HOST:PORT``, this module's CLI) accepting one frontend
-  connection at a time and speaking length-prefixed frames
-  (:func:`repro.engine.codec.encode_frame`).  When the connection drops
-  without a ``stop`` the worker loops back to ``accept`` - that is the
-  hook reconnection (and multi-host supervision) attaches to.  A
-  reconnected session builds a **fresh engine** (the previous session's
-  decode-cache state is gone with its frontend), which is why the
-  frontend registers reconnected workers under a fresh worker id.
+  connection at a time.  When the connection drops without a ``stop`` the
+  worker loops back to ``accept`` - that is the hook reconnection (and
+  multi-host supervision) attaches to.  A reconnected session builds a
+  **fresh engine** (the previous session's decode-cache state is gone
+  with its frontend), which is why the frontend registers reconnected
+  workers under a fresh worker id.
 
-Either way the loop drains its input *greedily* before executing, so
-requests that arrive together join the engine's shape groups together and
-batch into fused calls - per-worker continuous batching, the same
-behaviour a single in-process engine gives.
+The loop drains its input *greedily* before executing, so requests that
+arrive together join the engine's shape groups together and batch into
+fused calls - per-worker continuous batching, the same behaviour a single
+in-process engine gives.
 
 Wire protocol (plain tuples of built-ins, payloads via
 :mod:`repro.engine.codec`):
 
 frontend -> worker
-    ``("init", worker_id, engine_kwargs)``  socket only: identity + engine
-                                            parameterization for this
-                                            session, plus the frontend's
-                                            ``telemetry`` switch (queues
-                                            pass these to
-                                            :func:`worker_main` directly)
+    ``("init", worker_id, engine_kwargs)``  first frame of a session:
+                                            identity + engine
+                                            parameterization, plus the
+                                            frontend's ``telemetry`` switch
     ``("req", req_id, payload)``    serve one request
     ``("invalidate", ctl_id, key)`` drop decode-cache state for a key
     ``("ping", token)``             health probe; answered with a pong
@@ -65,11 +65,11 @@ current without a separate control round-trip.
 from __future__ import annotations
 
 import pickle
-import queue
+import socket
 from dataclasses import asdict
 from typing import Any, Callable
 
-from repro.cluster.transport import detach_inherited_sockets
+from repro.cluster.transport import detach_inherited_sockets, set_nodelay
 from repro.engine.codec import (
     decode_config,
     decode_request,
@@ -248,42 +248,7 @@ def _build_engine(engine_kwargs: dict[str, Any], worker_id: int | None = None) -
     return SofaEngine(**kwargs)
 
 
-def worker_main(worker_id: int, inbox, outbox, engine_kwargs: dict[str, Any]) -> None:
-    """The local (queue) worker body (top-level so every start method can
-    spawn it).
-
-    Its first act drops the sockets a fork inherited: a worker respawned
-    or added while a gateway serves must not hold the gateway's
-    connections open.
-    """
-    detach_inherited_sockets()
-    engine = _build_engine(engine_kwargs, worker_id)
-    server = EngineMessageServer(worker_id, engine, outbox.put)
-    outbox.put(("ready", worker_id))
-    while server.running:
-        try:
-            batch = [inbox.get(timeout=IDLE_SWEEP_INTERVAL_S)]
-        except queue.Empty:
-            # Idle tick: nothing to serve, so expire idle decode-cache
-            # entries on wall-clock time (no request will sweep lazily).
-            engine.sweep_cache()
-            continue
-        # Greedy drain: everything already queued joins this round's shape
-        # groups, so co-arriving requests batch exactly as they would in a
-        # single in-process engine.
-        while True:
-            try:
-                batch.append(inbox.get_nowait())
-            except queue.Empty:
-                break
-        for message in batch:
-            server.handle(message)
-        server.finish_round()
-    outbox.put(("stopped", worker_id))
-    engine.shutdown()
-
-
-# ----------------------------------------------------------- socket serving
+# ------------------------------------------------------------------ serving
 def _recv_greedy(conn, decoder, on_idle: Callable[[], Any] | None = None
                  ) -> list[tuple] | None:
     """Block for at least one message, then drain whatever is buffered.
@@ -292,8 +257,8 @@ def _recv_greedy(conn, decoder, on_idle: Callable[[], Any] | None = None
     the session is unrecoverable once stream sync is lost, and the caller
     drops the connection (the frontend sees a dead link and re-routes).
     ``on_idle`` is invoked whenever no traffic arrives for
-    :data:`IDLE_SWEEP_INTERVAL_S` - the socket worker's idle-loop hook
-    (TTL sweeping on a quiet connection).
+    :data:`IDLE_SWEEP_INTERVAL_S` - the worker's idle-loop hook (TTL
+    sweeping on a quiet connection).
     """
     import select as _select
 
@@ -322,8 +287,9 @@ def _recv_greedy(conn, decoder, on_idle: Callable[[], Any] | None = None
         messages.extend(decoder.feed(data))
 
 
-def _serve_connection(conn) -> bool:
-    """One frontend session over ``conn``; True = loop back to accept.
+def _serve_connection(conn: socket.socket) -> bool:
+    """One frontend session over ``conn``; True = loop back to accept (a
+    standalone worker does; a local worker exits either way).
 
     The first frame must be ``("init", worker_id, engine_kwargs)``; the
     engine lives exactly as long as the session (a reconnecting frontend
@@ -382,12 +348,30 @@ def _serve_connection(conn) -> bool:
             pass
 
 
+def serve_socketpair(conn: socket.socket) -> None:
+    """The local worker body (top-level so every start method can start
+    it): one frontend session on this end of a socketpair.
+
+    Its first act drops every other socket a fork inherited: a worker
+    respawned or added while a gateway serves must not hold the gateway's
+    connections open, nor the frontend's end of any worker's socketpair.
+    """
+    detach_inherited_sockets(keep=conn.fileno())
+    _serve_connection(conn)
+
+
+def accept_frontend(listener: socket.socket) -> socket.socket:
+    """Accept one frontend connection, with Nagle's algorithm off."""
+    conn, _peer = listener.accept()
+    set_nodelay(conn)
+    return conn
+
+
 def main(argv: list[str] | None = None) -> None:
     """Standalone socket worker: ``python -m repro.cluster.worker --listen
     HOST:PORT`` (port 0 picks a free one; the bound address is announced
     on stdout for spawners)."""
     import argparse
-    import socket as _socket
 
     from repro.cluster.transport import ANNOUNCE_PREFIX, parse_address
 
@@ -400,12 +384,11 @@ def main(argv: list[str] | None = None) -> None:
     )
     args = parser.parse_args(argv)
     host, port = parse_address(args.listen)
-    listener = _socket.create_server((host, port))
+    listener = socket.create_server((host, port))
     bound_host, bound_port = listener.getsockname()[:2]
     print(f"{ANNOUNCE_PREFIX}{bound_host}:{bound_port}", flush=True)
     while True:
-        conn, _peer = listener.accept()
-        if not _serve_connection(conn):
+        if not _serve_connection(accept_frontend(listener)):
             break
     listener.close()
 

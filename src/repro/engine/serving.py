@@ -46,7 +46,7 @@ may be shared by engines on different caller threads.
 
 This engine is the innermost serving tier.  :class:`repro.cluster.EngineCluster`
 shards many of them across worker processes (with supervision, autoscaling
-and a choice of local-pipe or socket transport), and
+and workers started locally or reached over TCP), and
 :class:`repro.gateway.SofaGateway` puts an HTTP front door with per-tenant
 admission control and deadline-aware shedding in front of a cluster.  The
 full request path from HTTP POST down to the fused kernels is walked in

@@ -70,7 +70,17 @@ def _wait_for_recovery(cluster, before: int, timeout_s: float = 20.0) -> None:
         if stats.n_respawns + stats.n_reconnects > before:
             return
         cluster.poll(0.05)
-    raise AssertionError("supervision never recovered the worker")
+    stats = cluster.stats
+    slots = [
+        {"worker": h.worker_id, "alive": h.alive, "ready": h.ready,
+         "recovered": h.recovered}
+        for h in cluster._slots
+    ]
+    raise AssertionError(
+        f"supervision never recovered the worker within {timeout_s} s: "
+        f"slots={slots} n_respawns={stats.n_respawns} "
+        f"n_worker_failures={stats.n_worker_failures}"
+    )
 
 
 # ---------------------------------------------------- pure state machine

@@ -3,12 +3,13 @@ worker death, reconnection (marker: ``socket``).
 
 The tentpole contract: the frontend is transport-blind, so serving over
 length-prefixed TCP frames to standalone worker processes must be
-**bit-identical** to serving over ``multiprocessing`` queues - outputs,
+**bit-identical** to serving local workers over socketpairs - outputs,
 selected indices, op counts, stage traces - for every routing policy,
 through dedup, and through a mid-stream worker kill followed by an
 auto-respawn serving new traffic (the differential sweep below).
 """
 
+import socket
 import subprocess
 import sys
 import time
@@ -21,7 +22,8 @@ from repro.cluster import (
     POLICIES,
     SupervisorConfig,
 )
-from repro.cluster.transport import parse_address
+from repro.cluster.transport import SocketTransport, parse_address
+from repro.cluster.worker import accept_frontend
 from repro.core.config import SofaConfig
 from repro.engine import AttentionRequest, SofaEngine
 from repro.utils.rng import make_rng
@@ -221,6 +223,24 @@ def test_externally_started_worker_serves_via_addresses(reference_results):
     finally:
         proc.kill()
         proc.wait()
+
+
+def test_tcp_links_disable_nagle_on_both_ends():
+    """Small protocol frames must not wait out Nagle's algorithm plus a
+    delayed ACK: the frontend's connection and the worker's accepted one
+    both set TCP_NODELAY."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()[:2]
+        transport = SocketTransport([f"{host}:{port}"])
+        link = transport.start_worker(0, 0, {})
+        conn = accept_frontend(listener)
+        try:
+            for sock in (link._sock, conn):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            conn.close()
+            link.close()
+            transport.close()
 
 
 def test_worker_addresses_require_socket_transport():

@@ -4,8 +4,8 @@ frame integrity, and loud (never hanging) failure modes.
 The cluster's cross-process parity contract stands on this codec: a
 request must decode to exactly the tensors that were encoded (bit for
 bit, dtype and shape included), and a result must round-trip outputs,
-selections, stage traces and op counts without loss - over queues and
-over the socket transport's length-prefixed frames alike.  A payload the
+selections, stage traces and op counts without loss through the
+length-prefixed frames every worker hop carries.  A payload the
 codec cannot trust (truncated bytes, version skew, checksum mismatch)
 must raise a typed :class:`CodecError`, and a worker receiving one must
 answer with an ``error`` message so the request's future *fails* instead
@@ -13,8 +13,9 @@ of hanging.
 """
 
 import pickle
-import queue
+import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -258,21 +259,30 @@ def test_frame_payload_bytes_are_bit_exact():
 
 
 # ----------------------------------------- failed futures, never hung ones
-def _drain(q_):
+def _serve_over_socketpair(frames: list[tuple]) -> list[tuple]:
+    """Run the worker loop in-process on one end of a socketpair: send
+    ``frames`` from the other, return every message the worker sent
+    before closing its end."""
+    from repro.cluster.worker import _serve_connection
+
+    front, back = socket.socketpair()
+    worker = threading.Thread(target=_serve_connection, args=(back,))
+    worker.start()
+    for frame in frames:
+        front.sendall(encode_frame(frame))
+    decoder = FrameDecoder()
     messages = []
-    while True:
-        try:
-            messages.append(q_.get_nowait())
-        except queue.Empty:
-            return messages
+    while data := front.recv(1 << 16):
+        messages.extend(decoder.feed(data))
+    worker.join(timeout=30.0)
+    front.close()
+    return messages
 
 
 def test_worker_answers_undecodable_request_with_error_message():
     """A corrupt/version-skewed payload reaches the worker loop: the reply
     must be a per-request ``error`` (a failed future at the frontend), not
     a crashed worker or a silently dropped (hung) request."""
-    from repro.cluster.worker import worker_main
-
     rng = make_rng(66)
     truncated = encode_request(_request(rng))
     raw, dtype, shape = truncated["tokens"]
@@ -281,14 +291,13 @@ def test_worker_answers_undecodable_request_with_error_message():
     skewed["v"] = CODEC_VERSION + 3
     good = encode_request(_request(rng))
 
-    inbox, outbox = queue.Queue(), queue.Queue()
-    inbox.put(("req", 1, truncated))
-    inbox.put(("req", 2, skewed))
-    inbox.put(("req", 3, good))
-    inbox.put(("stop",))
-    worker_main(4, inbox, outbox, {"config": encode_config(CFG)})
-
-    messages = _drain(outbox)
+    messages = _serve_over_socketpair([
+        ("init", 4, {"config": encode_config(CFG)}),
+        ("req", 1, truncated),
+        ("req", 2, skewed),
+        ("req", 3, good),
+        ("stop",),
+    ])
     assert messages[0] == ("ready", 4)
     by_req = {m[2]: m for m in messages if m[0] in ("error", "result")}
     assert by_req[1][0] == "error"

@@ -21,6 +21,7 @@ from repro.cluster import EngineCluster
 from repro.core.config import SofaConfig
 from repro.engine import AttentionRequest, SofaEngine
 from repro.engine.codec import (
+    FRAME_HEADER_SIZE,
     decode_request,
     encode_request,
     request_fingerprint,
@@ -196,6 +197,31 @@ def test_programmatic_enable_reaches_local_workers(monkeypatch):
     (worker,) = [r for r in spans if r["name"] == "worker.request"]
     assert worker["trace_id"] == root["trace_id"]
     assert worker["pid"] != root["pid"]
+
+
+@pytest.mark.cluster
+def test_local_transport_counts_its_frames_and_bytes(monkeypatch):
+    """Local workers speak frames over a socketpair, so the frontend's
+    transport counters describe their traffic: an init plus one frame per
+    request out, a ready plus one result per request back."""
+    monkeypatch.delenv(obs.ENV_VAR, raising=False)
+    obs.reset_telemetry(enabled=True)
+    requests = _make_requests(seed=38, n=3)
+    try:
+        with EngineCluster(n_workers=1, config=CFG) as cluster:
+            cluster.run(requests)
+        # Read after shutdown: every frame before the final stop is counted.
+        counters = obs.get_telemetry().registry.snapshot()["counters"]
+    finally:
+        obs.reset_telemetry()
+    sent = counters["sofa_transport_frames_sent_total"]
+    received = counters["sofa_transport_frames_received_total"]
+    assert sent >= 1 + len(requests)
+    assert received >= 2 + len(requests)
+    assert counters["sofa_transport_bytes_sent_total"] > sent * FRAME_HEADER_SIZE
+    assert counters["sofa_transport_bytes_received_total"] > (
+        received * FRAME_HEADER_SIZE
+    )
 
 
 @pytest.mark.cluster
