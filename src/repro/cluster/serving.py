@@ -1305,8 +1305,9 @@ class EngineCluster:
         worker it severs the link instead (the standalone process loops
         back to ``accept``, which is what reconnection drills want).
         ``hard=False`` asks the worker to ``os._exit`` at its next message
-        read (a clean crash point, so no frame is cut mid-write).  Either way the cluster treats it as a real failure:
-        in-flight requests are re-routed on detection.  ``wait=False``
+        read (a clean crash point, so no frame is cut mid-write).  Either
+        way the cluster treats it as a real failure: in-flight requests
+        are re-routed on detection.  ``wait=False``
         returns without joining (the crash lands whenever the worker
         reaches it).
         """

@@ -210,7 +210,7 @@ class WorkerLink:
             for message in messages:
                 self._deliveries.put(message)
         self._alive = False
-        self._outgoing.put(None)  # a dead link's writer ends with it
+        self._outgoing.put(None)  # the writer ends with the link
 
     def _write_loop(self) -> None:
         while (message := self._outgoing.get()) is not None:
@@ -262,7 +262,6 @@ class WorkerLink:
         # blocked in recv() holding the socket open, so the peer never sees
         # EOF - and a remote worker never loops back to accept a reconnect.
         self._alive = False
-        self._outgoing.put(None)
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:  # already disconnected

@@ -69,7 +69,12 @@ import socket
 from dataclasses import asdict
 from typing import Any, Callable
 
-from repro.cluster.transport import detach_inherited_sockets, set_nodelay
+from repro.cluster.transport import (
+    ANNOUNCE_PREFIX,
+    detach_inherited_sockets,
+    parse_address,
+    set_nodelay,
+)
 from repro.engine.codec import (
     decode_config,
     decode_request,
@@ -372,8 +377,6 @@ def main(argv: list[str] | None = None) -> None:
     HOST:PORT`` (port 0 picks a free one; the bound address is announced
     on stdout for spawners)."""
     import argparse
-
-    from repro.cluster.transport import ANNOUNCE_PREFIX, parse_address
 
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument(

@@ -266,16 +266,18 @@ def _serve_over_socketpair(frames: list[tuple]) -> list[tuple]:
     from repro.cluster.worker import _serve_connection
 
     front, back = socket.socketpair()
+    front.settimeout(30.0)
     worker = threading.Thread(target=_serve_connection, args=(back,))
     worker.start()
-    for frame in frames:
-        front.sendall(encode_frame(frame))
-    decoder = FrameDecoder()
-    messages = []
-    while data := front.recv(1 << 16):
-        messages.extend(decoder.feed(data))
+    with front:
+        for frame in frames:
+            front.sendall(encode_frame(frame))
+        decoder = FrameDecoder()
+        messages = []
+        while data := front.recv(1 << 16):
+            messages.extend(decoder.feed(data))
     worker.join(timeout=30.0)
-    front.close()
+    assert not worker.is_alive()
     return messages
 
 
