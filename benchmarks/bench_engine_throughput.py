@@ -13,6 +13,11 @@ Three measurements, three artifacts:
   loop with the decode-step cache cold vs warm.  Every path must stay
   bit-identical; the cached decode loop must record a real speedup (it
   skips re-quantizing the context prefix).
+  The same artifact carries a ``heap`` block: minor page faults and
+  system time per warm prefill-shaped call (S=2048, T=128, 2 heads),
+  measured in a fresh interpreter so no earlier allocation shapes the
+  heap.  An engine process that keeps its freed heap faults ~0 pages per
+  call; one that hands it back to the kernel faults thousands.
 * ``BENCH_cluster.json`` (``--cluster N``): worker-count scaling of the
   sharded :class:`~repro.cluster.EngineCluster` on a decode stream of
   many concurrent sequences under a **fixed per-worker decode-cache
@@ -40,12 +45,14 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 import repro.obs as obs
 from repro.cluster import EngineCluster
 from repro.core.config import SofaConfig
@@ -215,6 +222,71 @@ def _decode_loop(quick: bool, use_cache: bool, seed: int = 41):
     return time.perf_counter() - t0, outputs, engine
 
 
+# ---------------------------------------------------------------- heap bench
+#: Warm prefill-shaped calls: the ``prefill_long`` batch shape (S, T, H,
+#: Dk and heads per call), after warm-up calls that build the operator.
+HEAP_SHAPE = dict(s=2048, t=128, h=64, dk=64, heads=2)
+HEAP_WARMUP_CALLS = 3
+HEAP_CALLS = 10
+
+_HEAP_PROBE = """
+import json, resource, sys
+import numpy as np
+from repro import SofaConfig, SofaEngine
+from repro.engine import AttentionRequest
+
+shape, warmup, calls = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+rng = np.random.default_rng(0)
+tokens = rng.standard_normal((shape["s"], shape["h"]))
+heads = [
+    (rng.standard_normal((shape["t"], shape["dk"])),
+     rng.standard_normal((shape["h"], shape["dk"])),
+     rng.standard_normal((shape["h"], shape["dk"])))
+    for _ in range(shape["heads"])
+]
+engine = SofaEngine(SofaConfig(tile_cols=64, top_k=0.1))
+
+def call():
+    futures = [engine.submit(AttentionRequest(tokens=tokens, q=q, wk=wk, wv=wv))
+               for q, wk, wv in heads]
+    engine.flush()
+    for future in futures:
+        future.result()
+
+for _ in range(warmup):
+    call()
+before = resource.getrusage(resource.RUSAGE_SELF)
+for _ in range(calls):
+    call()
+after = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({
+    "minor_faults_per_call": (after.ru_minflt - before.ru_minflt) / calls,
+    "sys_ms_per_call": (after.ru_stime - before.ru_stime) * 1e3 / calls,
+}))
+"""
+
+
+def measure_heap() -> dict:
+    """Page faults and system time per warm prefill-shaped engine call,
+    measured in a fresh interpreter (``resource`` needs a POSIX host)."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _HEAP_PROBE, json.dumps(HEAP_SHAPE),
+         str(HEAP_WARMUP_CALLS), str(HEAP_CALLS)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    return {
+        "shape": HEAP_SHAPE,
+        "warmup_calls": HEAP_WARMUP_CALLS,
+        "calls": HEAP_CALLS,
+        **json.loads(out.splitlines()[-1]),
+    }
+
+
 def measure_continuous(quick: bool = False) -> dict:
     """One mixed-length stream through the engine, plus cold vs warm
     decode caching."""
@@ -251,6 +323,7 @@ def measure_continuous(quick: bool = False) -> dict:
             "rows_reused": cache.rows_reused,
             "bit_identical": decode_exact,
         },
+        "heap": measure_heap(),
     }
 
 

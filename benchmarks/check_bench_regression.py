@@ -7,7 +7,7 @@ makes them a **regression gate**: it compares the freshly produced
 before the benches overwrite them) and fails when a tracked throughput or
 speedup metric dropped by more than the tolerance.
 
-Tracked metrics (higher is better for all of them):
+Tracked metrics (higher is better for all but the heap ceiling):
 
 ====================================  =======================================
 file                                  metric
@@ -67,6 +67,14 @@ file                                  metric
                                       BLAS KV projection's speedup over
                                       the einsum loop it replaced
                                       (intra-run *ratio*).
+``BENCH_engine_continuous_quick``     ``heap.minor_faults_per_call`` - page
+                                      faults per warm prefill-shaped engine
+                                      call.  Lower is better, and it is
+                                      gated against an absolute *ceiling*,
+                                      not the baseline: an engine process
+                                      that keeps its freed heap faults ~0
+                                      pages per call, one that returns it
+                                      to the kernel faults thousands.
 ====================================  =======================================
 
 Tolerances: a metric regresses when ``fresh < (1 - tolerance) * baseline``.
@@ -88,6 +96,8 @@ Metrics come in two kinds with separate knobs:
   changes, then tighten.
 
 Improvements never fail the gate; the baselines are a floor, not a pin.
+**ceiling** metrics ignore both knobs: they fail when the fresh value
+exceeds the fixed limit in :data:`CEILINGS`.
 
 Usage (what CI's bench-smoke job does):
 
@@ -160,10 +170,15 @@ def _projection_min_speedup(record: dict[str, Any]) -> float:
     return min(float(p["projection_vs_einsum"]) for p in record["points"])
 
 
-#: (file name, human metric name, extractor, kind).  All metrics are
-#: higher-is-better; "ratio" metrics are intra-run speedups (hardware-class
-#: independent, tight tolerance), "rate" metrics are raw requests/sec
-#: (honest only against a same-class baseline - see module docstring).
+def _heap_minor_faults(record: dict[str, Any]) -> float:
+    return float(record["heap"]["minor_faults_per_call"])
+
+
+#: (file name, human metric name, extractor, kind).  "ratio" metrics are
+#: intra-run speedups (hardware-class independent, tight tolerance), "rate"
+#: metrics are raw requests/sec (honest only against a same-class baseline
+#: - see module docstring); both are higher-is-better.  "ceiling" metrics
+#: are lower-is-better and capped by their :data:`CEILINGS` entry.
 #: Extractors raise KeyError/ValueError on schema drift.
 METRICS: list[tuple[str, str, Callable[[dict[str, Any]], float], str]] = [
     (
@@ -240,7 +255,17 @@ METRICS: list[tuple[str, str, Callable[[dict[str, Any]], float], str]] = [
         _projection_min_speedup,
         "ratio",
     ),
+    (
+        "BENCH_engine_continuous_quick.json",
+        "heap.minor_faults_per_call",
+        _heap_minor_faults,
+        "ceiling",
+    ),
 ]
+
+#: Absolute limits of the "ceiling" metrics.  A warm prefill-shaped call
+#: faults ~0 pages with the engine's heap policy and ~2,700 without it.
+CEILINGS = {"heap.minor_faults_per_call": 64.0}
 
 #: Default allowed drop before the gate fails (0.2 = 20%).
 DEFAULT_TOLERANCE = 0.2
@@ -284,6 +309,16 @@ def compare(
             fresh = extract(fresh_record)
         except (KeyError, IndexError, TypeError, ValueError) as error:
             failures.append(f"{label}: schema drift ({error!r})")
+            continue
+        if kind == "ceiling":
+            limit = CEILINGS[metric_name]
+            verdict = "ok" if fresh <= limit else "REGRESSED"
+            lines.append(
+                f"{verdict:>9}  {label} [{kind}]: baseline {base:.4g} -> "
+                f"fresh {fresh:.4g} (ceiling {limit:.4g})"
+            )
+            if verdict != "ok":
+                failures.append(f"{label}: {fresh:.4g} exceeds ceiling {limit:.4g}")
             continue
         if base <= 0:
             failures.append(f"{label}: non-positive baseline {base!r}")

@@ -465,13 +465,14 @@ class SocketTransport(ClusterTransport):
         self._procs[slot] = proc
         deadline = time.monotonic() + self.connect_timeout_s
         line = b""
-        while time.monotonic() < deadline:
-            ready, _, _ = select.select([proc.stdout], [], [], 0.1)
-            if ready:
-                line = proc.stdout.readline()
-                break
-            if proc.poll() is not None:
-                break
+        with proc.stdout:  # only the announce line is ever read
+            while time.monotonic() < deadline:
+                ready, _, _ = select.select([proc.stdout], [], [], 0.1)
+                if ready:
+                    line = proc.stdout.readline()
+                    break
+                if proc.poll() is not None:
+                    break
         text = line.decode(errors="replace").strip()
         if not text.startswith(ANNOUNCE_PREFIX):
             proc.kill()

@@ -165,24 +165,28 @@ class FrameDecoder:
                 raise self._fail(
                     FrameError(f"frame length {length} exceeds maximum")
                 )
-            if len(self._buffer) < FRAME_HEADER_SIZE + length:
+            end = FRAME_HEADER_SIZE + length
+            if len(self._buffer) < end:
                 return messages
-            payload = bytes(
-                self._buffer[FRAME_HEADER_SIZE : FRAME_HEADER_SIZE + length]
-            )
-            del self._buffer[: FRAME_HEADER_SIZE + length]
-            if zlib.crc32(payload) != crc:
-                raise self._fail(
-                    FrameChecksumError(
-                        "frame checksum mismatch (corrupted payload)"
-                    )
-                )
+            # Checksum and unpickle in place; the view is released before
+            # the buffer shrinks, which a live view would forbid.
+            payload = memoryview(self._buffer)[FRAME_HEADER_SIZE:end]
             try:
-                messages.append(pickle.loads(payload))
-            except Exception as error:  # noqa: BLE001 - reported, not crashed
-                raise self._fail(
-                    FrameError(f"frame payload failed to unpickle: {error!r}")
-                ) from error
+                if zlib.crc32(payload) != crc:
+                    raise self._fail(
+                        FrameChecksumError(
+                            "frame checksum mismatch (corrupted payload)"
+                        )
+                    )
+                try:
+                    messages.append(pickle.loads(payload))
+                except Exception as error:  # noqa: BLE001 - reported, not crashed
+                    raise self._fail(
+                        FrameError(f"frame payload failed to unpickle: {error!r}")
+                    ) from error
+            finally:
+                payload.release()
+                del self._buffer[:end]
 
     def close(self) -> None:
         """Declare end-of-stream; raises if a partial frame is buffered."""

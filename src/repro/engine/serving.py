@@ -70,6 +70,7 @@ from repro.core.config import SofaConfig
 from repro.core.pipeline import SofaAttentionResult
 from repro.engine.batched import BatchedSofaAttention
 from repro.engine.cache import CacheStats
+from repro.engine.heap import keep_heap_warm
 from repro.engine.paged import PagedDecodeCache
 from repro.kernels import resolved_kernels
 from repro.obs import get_telemetry
@@ -341,6 +342,7 @@ class SofaEngine:
             raise ValueError("max_wait_batches must be >= 0 (or None)")
         self.config = config or SofaConfig()
         resolved_kernels(self.config)  # a kernel typo fails here, not mid-batch
+        keep_heap_warm()  # batches reuse freed heap instead of faulting it in
         self.max_batch_heads = max_batch_heads
         self.max_wait_batches = max_wait_batches
         self._owns_cache = cache is None

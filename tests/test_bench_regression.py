@@ -30,13 +30,15 @@ def gate():
 
 
 def _write_quick_artifacts(directory: pathlib.Path, scale: float = 1.0,
-                           kernel_scale: float | None = None) -> None:
+                           kernel_scale: float | None = None,
+                           faults: float = 0.2) -> None:
     """A minimal, schema-faithful set of quick bench artifacts."""
     directory.mkdir(parents=True, exist_ok=True)
     kernel_scale = scale if kernel_scale is None else kernel_scale
     (directory / "BENCH_engine_continuous_quick.json").write_text(json.dumps({
         "stream": {"sync_requests_per_sec": 1000.0 * scale},
         "decode": {"cached_speedup": 1.1},
+        "heap": {"minor_faults_per_call": faults},
     }))
     (directory / "BENCH_cluster_quick.json").write_text(json.dumps({
         "points": [
@@ -141,6 +143,19 @@ def test_rate_tolerance_widens_only_rate_metrics(gate, tmp_path):
          "--fresh", str(tmp_path / "ratio-drop"),
          "--rate-tolerance", "0.9"]
     ) == 1
+
+
+def test_heap_faults_gate_on_an_absolute_ceiling(gate, tmp_path, capsys):
+    """Page faults per warm call are lower-is-better and capped by a fixed
+    ceiling: a rise from ~0 stays green below it, and no tolerance knob
+    excuses a fresh value above it."""
+    _write_quick_artifacts(tmp_path / "base")
+    args = ["--baseline", str(tmp_path / "base"), "--fresh", str(tmp_path / "fresh")]
+    _write_quick_artifacts(tmp_path / "fresh", faults=40.0)
+    assert gate.main(args) == 0
+    _write_quick_artifacts(tmp_path / "fresh", faults=2736.0)
+    assert gate.main(args + ["--tolerance", "0.9", "--rate-tolerance", "0.9"]) == 1
+    assert "minor_faults_per_call" in capsys.readouterr().err
 
 
 def test_tolerance_is_configurable(gate, tmp_path):

@@ -9,10 +9,12 @@ through dedup, and through a mid-stream worker kill followed by an
 auto-respawn serving new traffic (the differential sweep below).
 """
 
+import gc
 import socket
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +223,7 @@ def test_externally_started_worker_serves_via_addresses(reference_results):
         # cluster shutdown sent "stop": the standalone worker exits cleanly
         assert proc.wait(timeout=10.0) == 0
     finally:
+        proc.stdout.close()
         proc.kill()
         proc.wait()
 
@@ -241,6 +244,26 @@ def test_tcp_links_disable_nagle_on_both_ends():
             conn.close()
             link.close()
             transport.close()
+
+
+def test_spawned_worker_leaves_no_unclosed_pipe():
+    """The spawner reads one announce line from a worker's stdout pipe;
+    the pipe must be closed after it, not left to the garbage collector."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        transport = SocketTransport(1)
+        try:
+            _host, port = transport._slot_target(0)  # spawns and reads the announce
+            assert port > 0
+        finally:
+            transport.close()
+        del transport
+        gc.collect()
+    unclosed = [
+        str(w.message) for w in caught
+        if issubclass(w.category, ResourceWarning) and "unclosed" in str(w.message)
+    ]
+    assert not unclosed, unclosed
 
 
 def test_worker_addresses_require_socket_transport():

@@ -16,6 +16,7 @@ import pickle
 import socket
 import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -195,9 +196,11 @@ def test_frame_round_trip_across_arbitrary_chunking():
         ("req", 1, encode_request(_request(rng))),
         ("ping", 7),
         ("result", 0, 1, {"v": CODEC_VERSION}, {"n_requests": 1}),
+        ("bulk", bytes(range(256)) * 600),  # spans three 64 KiB reads
     ]
     stream = b"".join(encode_frame(m) for m in messages)
-    for chunk in (1, 3, len(stream)):  # byte-by-byte up to one-shot
+    # byte-by-byte, the readers' 64 KiB, and every frame in one chunk
+    for chunk in (1, 3, 1 << 16, len(stream)):
         decoder = FrameDecoder()
         got = []
         for at in range(0, len(stream), chunk):
@@ -206,16 +209,35 @@ def test_frame_round_trip_across_arbitrary_chunking():
         assert len(got) == len(messages)
         assert got[1] == ("ping", 7)
         assert got[0][2]["tokens"] == messages[0][2]["tokens"]
+        assert got[3] == messages[3]
 
 
 def test_frame_checksum_mismatch_detected():
     frame = bytearray(encode_frame(("ping", 1)))
     frame[-1] ^= 0xFF  # flip a payload bit; header checksum now disagrees
     decoder = FrameDecoder()
+    # a good frame behind the bad one: the buffer still holds bytes when
+    # the decoder drops the bad frame, which must not fail on a live view
     with pytest.raises(FrameChecksumError):
-        decoder.feed(bytes(frame))
+        decoder.feed(bytes(frame) + encode_frame(("ping", 2)))
     # the decoder stays poisoned: framing sync is unrecoverable
     with pytest.raises(FrameChecksumError):
+        decoder.feed(b"")
+
+
+def test_frame_payload_that_fails_to_unpickle_poisons_decoder():
+    payload = b"\x80\x05not a pickle"
+    magic, version, flags, _, _ = struct.unpack(
+        ">4sHHII", encode_frame(None)[:FRAME_HEADER_SIZE]
+    )
+    frame = struct.pack(
+        ">4sHHII", magic, version, flags, len(payload), zlib.crc32(payload)
+    ) + payload
+    decoder = FrameDecoder()
+    with pytest.raises(FrameError, match="unpickle") as raised:
+        decoder.feed(frame + encode_frame(("ping", 3)))
+    assert raised.type is FrameError and raised.value.__cause__ is not None
+    with pytest.raises(FrameError, match="unpickle"):
         decoder.feed(b"")
 
 
