@@ -17,7 +17,12 @@ Three measurements, three artifacts:
   system time per warm prefill-shaped call (S=2048, T=128, 2 heads),
   measured in a fresh interpreter so no earlier allocation shapes the
   heap.  An engine process that keeps its freed heap faults ~0 pages per
-  call; one that hands it back to the kernel faults thousands.
+  call; one that hands it back to the kernel faults thousands.  The block
+  also records ``stream_peak_mb``, the tracemalloc peak of one warm
+  prefill-shaped ``stream_selected`` call (2 x 128 query rows, 205
+  selected keys each, 64-wide keys and values): SU-FA gathers its keys
+  and values in cache-sized row blocks, so the peak stays near one block
+  set, not a whole-stack gather.
 * ``BENCH_cluster.json`` (``--cluster N``): worker-count scaling of the
   sharded :class:`~repro.cluster.EngineCluster` on a decode stream of
   many concurrent sequences under a **fixed per-worker decode-cache
@@ -230,9 +235,10 @@ HEAP_WARMUP_CALLS = 3
 HEAP_CALLS = 10
 
 _HEAP_PROBE = """
-import json, resource, sys
+import json, resource, sys, tracemalloc
 import numpy as np
 from repro import SofaConfig, SofaEngine
+from repro.core.sufa import stream_selected
 from repro.engine import AttentionRequest
 
 shape, warmup, calls = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
@@ -259,16 +265,31 @@ before = resource.getrusage(resource.RUSAGE_SELF)
 for _ in range(calls):
     call()
 after = resource.getrusage(resource.RUSAGE_SELF)
+
+# One warm stream call of the batch's shape: heads * T query rows over the
+# heads * S slab rows, each row's top 10% by exact score, descending.
+rows, slab = shape["heads"] * shape["t"], shape["heads"] * shape["s"]
+q_rows = rng.standard_normal((rows, shape["dk"]))
+keys = rng.standard_normal((slab, shape["dk"]))
+values = rng.standard_normal((slab, shape["dk"]))
+index = np.argsort(-(q_rows @ keys.T), axis=1)[:, : round(0.1 * shape["s"])]
+stream_selected(q_rows, keys, values, index, tile_cols=64)
+tracemalloc.start()
+stream_selected(q_rows, keys, values, index, tile_cols=64)
+stream_peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
 print(json.dumps({
     "minor_faults_per_call": (after.ru_minflt - before.ru_minflt) / calls,
     "sys_ms_per_call": (after.ru_stime - before.ru_stime) * 1e3 / calls,
+    "stream_peak_mb": stream_peak / 1e6,
 }))
 """
 
 
 def measure_heap() -> dict:
-    """Page faults and system time per warm prefill-shaped engine call,
-    measured in a fresh interpreter (``resource`` needs a POSIX host)."""
+    """Page faults and system time per warm prefill-shaped engine call, and
+    the peak traced memory of one warm prefill-shaped stream call, measured
+    in a fresh interpreter (``resource`` needs a POSIX host)."""
     src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

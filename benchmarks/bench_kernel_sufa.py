@@ -88,6 +88,9 @@ GRID = {
     True: [(64, 128, 8, 8, 32), (32, 96, 8, 8, 16)],
 }
 REPEATS = {False: 7, True: 2}
+#: Shortest timed sample of one kernel point: a quick point's blocked call
+#: takes ~0.3 ms, so one sample loops over enough calls to last this long.
+KERNEL_SAMPLE_S = 0.02
 
 #: End-to-end serving workload (full / --quick): long selections and many
 #: query rows per head, so the SU-FA stage carries a realistic share of
@@ -249,6 +252,7 @@ def measure_kernels(quick: bool = False) -> list[dict]:
                 "blk": lambda: stream_selected_blocked(q, k, v, index, tile_cols=tc),
             },
             REPEATS[quick],
+            min_sample_s=KERNEL_SAMPLE_S,
         )
         seed_s, ref_s, blk_s = times["seed"], times["ref"], times["blk"]
         points.append(

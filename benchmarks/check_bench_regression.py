@@ -7,7 +7,7 @@ makes them a **regression gate**: it compares the freshly produced
 before the benches overwrite them) and fails when a tracked throughput or
 speedup metric dropped by more than the tolerance.
 
-Tracked metrics (higher is better for all but the heap ceiling):
+Tracked metrics (higher is better for all but the heap ceilings):
 
 ====================================  =======================================
 file                                  metric
@@ -75,6 +75,14 @@ file                                  metric
                                       that keeps its freed heap faults ~0
                                       pages per call, one that returns it
                                       to the kernel faults thousands.
+``BENCH_engine_continuous_quick``     ``heap.stream_peak_mb`` - tracemalloc
+                                      peak of one warm prefill-shaped SU-FA
+                                      stream call, against an absolute
+                                      *ceiling*: row-blocked K/V gathers
+                                      peak near 1.3 MB, whole-stack
+                                      gathers near 9.2 MB.  A count of
+                                      bytes, not a timing, so it holds
+                                      across hosts.
 ====================================  =======================================
 
 Tolerances: a metric regresses when ``fresh < (1 - tolerance) * baseline``.
@@ -174,6 +182,10 @@ def _heap_minor_faults(record: dict[str, Any]) -> float:
     return float(record["heap"]["minor_faults_per_call"])
 
 
+def _heap_stream_peak_mb(record: dict[str, Any]) -> float:
+    return float(record["heap"]["stream_peak_mb"])
+
+
 #: (file name, human metric name, extractor, kind).  "ratio" metrics are
 #: intra-run speedups (hardware-class independent, tight tolerance), "rate"
 #: metrics are raw requests/sec (honest only against a same-class baseline
@@ -261,11 +273,19 @@ METRICS: list[tuple[str, str, Callable[[dict[str, Any]], float], str]] = [
         _heap_minor_faults,
         "ceiling",
     ),
+    (
+        "BENCH_engine_continuous_quick.json",
+        "heap.stream_peak_mb",
+        _heap_stream_peak_mb,
+        "ceiling",
+    ),
 ]
 
 #: Absolute limits of the "ceiling" metrics.  A warm prefill-shaped call
-#: faults ~0 pages with the engine's heap policy and ~2,700 without it.
-CEILINGS = {"heap.minor_faults_per_call": 64.0}
+#: faults ~0 pages with the engine's heap policy and ~2,700 without it; a
+#: warm prefill-shaped stream call peaks near 1.3 MB with row-blocked
+#: gathers and near 9.2 MB with whole-stack ones.
+CEILINGS = {"heap.minor_faults_per_call": 64.0, "heap.stream_peak_mb": 2.0}
 
 #: Default allowed drop before the gate fails (0.2 = 20%).
 DEFAULT_TOLERANCE = 0.2

@@ -54,33 +54,45 @@ def _bitonic_comparators(width: int) -> int:
     return max(pruned, 1)
 
 
-def _stable_head(block: np.ndarray, m: int) -> np.ndarray:
+def _stable_head(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.argsort(-block, axis=1, kind="stable")[:, :m]`` without a full stable sort.
 
+    Returns ``(head, vals)``: ``head`` is that stable head (all ``width``
+    columns when ``m >= width``) and ``vals`` holds ``block``'s values at
+    the first ``min(m + 1, width)`` sorted positions, one past the head
+    where the row has it, so callers read the head's values - and the
+    next one - without gathering them again.
+
     An unstable argsort orders values the same way but may permute equal
-    ones.  If a row's first ``m + 1`` sorted values are strictly
-    decreasing, its top ``m`` set and their order are forced, so the
-    unstable head equals the stable one.  The extra entry catches a tie
-    across the cut.  Rows with any adjacent tie (signed zeros compare
-    equal) redo the stable argsort, which breaks ties by index.  NaN
-    compares unequal to everything, so callers must reject it first.
+    ones.  If a row's first ``m + 1`` sorted values (all of them when
+    ``m >= width``) hold no adjacent tie, its top ``m`` set and their
+    order are forced, so the unstable head equals the stable one.  The
+    extra entry catches a tie across the cut.  Rows with an adjacent tie
+    (signed zeros compare equal) redo the stable argsort, which breaks
+    ties by index.  NaN sorts last in both sorts and never flags a tie
+    (it compares unequal to itself), so the unstable sort may permute a
+    row's NaN entries: a head position holding NaN names one of the row's
+    NaN columns, not necessarily the stable one.  Callers give every NaN
+    entry the same meaning (the selector's final reorder pads with NaN,
+    and every pad carries index ``-1``).
     """
     neg = -block
-    if m >= neg.shape[1]:
-        return np.argsort(neg, axis=1, kind="stable")
-    head = np.argsort(neg, axis=1)[:, : m + 1]
-    vals = neg[np.arange(neg.shape[0])[:, None], head]
-    ties = vals[:, 1:] == vals[:, :-1]
-    head = head[:, :m]
+    width = neg.shape[1]
+    order = np.argsort(neg, axis=1)
+    head = order[:, : min(m, width)]
+    vals = neg[np.arange(neg.shape[0])[:, None], order[:, : min(m + 1, width)]]
+    ties = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
     if ties.any():
-        tied = np.flatnonzero(ties.any(axis=1))
-        head[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :m]
-    return head
+        tied = np.flatnonzero(ties)
+        stable = np.argsort(neg[tied], axis=1, kind="stable")
+        head[tied] = stable[:, : head.shape[1]]
+        vals[tied] = neg[tied[:, None], stable[:, : vals.shape[1]]]
+    return head, np.negative(vals, out=vals)
 
 
-def _reject_nan(seg_max: "np.ndarray | float") -> None:
-    """Raise on NaN scores, found through the segment max (NaN propagates)."""
-    if np.isnan(seg_max).any():
+def _reject_nan(scores: "np.ndarray | float") -> None:
+    """Raise on NaN scores."""
+    if np.isnan(scores).any():
         raise ValueError("score rows must not contain NaN")
 
 
@@ -275,11 +287,15 @@ class SadsSorter:
 
         Exactness argument, stage by stage:
 
-        * the per-segment pass consumes only the segment block: the
-          top-quota set is threshold-independent (clipping only suppresses
-          comparator switching), so selection is a stable descending sort;
-          the survivor count drives op/power accounting and the
-          below-quota hardware fallback;
+        * the per-segment pass consumes only the segment block, in one
+          sort: the top-quota set is threshold-independent (clipping only
+          suppresses comparator switching), so selection is the head of a
+          stable descending sort (:func:`_stable_head`), whose first value
+          is the segment max.  The survivor count drives op/power
+          accounting and the below-quota hardware fallback; values at or
+          above the threshold are a prefix of the sorted row, so a row
+          counts them in its head, and only a row whose whole head passes
+          counts its block;
         * a row's window is padded to ``W`` with ``-inf`` placed *after*
           its real columns, so the stable descending order puts every
           padding entry behind every real one (ties break by position).
@@ -337,7 +353,7 @@ class SadsSorter:
         width_tab = hi_tab - lo_tab
         seg_w = width_tab.max(axis=0)
         q_cols = quota_tab.max(axis=0)
-        head_w = np.minimum(q_cols + rounds, seg_w)  # columns of _stable_head
+        head_w = np.minimum(q_cols + rounds, seg_w)  # columns of the head
         pos_tab = quota_tab[:, :, None] + np.arange(rounds)
         pos_ok = pos_tab < width_tab[:, :, None]
         pos_tab = np.minimum(pos_tab, head_w[:, None] - 1)
@@ -369,30 +385,37 @@ class SadsSorter:
             if block.shape != (m, w):
                 raise ValueError(f"tile_fn returned {block.shape}, expected {(m, w)}")
             short = np.flatnonzero(width < w)  # rows with padding to overwrite
-            block[short] = np.where(np.arange(w) < width[short, None], block[short], -np.inf)
-            seg_max = block.max(axis=1)
-            _reject_nan(seg_max)
+            if short.size:
+                block[short] = np.where(np.arange(w) < width[short, None], block[short], -np.inf)
+            _reject_nan(block)
+            # The chosen entries, then the segment's top excluded
+            # candidates: the head of a stable descending argsort, whose
+            # first value is the segment max.  Capped quotas never exceed
+            # the window, so a row takes its quota.
+            qm = int(q_cols[seg])
+            head, vals = _stable_head(block, qm + rounds)
             threshold = np.where(
                 np.isfinite(running_max[:m]), running_max[:m] - self.config.radius, -np.inf
             )
-            surv_tab[:m, seg] = (block >= threshold[:, None]).sum(axis=1)
+            # Survivors: the head is sorted, so a row counts them there
+            # unless its whole head passes; only those rows count the block.
+            surv = (vals >= threshold[:, None]).sum(axis=1)
+            if vals.shape[1] < w:
+                full = np.flatnonzero(surv == vals.shape[1])
+                if full.size:
+                    surv[full] = (block[full] >= threshold[full, None]).sum(axis=1)
+            surv_tab[:m, seg] = surv
             open_tab[:m, seg] = threshold == -np.inf
-            # The chosen entries, then the segment's top excluded
-            # candidates: the head of a stable descending argsort.
-            # Capped quotas never exceed the window, so a row takes its quota.
-            qm = int(q_cols[seg])
-            head = _stable_head(block, qm + rounds)
             rows = np.arange(m)[:, None]
             head_idx = head + lo[:, None]
-            head_vals = block[rows, head]
             chosen = slice(int(off[seg]), int(off[seg]) + qm)
             chosen_idx[:m, chosen] = head_idx[:, :qm]
-            chosen_vals[:m, chosen] = head_vals[:, :qm]
+            chosen_vals[:m, chosen] = vals[:, :qm]
             # Each row's candidates follow its own quota.
             cols = slice(seg * rounds, (seg + 1) * rounds)
-            cand_vals[:m, cols] = head_vals[rows, pos_tab[:m, seg]]
+            cand_vals[:m, cols] = vals[rows, pos_tab[:m, seg]]
             cand_idx[:m, cols] = head_idx[rows, pos_tab[:m, seg]]
-            running_max[:m] = np.maximum(running_max[:m], seg_max)
+            running_max[:m] = np.maximum(running_max[:m], vals[:, 0])
 
         # Per-segment tallies of every row at once: a sitting-out cell has
         # zero width, quota and survivors, so it adds nothing.
@@ -418,8 +441,8 @@ class SadsSorter:
         # entries in (value desc, index asc) order.  Candidates arrive
         # segment-major, i.e. index-ascending, so a stable sort settles
         # ties.  Padding sorts last: -inf value, out-of-range index.
-        top = np.argsort(-cand_vals, axis=1, kind="stable")[:, :m_pool]
-        pool_vals = np.take_along_axis(cand_vals, top, axis=1)
+        top, pool_vals = _stable_head(cand_vals, m_pool)
+        pool_vals = pool_vals[:, :m_pool]
         pool_idx = np.take_along_axis(cand_idx, top, axis=1)
 
         # Cells that are no pick hold (-1, +inf): the exchange's argmin,
@@ -433,8 +456,8 @@ class SadsSorter:
 
         # Descending by value, ties by position; NaN sorts after every
         # value, -inf included, so each row's k picks come first and -1 pads.
-        order = np.argsort(-np.where(picked, selvals, np.nan), axis=1, kind="stable")
-        indices = np.take_along_axis(sel, order[:, :k_max], axis=1)
+        order, _ = _stable_head(np.where(picked, selvals, np.nan), k_max)
+        indices = np.take_along_axis(sel, order, axis=1)
         compare_rows += merge_rows
         return SadsStackResult(
             indices=indices, compare_rows=compare_rows, clipped_rows=clipped_rows

@@ -32,13 +32,18 @@ interchangeable **kernel** from :mod:`repro.kernels`:
 
 Kernels never see a pre-gathered ``(R, kk, D)`` key or value stack.  They
 take the ``(U, D)`` / ``(U, Dv)`` slabs of the U generated tokens plus an
-``(R, kk)`` index of slab rows, and gather about one tile's worth at a
-time - the hardware's on-demand K/V generation feeding SU-FA tile by
-tile.  Value tiles are gathered inside the stream loop.  Keys are
-gathered in the shared prologue, in blocks of rows, so each row keeps one
-``(kk, D)`` score contraction: BLAS gemv computes output entries in
-groups, so a score's bits can depend on its position in the contraction,
-and column tiles of other widths would not reproduce them.
+``(R, kk)`` index of slab rows, and gather in row blocks sized to
+:data:`_BLOCK_BYTES`, so each block is contracted while it sits in a
+core's L2 - the software form of the paper's cross-stage tiling, where
+each stage's tile fits its on-chip buffer and nothing round-trips
+through DRAM between stages.  Keys are gathered in the shared prologue,
+so each row keeps one ``(kk, D)`` score contraction: BLAS gemv computes
+output entries in groups, so a score's bits can depend on its position
+in the contraction, and column tiles of other widths would not reproduce
+them.  Value tiles are gathered inside the stream loop, one Bc tile of
+positions at a time, in row blocks at each tile sync
+(:func:`_merge_tile`).  Both contraction primitives give a row the same
+bits whatever rows share its call, so the row blocking changes no bit.
 
 The streaming semantics are **tile-synchronized**, mirroring the
 hardware's dataflow: per-key state (running max, Max-Ensuring violations,
@@ -48,9 +53,10 @@ the carried normalizer/output at the tile boundary - the PE-column
 partials meeting the accumulator at tile sync, the same boundary the
 per-tile synchronization op has always charged.  Both kernels share one
 prologue (score gather, warmup max scan), one epilogue (tile-sync
-accounting, final normalization), one value-tile gather
-(:func:`_value_tile`), and one batch-invariant tile-merge primitive
-(:func:`repro.numerics.linalg.det_pv_contract`), so every row's result is
+accounting, final normalization) and one tile merge (:func:`_merge_tile`:
+the value gather and the batch-invariant primitives
+:func:`repro.numerics.linalg.det_tile_mass` and
+:func:`repro.numerics.linalg.det_pv_contract`), so every row's result is
 **bit-identical** across kernels and whether one row or ten thousand
 share the call - which is what lets the batched engine
 (``repro.engine``) and the cluster workers reuse this core while matching
@@ -74,6 +80,11 @@ class UpdateOrder(Enum):
     DESCENDING = "descending"
     ASCENDING = "ascending"
 
+
+#: Byte budget of one gathered row block (keys in the prologue, values at
+#: each tile sync): a block stays well inside a core's L2 while it is
+#: contracted, instead of streaming a whole-stack gather through DRAM.
+_BLOCK_BYTES = 512 * 1024
 
 #: Entries scanned in max-update mode before streaming begins (the hardware
 #: runs the AP module in mode 1 during the first phase of a tile).
@@ -126,7 +137,6 @@ def _stream_prologue(
     values: np.ndarray,
     index: np.ndarray,
     order: UpdateOrder,
-    tile_cols: int,
 ) -> tuple[
     np.ndarray,
     np.ndarray,
@@ -141,7 +151,7 @@ def _stream_prologue(
 
     Returns ``(scores, values, index, op_rows, m, l, o, triggers)`` with
     ``scores`` and ``index`` already flipped into processing order, so
-    value tile ``lo:hi`` is ``_value_tile(values, index, lo, hi)``.  Every
+    value tile ``lo:hi`` gathers ``values[index[:, lo:hi]]``.  Every
     kernel must start from this state so the per-row op accounting and the
     mode-1 warmup semantics stay identical across implementations.
     """
@@ -161,16 +171,14 @@ def _stream_prologue(
 
     # Scale folded into q before the gather: one (R, D) multiply instead of
     # an extra full pass over the (R, kk) score matrix.  Keys are gathered
-    # for a block of rows at a time, about one tile's worth of keys, and
-    # each row keeps its whole (kk, D) contraction (see the module note).
+    # in cache-sized row blocks, and each row keeps its whole (kk, D)
+    # contraction (see the module note).
     q_scaled = q_rows * scale
     scores = np.empty((r, kk))
-    step = max(r * max(int(tile_cols), 1) // max(kk, 1), 1)
+    step = _rows_per_block(kk * d)
     for lo in range(0, r, step):
-        hi = min(lo + step, r)
-        scores[lo:hi] = det_stack_scores(
-            np.take(keys, index[lo:hi], axis=0), q_scaled[lo:hi]
-        )
+        rows = slice(lo, lo + step)
+        scores[rows] = det_stack_scores(np.take(keys, index[rows], axis=0), q_scaled[rows])
     if order is UpdateOrder.ASCENDING:
         # Materialized (not viewed) reversals: downstream primitives must
         # see one canonical layout, because BLAS-backed contractions take a
@@ -200,13 +208,34 @@ def _stream_prologue(
     return scores, values, index, op_rows, m, l, o, triggers
 
 
-def _value_tile(values: np.ndarray, index: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The ``(R, hi - lo, Dv)`` value tile of processing positions ``lo:hi``.
+def _rows_per_block(row_elems: int) -> int:
+    """Rows of ``row_elems`` float64 each that fit :data:`_BLOCK_BYTES` (at least 1)."""
+    return max(_BLOCK_BYTES // (8 * max(row_elems, 1)), 1)
 
-    A fresh C-contiguous gather from the slab, so every row's ``(B, Dv)``
-    slice is contiguous - the layout :func:`det_pv_contract` requires.
+
+def _merge_tile(
+    p_tile: np.ndarray,
+    values: np.ndarray,
+    index: np.ndarray,
+    lo: int,
+    l: np.ndarray,
+    o: np.ndarray,
+) -> None:
+    """Tile sync: fold the ``(R, B)`` weights of positions ``lo:lo + B`` into ``(l, o)``.
+
+    Updates ``l`` and ``o`` in place.  The value rows are gathered from
+    the slab in cache-sized row blocks, each a fresh C-contiguous ``(rows,
+    B, Dv)`` array, so every row's ``(B, Dv)`` slice is contiguous - the
+    layout :func:`det_pv_contract` requires.  Both merge primitives give a
+    row the same bits whatever rows share its call, so the blocking
+    changes no bit.
     """
-    return np.take(values, index[:, lo:hi], axis=0)
+    hi = lo + p_tile.shape[1]
+    l += det_tile_mass(p_tile)
+    step = _rows_per_block(p_tile.shape[1] * values.shape[1])
+    for start in range(0, p_tile.shape[0], step):
+        rows = slice(start, start + step)
+        o[rows] += det_pv_contract(p_tile[rows], np.take(values, index[rows, lo:hi], axis=0))
 
 
 def _stream_epilogue(
@@ -256,7 +285,7 @@ def stream_selected_reference(
     ``kernel="reference"``.
     """
     scores, values, index, op_rows, m, l, o, triggers = _stream_prologue(
-        q_rows, keys, values, index, order, tile_cols
+        q_rows, keys, values, index, order
     )
     r = scores.shape[0]
     kk = scores.shape[1]
@@ -298,8 +327,7 @@ def stream_selected_reference(
             op_rows["add"] += dv
         # Tile sync: fold this tile's weight/value mass into the carried
         # state through the shared contraction primitives.
-        l = l + det_tile_mass(p_tile)
-        o = o + det_pv_contract(p_tile, _value_tile(values, index, lo, hi))
+        _merge_tile(p_tile, values, index, lo, l, o)
 
     return _stream_epilogue(o, l, op_rows, triggers, kk, tile_cols)
 

@@ -36,16 +36,16 @@ Why the result is bit-for-bit identical to the reference loop:
   batch-mates), writing their weights into the same stack-wide tile
   buffer the fast rows fill vectorized.
 * **The tile merge is one shared call.**  Both kernels fold the completed
-  tile buffer into the carried state through
-  :func:`~repro.numerics.linalg.det_tile_mass` /
-  :func:`~repro.numerics.linalg.det_pv_contract`, invoked on the whole
-  stack with identical shapes and layouts - never on row subsets - so the
-  merge contributes bit-identical addends no matter how rows were split
-  between fast path and replay.  The value operand is the same per-tile
-  gather from the value slab in both kernels
-  (:func:`repro.core.sufa._value_tile`): a fresh ``(R, B, Dv)`` array, so
-  every row's ``(B, Dv)`` slice is contiguous, as ``det_pv_contract``
-  requires.
+  stack-wide tile buffer into the carried state through
+  :func:`repro.core.sufa._merge_tile`, which runs
+  :func:`~repro.numerics.linalg.det_tile_mass` on the whole stack and
+  :func:`~repro.numerics.linalg.det_pv_contract` over the same fixed row
+  blocks in both kernels, each with a fresh ``(rows, B, Dv)`` gather from
+  the value slab, so every row's ``(B, Dv)`` slice is contiguous, as
+  ``det_pv_contract`` requires.  Both primitives give a row the same
+  bits whatever rows share its call, so the merge contributes
+  bit-identical addends no matter how rows were split between fast path
+  and replay, or between row blocks.
 * **Op tallies are closed-form per block.**  The loop's unconditional
   per-step charges sum to ``B``-scaled constants; its violation charges
   sum to the per-row violation count, which the exact violation mask
@@ -64,11 +64,10 @@ from repro.core.sufa import (
     _ASSURANCE_ERROR,
     SufaStackResult,
     UpdateOrder,
+    _merge_tile,
     _stream_epilogue,
     _stream_prologue,
-    _value_tile,
 )
-from repro.numerics.linalg import det_pv_contract, det_tile_mass
 
 
 def _replay_block(
@@ -120,7 +119,7 @@ def stream_selected_blocked(
     docstring for the parity argument.
     """
     scores, values, index, op_rows, m, l, o, triggers = _stream_prologue(
-        q_rows, keys, values, index, order, tile_cols
+        q_rows, keys, values, index, order
     )
     r = scores.shape[0]
     kk = scores.shape[1]
@@ -182,9 +181,7 @@ def stream_selected_blocked(
             np.subtract(x, m[:, None], out=p_buf)
             np.exp(p_buf, out=p_buf)
 
-        # Tile sync, identical (stack-wide) primitive calls to the
-        # reference's boundary merge.
-        l += det_tile_mass(p_buf)
-        o += det_pv_contract(p_buf, _value_tile(values, index, lo, hi))
+        # Tile sync: the reference's boundary merge, call for call.
+        _merge_tile(p_buf, values, index, lo, l, o)
 
     return _stream_epilogue(o, l, op_rows, triggers, kk, tile_cols)

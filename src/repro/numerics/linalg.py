@@ -204,11 +204,14 @@ def det_pv_contract(p_tile: np.ndarray, v_tile: np.ndarray) -> np.ndarray:
     through this one primitive, the blocked/reference bit-parity contract
     holds no matter how the BLAS orders the ``B`` products internally.
 
-    Callers must pass the whole streaming stack with each row's ``(B,
-    Dv)`` value slice laid out contiguously (true for every per-tile
-    gather from the value slab); tiny-shape matmuls take
-    layout-dependent internal paths, so the kernel layer keeps every call
-    site on this one canonical layout rather than contracting row subsets.
+    Callers must lay out each row's ``(B, Dv)`` value slice contiguously
+    (true for every fresh gather from the value slab): tiny-shape matmuls
+    take layout-dependent internal paths, so every call site keeps this
+    one canonical layout.  On it, any contiguous block of rows - the
+    SU-FA tile merge runs the stack in cache-sized row blocks - gives
+    each row the bits the whole stack gives it
+    (``tests/test_numerics_linalg.py`` pins this across block sizes and
+    BLAS thread counts).
     """
     p_tile = np.asarray(p_tile, dtype=np.float64)
     v_tile = np.asarray(v_tile, dtype=np.float64)

@@ -31,14 +31,15 @@ def gate():
 
 def _write_quick_artifacts(directory: pathlib.Path, scale: float = 1.0,
                            kernel_scale: float | None = None,
-                           faults: float = 0.2) -> None:
+                           faults: float = 0.2,
+                           stream_peak_mb: float = 1.3) -> None:
     """A minimal, schema-faithful set of quick bench artifacts."""
     directory.mkdir(parents=True, exist_ok=True)
     kernel_scale = scale if kernel_scale is None else kernel_scale
     (directory / "BENCH_engine_continuous_quick.json").write_text(json.dumps({
         "stream": {"sync_requests_per_sec": 1000.0 * scale},
         "decode": {"cached_speedup": 1.1},
-        "heap": {"minor_faults_per_call": faults},
+        "heap": {"minor_faults_per_call": faults, "stream_peak_mb": stream_peak_mb},
     }))
     (directory / "BENCH_cluster_quick.json").write_text(json.dumps({
         "points": [
@@ -156,6 +157,18 @@ def test_heap_faults_gate_on_an_absolute_ceiling(gate, tmp_path, capsys):
     _write_quick_artifacts(tmp_path / "fresh", faults=2736.0)
     assert gate.main(args + ["--tolerance", "0.9", "--rate-tolerance", "0.9"]) == 1
     assert "minor_faults_per_call" in capsys.readouterr().err
+
+
+def test_stream_peak_gates_on_an_absolute_ceiling(gate, tmp_path, capsys):
+    """The stream call's traced peak is capped at 2 MB whatever the knobs:
+    row-blocked gathers pass, a whole-stack gather (~9 MB) fails."""
+    _write_quick_artifacts(tmp_path / "base")
+    args = ["--baseline", str(tmp_path / "base"), "--fresh", str(tmp_path / "fresh")]
+    _write_quick_artifacts(tmp_path / "fresh", stream_peak_mb=1.9)
+    assert gate.main(args) == 0
+    _write_quick_artifacts(tmp_path / "fresh", stream_peak_mb=9.2)
+    assert gate.main(args + ["--tolerance", "0.9", "--rate-tolerance", "0.9"]) == 1
+    assert "stream_peak_mb" in capsys.readouterr().err
 
 
 def test_tolerance_is_configurable(gate, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.attention.topk import exact_topk_indices, topk_recall
 from repro.core.config import SadsConfig
-from repro.core.sads import SadsSorter, _stable_head, vanilla_sort_ops
+from repro.core.sads import SadsSorter, _stable_head, column_windows, vanilla_sort_ops
 from repro.model.workloads import synthetic_scores
 from repro.utils.rng import make_rng
 
@@ -195,4 +195,75 @@ def test_stable_head_equals_stable_argsort_head(w):
     for block in layouts:
         stable = np.argsort(-block, axis=1, kind="stable")
         for m in range(w + 1):
-            assert np.array_equal(_stable_head(block, m), stable[:, :m]), m
+            assert np.array_equal(_stable_head(block, m)[0], stable[:, :m]), m
+
+
+_HEAD_PALETTE = [-np.inf, -2.5, -1.0, -0.0, 0.0, 1.0, 2.5, np.inf]
+
+
+@st.composite
+def _tied_blocks(draw):
+    """Rows drawn from a small palette (forced ties, signed zeros, +-inf),
+    some with NaN pads, and a head length up to past the row width."""
+    r = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 40))
+    cells = st.one_of(st.sampled_from(_HEAD_PALETTE), st.floats(-3, 3, width=16))
+    block = np.array(
+        draw(st.lists(cells, min_size=r * w, max_size=r * w)), dtype=np.float64
+    ).reshape(r, w)
+    pads = draw(hnp.arrays(np.bool_, (r, w)))
+    if draw(st.booleans()):
+        block[pads] = np.nan
+    return block, draw(st.integers(0, w + 3))
+
+
+@given(_tied_blocks())
+@settings(max_examples=300, deadline=None)
+def test_stable_head_is_the_stable_argsort_head_property(case):
+    """The unstable argsort + tie repair equals the stable argsort head on
+    ties, signed zeros, +-inf, NaN pads and m >= width, with every NaN pad
+    carrying index -1 as in the selector's final reorder; its values are
+    the block's at the stable positions (bit for bit inside the head, by
+    value on the one entry past it)."""
+    block, m = case
+    stable = np.argsort(-block, axis=1, kind="stable")
+    head, vals = _stable_head(block, m)
+    width = block.shape[1]
+    index = np.where(np.isnan(block), -1, np.arange(width))
+    assert head.shape == stable[:, :m].shape
+    assert np.array_equal(
+        np.take_along_axis(index, head, axis=1),
+        np.take_along_axis(index, stable[:, :m], axis=1),
+    )
+    want = np.take_along_axis(block, stable[:, : min(m + 1, width)], axis=1)
+    hm = head.shape[1]
+    assert vals.shape == want.shape
+    assert vals[:, :hm].tobytes() == want[:, :hm].tobytes()
+    assert np.array_equal(vals[:, hm:], want[:, hm:], equal_nan=True)
+
+
+def test_streamed_select_counts_survivors_past_a_fully_passing_head():
+    """Rows whose whole segment head clears the clipping threshold count
+    their survivors over the whole block; the tallies, and the indices,
+    still equal the sequential reference row by row."""
+    rng = make_rng(46)
+    sorter = SadsSorter(SadsConfig(n_segments=4, radius=4.0, adjust_rounds=2))
+    s, k = 64, 8  # 16-wide segments, quota 2: heads of 4 (+1 past the cut)
+    rows = []
+    for passing in (1, 3, 5, 6, 9, 16):
+        row = np.full(s, -50.0) + rng.normal(0, 0.1, s)
+        row[:16] = rng.normal(10.0, 1.0, 16)  # running max ~12 after segment 0
+        for lo in (16, 32, 48):
+            row[lo : lo + passing] = rng.uniform(9.0, 10.0, passing)  # above max - 4
+        rows.append(rng.permutation(row.reshape(4, 16).T).T.ravel())
+    scores = np.array(rows)
+    got = sorter.select_stack_streamed(
+        lambda seg, lo, hi: column_windows(scores, lo, hi), *scores.shape, k
+    )
+    for r, row in enumerate(scores):
+        ref = sorter.select_row_reference(row, k)
+        assert np.array_equal(got.indices[r], ref.indices)
+        assert got.compare_rows[r] == ref.ops["compare"]
+        assert got.clipped_rows[r] == ref.clipped
+    # the sphere clipped every row but the one whose segments all pass
+    assert (got.clipped_rows[:-1] > 0).all() and got.clipped_rows[-1] == 0

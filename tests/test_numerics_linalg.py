@@ -18,6 +18,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.numerics.linalg import (
     _blas_exact,
@@ -256,3 +258,90 @@ def test_det_tile_mass_batch_invariant():
         ).tobytes()
     with pytest.raises(ValueError):
         det_tile_mass(p[:, :, None])
+
+
+def _in_row_blocks(fn, step: int, r: int) -> np.ndarray:
+    """``fn(rows)`` over consecutive row blocks of ``step``, concatenated."""
+    return np.concatenate([fn(slice(lo, lo + step)) for lo in range(0, r, step)])
+
+
+@given(
+    r=st.integers(1, 24),
+    kk=st.integers(1, 70),
+    d=st.integers(1, 40),
+    dv=st.integers(1, 33),
+    lo=st.integers(0, 20),
+    b=st.integers(1, 70),
+    step=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=120, deadline=None)
+def test_scores_and_pv_contract_bits_equal_in_row_blocks(r, kk, d, dv, lo, b, step, seed):
+    """SU-FA's gathers run in row blocks: a score row and a tile partial
+    have the same bits in a block of any size as in the whole stack (with
+    kk < 4, B % 4 != 0 and odd Dv among the draws)."""
+    rng = make_rng(seed)
+    u = max(kk, lo + b)
+    keys = rng.normal(size=(u, d))
+    values = rng.normal(size=(u, dv))
+    q = rng.normal(size=(r, d))
+    index = rng.integers(0, u, size=(r, max(kk, lo + b)))
+    p = np.exp(rng.normal(size=(r, b)))
+
+    def scores(rows):
+        return det_stack_scores(np.take(keys, index[rows, :kk], axis=0), q[rows])
+
+    def partial(rows):
+        tile = np.take(values, index[rows, lo : lo + b], axis=0)
+        return det_pv_contract(p[rows], tile)
+
+    everything = slice(0, r)
+    assert _in_row_blocks(scores, step, r).tobytes() == scores(everything).tobytes()
+    assert _in_row_blocks(partial, step, r).tobytes() == partial(everything).tobytes()
+
+
+_ROW_BLOCKS_PROBE = """
+import hashlib, numpy as np
+from repro.numerics.linalg import det_pv_contract, det_stack_scores
+rng = np.random.default_rng(4)
+digest = hashlib.sha256()
+for r, kk, d, b, dv in ((256, 205, 64, 64, 64), (128, 3, 64, 63, 33), (37, 517, 16, 6, 7)):
+    u = 4 * max(kk, b)
+    keys = rng.normal(size=(u, d))
+    values = rng.normal(size=(u, dv))
+    q = rng.normal(size=(r, d))
+    index = rng.integers(0, u, size=(r, max(kk, b)))
+    p = np.exp(rng.normal(size=(r, b)))
+    outs = set()
+    for step in (1, 4, 16, r):
+        blocks = [slice(lo, lo + step) for lo in range(0, r, step)]
+        scores = np.concatenate([
+            det_stack_scores(np.take(keys, index[rows, :kk], axis=0), q[rows])
+            for rows in blocks
+        ])
+        partial = np.concatenate([
+            det_pv_contract(p[rows], np.take(values, index[rows, :b], axis=0))
+            for rows in blocks
+        ])
+        outs.add(scores.tobytes() + partial.tobytes())
+    assert len(outs) == 1, (r, kk, b)
+    digest.update(outs.pop())
+print(digest.hexdigest())
+"""
+
+
+def test_row_block_digest_independent_of_openblas_threads():
+    """Prefill-sized score and tile-merge stacks give the same bytes in
+    row blocks of 1, 4, 16 and all rows, under one and two BLAS threads."""
+    import repro
+
+    path = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", _ROW_BLOCKS_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
