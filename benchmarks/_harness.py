@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import statistics
+import subprocess
+import sys
 import time
 
 
@@ -32,3 +37,37 @@ def best_of_interleaved(fns: dict, repeats: int, min_sample_s: float = 0.0) -> d
                 fn()
             best[name] = min(best[name], (time.perf_counter() - t0) / calls[name])
     return best
+
+
+def fresh_process_medians(
+    script: str, sides: tuple[str, ...], samples: int = 3, args: tuple[str, ...] = ()
+) -> dict[str, dict]:
+    """Time each side in ``samples`` fresh interpreters; per-key medians.
+
+    A process's heap layout, and the host's state while it runs, can move
+    a short timing by more than many code changes do, so one process is
+    one sample.  Sample ``i`` runs
+    ``script --sample SIDE *args`` once per side, the sides alternating;
+    the child prints a JSON object of timings (seconds by key) as its last
+    stdout line.  Returns, per side, ``{"median": {key: s}, "runs": [...]}``.
+    The children import from the same path as this process.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    for _ in range(samples):
+        for side in sides:
+            out = subprocess.run(
+                [sys.executable, script, "--sample", side, *args],
+                env=env, check=True, capture_output=True, text=True,
+            ).stdout
+            runs[side].append(json.loads(out.strip().splitlines()[-1]))
+    return {
+        side: {
+            "median": {
+                key: statistics.median(run[key] for run in side_runs)
+                for key in side_runs[0]
+            },
+            "runs": side_runs,
+        }
+        for side, side_runs in runs.items()
+    }

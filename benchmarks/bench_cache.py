@@ -57,19 +57,31 @@ BLOCK_TOKENS = 32
 
 
 def _entry_nbytes(quick: bool) -> int:
-    """Bytes of one sequence's full cache entry (tokens + codes + K_hat)."""
-    return PREFIX_LEN[quick] * (HIDDEN[quick] * 16 + HEAD_DIM[quick] * 8)
+    """Resident bytes of one sequence's stored state, read from a store.
+
+    One sequence decodes ``STEPS`` keyed steps on a fresh unbudgeted
+    engine; its store then holds exactly that sequence's entry - code
+    blocks, private tail and projected K/V rows - and its
+    ``resident_bytes`` is the entry's size as the store counts it.
+    """
+    wk, wv, tokens = _workload(quick)
+    engine = SofaEngine(CONFIG, cache_block_tokens=BLOCK_TOKENS)
+    try:
+        _decode_stream(engine, quick, tokens[:1], wk, wv, seed_base=0)
+        return engine.stats.cache.resident_bytes
+    finally:
+        engine.shutdown()
 
 
-def _budget(quick: bool) -> int:
-    """The byte budget: two monolithic entries out of N_SEQ.
+def _budget(entry_nbytes: int) -> int:
+    """The byte budget: two stored entries out of N_SEQ.
 
     Far below the monolithic working set (N_SEQ entries: a store that
     kept one private copy per sequence would thrash on the round-robin
     scan) yet comfortably above the paged store's *unique* footprint
     (one shared prompt copy + per-sequence tails).
     """
-    return 2 * _entry_nbytes(quick)
+    return 2 * entry_nbytes
 
 
 def _workload(quick: bool, seed: int = 71):
@@ -138,6 +150,8 @@ def _measure(engine, quick: bool, wk, wv, use_keys: bool = True) -> dict:
     )  # warm
     lookups = N_SEQ[quick] * STEPS[quick] * REPEATS
     hits0 = engine.stats.cache.hits
+    reused0 = engine.stats.cache.projection_hits
+    projected0 = engine.stats.cache.projection_misses
     best = float("inf")
     for repeat in range(REPEATS):
         t0 = time.perf_counter()
@@ -150,9 +164,13 @@ def _measure(engine, quick: bool, wk, wv, use_keys: bool = True) -> dict:
     if not use_keys:
         return point
     cache = engine.stats.cache
+    reused = cache.projection_hits - reused0
+    projected = cache.projection_misses - projected0
     return {
         **point,
         "steady_hit_rate": (cache.hits - hits0) / lookups,
+        # selected rows whose K/V projection came from the store
+        "projection_reuse": reused / (reused + projected) if reused + projected else 0.0,
         "evictions": cache.evictions,
         "resident_bytes": cache.resident_bytes,
         "shared_blocks": cache.shared_blocks,
@@ -165,7 +183,8 @@ def measure_cache(quick: bool = False) -> dict:
     """The paged store under one byte budget vs the uncached engine,
     parity-checked against it."""
     wk, wv, base_tokens = _workload(quick)
-    budget = _budget(quick)
+    entry_nbytes = _entry_nbytes(quick)
+    budget = _budget(entry_nbytes)
     uncached = SofaEngine(CONFIG, max_batch_heads=16)
     paged = SofaEngine(
         CONFIG, max_batch_heads=16, cache_bytes=budget,
@@ -190,7 +209,9 @@ def measure_cache(quick: bool = False) -> dict:
         "bench": "decode_cache_paged",
         "quick": quick,
         "mechanism": (
-            "shared-prefix sequences under a byte budget 2 entries wide, "
+            "shared-prefix sequences under a byte budget 2 stored entries "
+            "wide (an entry's resident bytes read from a store: code "
+            "blocks, private tail and projected K/V rows), "
             "below the monolithic working set: the paged pool holds one "
             "shared copy of the prompt blocks and spills instead of "
             "dropping, so each step computes only its appended row; the "
@@ -204,7 +225,7 @@ def measure_cache(quick: bool = False) -> dict:
             "head_dim": HEAD_DIM[quick],
             "block_tokens": BLOCK_TOKENS,
             "cache_bytes": budget,
-            "entry_nbytes": _entry_nbytes(quick),
+            "entry_nbytes": entry_nbytes,
         },
         "uncached": uncached_point,
         "paged": paged_point,

@@ -20,12 +20,20 @@ Workloads (rows, K -> N, head runs):
 * ``prefill_long``: ~4k selected rows, 64 -> 64, 2 head runs;
 * ``decode_shared``: ~1.9k selected rows, 128 -> 64, 16 head runs.
 
-Recorded per workload: best-of interleaved wall time of each form,
-``projection_vs_einsum`` (einsum time / blas time; an intra-run ratio, so
-it is hardware-class independent) and ``rows_invariant``: every row of the
-stacked call equals that row projected alone, bit for bit.  The two forms
-sum in different orders, so they agree to float tolerance only
-(``max_abs_diff_vs_einsum``).
+Recorded per workload: the wall time of each form, ``projection_vs_einsum``
+(einsum time / blas time; a same-host ratio, so it is hardware-class
+independent) and ``rows_invariant``: every row of the stacked call equals
+that row projected alone, bit for bit.  The two forms sum in different
+orders, so they agree to float tolerance only (``max_abs_diff_vs_einsum``).
+
+Each form is timed in ``SAMPLES`` fresh interpreters, the forms
+alternating (``_harness.fresh_process_medians``): one process's heap
+layout, and the host's state while it runs, can move these millisecond
+timings by more than the gate's tolerance, so a time is the median over
+processes of each process's best-of-``REPEATS``.  The ``decode_shared``
+point also depends on the BLAS thread count (recorded as
+``blas_threads``): its per-row calls run slower on two OpenBLAS threads
+than on one.
 
 Run as a script to record ``BENCH_projection.json``:
 
@@ -45,7 +53,7 @@ import sys
 
 import numpy as np
 
-from _harness import best_of_interleaved
+from _harness import best_of_interleaved, fresh_process_medians
 from repro.numerics.linalg import det_gathered_project
 from repro.utils.rng import make_rng
 
@@ -55,6 +63,8 @@ WORKLOADS = {
     "decode_shared": (1900, 128, 64, 16),
 }
 REPEATS = {False: 50, True: 25}
+#: fresh interpreters per form
+SAMPLES = 3
 
 
 def gathered_project_einsum(
@@ -91,19 +101,31 @@ def _rows_invariant(x, w, row_matrix, stacked: np.ndarray) -> bool:
     )
 
 
+FORMS = {"einsum": gathered_project_einsum, "blas": det_gathered_project}
+
+
+def sample(form: str, quick: bool) -> dict[str, float]:
+    """One process's best-of-``REPEATS`` time of ``form`` per workload."""
+    project = FORMS[form]
+    times = {}
+    for name, (rows, k, n, heads) in WORKLOADS.items():
+        x, w, row_matrix = _operands(rows, k, n, heads)
+        times[name] = best_of_interleaved(
+            {form: lambda: project(x, w, row_matrix)}, REPEATS[quick]
+        )[form]
+    return times
+
+
 def measure(quick: bool = False) -> dict:
+    timed = fresh_process_medians(
+        __file__, tuple(FORMS), SAMPLES, ("--quick",) if quick else ()
+    )
     points = []
     for name, (rows, k, n, heads) in WORKLOADS.items():
         x, w, row_matrix = _operands(rows, k, n, heads)
         stacked = det_gathered_project(x, w, row_matrix)
         baseline = gathered_project_einsum(x, w, row_matrix)
-        times = best_of_interleaved(
-            {
-                "einsum": lambda: gathered_project_einsum(x, w, row_matrix),
-                "blas": lambda: det_gathered_project(x, w, row_matrix),
-            },
-            REPEATS[quick],
-        )
+        einsum_s, blas_s = (timed[form]["median"][name] for form in FORMS)
         points.append(
             {
                 "workload": name,
@@ -111,9 +133,11 @@ def measure(quick: bool = False) -> dict:
                 "k": k,
                 "n": n,
                 "head_runs": int(np.count_nonzero(np.diff(row_matrix))) + 1,
-                "einsum_s": times["einsum"],
-                "blas_s": times["blas"],
-                "projection_vs_einsum": times["einsum"] / times["blas"],
+                "einsum_s": einsum_s,
+                "blas_s": blas_s,
+                "einsum_samples_s": [run[name] for run in timed["einsum"]["runs"]],
+                "blas_samples_s": [run[name] for run in timed["blas"]["runs"]],
+                "projection_vs_einsum": einsum_s / blas_s,
                 "rows_invariant": _rows_invariant(x, w, row_matrix, stacked),
                 "max_abs_diff_vs_einsum": float(np.max(np.abs(stacked - baseline))),
                 "max_abs_value": float(np.max(np.abs(baseline))),
@@ -123,12 +147,15 @@ def measure(quick: bool = False) -> dict:
         "bench": "projection",
         "quick": quick,
         "repeats": REPEATS[quick],
+        "samples": SAMPLES,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
         "note": (
             "einsum is the pre-stacked KV projection (numpy's non-BLAS "
             "loop), kept inline as the baseline; blas is the shipped "
             "det_gathered_project, one fixed-shape (1, K) @ (K, N) BLAS "
-            "call per row.  projection_vs_einsum = einsum_s / blas_s."
+            "call per row.  Each form's time is the median over "
+            "`samples` fresh processes of a best-of-`repeats`; "
+            "projection_vs_einsum = einsum_s / blas_s."
         ),
         "points": points,
     }
@@ -147,6 +174,9 @@ def test_projection_rows_invariant_and_close_to_einsum_quick():
 
 def main() -> None:
     quick = "--quick" in sys.argv[1:] or os.environ.get("SOFA_BENCH_QUICK") == "1"
+    if "--sample" in sys.argv[1:]:
+        print(json.dumps(sample(sys.argv[sys.argv.index("--sample") + 1], quick)))
+        return
     record = measure(quick=quick)
     if not all(p["rows_invariant"] for p in record["points"]):
         raise SystemExit("projection rows depend on their batch-mates")

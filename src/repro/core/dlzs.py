@@ -307,7 +307,10 @@ class PreparedStackPrediction:
     ``head_ops`` already carries the complete per-head accounting.
     ``k_bits`` is the truncation width: every ``k_hat`` code lies in
     :func:`~repro.numerics.fixed_point.int_range` of it, a bound that needs
-    no scan of ``k_hat``.
+    no scan of ``k_hat``.  ``chains[i]`` is the chain record the
+    decode-step cache stored for head ``i`` in this call (``None`` for a
+    head without a key, and ``chains`` is ``None`` without a cache): the
+    block table the KV stage reads stored projections through.
     """
 
     k_hat: np.ndarray  # (sum S_i, D') int64, truncated; head-major rows
@@ -316,6 +319,7 @@ class PreparedStackPrediction:
     head_ops: list[OpCounter]
     seq_lens: np.ndarray  # (N,) int64, each head's S
     k_bits: int
+    chains: list | None = None
 
     @property
     def starts(self) -> np.ndarray:
@@ -381,13 +385,14 @@ class StackedDlzsPredictor:
         cache: "PagedDecodeCache",
         key: Hashable,
         out: np.ndarray,
-    ) -> float:
+    ) -> tuple[float, object]:
         """Phase 1.1 and the ``K_hat`` truncation for one head, through
         the decode-step cache.
 
         Writes the head's truncated ``K_hat`` codes into ``out`` (its
         ``(S_i, D')`` rows of the stacked ``k_hat``) and returns their
-        truncation scale, both bit-identical to the uncached computation:
+        truncation scale, both bit-identical to the uncached computation,
+        with the chain record the store's ``put`` returned:
         cached state is reused only when the token prefix matches exactly
         AND the appended rows change neither the token scale nor the
         truncation scale (see :mod:`repro.engine.cache`).
@@ -451,7 +456,7 @@ class StackedDlzsPredictor:
         cache: "PagedDecodeCache",
         store_key: Hashable,
         out: np.ndarray,
-    ) -> float:
+    ) -> tuple[float, object]:
         """The hit path of :meth:`_phase1_head_cached`: ``new_vals`` are
         the appended rows' token codes at the cached token scale."""
         # Function-local on purpose: repro.engine.batched imports this
@@ -486,10 +491,11 @@ class StackedDlzsPredictor:
             key_max_abs=view.key_max_abs,
             quantized=view.quantized,
         )
-        if not cache.put(store_key, appended, base=view):
+        stored = cache.put(store_key, appended, base=view)
+        if not stored:
             # The key's state changed since the get (replaced, dropped, or
             # put by another thread): store it whole.
-            cache.put(
+            stored = cache.put(
                 store_key,
                 replace(
                     appended,
@@ -498,7 +504,7 @@ class StackedDlzsPredictor:
                     key_codes=out.copy(),
                 ),
             )
-        return k_scale
+        return k_scale, stored
 
     def _put_truncated(
         self,
@@ -511,14 +517,14 @@ class StackedDlzsPredictor:
         cache: "PagedDecodeCache",
         store_key: Hashable,
         out: np.ndarray,
-    ) -> float:
+    ) -> tuple[float, object]:
         """Project and truncate every row of ``tok_values`` (the codes of
         the tokens ``t_i``), write the codes into ``out`` and put the whole
-        entry; returns the truncation scale."""
+        entry; returns the truncation scale and the stored chain."""
         from repro.engine.cache import DecodeCacheEntry  # see _extend_cached
 
         key_values, codes, k_scale = self._project_truncate(i, tok_values, out)
-        cache.put(
+        stored = cache.put(
             store_key,
             DecodeCacheEntry(
                 tokens=t_i.copy(),
@@ -530,7 +536,7 @@ class StackedDlzsPredictor:
                 quantized=quantized,
             ),
         )
-        return k_scale
+        return k_scale, stored
 
     def _project_truncate(
         self, i: int, tok: np.ndarray, out: np.ndarray
@@ -588,12 +594,15 @@ class StackedDlzsPredictor:
         # exact, so the split changes no bits.
         k_hat = np.empty((int(seq_lens.sum()), self._wk_pow2.shape[2]), dtype=np.int64)
         k_scales = np.empty(n)
+        chains = [None] * n if cache is not None else None
         start = 0
         for i, x in enumerate(heads):
             rows = k_hat[start : start + x.shape[0]]
             start += x.shape[0]
             if i in keyed:
-                k_scales[i] = self._phase1_head_cached(i, x, cache, cache_keys[i], rows)
+                k_scales[i], chains[i] = self._phase1_head_cached(
+                    i, x, cache, cache_keys[i], rows
+                )
                 continue
             if np.issubdtype(x.dtype, np.floating):
                 tok = quantize_stack(x[None], self.config.token_bits).values[0]
@@ -638,6 +647,7 @@ class StackedDlzsPredictor:
             head_ops=head_ops,
             seq_lens=seq_lens,
             k_bits=self.config.intermediate_bits,
+            chains=chains,
         )
 
     def predict(

@@ -22,6 +22,7 @@ Mechanisms modeled here, mirroring the hardware engine (Fig. 13):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -647,10 +648,11 @@ def _row_plans(
     """Per-row segment tables ``(lo, hi, quota)`` and final-merge compares.
 
     The formulas :meth:`SadsSorter.select_row_reference` evaluates, once
-    per distinct ``(row length, k, segments)`` in the call.
-    ``lo``/``hi``/``quota`` are ``(R, max segments)``: row ``r``'s segment
-    ``j`` spans columns ``lo[r, j]:hi[r, j]`` with quota ``quota[r, j]``;
-    past a row's own segment count the window is empty and the quota 0.
+    per distinct ``(row length, k, segments)`` ever seen (:func:`_row_plan`
+    keeps them).  ``lo``/``hi``/``quota`` are ``(R, max segments)``: row
+    ``r``'s segment ``j`` spans columns ``lo[r, j]:hi[r, j]`` with quota
+    ``quota[r, j]``; past a row's own segment count the window is empty
+    and the quota 0.
     """
     index: dict[tuple[int, int, int], int] = {}
     inverse = np.array(
@@ -666,12 +668,24 @@ def _row_plans(
     quota = np.zeros_like(lo)
     merge = np.empty(len(index))
     for u, (s, k, n) in enumerate(index):
-        bounds = np.linspace(0, s, n + 1, dtype=np.int64)
+        bounds, quota[u, :n], merge[u] = _row_plan(s, k, n)
         lo[u, :n], hi[u, :n] = bounds[:-1], bounds[1:]
         lo[u, n:] = hi[u, n:] = s
-        quota[u, :n] = SadsSorter._capped_quotas(k, bounds)
-        merge[u] = _final_merge_compares(k, n)
     return lo[inverse], hi[inverse], quota[inverse], merge[inverse]
+
+
+@functools.lru_cache(maxsize=4096)
+def _row_plan(s: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """One row's segment bounds, capped quotas and final-merge compares.
+
+    Decode sessions pass through the same lengths step after step, so
+    the plans are kept (bounded); the arrays are read-only.
+    """
+    bounds = np.linspace(0, s, n + 1, dtype=np.int64)
+    quota = SadsSorter._capped_quotas(k, bounds)
+    bounds.flags.writeable = False
+    quota.flags.writeable = False
+    return bounds, quota, _final_merge_compares(k, n)
 
 
 def window_columns(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

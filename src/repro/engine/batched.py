@@ -16,7 +16,10 @@ there is no Python loop over heads in any compute stage:
   head selected (``v=`` value caches are gathered into the same slab
   form), and ``selected`` is remapped to slab rows by one ``cumsum`` over
   the selection mask.  No ``(N, S, D)`` or ``(N, T, kk, D)`` K/V array is
-  built.
+  built.  Heads keyed into a decode cache read the projected rows it
+  holds (one ``np.take`` through their chains' block tables) and project
+  only rows it does not hold yet, so a decode session projects each row
+  once.
 * **SU-FA** streams all ``N*T`` rows through the sorted-updating core in
   lockstep (:func:`repro.core.sufa.stream_selected`), gathering K/V from
   the slabs tile by tile, mirroring how the hardware's PE columns share
@@ -50,6 +53,7 @@ per-head :class:`~repro.core.pipeline.StageTrace` accounting.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Sequence
 
@@ -134,10 +138,64 @@ class BatchedSofaAttention:
         self.predictor = StackedDlzsPredictor(wk, self.config.dlzs)
         self._wk = wk
         self._wv = wv
+        self._digests: dict[bool, list[str]] = {}
 
     @property
     def n_heads(self) -> int:
         return self._wk.shape[0]
+
+    def _projection_digests(self, with_values: bool) -> list[str]:
+        """Per head, a digest of the float matrices its stored projection
+        rows are made with: ``wk`` and ``wv``, or ``wk`` alone when value
+        caches are supplied.  The decode cache keeps projections per
+        digest, so rows made with other weights are never read."""
+        digests = self._digests.get(with_values)
+        if digests is None:
+            mats = (self._wk, self._wv) if with_values else (self._wk,)
+            digests = []
+            for i in range(self.n_heads):
+                h = hashlib.sha1()
+                for mat in mats:
+                    h.update(str(mat[i].shape).encode())
+                    h.update(np.ascontiguousarray(mat[i]))
+                digests.append(h.hexdigest())
+            self._digests[with_values] = digests
+        return digests
+
+    def _project_through_cache(
+        self,
+        cache: "PagedDecodeCache",
+        chains: list,
+        toks_sel: np.ndarray,
+        head_idx: np.ndarray,
+        tok_idx: np.ndarray,
+        with_values: bool,
+    ) -> np.ndarray:
+        """Raw ``K|V`` projections (``K`` alone without values) of the
+        selected rows, ``(U, Dk [+ Dv])``.
+
+        Keyed heads' rows are read from the cache's projection arena
+        through their chains' block tables; every row found nowhere is
+        projected here, per row as always, and written back.  A row's
+        projection depends only on the row and its head's matrix, so the
+        stored rows are the bits projecting them again would give.
+        """
+        mats = (self._wk, self._wv) if with_values else (self._wk,)
+        width = sum(m.shape[2] for m in mats)
+        gathered = cache.gather_projected(
+            chains, self._projection_digests(with_values), width, head_idx, tok_idx
+        )
+        kv = gathered.rows
+        need = np.flatnonzero(~gathered.found)
+        if need.size:
+            x, rows_head = toks_sel[need], head_idx[need]
+            lo = 0
+            for mat in mats:
+                hi = lo + mat.shape[2]
+                kv[need, lo:hi] = det_gathered_project(x, mat, rows_head)
+                lo = hi
+            cache.store_projected(gathered, need, kv[need])
+        return kv
 
     def __call__(
         self,
@@ -242,13 +300,22 @@ class BatchedSofaAttention:
             head_tok = np.split(tok_idx, np.cumsum(unique_counts)[:-1])
 
             toks_sel = np.concatenate([x[idx] for x, idx in zip(heads, head_tok)])  # (U, H)
-            keys = det_gathered_project(toks_sel, self._wk, head_idx) * k_scales[head_idx, None]
-            if v is None:
-                values = (
-                    det_gathered_project(toks_sel, self._wv, head_idx)
-                    * v_scales[head_idx, None]
+            chains = prep.chains
+            if chains is not None and any(c is not None for c in chains):
+                kv = self._project_through_cache(
+                    cache, chains, toks_sel, head_idx, tok_idx, v is None
                 )
+                keys = kv[:, :dk] * k_scales[head_idx, None]
+                if v is None:
+                    values = kv[:, dk:] * v_scales[head_idx, None]
             else:
+                keys = det_gathered_project(toks_sel, self._wk, head_idx) * k_scales[head_idx, None]
+                if v is None:
+                    values = (
+                        det_gathered_project(toks_sel, self._wv, head_idx)
+                        * v_scales[head_idx, None]
+                    )
+            if v is not None:
                 caches = [np.asarray(x, dtype=np.float64) for x in v]
                 if len(caches) != n or any(
                     c.ndim != 2 or c.shape != (x.shape[0], caches[0].shape[1])

@@ -28,13 +28,16 @@ siblings).
 The store takes a hit's new rows through the **append form** of put,
 ``put(key, rows, base=view)``: ``view`` is what ``get`` returned and
 ``rows`` holds only the rows past ``view.seq_len``, with ``view``'s
-quantization state (:func:`can_append`).  The store hashes and pools only
-the grown tail block.  ``put`` returns ``False`` and changes nothing when
-the key no longer holds the state ``view`` was read from (replaced,
-invalidated, expired or evicted since the get, e.g. by another thread),
-and the predictor then puts the whole sequence.  A full put returns
-``True``.  Every put references its new blocks before it releases the
-old ones, so a re-put never frees its own unchanged blocks.
+quantization state (:func:`can_append`).  The store writes them into the
+key's private tail in place and hashes only blocks that fill up.  ``put``
+returns ``False`` and changes nothing when the key no longer holds the
+state ``view`` was read from (replaced, invalidated, expired or evicted
+since the get, e.g. by another thread), and the predictor then puts the
+whole sequence.  A put that succeeds returns the stored chain record
+(truthy), through which the KV stage reads the chain's stored K/V
+projections (see :mod:`repro.engine.paged`).  Every put references its
+new blocks before it releases the old ones, so a re-put never frees its
+own unchanged blocks.
 
 Bit-for-bit parity is preserved because reuse is only attempted when it is
 *provably* equal to the uncached computation:
@@ -59,6 +62,10 @@ Bit-for-bit parity is preserved because reuse is only attempted when it is
   sequences share storage exactly when their per-row state is already
   bit-identical - sharing can never substitute different bits - and the
   spill codec (``.npz``) round-trips arrays bit-exactly.
+* the prefix witness (:meth:`DecodeCacheView.has_prefix`) compares token
+  *bits*, so stored projections, which are made from a row's bits, serve
+  only the row they were made from; they are kept per digest of the
+  float weights, so other weights never read them.
 
 Entries are immutable after insertion (updates replace the entry), so one
 store is safe to share between engines on different threads: a stale read
@@ -67,6 +74,7 @@ can only cost a recompute, never a wrong bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields, replace
 from typing import Hashable
 
@@ -75,6 +83,12 @@ import numpy as np
 
 #: The per-row arrays of an entry, in block and spill-file order.
 ENTRY_FIELDS = ("tokens", "tok_values", "key_codes")
+
+
+@functools.lru_cache(maxsize=None)
+def dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, which NumPy rebuilds in Python on every call."""
+    return str(dtype)
 
 
 @dataclass(frozen=True)
@@ -113,10 +127,11 @@ class DecodeCacheView:
     :data:`ENTRY_FIELDS`, the stored row blocks in order
     (``columns[j]``), with nothing concatenated.  The block arrays are
     read-only.  ``specs`` gives each field's dtype and trailing shape, so
-    a field's type is known without touching a block.  ``source`` is the
-    stored object the view was read from; ``put(..., base=view)``
-    compares it by identity to refuse an append onto state that has
-    changed since.
+    a field's type is known without touching a block.  ``nan_free`` says
+    the stored tokens hold no NaN (the store keeps it per block).
+    ``source`` is the stored chain record the view was read from;
+    ``put(..., base=view)`` compares it by identity to refuse an append
+    onto state that has changed since.
 
     A hit needs only :meth:`has_prefix` and :meth:`fill`.  The array
     properties (:attr:`tokens`, :attr:`tok_values`, :attr:`key_codes`)
@@ -131,20 +146,28 @@ class DecodeCacheView:
     quantized: bool
     columns: tuple[tuple[np.ndarray, ...], ...]
     specs: tuple[tuple[np.dtype | str, tuple[int, ...]], ...]
+    nan_free: bool
     source: object = field(compare=False, repr=False)
 
     def has_prefix(self, rows: np.ndarray) -> bool:
-        """Are the stored tokens equal to the first ``seq_len`` of ``rows``?
+        """Do the stored tokens hold the bits of the first ``seq_len`` of
+        ``rows``?
 
-        Compares block by block (``==``, so NaN never matches), allocating
-        nothing larger than one block.
+        Compares block by block, allocating nothing larger than one block
+        (unless ``rows`` is not C-contiguous).  Bits, not ``==``: a prefix
+        differing only in the sign of a zero does not match (state derived
+        from other bits must not serve it), and stored tokens holding a
+        NaN (``nan_free`` false) never match.
         """
         if rows.shape[0] < self.seq_len or rows.shape[1:] != self.specs[0][1]:
             return False
+        if not self.nan_free or dtype_name(rows.dtype) != self.specs[0][0]:
+            return False
+        bits = as_bits(np.ascontiguousarray(rows))
         lo = 0
         for block in self.columns[0]:
             hi = lo + block.shape[0]
-            if not (rows[lo:hi] == block).all():
+            if not (bits[lo:hi] == block.view(bits.dtype)).all():
                 return False
             lo = hi
         return True
@@ -177,6 +200,19 @@ class DecodeCacheView:
         return self.assemble("key_codes")
 
 
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def as_bits(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous array's elements as unsigned integers of their bits."""
+    return array.view(_UNSIGNED.get(array.dtype.itemsize, np.uint8))
+
+
+def nan_free(tokens: np.ndarray) -> bool:
+    """Whether a token array holds no NaN (integer arrays never do)."""
+    return tokens.dtype.kind not in "fc" or not np.isnan(tokens).any()
+
+
 @dataclass
 class CacheStats:
     """Counters of one :class:`~repro.engine.paged.PagedDecodeCache` since
@@ -197,7 +233,11 @@ class CacheStats:
     ``spilled_bytes`` is the payload currently parked on disk, and
     ``spill_loads`` counts block reloads from the spill tier.
     ``resident_bytes`` is the *RAM* payload, a shared block counted once
-    (that is the honest residency figure sharing buys).
+    (that is the honest residency figure sharing buys), a private tail at
+    its preallocated block size, plus the projection arena, whose bytes
+    ``projection_bytes`` gives on their own.  ``projection_hits`` /
+    ``projection_misses`` count the selected rows of keyed heads whose
+    K/V projection was read from the arena vs computed.
     """
 
     hits: int = 0
@@ -214,6 +254,9 @@ class CacheStats:
     spilled_blocks: int = 0
     spilled_bytes: int = 0
     spill_loads: int = 0
+    projection_bytes: int = 0
+    projection_hits: int = 0
+    projection_misses: int = 0
 
     @property
     def lookups(self) -> int:
@@ -287,7 +330,7 @@ def can_append(base: DecodeCacheView, rows: DecodeCacheEntry) -> bool:
     if state != (base.tok_scale, base.tok_max_abs, base.key_max_abs, base.quantized):
         return False
     return all(
-        new.dtype == np.dtype(dtype) and new.shape[1:] == trailing
+        dtype_name(new.dtype) == dtype and new.shape[1:] == trailing
         for new, (dtype, trailing) in zip(
             (getattr(rows, name) for name in ENTRY_FIELDS), base.specs
         )

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SofaConfig
 from repro.core.dlzs import StackedDlzsPredictor
@@ -17,6 +19,7 @@ from repro.core.pipeline import SofaAttention
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
 from repro.engine.cache import ENTRY_FIELDS, DecodeCacheEntry
 from repro.engine.paged import PagedDecodeCache
+from repro.numerics.linalg import det_gathered_project
 from repro.utils.rng import make_rng
 
 CFG = SofaConfig(tile_cols=16, top_k=8)
@@ -349,6 +352,311 @@ def test_same_user_key_different_weights_do_not_collide():
     assert ref_b.per_head[0].output.tobytes() == got_b.per_head[0].output.tobytes()
     assert cache.stats.misses == 2  # op_b could NOT reuse op_a's entry
     assert len(cache) == 2
+
+
+def _decode_steps(op, cache, tokens, rng, steps, key="shared"):
+    """Grow ``tokens`` (``(1, S, H)``) by ``steps`` rows through ``op`` on
+    ``cache``; every result must equal the uncached call bit for bit."""
+    for _ in range(steps):
+        new = rng.integers(-40, 40, size=(1, 1, tokens.shape[2])).astype(np.float64)
+        tokens = np.concatenate([tokens, new], axis=1)
+        q = rng.normal(size=(1, 2, op._wk.shape[2]))
+        got = op(tokens, q, cache=cache, cache_keys=[key])
+        ref = op(tokens, q)
+        assert got.per_head[0].output.tobytes() == ref.per_head[0].output.tobytes()
+        np.testing.assert_array_equal(got.per_head[0].selected, ref.per_head[0].selected)
+    return tokens
+
+
+@pytest.mark.parametrize(
+    "change", ["wv", "wk_times_2"], ids=["only-wv-changed", "wk-scaled-x2"]
+)
+def test_same_key_other_float_weights_read_no_stored_projection(change):
+    """A decode cache keyed by ``cache_key`` reuses an entry's codes
+    whenever the pre-converted ``Wk`` codes match, which they do when only
+    ``wv`` changes or ``wk`` is scaled by 2 (the LZ codes are scale-free).
+    The float K/V projections change in both cases, so stored projection
+    rows are kept per float-weight digest: the second operator's steps are
+    code hits, yet bit-identical to the uncached engine."""
+    rng = make_rng(34)
+    h, d = 12, 12
+    wk, wv = rng.normal(size=(1, h, d)), rng.normal(size=(1, h, d))
+    if change == "wv":
+        wk_b, wv_b = wk, rng.normal(size=(1, h, d))
+    else:
+        wk_b, wv_b = 2.0 * wk, wv
+    op_a = BatchedSofaAttention(wk, wv, CFG)
+    op_b = BatchedSofaAttention(wk_b, wv_b, CFG)
+    np.testing.assert_array_equal(op_a.predictor._wk_pow2, op_b.predictor._wk_pow2)
+    cache = PagedDecodeCache(block_tokens=8)
+    tokens = rng.integers(-40, 40, size=(1, 40, h)).astype(np.float64)
+    tokens[0, 2, 3] = 90.0  # the token max lives in the prefix
+    tokens = _decode_steps(op_a, cache, tokens, rng, 3)
+    hits = cache.stats.hits
+    _decode_steps(op_b, cache, tokens, rng, 3)
+    assert cache.stats.hits == hits + 3  # op_b's codes came from op_a's entry
+    assert len(cache) == 1
+    assert cache.stats.projection_hits > 0
+
+
+def test_signed_zero_prefix_misses_and_stays_bit_identical():
+    """The prefix witness compares bits: a request whose token prefix
+    differs from the stored one only in the sign of one zero misses (it
+    would otherwise be served rows stored for other bits) and its result
+    is bit-identical to the uncached engine."""
+    rng = make_rng(35)
+    h, d = 10, 10
+    wk, wv = rng.normal(size=(h, d)), rng.normal(size=(h, d))
+    tokens = rng.integers(-40, 40, size=(36, h)).astype(np.float64)
+    tokens[5, :] = 0.0
+    engine, uncached = SofaEngine(CFG, cache_block_tokens=8), SofaEngine(CFG)
+    try:
+        flipped = np.concatenate([tokens, rng.integers(-40, 40, size=(1, h)).astype(np.float64)])
+        flipped[5, 4] = -0.0
+        for step in (tokens, flipped):
+            q = rng.normal(size=(2, d))
+            got = engine.run([AttentionRequest(tokens=step, q=q, wk=wk, wv=wv, cache_key="s")])
+            ref = uncached.run([AttentionRequest(tokens=step, q=q, wk=wk, wv=wv)])
+            assert got[0].output.tobytes() == ref[0].output.tobytes()
+            np.testing.assert_array_equal(got[0].selected, ref[0].selected)
+        stats = engine.stats.cache
+        assert (stats.hits, stats.misses, stats.invalidations) == (0, 2, 1)
+    finally:
+        engine.shutdown()
+        uncached.shutdown()
+
+
+@BLOCK_LAYOUTS
+def test_prefix_witness_compares_bits(block_tokens):
+    cache = PagedDecodeCache(block_tokens=block_tokens)
+    tokens = np.arange(30, dtype=np.float64).reshape(10, 3) - 4.0  # holds a 0.0
+    entry = DecodeCacheEntry(
+        tokens=tokens, tok_values=tokens.astype(np.int64), tok_scale=1.0,
+        tok_max_abs=25.0, key_codes=np.zeros((10, 2), dtype=np.int64),
+        key_max_abs=0.0, quantized=True,
+    )
+    cache.put("k", entry)
+    view = cache.get("k")
+    grown = np.concatenate([tokens, np.ones((2, 3))])
+    assert view.has_prefix(grown)
+    assert view.has_prefix(np.asfortranarray(grown))  # layout is not bits
+    signed = grown.copy()
+    signed[1, 1] = -0.0
+    assert (signed == grown).all() and not view.has_prefix(signed)
+    assert not view.has_prefix(grown.astype(np.float32))
+    nan_rows = tokens.copy()
+    nan_rows[7, 0] = np.nan
+    cache.put("nan", DecodeCacheEntry(**{**entry.__dict__, "tokens": nan_rows}))
+    nan_view = cache.get("nan")
+    assert not nan_view.nan_free and not nan_view.has_prefix(nan_rows)
+    cache.close()
+
+
+_H, _DK, _DV = 3, 2, 2
+_WEIGHTS = {
+    digest: (rng.normal(size=(1, _H, _DK)), rng.normal(size=(1, _H, _DV)))
+    for digest, rng in (("wa", make_rng(71)), ("wb", make_rng(72)))
+}
+_MAX_ROWS = 30
+
+
+def _token_stream(stream: int) -> np.ndarray:
+    rng = make_rng(500 + stream)
+    return rng.integers(-50, 50, size=(_MAX_ROWS, _H)).astype(np.float64)
+
+
+def _stream_entry(stream: int, lo: int, hi: int) -> DecodeCacheEntry:
+    tokens = _token_stream(stream)[lo:hi]
+    return DecodeCacheEntry(
+        tokens=tokens.copy(), tok_values=tokens.astype(np.int64), tok_scale=1.0,
+        tok_max_abs=50.0, key_codes=tokens[:, :_DK].astype(np.int64),
+        key_max_abs=50.0, quantized=True,
+    )
+
+
+def _projected(tokens: np.ndarray, digest: str) -> np.ndarray:
+    wk, wv = _WEIGHTS[digest]
+    rows = np.zeros(tokens.shape[0], dtype=np.int64)
+    return np.concatenate(
+        [det_gathered_project(tokens, wk, rows), det_gathered_project(tokens, wv, rows)],
+        axis=1,
+    )
+
+
+def _gather_and_fill(cache, chains: list, digest: str) -> int:
+    """One gather over every row of every chain (a chain is ``(record,
+    tokens)``): each row the arena serves must equal its token row's
+    projection bit for bit; the rest are projected and written back.
+    Returns how many rows were served."""
+    head_idx = np.concatenate(
+        [np.full(t.shape[0], i, dtype=np.int64) for i, (_, t) in enumerate(chains)]
+    )
+    tok_idx = np.concatenate([np.arange(t.shape[0]) for _, t in chains])
+    tokens = np.concatenate([t for _, t in chains])
+    gathered = cache.gather_projected(
+        [c for c, _ in chains], [digest] * len(chains), _DK + _DV, head_idx, tok_idx
+    )
+    want = _projected(tokens, digest)
+    found = gathered.found
+    assert gathered.rows[found].tobytes() == want[found].tobytes()
+    missing = np.flatnonzero(~found)
+    cache.store_projected(gathered, missing, want[missing])
+    return int(found.sum())
+
+
+def test_stale_tables_neither_read_nor_write_recycled_slots():
+    """A gather's write-back lands only in slots still holding the
+    generation the gather read, and a chain record from before the pool
+    was cleared reads nothing from slots now owned by other blocks."""
+    cache = PagedDecodeCache(block_tokens=4)
+    rows = {stream: _token_stream(stream)[:8] for stream in range(3)}
+    keep = cache.put("keep", _stream_entry(2, 0, 4))  # keeps the arena alive
+    assert _gather_and_fill(cache, [(keep, rows[2][:4])], "wa") == 0
+    a = cache.put("a", _stream_entry(0, 0, 8))
+    idx = np.arange(8)
+    stale = cache.gather_projected([a], ["wa"], _DK + _DV, np.zeros(8, dtype=np.int64), idx)
+    assert not stale.found.any()
+    cache.invalidate("a")  # a's blocks leave the pool; their slots are free
+    b = cache.put("b", _stream_entry(1, 0, 8))
+    assert _gather_and_fill(cache, [(b, rows[1])], "wa") == 0  # b takes them
+    cache.store_projected(stale, idx, _projected(rows[0], "wa"))  # too late
+    assert _gather_and_fill(cache, [(b, rows[1])], "wa") == 8
+    cache.clear()
+    c = cache.put("c", _stream_entry(2, 0, 8))
+    assert _gather_and_fill(cache, [(c, rows[2])], "wa") == 0
+    assert _gather_and_fill(cache, [(c, rows[2])], "wa") == 8
+    assert _gather_and_fill(cache, [(b, rows[1])], "wa") == 0
+    cache.close()
+
+
+@pytest.mark.parametrize("max_bytes", [None, 24000], ids=["unbudgeted", "budgeted"])
+def test_threads_sharing_one_store_stay_bit_identical(max_bytes):
+    """Operators on more threads than cores share one store, with a short
+    switch interval.  Threads reuse each other's keys with other tokens and
+    other weights, so appends race full puts, tails are sealed, slots are
+    recycled between another thread's gather and its write-back, and (with
+    a budget) projections are dropped and blocks spill; every result stays
+    bit-identical to the uncached call."""
+    import sys
+    import threading
+
+    rng = make_rng(36)
+    h, d = 12, 12
+    weights = [(rng.normal(size=(1, h, d)), rng.normal(size=(1, h, d))) for _ in range(2)]
+    prompt = rng.integers(-40, 40, size=(1, 20, h)).astype(np.float64)
+    prompt[0, 0, 0] = 90.0  # the token max lives in the shared prompt
+    cache = PagedDecodeCache(block_tokens=4, max_bytes=max_bytes)
+    errors: list = []
+
+    def decode(thread: int) -> None:
+        try:
+            op = BatchedSofaAttention(*weights[thread % 2], CFG)
+            trng = make_rng(100 + thread)
+            tokens = prompt
+            for step in range(16):
+                if step % 6 == 5:
+                    tokens = prompt  # restart the session: a full put
+                new = trng.integers(-40, 40, size=(1, 1, h)).astype(np.float64)
+                tokens = np.concatenate([tokens, new], axis=1)
+                q = trng.normal(size=(1, 2, d))
+                got = op(tokens, q, cache=cache, cache_keys=[f"s{thread % 3}"])
+                ref = op(tokens, q)
+                if got.per_head[0].output.tobytes() != ref.per_head[0].output.tobytes():
+                    errors.append((thread, step))
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append((thread, repr(error)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=decode, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert cache.stats.projection_hits > 0
+    if max_bytes is not None:
+        assert cache.stats.resident_bytes <= max_bytes
+        assert cache.stats.spill_loads > 0
+    cache.close()
+
+
+_proj_op = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 3), st.integers(0, 2), st.integers(1, _MAX_ROWS)),
+    st.tuples(st.just("append"), st.integers(0, 3), st.integers(0, 9)),
+    st.tuples(st.just("invalidate"), st.integers(0, 3)),
+    st.tuples(st.just("get"), st.integers(0, 3)),
+    st.tuples(st.just("persist")),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(_proj_op, min_size=1, max_size=20),
+    block_tokens=st.sampled_from([1, 3, 7]),
+    max_bytes=st.sampled_from([None, 700, 4000]),
+)
+def test_gathered_projections_are_the_rows_projections_under_traffic(
+    tmp_path_factory, ops, block_tokens, max_bytes
+):
+    """Hypothesis drives full puts, appends, lookups, invalidations and
+    persists (which freeze private tails) under byte budgets that drop
+    projections and spill blocks.  After every operation, one gather over
+    every live key's chain - plus every chain record handed out earlier,
+    whose blocks may since have been sealed, frozen, released or
+    recycled - serves only rows equal to ``det_gathered_project`` of the
+    row's own tokens, for two weight sets sharing the blocks."""
+    cache = PagedDecodeCache(
+        block_tokens=block_tokens, max_entries=8, max_bytes=max_bytes,
+        spill_dir=tmp_path_factory.mktemp("spill"),
+    )
+    live: dict[int, tuple[int, int]] = {}  # key -> (stream, length)
+    stale: list = []  # (record, tokens) of chains handed out before
+    served = 0
+    try:
+        for op in ops:
+            record = None
+            if op[0] == "put":
+                _, key, stream, length = op
+                record = cache.put(key, _stream_entry(stream, 0, length))
+                live[key] = (stream, length)
+            elif op[0] == "append" and op[1] in live:
+                key, (stream, length) = op[1], live[op[1]]
+                grown = min(length + op[2], _MAX_ROWS)
+                base = cache.get(key)
+                record = cache.put(key, _stream_entry(stream, length, grown), base=base)
+                assert record
+                live[key] = (stream, grown)
+            elif op[0] == "invalidate":
+                assert cache.invalidate(op[1]) == (live.pop(op[1], None) is not None)
+            elif op[0] == "get" and op[1] in live:
+                record = cache.get(op[1]).source
+            elif op[0] == "persist":
+                cache.persist()
+            if record:
+                stream, length = live[op[1]]
+                stale.append((record, _token_stream(stream)[:length]))
+            chains = [
+                (cache.get(key).source, _token_stream(stream)[:length])
+                for key, (stream, length) in live.items()
+            ] + stale[-6:]
+            if chains:
+                for digest in _WEIGHTS:
+                    served += _gather_and_fill(cache, chains, digest)
+                if max_bytes is None and live:  # everything just stored serves
+                    assert _gather_and_fill(cache, chains[: len(live)], "wa") == sum(
+                        t.shape[0] for _, t in chains[: len(live)]
+                    )
+            if max_bytes is not None:
+                assert cache.stats.resident_bytes <= max_bytes
+        cache.clear()
+        assert cache.stats.resident_bytes == cache.stats.projection_bytes == 0
+    finally:
+        cache.close()
 
 
 def test_float32_tokens_stay_bit_identical_through_cache():
