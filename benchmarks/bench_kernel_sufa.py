@@ -14,8 +14,9 @@ value slabs plus each row's index of selected slab rows.
   shipped golden model: still one Python iteration per key, but with the
   kernel layer's shared tile-boundary merges and matmul score gather
   (which alone make the per-key path ~3-4x faster than the seed loop).
-* ``blocked`` - the tile-blocked kernel (``repro.kernels``): O(kk /
-  tile_cols) Python steps.
+* ``blocked`` - the tile-blocked stream every serving tier runs
+  (:func:`repro.core.sufa.stream_selected`): O(kk / tile_cols) Python
+  steps.
 
 Recorded per workload: wall time of each implementation,
 ``blocked_vs_seed_loop`` (the headline: the speedup over the per-key loop
@@ -27,8 +28,9 @@ agree within float tolerance (its accumulation order predates the
 tile-synchronized semantics).
 
 An end-to-end section serves one request stream through ``SofaEngine``
-pinned to each kernel and records requests/sec - the measurable engine
-win - plus a bit-parity confirmation across kernels.
+with each implementation swapped in as the engine's stream
+(``repro.engine.batched.stream_selected``) and records requests/sec - the
+measurable engine win - plus a bit-parity confirmation across them.
 
 Two fused sections cover the predict+select stages.  The micro section
 times the golden ``DlzsPredictor.predict`` -> ``SadsSorter.select_stack``
@@ -58,18 +60,24 @@ import os
 import pathlib
 import sys
 import time
-from dataclasses import replace
+from contextlib import contextmanager
 
 import numpy as np
 
+import repro.engine.batched
 from _harness import best_of_interleaved
-from repro.core.config import SofaConfig, SufaConfig
+from repro.core.config import SofaConfig
 from repro.core.dlzs import DlzsPredictor, StackedDlzsPredictor
 from repro.core.pipeline import SofaAttention
 from repro.core.sads import SadsSorter
-from repro.core.sufa import SufaStackResult, UpdateOrder, stream_selected_reference
+from repro.core.sufa import (
+    SufaStackResult,
+    UpdateOrder,
+    stream_selected,
+    stream_selected_reference,
+)
 from repro.engine import AttentionRequest, SofaEngine
-from repro.kernels import FUSED, register_kernel, stream_selected_blocked
+from repro.kernels import FUSED
 from repro.numerics.linalg import det_rowdot
 from repro.utils.rng import make_rng
 
@@ -144,9 +152,9 @@ def stream_selected_seed(
     One Python iteration per selected key: violation check, exp, and the
     per-key P*V multiply-accumulate, on top of the materialized
     ``det_rowdot`` score gather - the loop the cluster docs called the
-    single-process throughput cap.  Implements the full kernel contract
-    (and is registered as the ``"seed-loop"`` kernel below), so the engine
-    can serve a stream through it for an honest before/after; its
+    single-process throughput cap.  Implements the full stream contract,
+    so :func:`measure_engine` can serve a stream through it for an honest
+    before/after; its
     accumulation order predates the tile-synchronized semantics, so its
     outputs agree with the shipped kernels to float tolerance, not bits.
     Like the seed, it gathers every row's keys and values up front.
@@ -206,10 +214,23 @@ def stream_selected_seed(
     return SufaStackResult(output=o, op_rows=op_rows, trigger_rows=triggers)
 
 
-# The bench drives the seed loop through the public registry - both to
-# serve whole engine streams with it (the end-to-end before/after) and as
-# a live example of registering a custom kernel.
-register_kernel("stream", "seed-loop", stream_selected_seed, overwrite=True)
+#: The implementations :func:`measure_engine` swaps in as the engine's stream.
+ENGINE_STREAMS = {
+    "seed-loop": stream_selected_seed,
+    "reference": stream_selected_reference,
+    "blocked": stream_selected,
+}
+
+
+@contextmanager
+def _engine_stream(fn):
+    """Serve the batched engine's SU-FA stage through ``fn`` while open."""
+    saved = repro.engine.batched.stream_selected
+    repro.engine.batched.stream_selected = fn
+    try:
+        yield
+    finally:
+        repro.engine.batched.stream_selected = saved
 
 
 def _workload(r: int, kk: int, d: int, dv: int, seed: int = 17):
@@ -232,7 +253,7 @@ def measure_kernels(quick: bool = False) -> list[dict]:
     for r, kk, d, dv, tc in GRID[quick]:
         q, k, v, index = _workload(r, kk, d, dv)
         ref = stream_selected_reference(q, k, v, index, tile_cols=tc)
-        blk = stream_selected_blocked(q, k, v, index, tile_cols=tc)
+        blk = stream_selected(q, k, v, index, tile_cols=tc)
         seed_out = stream_selected_seed(q, k, v, index, tile_cols=tc)
         exact = (
             ref.output.tobytes() == blk.output.tobytes()
@@ -249,7 +270,7 @@ def measure_kernels(quick: bool = False) -> list[dict]:
             {
                 "seed": lambda: stream_selected_seed(q, k, v, index, tile_cols=tc),
                 "ref": lambda: stream_selected_reference(q, k, v, index, tile_cols=tc),
-                "blk": lambda: stream_selected_blocked(q, k, v, index, tile_cols=tc),
+                "blk": lambda: stream_selected(q, k, v, index, tile_cols=tc),
             },
             REPEATS[quick],
             min_sample_s=KERNEL_SAMPLE_S,
@@ -393,10 +414,10 @@ def _e2e_requests(quick: bool, seed: int = 23) -> list[AttentionRequest]:
 
 
 def measure_engine(quick: bool = False) -> dict:
-    """Requests/sec of one stream served under each kernel selection.
+    """Requests/sec of one stream served under each stream implementation.
 
     ``seed-loop`` is the pre-PR streaming core served through the same
-    engine (via the registry), so ``engine_speedup_vs_seed_loop`` is the
+    engine (swapped in as its stream), so ``engine_speedup_vs_seed_loop`` is the
     end-to-end before/after of this PR; ``reference`` vs ``blocked``
     isolates the residual per-key dispatch cost and must stay
     bit-identical (the seed loop predates the tile-synchronized semantics,
@@ -406,9 +427,8 @@ def measure_engine(quick: bool = False) -> dict:
     cfg = E2E_CONFIG[quick]
     results = {}
     times = {}
-    for kernel in ("seed-loop", "reference", "blocked"):
-        kernel_cfg = replace(cfg, sufa=SufaConfig(kernel=kernel))
-        with SofaEngine(kernel_cfg, max_batch_heads=8) as engine:
+    for kernel, fn in ENGINE_STREAMS.items():
+        with _engine_stream(fn), SofaEngine(cfg, max_batch_heads=8) as engine:
             engine.run(requests)  # warm: operators built, caches steady
             best = float("inf")
             for _ in range(REPEATS[quick]):
@@ -524,7 +544,7 @@ def test_blocked_beats_seed_loop_locally():
     times = best_of_interleaved(
         {
             "seed": lambda: stream_selected_seed(q, k, v, index, tile_cols=tc),
-            "blk": lambda: stream_selected_blocked(q, k, v, index, tile_cols=tc),
+            "blk": lambda: stream_selected(q, k, v, index, tile_cols=tc),
         },
         5,
     )

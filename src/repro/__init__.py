@@ -19,10 +19,10 @@ contribution:
     Bayesian-optimisation design-space exploration.
 ``repro.kernels``
     Execution kernels bit-for-bit equal to the golden models: the fused
-    DLZS->SADS predict+select path the batched engine runs, and the
-    ``stream`` registry of SU-FA cores (tile-blocked ``blocked`` and the
-    golden ``reference``), selected by ``SufaConfig.kernel`` or
-    ``SOFA_SUFA_KERNEL``.
+    DLZS->SADS predict+select path the batched engine runs.  SU-FA has one
+    serving stream, the tile-blocked ``repro.core.sufa.stream_selected``;
+    its per-key golden model ``stream_selected_reference`` lives beside it
+    in ``repro.core.sufa`` for the tests.
 ``repro.engine``
     The batched execution layer: a fused multi-head operator bit-identical
     to the per-head pipeline, and a serving frontend with a request queue,

@@ -1,7 +1,7 @@
 """``repro.cluster``: the sharded multi-process serving tier.
 
 Scaling past one process is the ROADMAP's next rung: even with the
-tile-blocked SU-FA kernel (:mod:`repro.kernels`), a single
+tile-blocked SU-FA stream (:func:`repro.core.sufa.stream_selected`), a single
 :class:`~repro.engine.serving.SofaEngine` caps at one core's compute and
 one decode-cache budget regardless of batching.  This package shards
 the request stream across worker processes - the software analogue of the

@@ -1,14 +1,13 @@
 """EngineCluster: a sharded multi-process serving tier over ``SofaEngine``.
 
 One :class:`~repro.engine.serving.SofaEngine` is continuously batched,
-and since the kernel layer (:mod:`repro.kernels`) its SU-FA streaming
-core is tile-blocked rather than per-key Python-bound - but a single
-process still caps at one core's compute and one cache budget.  The
-cluster shards the request stream across ``n_workers`` workers - each
-running its own engine (own fused operators, own decode-step cache, own
-kernel selection from the shared registry) behind the message loop of
-:mod:`repro.cluster.worker` - the software shape of the paper's parallel
-hardware lanes.
+and its one SU-FA stream (:func:`repro.core.sufa.stream_selected`) is
+tile-blocked rather than per-key Python-bound - but a single process
+still caps at one core's compute and one cache budget.  The cluster
+shards the request stream across ``n_workers`` workers - each running
+its own engine (own fused operators, own decode-step cache, the same
+stream) behind the message loop of :mod:`repro.cluster.worker` - the
+software shape of the paper's parallel hardware lanes.
 
 Workers are reached through a pluggable **transport**
 (:mod:`repro.cluster.transport`), all speaking length-prefixed
@@ -115,7 +114,6 @@ from repro.engine.codec import (
     request_fingerprint,
 )
 from repro.engine.serving import AttentionRequest, SofaEngine, validate_request
-from repro.kernels import resolved_kernels
 from repro.obs import get_telemetry
 from repro.cluster.routing import POLICIES, RequestInfo, make_policy
 from repro.cluster.supervisor import (
@@ -176,12 +174,6 @@ class ClusterFuture:
 class WorkerStats:
     """Last known engine counters of one worker (piggybacked on results).
 
-    ``kernels`` maps each registry stage to the kernel name the worker's
-    engine resolved *in its own process* (explicit selection, its
-    environment's ``SOFA_SUFA_KERNEL``, or the registry default) - the
-    observable that proves env-driven kernel selection crossed the
-    process/socket boundary.
-
     ``snapshot_received`` distinguishes "this worker has genuinely served
     nothing" from "no snapshot has arrived yet": every counter below
     defaults to zero, so without the flag a freshly started (or
@@ -196,7 +188,6 @@ class WorkerStats:
     n_requests: int = 0
     n_batches: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
-    kernels: dict[str, str] = field(default_factory=dict)
     snapshot_received: bool = False
     telemetry: dict[str, Any] | None = None
     #: autoscale-down in progress: the worker finishes its in-flight
@@ -341,7 +332,6 @@ class _WorkerHandle:
             n_requests=snap.get("n_requests", 0),
             n_batches=snap.get("n_batches", 0),
             cache=CacheStats(**cache),
-            kernels=dict(snap.get("kernels") or {}),
             snapshot_received=received,
             telemetry=snap.get("telemetry"),
             draining=self.draining,
@@ -404,16 +394,9 @@ class EngineCluster:
         ``cache_*`` options, and ``cache_spill_dir`` is namespaced per
         worker id so co-hosted workers never share spill files).
 
-    The stream kernel is chosen by ``config.sufa.kernel`` (or the
-    workers' ``SOFA_SUFA_KERNEL`` environment); the name is resolved
-    here too, so a typo fails before any worker spawns.  The registry
-    is per-process: built-in kernels resolve everywhere, but a
-    custom-registered kernel reaches the workers only when they inherit
-    the parent's registry (``fork`` start method, the Linux default) or
-    register it at import time of a module the worker imports - under
-    ``spawn`` (and for socket workers, which are independent processes),
-    a parent-only registration fails worker engine construction at
-    startup.
+    Every worker streams through the one SU-FA stream, so there is no
+    kernel choice to forward: ``config`` alone fixes what a worker
+    computes, bit for bit the same as an in-process engine.
     """
 
     def __init__(
@@ -465,9 +448,6 @@ class EngineCluster:
                 f"accepted: {sorted(accepted)}"
             )
         self.config = config or SofaConfig()
-        # Fail a kernel typo here, in the caller's process, instead of
-        # spawning N workers that all die on engine construction.
-        resolved_kernels(self.config)
         self.routing = routing
         self.dedup = dedup
         self._policy = make_policy(routing, n_workers)

@@ -88,10 +88,6 @@ from repro.obs import get_telemetry, reset_telemetry, telemetry_env_enabled
 def stats_snapshot(engine: SofaEngine) -> dict[str, Any]:
     """The piggybacked per-worker counters, as plain built-ins.
 
-    ``kernels`` is resolved by the worker's own engine against the
-    worker's own environment - it is the frontend-visible proof of which
-    per-stage kernels (env vars included) this process actually runs.
-
     With telemetry enabled the snapshot additionally carries this
     worker's metrics registry (``"telemetry"``) and *drains* its finished
     spans (``"spans"``) - the piggyback channel that stitches worker
@@ -102,7 +98,6 @@ def stats_snapshot(engine: SofaEngine) -> dict[str, Any]:
         "n_requests": engine.stats.n_requests,
         "n_batches": engine.stats.n_batches,
         "n_steps": engine.stats.n_steps,
-        "kernels": engine.resolved_kernels(),
         "cache": asdict(engine.stats.cache),
     }
     obs = get_telemetry()

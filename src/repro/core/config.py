@@ -55,16 +55,14 @@ class SufaConfig:
     (paper Sec. IV-D) at the cost of classic-FA rescale ops on the rows where
     it triggers.
 
-    ``kernel`` selects the streaming kernel implementation from
-    :mod:`repro.kernels` (``"blocked"``, ``"reference"``, or a registered
-    custom name); the default ``"auto"`` defers to the ``SOFA_SUFA_KERNEL``
-    environment variable and then the registry default.  Every kernel is
-    bit-for-bit interchangeable, so this knob moves wall-clock time only.
+    Like the other stages, SU-FA has no kernel choice: every tier runs the
+    one tile-blocked stream (:func:`repro.core.sufa.stream_selected`),
+    held bit for bit to the per-key golden model
+    :func:`repro.core.sufa.stream_selected_reference` by the tests.
     """
 
     descending: bool = True
     max_assurance: bool = True
-    kernel: str = "auto"
 
 
 @dataclass(frozen=True)

@@ -226,7 +226,6 @@ class SofaAttention:
             order=UpdateOrder.DESCENDING if cfg.sufa.descending else UpdateOrder.ASCENDING,
             max_assurance=cfg.sufa.max_assurance,
             tile_cols=cfg.tile_cols,
-            kernel=cfg.sufa.kernel,
         )
         formal_dram, formal_sram = formal_trace_bytes(
             cfg,

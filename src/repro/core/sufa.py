@@ -19,18 +19,17 @@ engine falls back to one classic-FA rescale step (counted), keeping the
 result exact regardless of prediction quality.
 
 Implementation note: the streaming core (:func:`stream_selected`) is
-vectorized over an arbitrary stack of query rows and dispatches to an
-interchangeable **kernel** from :mod:`repro.kernels`:
+vectorized over an arbitrary stack of query rows and advances the stack
+one ``tile_cols``-wide block of keys per Python step - the software shape
+of the hardware's Bc-wide SU-FA tiles, with the Max-Ensuring circuit
+falling back to a per-key replay only on rows whose block it fires in.
+It is the one stream every serving tier runs.  Its golden model,
+:func:`stream_selected_reference`, kept in this module for the tests,
+advances one selected key per Python iteration - the original loop.
+The two are held bit for bit to each other by the differential sweeps in
+``tests/test_kernels_sufa.py``.
 
-* ``"blocked"`` (the default) advances the stack one ``tile_cols``-wide
-  block of keys per Python step - the software shape of the hardware's
-  Bc-wide SU-FA tiles, with the Max-Ensuring circuit falling back to the
-  per-key path only inside blocks where it actually fires;
-* ``"reference"`` (:func:`stream_selected_reference`, kept in this module)
-  advances one selected key per Python iteration - the original loop,
-  retained as the golden model for differential testing.
-
-Kernels never see a pre-gathered ``(R, kk, D)`` key or value stack.  They
+Neither sees a pre-gathered ``(R, kk, D)`` key or value stack.  Both
 take the ``(U, D)`` / ``(U, Dv)`` slabs of the U generated tokens plus an
 ``(R, kk)`` index of slab rows, and gather in row blocks sized to
 :data:`_BLOCK_BYTES`, so each block is contracted while it sits in a
@@ -51,13 +50,13 @@ softmax weights, op/trigger accounting) evolves key by key, while the
 accumulated weight/value mass of each ``tile_cols``-wide tile merges into
 the carried normalizer/output at the tile boundary - the PE-column
 partials meeting the accumulator at tile sync, the same boundary the
-per-tile synchronization op has always charged.  Both kernels share one
-prologue (score gather, warmup max scan), one epilogue (tile-sync
-accounting, final normalization) and one tile merge (:func:`_merge_tile`:
-the value gather and the batch-invariant primitives
+per-tile synchronization op has always charged.  The stream and its
+golden model share one prologue (score gather, warmup max scan), one
+epilogue (tile-sync accounting, final normalization) and one tile merge
+(:func:`_merge_tile`: the value gather and the batch-invariant primitives
 :func:`repro.numerics.linalg.det_tile_mass` and
 :func:`repro.numerics.linalg.det_pv_contract`), so every row's result is
-**bit-identical** across kernels and whether one row or ten thousand
+**bit-identical** between the two and whether one row or ten thousand
 share the call - which is what lets the batched engine
 (``repro.engine``) and the cluster workers reuse this core while matching
 the per-head operator exactly.
@@ -90,8 +89,8 @@ _BLOCK_BYTES = 512 * 1024
 #: runs the AP module in mode 1 during the first phase of a tile).
 _WARMUP_SCAN = 4
 
-#: Raised (by every kernel) when a running-max violation is detected while
-#: the Max-Ensuring circuit is disabled.
+#: Raised (by the stream and its golden model) when a running-max violation
+#: is detected while the Max-Ensuring circuit is disabled.
 _ASSURANCE_ERROR = (
     "running max violated but max assurance is disabled; "
     "the predicted ordering was wrong"
@@ -147,13 +146,13 @@ def _stream_prologue(
     np.ndarray,
     np.ndarray,
 ]:
-    """Kernel-shared entry work: score gather, op tallies, warmup max scan.
+    """Shared entry work: score gather, op tallies, warmup max scan.
 
     Returns ``(scores, values, index, op_rows, m, l, o, triggers)`` with
     ``scores`` and ``index`` already flipped into processing order, so
-    value tile ``lo:hi`` gathers ``values[index[:, lo:hi]]``.  Every
-    kernel must start from this state so the per-row op accounting and the
-    mode-1 warmup semantics stay identical across implementations.
+    value tile ``lo:hi`` gathers ``values[index[:, lo:hi]]``.  The stream
+    and its golden model both start from this state, so the per-row op
+    accounting and the mode-1 warmup semantics stay identical.
     """
     q_rows = np.asarray(q_rows, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
@@ -246,7 +245,7 @@ def _stream_epilogue(
     kk: int,
     tile_cols: int,
 ) -> SufaStackResult:
-    """Kernel-shared exit work: tile-sync accounting and final normalization."""
+    """Shared exit work: tile-sync accounting and final normalization."""
     # tile synchronization bookkeeping: one boundary op per tile
     n_tiles = -(-kk // tile_cols) if tile_cols >= 1 else 1
     op_rows["compare"] += n_tiles
@@ -269,7 +268,7 @@ def stream_selected_reference(
     This is the **golden model** of the tile-synchronized streaming
     semantics: the whole stack advances one key position per step - the
     running max, Max-Ensuring violations, softmax weights, trigger and op
-    accounting all evolve per key exactly as in the pre-kernel-layer loop -
+    accounting all evolve per key exactly as in the original loop -
     and every state update is elementwise, so each row's result is
     trivially independent of its batch-mates.  The accumulated weight/value
     mass of a tile is merged into the carried ``(l, o)`` state at the tile
@@ -280,9 +279,8 @@ def stream_selected_reference(
     misprediction rescales the carried state *and* the tile's pending
     weights, keeping the result exact.
 
-    The blocked kernel is differentially tested against this model bit for
-    bit (``tests/test_kernels_sufa.py``); serving paths reach it via
-    ``kernel="reference"``.
+    :func:`stream_selected` is differentially tested against this model
+    bit for bit (``tests/test_kernels_sufa.py``); no serving path runs it.
     """
     scores, values, index, op_rows, m, l, o, triggers = _stream_prologue(
         q_rows, keys, values, index, order
@@ -332,6 +330,39 @@ def stream_selected_reference(
     return _stream_epilogue(o, l, op_rows, triggers, kk, tile_cols)
 
 
+def _replay_block(
+    x: np.ndarray,
+    rows: np.ndarray,
+    m: np.ndarray,
+    l: np.ndarray,
+    o: np.ndarray,
+    p_buf: np.ndarray,
+) -> None:
+    """Exact per-key replay of one block for the rows it violated in.
+
+    Replays the golden model's step body restricted to ``rows``: per-key
+    running-max updates, Max-Ensuring rescales of the carried state and of
+    the tile's pending weights.  Fills ``p_buf[rows]`` with the resulting
+    weights; the caller performs the (stack-wide) tile merge.  State
+    updates are elementwise, so restricting the stack cannot change a
+    row's bits; op accounting happens closed-form in the caller.
+    """
+    m_s, l_s, o_s = m[rows], l[rows], o[rows]
+    p_tile = np.zeros((rows.size, x.shape[1]))
+    for t in range(x.shape[1]):
+        xj = x[rows, t]
+        viol = xj > m_s
+        if viol.any():
+            corr = np.exp(np.where(viol, m_s - xj, 0.0))
+            l_s = l_s * corr
+            o_s = o_s * corr[:, None]
+            p_tile[:, :t] *= corr[:, None]
+            m_s = np.where(viol, xj, m_s)
+        p_tile[:, t] = np.exp(xj - m_s)
+    p_buf[rows] = p_tile
+    m[rows], l[rows], o[rows] = m_s, l_s, o_s
+
+
 def stream_selected(
     q_rows: np.ndarray,
     keys: np.ndarray,
@@ -340,7 +371,6 @@ def stream_selected(
     order: UpdateOrder = UpdateOrder.DESCENDING,
     max_assurance: bool = True,
     tile_cols: int = 64,
-    kernel: str | None = None,
 ) -> SufaStackResult:
     """Stream each row's selected (K, V) pairs through the sorted-updating engine.
 
@@ -352,32 +382,102 @@ def stream_selected(
         ``(U, D)`` / ``(U, Dv)`` slabs of generated keys and values.
     index:
         ``(R, kk)`` slab rows of each query row's selected keys, in SADS
-        output order (descending estimated score).  Kernels gather from the
-        slabs tile by tile; no ``(R, kk, D)`` copy is ever built.
+        output order (descending estimated score).  The stream gathers from
+        the slabs tile by tile; no ``(R, kk, D)`` copy is ever built.
     order / max_assurance / tile_cols:
         As in :func:`sorted_updating_attention`.
-    kernel:
-        Which streaming kernel runs the stack (see :mod:`repro.kernels`):
-        ``"blocked"`` (tile-blocked, the default), ``"reference"`` (per-key
-        loop), or ``None``/``"auto"`` to take the ``SOFA_SUFA_KERNEL``
-        environment override / registry default.
 
-    Every kernel produces bit-identical outputs, Max-Ensuring trigger
-    counts, and per-row op tallies, so the choice only moves wall-clock
-    time; each row's result is also bit-identical to streaming it alone.
+    The stack advances one ``tile_cols``-wide block per Python step, and
+    its outputs, Max-Ensuring trigger counts and per-row op tallies are
+    bit-identical to :func:`stream_selected_reference`; each row's result
+    is also bit-identical to streaming it alone.  Why:
+
+    * **Violation detection is exact.**  The running max only ever rises
+      to the running prefix maximum, so a block contains a violation
+      exactly when its maximum strictly exceeds the carried max.  One
+      ``max`` reduction per block replaces the per-key compare-and-branch;
+      the per-key violation pattern (an exclusive ``np.maximum.accumulate``
+      prefix) is only materialized for the rows that need it.
+    * **The fast path computes the same tile quantities.**  In a
+      violation-free block the running max is constant, so the per-key
+      weights collapse to one elementwise ``exp`` over the whole block.
+    * **Violating rows replay the block per key** (:func:`_replay_block`),
+      writing their weights into the same stack-wide tile buffer the fast
+      rows fill vectorized.
+    * **The tile merge is one shared call** (:func:`_merge_tile`), whose
+      primitives give a row the same bits whatever rows share its call.
+    * **Op tallies are closed-form per block.**  The unconditional per-step
+      charges sum to ``B``-scaled constants; the violation charges sum to
+      the per-row violation count the exact violation mask provides.
     """
-    from repro.kernels import get_kernel
-
-    impl = get_kernel("stream", kernel)
-    return impl(
-        q_rows,
-        keys,
-        values,
-        index,
-        order=order,
-        max_assurance=max_assurance,
-        tile_cols=tile_cols,
+    scores, values, index, op_rows, m, l, o, triggers = _stream_prologue(
+        q_rows, keys, values, index, order
     )
+    r = scores.shape[0]
+    kk = scores.shape[1]
+    dv = values.shape[1]
+    block = max(int(tile_cols), 1)
+    ascending = order is UpdateOrder.ASCENDING
+    # One weight buffer reused across full-width blocks (the common case);
+    # a short tail block gets its own exact-width buffer.
+    weight_buf = np.empty((r, min(block, kk) if kk else 0))
+
+    # Closed-form whole-stream tallies: the per-key loop's unconditional
+    # per-step charges (one exp, 1+Dv adds, Dv muls per key; ascending adds
+    # one rescale mul per key past the first) summed over all kk keys.  All
+    # counts are small integers, so the float totals are exact regardless
+    # of summation granularity.
+    op_rows["exp"] += kk
+    op_rows["add"] += kk * (1.0 + dv)
+    op_rows["mul"] += float(kk * dv)
+    if ascending and kk:
+        op_rows["mul"] += kk - 1
+
+    for lo in range(0, kk, block):
+        hi = min(lo + block, kk)
+        b = hi - lo
+        x = scores[:, lo:hi]
+
+        # Exact block-level violation probe: the block violates iff its max
+        # strictly exceeds the carried running max.
+        has_viol = x.max(axis=1) > m
+        if has_viol.any():
+            if not max_assurance:
+                raise RuntimeError(_ASSURANCE_ERROR)
+            slow = np.flatnonzero(has_viol)
+            # Per-key violation pattern, materialized only for these rows:
+            # entry t of the exclusive prefix max is the per-key loop's m
+            # before key lo+t, so the comparison reproduces its firing
+            # pattern.
+            xs = x[slow]
+            prefix = np.maximum.accumulate(
+                np.concatenate([m[slow][:, None], xs[:, :-1]], axis=1), axis=1
+            )
+            viol_counts = (xs > prefix).sum(axis=1)
+            # Violation charges: one exp, 1+Dv muls, one compare (and one
+            # trigger) per violating key, on the violating row only.
+            op_rows["exp"][slow] += viol_counts
+            op_rows["mul"][slow] += viol_counts * (1.0 + dv)
+            op_rows["compare"][slow] += viol_counts
+            triggers[slow] += viol_counts
+            p_buf = weight_buf if b == weight_buf.shape[1] else np.empty((r, b))
+            fast = np.flatnonzero(~has_viol)
+            if fast.size:
+                # m is constant on violation-free rows, so their whole
+                # block of weights is one exp (elementwise == per-key).
+                p_fast = np.subtract(x[fast], m[fast][:, None])
+                np.exp(p_fast, out=p_fast)
+                p_buf[fast] = p_fast
+            _replay_block(x, slow, m, l, o, p_buf)
+        else:
+            p_buf = weight_buf if b == weight_buf.shape[1] else np.empty((r, b))
+            np.subtract(x, m[:, None], out=p_buf)
+            np.exp(p_buf, out=p_buf)
+
+        # Tile sync: the golden model's boundary merge, call for call.
+        _merge_tile(p_buf, values, index, lo, l, o)
+
+    return _stream_epilogue(o, l, op_rows, triggers, kk, tile_cols)
 
 
 def sorted_updating_attention(
@@ -388,7 +488,6 @@ def sorted_updating_attention(
     order: UpdateOrder = UpdateOrder.DESCENDING,
     max_assurance: bool = True,
     tile_cols: int = 64,
-    kernel: str | None = None,
 ) -> SufaResult:
     """Sparse attention over pre-sorted selected keys (the SU-FA engine).
 
@@ -406,10 +505,8 @@ def sorted_updating_attention(
         Model the Max-Ensuring circuit; disabling it raises on mispredicted
         orderings instead of silently producing overflow-prone results.
     tile_cols:
-        Bc: the streaming block width of the blocked kernel, and the tile
-        synchronization op count.
-    kernel:
-        Streaming kernel selection, as in :func:`stream_selected`.
+        Bc: the streaming block width, and the tile synchronization op
+        count.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -427,7 +524,6 @@ def sorted_updating_attention(
         order=order,
         max_assurance=max_assurance,
         tile_cols=tile_cols,
-        kernel=kernel,
     )
     ops = OpCounter()
     for op, counts in res.op_rows.items():

@@ -43,7 +43,7 @@ the sum of the heads' lengths, not heads times the longest one.
 ``selected`` of the stacked result is padded to the largest ``k`` with
 ``-1``; each ``per_head`` result carries exactly its own ``k`` columns.
 SU-FA streams once per distinct ``k``, so every row streams its own
-selection under the unchanged kernel contract.
+selection under the unchanged stream contract.
 Batching adds a fourth reuse axis (heads) on top of the paper's
 three-stage reuse without touching the per-head dataflow - which is why
 the result is **bit-for-bit** identical to running
@@ -330,7 +330,7 @@ class BatchedSofaAttention:
             hist="sofa_stage_stream_seconds",
         ):
             # One stream call per distinct k: a row streams exactly its own
-            # selection, so both kernels run their usual (R, k) contract.
+            # selection under the stream's usual (R, k) contract.
             q_rows = q.reshape(n * t, d)
             k_rows = np.repeat(k_counts, t)
             out_rows = np.empty((n * t, dv))
@@ -346,7 +346,6 @@ class BatchedSofaAttention:
                     order=UpdateOrder.DESCENDING if cfg.sufa.descending else UpdateOrder.ASCENDING,
                     max_assurance=cfg.sufa.max_assurance,
                     tile_cols=cfg.tile_cols,
-                    kernel=cfg.sufa.kernel,
                 )
                 out_rows[rows] = stream.output
                 trigger_rows[rows] = stream.trigger_rows

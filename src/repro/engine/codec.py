@@ -54,7 +54,8 @@ from repro.numerics.complexity import OpCounter
 
 #: Bump on any payload layout change; decoders reject other versions.
 #: Version 2: the request config lost ``dlzs.kernel`` and ``sads.kernel``.
-CODEC_VERSION = 2
+#: Version 3: the SU-FA config lost its ``kernel`` field too.
+CODEC_VERSION = 3
 
 
 class CodecError(ValueError):

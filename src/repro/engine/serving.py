@@ -72,7 +72,6 @@ from repro.engine.batched import BatchedSofaAttention
 from repro.engine.cache import CacheStats
 from repro.engine.heap import keep_heap_warm
 from repro.engine.paged import PagedDecodeCache
-from repro.kernels import resolved_kernels
 from repro.obs import get_telemetry
 
 
@@ -291,12 +290,10 @@ class SofaEngine:
     Parameters
     ----------
     config:
-        Default :class:`SofaConfig` for requests that carry none.  Its
-        ``sufa.kernel`` field is the engine's stream-kernel selection
-        (see :mod:`repro.kernels`; ``"auto"`` = ``SOFA_SUFA_KERNEL``,
-        then the registry default).  The name is resolved here, so a
-        typo fails at construction with the registry's stage- and
-        source-attributed message, not inside the first batch.
+        Default :class:`SofaConfig` for requests that carry none.  There
+        is no kernel choice in it: every batch streams through the one
+        SU-FA stream, :func:`repro.core.sufa.stream_selected`, whose
+        per-key golden model the tests compare it against.
     max_batch_heads:
         Fused-call width; a group executes as soon as it can fill one chunk.
     max_wait_batches:
@@ -341,7 +338,6 @@ class SofaEngine:
         if max_wait_batches is not None and max_wait_batches < 0:
             raise ValueError("max_wait_batches must be >= 0 (or None)")
         self.config = config or SofaConfig()
-        resolved_kernels(self.config)  # a kernel typo fails here, not mid-batch
         keep_heap_warm()  # batches reuse freed heap instead of faulting it in
         self.max_batch_heads = max_batch_heads
         self.max_wait_batches = max_wait_batches
@@ -389,16 +385,6 @@ class SofaEngine:
         if self.cache.ttl_s is None:
             return 0
         return self.cache.sweep_expired()
-
-    def resolved_kernels(self) -> dict[str, str]:
-        """Per-stage kernel names the engine's default config resolves to.
-
-        Resolution happens *here and now* - in this process, against this
-        environment - so a cluster worker reporting this through its stats
-        snapshot proves which kernels its engine actually runs (the env-var
-        propagation coverage of the kernel-matrix CI job).
-        """
-        return resolved_kernels(self.config)
 
     def __enter__(self) -> "SofaEngine":
         return self

@@ -1,55 +1,45 @@
 """``repro.kernels``: execution kernels behind the pipeline's golden models.
 
-Each kernel is bit-for-bit equal to a golden model in ``repro.core`` -
-*what* a stage computes is a fixed contract, these modules decide *how*
-it is executed:
+:mod:`repro.kernels.predict_select_fused` is the batched engine's one
+predict+select path: blocked DLZS score prediction with in-band SADS
+selection per tile, never materializing the full score matrix (the
+software analogue of the paper's coordinated tiling).  It is bit-for-bit
+equal to the golden ``DlzsPredictor.predict`` -> ``SadsSorter.select_stack``
+pipeline in ``repro.core``.
 
-* :mod:`repro.kernels.predict_select_fused` - the batched engine's one
-  predict+select path: blocked DLZS score prediction with in-band SADS
-  selection per tile, never materializing the full score matrix (the
-  software analogue of the paper's coordinated tiling);
-* :mod:`repro.kernels.registry` - the named registry of the SU-FA
-  streaming stage (:data:`STAGES` is ``("stream",)``) and its selection
-  precedence (``SufaConfig.kernel`` > ``SOFA_SUFA_KERNEL`` > ``blocked``);
-* :mod:`repro.kernels.sufa_blocked` - the tile-blocked SU-FA streaming
-  kernel (``tile_cols`` keys per Python step), registered as
-  ``"blocked"`` next to the per-key golden model ``"reference"``.
-
-Every serving tier (per-head pipeline, batched engine, cluster/socket
-workers) resolves the stream stage through the registry, so the
-cross-tier parity contract cannot drift: one implementation per
-selection, and any registered kernel must be differentially bit-equal to
-the golden model (enforced by the kernel test suites, re-run per kernel
-by CI's kernel-matrix job).  The same seam is where array-API backends
-(CuPy / torch) plug in later: a backend is just another registered kernel
-facing the same sweeps.
+The SU-FA stage has one serving stream, :func:`repro.core.sufa.stream_selected`
+(tile-blocked); its per-key golden model
+:func:`repro.core.sufa.stream_selected_reference` is kept in the same
+module for the differential tests.  :data:`STAGES`,
+:func:`available_kernels` and :func:`get_kernel` are a read-only view of
+those two functions by name.
 """
 
-from repro.kernels.predict_select_fused import FUSED, FusedPredictSelect
-from repro.kernels.registry import (
-    STAGES,
-    Kernel,
-    available_kernels,
-    default_kernel,
-    get_kernel,
-    kernel_env_var,
-    register_kernel,
-    resolve_kernel_name,
-    resolved_kernels,
-)
-from repro.kernels.sufa_blocked import stream_selected_blocked
+from typing import Callable
 
-__all__ = [
-    "FUSED",
-    "FusedPredictSelect",
-    "Kernel",
-    "STAGES",
-    "available_kernels",
-    "default_kernel",
-    "get_kernel",
-    "kernel_env_var",
-    "register_kernel",
-    "resolve_kernel_name",
-    "resolved_kernels",
-    "stream_selected_blocked",
-]
+from repro.core.sufa import stream_selected, stream_selected_reference
+from repro.kernels.predict_select_fused import FUSED, FusedPredictSelect
+
+#: Stages with named implementations.
+STAGES = ("stream",)
+
+_STREAMS = {"blocked": stream_selected, "reference": stream_selected_reference}
+
+
+def available_kernels(stage: str) -> tuple[str, ...]:
+    """Implementation names of ``stage``, sorted."""
+    if stage not in STAGES:
+        raise ValueError(f"unknown kernel stage {stage!r}; stages: {STAGES}")
+    return tuple(sorted(_STREAMS))
+
+
+def get_kernel(stage: str, name: str) -> Callable[..., object]:
+    """The function named ``name`` of ``stage``."""
+    if name not in available_kernels(stage):
+        raise ValueError(
+            f"unknown {stage} kernel {name!r}; {stage} kernels: {available_kernels(stage)}"
+        )
+    return _STREAMS[name]
+
+
+__all__ = ["FUSED", "FusedPredictSelect", "STAGES", "available_kernels", "get_kernel"]

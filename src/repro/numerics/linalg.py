@@ -200,9 +200,10 @@ def det_pv_contract(p_tile: np.ndarray, v_tile: np.ndarray) -> np.ndarray:
     :func:`det_stack_scores`, each row is its own fixed-shape
     ``(1, B) @ (B, Dv)`` BLAS contraction, so a row's partial is
     bit-identical whether one row or the whole engine stack shares the
-    call - and because **every** SU-FA kernel funnels its tile merges
-    through this one primitive, the blocked/reference bit-parity contract
-    holds no matter how the BLAS orders the ``B`` products internally.
+    call - and because the SU-FA stream and its golden model both funnel
+    their tile merges through this one primitive, their bit-parity
+    contract holds no matter how the BLAS orders the ``B`` products
+    internally.
 
     Callers must lay out each row's ``(B, Dv)`` value slice contiguously
     (true for every fresh gather from the value slab): tiny-shape matmuls
@@ -231,8 +232,9 @@ def det_tile_mass(p_tile: np.ndarray) -> np.ndarray:
     softmax normalizer at the tile boundary.  ``np.sum`` over the
     contiguous last axis reduces each row's ``B`` weights with a pairwise
     tree that depends only on ``B``, so - as with :func:`det_pv_contract`
-    - a row's mass is independent of its batch-mates, and all kernels
-    sharing this primitive stay bit-identical.
+    - a row's mass is independent of its batch-mates, and the SU-FA
+    stream and its golden model, sharing this primitive, stay
+    bit-identical.
     """
     p_tile = np.ascontiguousarray(p_tile, dtype=np.float64)
     if p_tile.ndim != 2:

@@ -47,7 +47,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    Info,
     MetricsRegistry,
     merge_snapshots,
     register_stats_gauges,
@@ -68,7 +67,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Info",
     "DEFAULT_LATENCY_BUCKETS",
     "merge_snapshots",
     "register_stats_gauges",
@@ -133,10 +131,6 @@ class Telemetry:
         """Record ``now - t0`` seconds into histogram ``name``."""
         if self.enabled:
             self.registry.histogram(name).observe(time.perf_counter() - t0)
-
-    def set_info(self, name: str, labels: Mapping[str, str]) -> None:
-        if self.enabled:
-            self.registry.info(name).update(labels)
 
     # ------------------------------------------------------------- tracing
     def start_span(

@@ -29,9 +29,6 @@ Instrument kinds:
     width.  The default buckets span 50 microseconds to 10 seconds, log-ish
     spaced, which covers everything from one codec encode to a full
     long-selection batch.
-:class:`Info`
-    A label-set constant (``sofa_kernels{stream="blocked"} 1``) - which
-    kernels/config a process actually resolved.
 
 Everything is thread-safe (engines time batches on pool threads) and
 allocation-light: an ``observe`` is one lock plus one ``bisect``.  The
@@ -57,7 +54,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Info",
     "MetricsRegistry",
     "merge_snapshots",
     "register_stats_gauges",
@@ -222,28 +218,6 @@ class Histogram:
         return self.quantile(0.99)
 
 
-class Info:
-    """A set of string labels exported as a constant-1 sample."""
-
-    kind = "info"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._labels: dict[str, str] = {}
-        self._lock = threading.Lock()
-
-    def update(self, labels: Mapping[str, str]) -> None:
-        with self._lock:
-            for key, value in labels.items():
-                self._labels[str(key)] = str(value)
-
-    @property
-    def labels(self) -> dict[str, str]:
-        with self._lock:
-            return dict(self._labels)
-
-
 class MetricsRegistry:
     """Named instruments plus the two export renderings.
 
@@ -291,9 +265,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
-    def info(self, name: str, help: str = "") -> Info:
-        return self._get_or_create(Info, name, help)
-
     def _sorted_instruments(self) -> list[Any]:
         # Snapshot the table under the lock, but evaluate instruments (gauge
         # callbacks may take serving-tier locks) outside it: holding the
@@ -312,7 +283,6 @@ class MetricsRegistry:
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, Any] = {}
-        infos: dict[str, dict[str, str]] = {}
         for inst in self._sorted_instruments():
             if isinstance(inst, Counter):
                 counters[inst.name] = inst.value
@@ -328,13 +298,10 @@ class MetricsRegistry:
                     "p90": inst.p90,
                     "p99": inst.p99,
                 }
-            elif isinstance(inst, Info):
-                infos[inst.name] = inst.labels
         return {
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
-            "infos": infos,
         }
 
     def render_prometheus(self) -> str:
@@ -363,12 +330,6 @@ class MetricsRegistry:
                 )
                 lines.append(f"{inst.name}_sum {_fmt(inst.sum)}")
                 lines.append(f"{inst.name}_count {inst.count}")
-            elif isinstance(inst, Info):
-                lines.append(f"# TYPE {inst.name} gauge")
-                labels = ",".join(
-                    f'{k}="{v}"' for k, v in sorted(inst.labels.items())
-                )
-                lines.append(f"{inst.name}{{{labels}}} 1")
         return "\n".join(lines) + "\n"
 
 
@@ -390,7 +351,6 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> dict[str, Any]:
     counters: dict[str, float] = {}
     gauges: dict[str, float] = {}
     hists: dict[str, dict[str, Any]] = {}
-    infos: dict[str, dict[str, str]] = {}
     for snap in snapshots:
         if not snap:
             continue
@@ -398,8 +358,6 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> dict[str, Any]:
             counters[name] = counters.get(name, 0.0) + float(value)
         for name, value in (snap.get("gauges") or {}).items():
             gauges[name] = gauges.get(name, 0.0) + float(value)
-        for name, labels in (snap.get("infos") or {}).items():
-            infos.setdefault(name, {}).update(labels)
         for name, h in (snap.get("histograms") or {}).items():
             merged = hists.get(name)
             if merged is None:
@@ -430,7 +388,6 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> dict[str, Any]:
         "counters": counters,
         "gauges": gauges,
         "histograms": hists,
-        "infos": infos,
     }
 
 
@@ -462,10 +419,6 @@ def render_prometheus_snapshot(snapshot: Mapping[str, Any]) -> str:
         lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative + counts[-1]}')
         lines.append(f"{name}_sum {_fmt(h['sum'])}")
         lines.append(f"{name}_count {int(h['count'])}")
-    for name, labels in sorted((snapshot.get("infos") or {}).items()):
-        lines.append(f"# TYPE {name} gauge")
-        rendered = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-        lines.append(f"{name}{{{rendered}}} 1")
     return "\n".join(lines) + "\n"
 
 

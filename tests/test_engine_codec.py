@@ -137,13 +137,19 @@ def test_decode_config_rejects_unknown_and_missing_fields():
 
 def test_version_one_request_with_stage_kernels_fails_on_version():
     """A request from a codec-1 peer still carries ``dlzs.kernel`` and
-    ``sads.kernel``; it must fail on the version check, before the config
-    is ever decoded."""
+    ``sads.kernel``, and one from a codec-2 peer still carries the SU-FA
+    config's ``kernel``; each must fail on the version check, before the
+    config is ever decoded."""
     payload = encode_request(_request(make_rng(7), config=CFG))
     payload["v"] = 1
     config = payload["config"]
-    config["dlzs"]["kernel"] = config["sads"]["kernel"] = "auto"
-    with pytest.raises(CodecVersionError, match="version 1 != codec 2"):
+    config["dlzs"]["kernel"] = config["sads"]["kernel"] = config["sufa"]["kernel"] = "auto"
+    with pytest.raises(CodecVersionError, match="version 1 != codec 3"):
+        decode_request(payload)
+    payload = encode_request(_request(make_rng(7), config=CFG))
+    payload["v"] = 2
+    payload["config"]["sufa"]["kernel"] = "auto"
+    with pytest.raises(CodecVersionError, match="version 2 != codec 3"):
         decode_request(payload)
 
 

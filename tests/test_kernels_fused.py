@@ -11,9 +11,8 @@ golden selector ``select_row_reference`` over sorted/shuffled/heavy-tie/
 adversarial score layouts, tile remainders, one-row stacks, select-all
 and single-survivor edge cases.  The engine tests cover prefill and the
 cached-decode interaction with the paged store across the per-head,
-batched and engine tiers; the cluster/socket tests cover env-var
-stream-kernel selection propagating across the process boundary (worker
-engines must resolve - and report - the same kernels as the frontend).
+batched and engine tiers, and the cluster test covers the worker
+processes.
 """
 
 import numpy as np
@@ -24,15 +23,8 @@ from repro.core.dlzs import DlzsPredictor, StackedDlzsPredictor
 from repro.core.pipeline import SofaAttention
 from repro.core.sads import SadsSorter, column_windows
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
-from repro.kernels import (
-    FUSED,
-    STAGES,
-    available_kernels,
-    get_kernel,
-    kernel_env_var,
-    register_kernel,
-    resolve_kernel_name,
-)
+from repro.core.sufa import stream_selected
+from repro.kernels import FUSED, STAGES, available_kernels, get_kernel
 from repro.utils.rng import make_rng
 
 
@@ -416,52 +408,18 @@ def test_engine_prefill_and_cached_decode_never_build_the_score_matrix():
 def test_per_stage_registry_lists_and_defaults():
     assert STAGES == ("stream",)
     assert "blocked" in available_kernels("stream")
-    assert resolve_kernel_name("stream") in available_kernels("stream")
+    assert get_kernel("stream", "blocked") is stream_selected
     for stage in ("predict", "select"):  # no registry: one fused path
         with pytest.raises(ValueError, match="unknown kernel stage"):
             available_kernels(stage)
 
 
-def test_registry_error_names_stage_source_and_candidates(monkeypatch):
-    monkeypatch.delenv(kernel_env_var("stream"), raising=False)
-    with pytest.raises(ValueError) as err:
-        resolve_kernel_name("stream", "typo")
-    msg = str(err.value)
-    assert "stream kernel 'typo'" in msg
-    assert "explicit kernel argument" in msg
-    assert "'blocked'" in msg and "'reference'" in msg
-    # env-sourced bad name: the message must finger the variable
-    monkeypatch.setenv(kernel_env_var("stream"), "typo-from-env")
-    with pytest.raises(ValueError) as err:
-        resolve_kernel_name("stream", None)
-    msg = str(err.value)
-    assert "environment variable SOFA_SUFA_KERNEL" in msg
-    assert "typo-from-env" in msg
-    with pytest.raises(ValueError, match="unknown kernel stage"):
-        resolve_kernel_name("predict", "reference")
-
-
 def test_engine_rejects_unknown_stage_and_name():
     with pytest.raises(TypeError, match="kernel"):
-        SofaEngine(kernel={"stream": "blocked"})  # kernels live in the config only
-    with pytest.raises(ValueError, match="unknown stream kernel 'typo'"):
-        SofaEngine(SofaConfig(sufa=SufaConfig(kernel="typo")))
-    for stage_config in (DlzsConfig, SadsConfig):  # no kernel field left
+        SofaEngine(kernel={"stream": "blocked"})  # no engine option either
+    for stage_config in (DlzsConfig, SadsConfig, SufaConfig):  # no kernel field left
         with pytest.raises(TypeError, match="kernel"):
             stage_config(kernel="reference")
-
-
-def test_register_kernel_guards_per_stage():
-    """Registration is guarded per stage: reserved and duplicate names are
-    refused, and so is any stage without a registry."""
-    blocked = get_kernel("stream", "blocked")
-    with pytest.raises(ValueError, match="reserved"):
-        register_kernel("stream", "auto", blocked)
-    with pytest.raises(ValueError, match="stream kernel 'blocked' is already"):
-        register_kernel("stream", "blocked", get_kernel("stream", "reference"))
-    for stage in ("predict", "select"):
-        with pytest.raises(ValueError, match="unknown kernel stage"):
-            register_kernel(stage, "mine", blocked)
 
 
 # ------------------------------------------------- cross-process coverage
@@ -476,62 +434,8 @@ def test_cluster_fused_mapping_parity_and_stats():
         workers = cluster.stats.workers
     for request, result in zip(requests, got):
         _assert_results_equal(_golden(request), result)
-    # Stats snapshots piggyback on result messages, so only workers that
-    # actually served requests report their resolved kernels.
-    served = [w for w in workers if w.n_requests > 0]
-    assert served and all(
-        w.kernels == {"stream": resolve_kernel_name("stream")} for w in served
-    )
-    with pytest.raises(ValueError, match="unknown stream kernel 'typo'"):
-        EngineCluster(n_workers=1, config=SofaConfig(sufa=SufaConfig(kernel="typo")))
-    # kernels are chosen in the config only; kernel= is no engine option
+    # Stats snapshots piggyback on result messages.
+    assert any(w.n_requests > 0 for w in workers)
+    # kernel= is no engine option
     with pytest.raises(TypeError, match="'kernel'"):
         EngineCluster(n_workers=1, kernel={"stream": "blocked"})
-
-
-@pytest.mark.cluster
-def test_cluster_env_kernel_selection_reaches_workers(monkeypatch):
-    """Env-var kernel selection set in the frontend process propagates into
-    the worker processes: their engines resolve - and report - the same
-    kernel, and serve bit-identically."""
-    from repro.cluster import EngineCluster
-
-    rng = make_rng(59)
-    requests = _engine_requests(rng)
-    monkeypatch.delenv("SOFA_SUFA_KERNEL", raising=False)
-    with SofaEngine(max_batch_heads=4) as engine:
-        ref = engine.run(requests)  # resolved before the env override
-    monkeypatch.setenv("SOFA_SUFA_KERNEL", "reference")
-    with EngineCluster(n_workers=2, max_batch_heads=4) as cluster:
-        got = cluster.run(requests)
-        workers = cluster.stats.workers
-    for a, b in zip(ref, got):
-        _assert_results_equal(a, b)
-    served = [w for w in workers if w.n_requests > 0]
-    assert served
-    for w in served:
-        assert w.kernels == {"stream": "reference"}
-
-
-@pytest.mark.socket
-def test_socket_workers_resolve_env_kernels(monkeypatch):
-    """The same propagation across the socket transport: standalone worker
-    processes inherit the env selection and report it through the
-    piggybacked stats snapshots."""
-    from repro.cluster import EngineCluster
-
-    rng = make_rng(61)
-    requests = _engine_requests(rng, n=6)
-    monkeypatch.delenv("SOFA_SUFA_KERNEL", raising=False)
-    with SofaEngine(max_batch_heads=4) as engine:
-        ref = engine.run(requests)
-    monkeypatch.setenv("SOFA_SUFA_KERNEL", "reference")
-    with EngineCluster(
-        n_workers=2, transport="socket", max_batch_heads=4
-    ) as cluster:
-        got = cluster.run(requests)
-        workers = cluster.stats.workers
-    for a, b in zip(ref, got):
-        _assert_results_equal(a, b)
-    served = [w for w in workers if w.n_requests > 0]
-    assert served and all(w.kernels == {"stream": "reference"} for w in served)

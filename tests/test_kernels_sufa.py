@@ -1,17 +1,22 @@
-"""Differential tests: every SU-FA kernel is bit-for-bit interchangeable.
+"""Differential tests: the SU-FA stream equals its golden model bit for bit.
 
-The kernel registry's contract (``repro.kernels``) is that the blocked
-kernel reproduces the reference per-key loop exactly - output bits,
-Max-Ensuring trigger counts, and per-row op tallies - on any input.  The
-sweep here drives both kernels over randomized and adversarial workloads:
-orderings that force violations in the first/middle/last block, selections
-shorter than the warmup scan, block-width remainders, and one-row stacks.
+Every serving tier runs one stream, the tile-blocked
+:func:`repro.core.sufa.stream_selected`.  It must reproduce the per-key
+golden model :func:`repro.core.sufa.stream_selected_reference` exactly -
+output bits, Max-Ensuring trigger counts, and per-row op tallies - on any
+input.  The sweep here drives both over randomized and adversarial
+workloads: orderings that force violations in the first/middle/last
+block, selections shorter than the warmup scan, block-width remainders,
+and one-row stacks.  The pipeline, engine and cluster tests put the golden
+model in place of the stream (``monkeypatch``) and compare what they serve.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.config import SofaConfig, SufaConfig
+import repro.core.sufa
+import repro.engine.batched
+from repro.core.config import SofaConfig
 from repro.core.pipeline import SofaAttention
 from repro.core.sufa import (
     UpdateOrder,
@@ -20,18 +25,19 @@ from repro.core.sufa import (
     stream_selected_reference,
 )
 from repro.engine import AttentionRequest, BatchedSofaAttention, SofaEngine
-from repro.kernels import (
-    available_kernels,
-    default_kernel,
-    get_kernel,
-    kernel_env_var,
-    register_kernel,
-    resolve_kernel_name,
-    stream_selected_blocked,
-)
+from repro.kernels import available_kernels, get_kernel
 from repro.utils.rng import make_rng
 
 ORDERS = (UpdateOrder.DESCENDING, UpdateOrder.ASCENDING)
+STREAMS = available_kernels("stream")  # ("blocked", "reference")
+
+
+def _serve_with(monkeypatch, name):
+    """Make the per-head pipeline and the batched engine stream through
+    ``name``'s function; ``"blocked"`` is the stream they already run."""
+    fn = get_kernel("stream", name)
+    monkeypatch.setattr(repro.core.sufa, "stream_selected", fn)
+    monkeypatch.setattr(repro.engine.batched, "stream_selected", fn)
 
 
 def _gathered(rng, r, kk, d, dv, ordering="sorted"):
@@ -71,7 +77,7 @@ def _gathered(rng, r, kk, d, dv, ordering="sorted"):
 
 def _assert_kernels_agree(q, keys, values, index, order, tile_cols, expect_triggers=None):
     ref = stream_selected_reference(q, keys, values, index, order=order, tile_cols=tile_cols)
-    blk = stream_selected_blocked(q, keys, values, index, order=order, tile_cols=tile_cols)
+    blk = stream_selected(q, keys, values, index, order=order, tile_cols=tile_cols)
     assert ref.output.tobytes() == blk.output.tobytes()
     assert np.array_equal(ref.trigger_rows, blk.trigger_rows)
     assert set(ref.op_rows) == set(blk.op_rows)
@@ -119,36 +125,36 @@ def test_single_row_matches_stack_rows():
     """A row streamed alone is bit-identical to the same row in a stack."""
     rng = make_rng(91)
     q, keys, values, index = _gathered(rng, 12, 96, 8, 8, "shuffled")
-    whole = stream_selected_blocked(q, keys, values, index, tile_cols=32)
+    whole = stream_selected(q, keys, values, index, tile_cols=32)
     for row in (0, 5, 11):
-        alone = stream_selected_blocked(
+        alone = stream_selected(
             q[row : row + 1], keys, values, index[row : row + 1], tile_cols=32
         )
         assert alone.output.tobytes() == whole.output[row : row + 1].tobytes()
         assert alone.trigger_rows[0] == whole.trigger_rows[row]
 
 
-@pytest.mark.parametrize("kernel", ["blocked", "reference"])
+@pytest.mark.parametrize("kernel", STREAMS)
 def test_assurance_disabled_raises_in_every_kernel(kernel):
     rng = make_rng(13)
     q, keys, values, index = _gathered(rng, 4, 64, 8, 4, "reversed")
     with pytest.raises(RuntimeError, match="max assurance"):
-        stream_selected(q, keys, values, index, max_assurance=False, kernel=kernel)
+        get_kernel("stream", kernel)(q, keys, values, index, max_assurance=False)
 
 
 def test_tile_cols_only_moves_work_not_triggers():
     """Block width changes sync op counts, never triggers or selections."""
     rng = make_rng(29)
     q, keys, values, index = _gathered(rng, 6, 120, 8, 6, "shuffled")
-    a = stream_selected_blocked(q, keys, values, index, tile_cols=8)
-    b = stream_selected_blocked(q, keys, values, index, tile_cols=64)
+    a = stream_selected(q, keys, values, index, tile_cols=8)
+    b = stream_selected(q, keys, values, index, tile_cols=64)
     assert np.array_equal(a.trigger_rows, b.trigger_rows)
     assert np.array_equal(a.op_rows["exp"], b.op_rows["exp"])
     assert a.op_rows["compare"].sum() > b.op_rows["compare"].sum()
     np.testing.assert_allclose(a.output, b.output, atol=1e-12)
 
 
-@pytest.mark.parametrize("kernel", ["blocked", "reference"])
+@pytest.mark.parametrize("kernel", STREAMS)
 @pytest.mark.parametrize("order", ORDERS)
 def test_slab_gather_equals_pregathered_stack(kernel, order):
     """Streaming from a shared slab through ``index`` gives the same bits
@@ -157,92 +163,60 @@ def test_slab_gather_equals_pregathered_stack(kernel, order):
     r, kk, d, dv = 7, 70, 8, 6
     q, keys, values, index = _gathered(rng, r, kk, d, dv, "shuffled")
     flat = np.arange(r * kk).reshape(r, kk)
+    stream = get_kernel("stream", kernel)
     for tc in (1, 5, 16, 64):
-        shared = stream_selected(q, keys, values, index, order=order, tile_cols=tc,
-                                 kernel=kernel)
-        laid_out = stream_selected(
+        shared = stream(q, keys, values, index, order=order, tile_cols=tc)
+        laid_out = stream(
             q, keys[index].reshape(r * kk, d), values[index].reshape(r * kk, dv), flat,
-            order=order, tile_cols=tc, kernel=kernel,
+            order=order, tile_cols=tc,
         )
         assert shared.output.tobytes() == laid_out.output.tobytes()
         assert np.array_equal(shared.trigger_rows, laid_out.trigger_rows)
         for op in shared.op_rows:
             assert np.array_equal(shared.op_rows[op], laid_out.op_rows[op]), op
     with pytest.raises(ValueError, match="index"):
-        stream_selected(q, keys, values, index[:, :, None], kernel=kernel)
+        stream(q, keys, values, index[:, :, None])
 
 
-# ---------------------------------------------------------------- registry
+# ------------------------------------------------------ read-only names
 def test_registry_lists_builtin_kernels():
-    names = available_kernels("stream")
-    assert "blocked" in names and "reference" in names
+    assert available_kernels("stream") == ("blocked", "reference")
     assert get_kernel("stream", "reference") is stream_selected_reference
-    assert get_kernel("stream", "blocked") is stream_selected_blocked
-
-
-def test_registry_resolution_precedence(monkeypatch):
-    # Neutralize the override so the test is deterministic under the CI
-    # kernel-matrix job, which drives this env var through its grid.
-    monkeypatch.delenv(kernel_env_var("stream"), raising=False)
-    assert resolve_kernel_name("stream", None) == default_kernel("stream") == "blocked"
-    assert resolve_kernel_name("stream", "auto") == "blocked"
-    monkeypatch.setenv(kernel_env_var("stream"), "reference")
-    assert resolve_kernel_name("stream", None) == "reference"
-    # explicit name outranks the environment
-    assert resolve_kernel_name("stream", "blocked") == "blocked"
+    assert get_kernel("stream", "blocked") is stream_selected
 
 
 def test_registry_rejects_unknown_and_reserved_names():
     with pytest.raises(ValueError, match="unknown stream kernel 'no-such-kernel'"):
         get_kernel("stream", "no-such-kernel")
-    with pytest.raises(ValueError, match="reserved"):
-        register_kernel("stream", "auto", stream_selected_blocked)
-    with pytest.raises(ValueError, match="already registered"):
-        register_kernel("stream", "blocked", stream_selected_reference)
+    with pytest.raises(ValueError, match="unknown stream kernel 'auto'"):
+        get_kernel("stream", "auto")
+    with pytest.raises(ValueError, match="unknown kernel stage"):
+        get_kernel("predict", "blocked")
 
 
-def test_register_custom_kernel(monkeypatch):
-    calls = []
-
-    def probe(q_rows, keys, values, index, **kwargs):
-        calls.append(kwargs)
-        return stream_selected_reference(q_rows, keys, values, index, **kwargs)
-
-    register_kernel("stream", "probe-kernel", probe, overwrite=True)
-    try:
-        rng = make_rng(3)
-        q, keys, values, index = _gathered(rng, 2, 16, 4, 4)
-        res = stream_selected(q, keys, values, index, kernel="probe-kernel")
-        assert calls and res.output.shape == (2, 4)
-        monkeypatch.setenv(kernel_env_var("stream"), "probe-kernel")
-        stream_selected(q, keys, values, index)
-        assert len(calls) == 2
-    finally:
-        from repro.kernels.registry import _REGISTRIES
-
-        _REGISTRIES["stream"].pop("probe-kernel", None)
-
-
-# ------------------------------------------------------- config threading
-def test_sorted_updating_attention_kernel_parity():
+# ------------------------------------------------- golden model in place
+def test_sorted_updating_attention_kernel_parity(monkeypatch):
     rng = make_rng(41)
     q = rng.normal(size=(6, 16))
     kmat = rng.normal(size=(64, 16))
     v = rng.normal(size=(64, 16))
     sel = np.argsort(-(q @ kmat.T), axis=1)[:, :12]
-    a = sorted_updating_attention(q, kmat, v, sel, kernel="blocked")
-    b = sorted_updating_attention(q, kmat, v, sel, kernel="reference")
+    a = sorted_updating_attention(q, kmat, v, sel)
+    _serve_with(monkeypatch, "reference")
+    b = sorted_updating_attention(q, kmat, v, sel)
     assert a.output.tobytes() == b.output.tobytes()
     assert a.assurance_triggers == b.assurance_triggers
     assert a.ops.counts == b.ops.counts
 
 
-@pytest.mark.parametrize("kernel", ["blocked", "reference"])
-def test_per_head_and_batched_share_kernel_bits(kernel):
-    """Config-selected kernel: per-head vs batched stays bit-for-bit."""
+@pytest.mark.parametrize("kernel", STREAMS)
+def test_per_head_and_batched_share_kernel_bits(kernel, monkeypatch):
+    """Under the stream or its golden model, per-head vs batched stays
+    bit-for-bit."""
+    _serve_with(monkeypatch, kernel)
     rng = make_rng(59)
     n, s, h, dk = 3, 48, 16, 8
-    cfg = SofaConfig(tile_cols=16, top_k=0.25, sufa=SufaConfig(kernel=kernel))
+    cfg = SofaConfig(tile_cols=16, top_k=0.25)
     wk = rng.normal(size=(n, h, dk))
     wv = rng.normal(size=(n, h, dk))
     tokens = rng.integers(-50, 50, size=(n, s, h)).astype(np.float64)
@@ -255,19 +229,21 @@ def test_per_head_and_batched_share_kernel_bits(kernel):
         assert single.total_ops.counts == batched.per_head[i].total_ops.counts
 
 
-def test_kernel_choice_does_not_change_results():
-    """The registry knob moves wall-clock only: blocked == reference bits
-    through the full per-head pipeline."""
+def test_kernel_choice_does_not_change_results(monkeypatch):
+    """The golden model in place of the stream gives the same bits through
+    the full per-head pipeline."""
     rng = make_rng(67)
     s, h, dk = 64, 16, 8
     wk = rng.normal(size=(h, dk))
     wv = rng.normal(size=(h, dk))
     tokens = rng.integers(-50, 50, size=(s, h)).astype(np.float64)
     q = rng.normal(size=(5, dk))
+    cfg = SofaConfig(tile_cols=16, top_k=0.2)
     results = {}
-    for kernel in ("blocked", "reference"):
-        cfg = SofaConfig(tile_cols=16, top_k=0.2, sufa=SufaConfig(kernel=kernel))
-        results[kernel] = SofaAttention(wk, wv, cfg)(tokens, q)
+    for kernel in STREAMS:
+        with monkeypatch.context() as m:
+            _serve_with(m, kernel)
+            results[kernel] = SofaAttention(wk, wv, cfg)(tokens, q)
     a, b = results["blocked"], results["reference"]
     assert a.output.tobytes() == b.output.tobytes()
     assert np.array_equal(a.selected, b.selected)
@@ -288,43 +264,47 @@ def _engine_requests(rng, n=6, s=48, h=16, dk=8):
     ]
 
 
-def _stream_config(kernel: str) -> SofaConfig:
-    return SofaConfig(sufa=SufaConfig(kernel=kernel))
-
-
-def test_engine_kernel_parity_and_validation():
+def test_engine_kernel_parity_and_validation(monkeypatch):
     rng = make_rng(83)
     requests = _engine_requests(rng)
-    with SofaEngine(_stream_config("blocked"), max_batch_heads=4) as fast:
+    with SofaEngine(max_batch_heads=4) as fast:
         fast_results = fast.run(requests)
-    with SofaEngine(_stream_config("reference"), max_batch_heads=4) as slow:
+    calls = []
+
+    def golden(*args, **kwargs):
+        calls.append(1)
+        return stream_selected_reference(*args, **kwargs)
+
+    monkeypatch.setattr(repro.engine.batched, "stream_selected", golden)
+    with SofaEngine(max_batch_heads=4) as slow:
         slow_results = slow.run(requests)
+    assert calls  # the engine really streamed through the golden model
     for a, b in zip(fast_results, slow_results):
         assert a.output.tobytes() == b.output.tobytes()
         assert np.array_equal(a.selected, b.selected)
         assert a.total_ops.counts == b.total_ops.counts
-    with pytest.raises(ValueError, match="unknown stream kernel 'typo'"):
-        SofaEngine(_stream_config("typo"))
+    with pytest.raises(TypeError, match="kernel"):
+        SofaEngine(kernel="reference")
 
 
 # ----------------------------------------------------------- cluster tier
 @pytest.mark.cluster
 def test_cluster_workers_share_the_kernel_registry(monkeypatch):
-    """A cluster pinned to either kernel serves bit-identically to an
-    in-process engine: the registry threads through the worker processes.
-    A kernel typo or a bad engine option fails in the caller's process,
-    before any worker spawns."""
+    """A cluster serves bit-identically to an in-process engine, also with
+    the golden model in place of the stream before its workers fork.  A bad
+    engine option fails in the caller's process, before any worker
+    spawns."""
     from repro.cluster import EngineCluster
 
     rng = make_rng(97)
     requests = _engine_requests(rng, n=8)
     with SofaEngine(max_batch_heads=4) as engine:
         ref = engine.run(requests)
-    for kernel in ("blocked", "reference"):
-        with EngineCluster(
-            n_workers=2, config=_stream_config(kernel), max_batch_heads=4
-        ) as cluster:
-            got = cluster.run(requests)
+    for kernel in STREAMS:
+        with monkeypatch.context() as m:
+            _serve_with(m, kernel)
+            with EngineCluster(n_workers=2, max_batch_heads=4) as cluster:
+                got = cluster.run(requests)
         for a, b in zip(ref, got):
             assert a.output.tobytes() == b.output.tobytes()
             assert np.array_equal(a.selected, b.selected)
@@ -334,8 +314,6 @@ def test_cluster_workers_share_the_kernel_registry(monkeypatch):
         raise AssertionError("a worker was spawned before validation")
 
     monkeypatch.setattr(EngineCluster, "_start_worker", no_spawn)
-    with pytest.raises(ValueError, match="unknown stream kernel 'typo'"):
-        EngineCluster(n_workers=1, config=_stream_config("typo"))
     with pytest.raises(TypeError, match="max_wrokers"):
         EngineCluster(n_workers=1, max_wrokers=2)
     with pytest.raises(TypeError, match="cache="):

@@ -108,7 +108,6 @@ def test_registry_get_or_create_is_idempotent():
     assert reg.counter("a_total") is reg.counter("a_total")
     assert reg.histogram("lat") is reg.histogram("lat")
     assert reg.gauge("g") is reg.gauge("g")
-    assert reg.info("i") is reg.info("i")
 
 
 def test_registry_kind_mismatch_raises():
@@ -123,7 +122,6 @@ def test_registry_snapshot_shape_is_json_safe():
     reg.counter("req_total").inc(3)
     reg.gauge("pending").set(2)
     reg.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
-    reg.info("build").update({"kernel": "fused"})
     snap = reg.snapshot()
     json.dumps(snap)  # wire shape: must be JSON-serializable as-is
     assert snap["counters"] == {"req_total": 3.0}
@@ -134,7 +132,7 @@ def test_registry_snapshot_shape_is_json_safe():
     assert h["count"] == 1
     assert h["sum"] == pytest.approx(1.5)
     assert {"p50", "p90", "p99"} <= set(h)
-    assert snap["infos"] == {"build": {"kernel": "fused"}}
+    assert set(snap) == {"counters", "gauges", "histograms"}
 
 
 def test_registry_prometheus_rendering():
@@ -145,7 +143,6 @@ def test_registry_prometheus_rendering():
     h.observe(0.2)
     h.observe(0.7)
     h.observe(9.0)
-    reg.info("kernels").update({"predict": "fused"})
     text = reg.render_prometheus()
     assert "# HELP req_total requests served" in text
     assert "# TYPE req_total counter" in text
@@ -157,7 +154,6 @@ def test_registry_prometheus_rendering():
     assert 'lat_bucket{le="+Inf"} 3' in text
     assert "lat_sum 9.9" in text
     assert "lat_count 3" in text
-    assert 'kernels{predict="fused"} 1' in text
 
 
 def test_registry_snapshot_evaluates_callbacks_outside_its_lock():
@@ -181,8 +177,6 @@ def test_merge_snapshots_sums_counters_gauges_and_histograms():
         h = reg.histogram("lat", buckets=(0.5, 1.0))
         for v in values:
             h.observe(v)
-    a.info("kernels").update({"predict": "fused"})
-    b.info("kernels").update({"stream": "tiled"})
 
     merged = merge_snapshots(a.snapshot(), b.snapshot(), {})
     assert merged["counters"]["req_total"] == 5.0
@@ -192,7 +186,6 @@ def test_merge_snapshots_sums_counters_gauges_and_histograms():
     assert h["count"] == 3
     assert h["sum"] == pytest.approx(1.6)
     assert 0.5 <= h["p50"] <= 1.0  # re-estimated from the merged buckets
-    assert merged["infos"]["kernels"] == {"predict": "fused", "stream": "tiled"}
 
 
 def test_render_prometheus_snapshot_matches_live_rendering():
@@ -205,7 +198,6 @@ def test_render_prometheus_snapshot_matches_live_rendering():
     h = reg.histogram("lat", buckets=(0.5, 1.0))
     for v in (0.2, 0.7, 9.0):
         h.observe(v)
-    reg.info("kernels").update({"predict": "fused"})
     from repro.obs import render_prometheus_snapshot
 
     text = render_prometheus_snapshot(reg.snapshot())
