@@ -34,7 +34,9 @@ from repro.numerics.complexity import OpCounter
 from repro.numerics.fixed_point import (
     quantize,
     quantize_stack,
+    quantize_stack_codes,
     quantize_with_scale,
+    require_finite,
     stack_scale,
 )
 from repro.numerics.linalg import exact_int_matmul
@@ -301,9 +303,14 @@ class PreparedStackPrediction:
     The stacked twin of :class:`PreparedPrediction`.  Heads may differ in
     ``S``, so ``k_hat`` holds every head's rows back to back: head ``i``'s
     ``(S_i, D')`` block is :meth:`head_k_hat`, and its score matrix equals
-    ``(pow2[i] @ head_k_hat(i).T).astype(float64) * scales[i]``.  Any
-    column block of it follows from the matching ``k_hat`` rows -
-    exactly - so fused kernels can stream score tiles per segment.
+    ``(pow2[i] @ head_k_hat(i).T).astype(float64) * scales[i]``, the
+    product taken over the integers.  Any column block of it follows from
+    the matching ``k_hat`` rows - exactly - so fused kernels can stream
+    score tiles per segment.  ``k_hat`` holds the truncated codes as
+    float64: integers, each exactly the int64 code
+    :meth:`DlzsPredictor.predict_prepared` gives (they leave
+    :func:`~repro.numerics.fixed_point.quantize_codes` as integral
+    floats), so the score matmul runs on float64 BLAS with no cast.
     ``head_ops`` already carries the complete per-head accounting.
     ``k_bits`` is the truncation width: every ``k_hat`` code lies in
     :func:`~repro.numerics.fixed_point.int_range` of it, a bound that needs
@@ -313,7 +320,7 @@ class PreparedStackPrediction:
     block table the KV stage reads stored projections through.
     """
 
-    k_hat: np.ndarray  # (sum S_i, D') int64, truncated; head-major rows
+    k_hat: np.ndarray  # (sum S_i, D') float64 integer codes; head-major rows
     pow2: np.ndarray  # (N, T, D') int64 signed power-of-two query codes
     scales: np.ndarray  # (N,) per-head quantization scales
     head_ops: list[OpCounter]
@@ -422,7 +429,7 @@ class StackedDlzsPredictor:
             new_vals = None
             if not floating:
                 new_vals = new.astype(np.int64)
-            elif _max_abs(new) <= view.tok_max_abs:
+            elif require_finite(_max_abs(new)) <= view.tok_max_abs:
                 # The per-tensor scale is max|x|/hi over the FULL matrix:
                 # the cached codes stay bit-exact only while the prefix
                 # still holds the maximum.  A louder new token changes the
@@ -501,7 +508,7 @@ class StackedDlzsPredictor:
                     appended,
                     tokens=t_i.copy(),
                     tok_values=np.concatenate([view.tok_values, new_vals]),
-                    key_codes=out.copy(),
+                    key_codes=out.astype(np.int64),
                 ),
             )
         return k_scale, stored
@@ -523,7 +530,7 @@ class StackedDlzsPredictor:
         entry; returns the truncation scale and the stored chain."""
         from repro.engine.cache import DecodeCacheEntry  # see _extend_cached
 
-        key_values, codes, k_scale = self._project_truncate(i, tok_values, out)
+        key_values, k_scale = self._project_truncate(i, tok_values, out)
         stored = cache.put(
             store_key,
             DecodeCacheEntry(
@@ -531,7 +538,7 @@ class StackedDlzsPredictor:
                 tok_values=tok_values,
                 tok_scale=tok_scale,
                 tok_max_abs=tok_max_abs,
-                key_codes=codes,
+                key_codes=out.astype(np.int64),
                 key_max_abs=_max_abs(key_values),
                 quantized=quantized,
             ),
@@ -540,16 +547,20 @@ class StackedDlzsPredictor:
 
     def _project_truncate(
         self, i: int, tok: np.ndarray, out: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float]:
+    ) -> tuple[np.ndarray, float]:
         """Phase 1.1 of head ``i`` over every row of the token codes
-        ``tok``: the raw ``K_hat`` rows, their truncated codes (also written
-        into ``out``) and the truncation scale."""
-        # Exact integer K_hat; float64 BLAS inside the proven window.
-        key_values = exact_int_matmul(tok, self._wk_pow2[i], dtype=np.int64)
+        ``tok`` (float64 or integer): writes the truncated ``K_hat`` codes
+        into the float64 rows ``out`` and returns the raw ``K_hat`` rows
+        and the truncation scale.  Keyed and unkeyed heads both run it."""
+        # Exact integer K_hat as float64: BLAS inside the proven window,
+        # else the int64 matmul, whose result the truncation would read as
+        # float64 anyway.
+        key_values = exact_int_matmul(tok, self._wk_pow2[i])
         # Truncate K_hat to the intermediate width (hardware keeps <=16 bits).
-        trunc = quantize_stack(key_values[None], self.config.intermediate_bits)
-        out[:] = trunc.values[0]
-        return key_values, trunc.values[0], float(trunc.scales[0])
+        _, scales = quantize_stack_codes(
+            key_values[None], self.config.intermediate_bits, out=out[None]
+        )
+        return key_values, float(scales[0])
 
     def predict_prepared(
         self,
@@ -592,7 +603,7 @@ class StackedDlzsPredictor:
         # Head by head: keyed heads keep their sequence's cached state, and
         # every head has its own length and scales.  Integer matmuls are
         # exact, so the split changes no bits.
-        k_hat = np.empty((int(seq_lens.sum()), self._wk_pow2.shape[2]), dtype=np.int64)
+        k_hat = np.empty((int(seq_lens.sum()), self._wk_pow2.shape[2]))
         k_scales = np.empty(n)
         chains = [None] * n if cache is not None else None
         start = 0
@@ -605,10 +616,10 @@ class StackedDlzsPredictor:
                 )
                 continue
             if np.issubdtype(x.dtype, np.floating):
-                tok = quantize_stack(x[None], self.config.token_bits).values[0]
+                tok = quantize_stack_codes(x[None], self.config.token_bits)[0][0]
             else:
-                tok = x.astype(np.int64)
-            k_scales[i] = self._project_truncate(i, tok, rows)[2]
+                tok = x.astype(np.int64, copy=False)
+            k_scales[i] = self._project_truncate(i, tok, rows)[1]
 
         # Phase 1.2: convert Q through the 16-bit-mode LZE, shift K_hat.
         if np.issubdtype(q_arr.dtype, np.floating):

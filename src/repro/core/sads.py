@@ -91,6 +91,83 @@ def _stable_head(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return head, np.negative(vals, out=vals)
 
 
+#: Keys ``col - W * score`` stay exact integers while ``W * max|score|``
+#: is below this, and the scores themselves stay below it (the key head's
+#: exactness argument, :func:`_key_head`).
+_KEY_WINDOW = float(2**51)
+
+
+def _key_width(widest: int) -> int:
+    """``W`` of keys over rows of ``widest`` columns: the least power of
+    two >= ``widest``."""
+    return 1 << max(int(widest) - 1, 0).bit_length()
+
+
+def _keys_exact(widest: int, score_bound: float, scales: np.ndarray) -> bool:
+    """Whether rows of up to ``widest`` integer scores, ``|score| <=
+    score_bound``, scaled by ``scales``, may be ranked by keys
+    (:func:`_key_head`): ``W * score_bound < 2**51``, every scale normal
+    (so no nonzero score underflows to zero), and ``score_bound * scale``
+    finite (so none overflows)."""
+    with np.errstate(over="ignore"):
+        return bool(
+            _key_width(widest) * score_bound < _KEY_WINDOW
+            and (scales >= np.finfo(np.float64).tiny).all()
+            and np.isfinite(score_bound * scales).all()
+        )
+
+
+def _keys(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The keys ``col - W * score`` of a block of integer scores
+    (``out=scores`` builds them in place); a ``-inf`` score, padding,
+    becomes a ``+inf`` key."""
+    keys = np.multiply(scores, -_key_width(scores.shape[1]), out=out)
+    keys += np.arange(keys.shape[1], dtype=np.float64)
+    return keys
+
+
+def _key_scores(keys: np.ndarray, kw: int) -> np.ndarray:
+    """The integer scores of keys ``col - kw * score``: ``-floor(key /
+    kw)`` (``col / kw`` is in ``[0, 1)``), ``-inf`` for a ``+inf``
+    (padding) key, and ``+0.0``, never ``-0.0``, for a zero score."""
+    score = keys * (1.0 / kw)
+    np.floor(score, out=score)
+    return np.subtract(0.0, score, out=score)
+
+
+def _key_head(keys: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_stable_head` of integer scores by one value sort of their
+    :func:`_keys`, which it sorts in place.
+
+    Returns ``(head, scores)``: the stable descending head's columns and
+    the integer scores at the first ``min(m + 1, width)`` sorted
+    positions, ``-inf`` on padding (whose head columns read 0: callers
+    mask them) and ``+0.0`` for a zero score.  Callers check
+    :func:`_keys_exact` first.
+
+    Keys ``col - W * score`` (``W`` = :func:`_key_width` of the row
+    width) are exact integers (``|key| < W * (max|score| + 1) <= 2**52``)
+    and unique, and ascending key order is (score desc, column asc): the
+    stable descending order of the integer scores.  Scaling a row keeps
+    that order and its ties: rounding is monotone, and two distinct
+    integers ``a``, ``b`` below ``2**51`` times a normal scale ``s``
+    differ by at least ``s`` while each rounds by at most ``s / 4``, so
+    ``fl(a * s) != fl(b * s)``.  So the head is the stable head of the
+    scaled scores, and ``score * s`` is the reference's value bit for bit.
+    The head decodes as ``score = -floor(key / W)``, ``col = key - W *
+    floor(key / W)``.
+    """
+    w = keys.shape[1]
+    kw = _key_width(w)
+    keys.sort(axis=1)
+    keys = keys[:, : min(m + 1, w)]
+    scores = _key_scores(keys, kw)
+    h = min(m, w)
+    with np.errstate(invalid="ignore"):  # a padding key decodes to inf - inf
+        head = keys[:, :h] + kw * scores[:, :h]
+    return np.fmax(head, 0.0, out=head).astype(np.int64), scores  # NaN -> 0
+
+
 def _reject_nan(scores: "np.ndarray | float") -> None:
     """Raise on NaN scores."""
     if np.isnan(scores).any():
@@ -254,6 +331,8 @@ class SadsSorter:
         row_len: "int | np.ndarray",
         k: "int | np.ndarray",
         n_segments: "int | np.ndarray | None" = None,
+        row_scales: "np.ndarray | None" = None,
+        score_bound: float = np.inf,
     ) -> SadsStackResult:
         """Distributed top-k over *streamed* score tiles, rows of any length.
 
@@ -276,6 +355,16 @@ class SadsSorter:
         are ignored (:func:`column_windows` is the materialized form).  The
         selector writes ``-inf`` over those entries in place, so the block
         must be a fresh array, not a view of data the caller keeps.
+
+        With ``row_scales`` (``(n_rows,)``), the tiles hold unscaled
+        exact-integer scores of magnitude at most ``score_bound``, and row
+        ``r``'s scores are ``tile[r] * row_scales[r]``.  When
+        :func:`_keys_exact` holds for the call, each segment is ranked by
+        one value sort of unique integer keys (:func:`_key_head`), with no
+        argsort, no tie repair and no NaN scan, and so are the candidate
+        pool and the final reorder; otherwise the selector scales each
+        tile itself and takes the float path.
+
         Each row's selection - indices, ordering, tie breaks, comparator
         and clipped tallies - is **bit-identical** to
         :meth:`select_row_reference` on that row, but no state larger than
@@ -291,8 +380,9 @@ class SadsSorter:
         * the per-segment pass consumes only the segment block, in one
           sort: the top-quota set is threshold-independent (clipping only
           suppresses comparator switching), so selection is the head of a
-          stable descending sort (:func:`_stable_head`), whose first value
-          is the segment max.  The survivor count drives op/power
+          stable descending sort (:func:`_stable_head`, or the key sort of
+          :func:`_key_head`, which gives the same head and values), whose
+          first value is the segment max.  The survivor count drives op/power
           accounting and the below-quota hardware fallback; values at or
           above the threshold are a prefix of the sorted row, so a row
           counts them in its head, and only a row whose whole head passes
@@ -340,6 +430,8 @@ class SadsSorter:
             raise ValueError("n_segments must be >= 1")
         if (np.diff(seg_counts) > 0).any():
             raise ValueError("rows must be ordered by non-increasing segment count")
+        if row_scales is not None:
+            _reject_nan(row_scales)
         lo_tab, hi_tab, quota_tab, merge_rows = _row_plans(s_rows, k_rows, seg_counts)
         fresh = max(self.config.sorter_width - self.config.sorter_keep, 1)
         per_pass = _bitonic_comparators(self.config.sorter_width)
@@ -377,6 +469,16 @@ class SadsSorter:
         # (value desc, index asc) order within the segment.
         cand_vals = np.empty((r, n_max * rounds))
         cand_idx = np.empty((r, n_max * rounds), dtype=np.int64)
+        m_pool = max(rounds, 1)
+        # Integer tiles inside the key guard are ranked by keys everywhere:
+        # segments, the candidate pool and the final reorder.  The chosen
+        # and candidate buffers then hold integer scores, which order (and
+        # tie) as the scaled ones do, so the exchange runs on them too.
+        keyed = row_scales is not None and _keys_exact(
+            max(int(seg_w.max()), cand_vals.shape[1] + m_pool, picked.shape[1]),
+            score_bound,
+            row_scales,
+        )
 
         for seg in range(n_max):
             m = int(active[seg])
@@ -385,36 +487,51 @@ class SadsSorter:
             block = np.asarray(tile_fn(seg, lo, hi), dtype=np.float64)
             if block.shape != (m, w):
                 raise ValueError(f"tile_fn returned {block.shape}, expected {(m, w)}")
-            short = np.flatnonzero(width < w)  # rows with padding to overwrite
-            if short.size:
-                block[short] = np.where(np.arange(w) < width[short, None], block[short], -np.inf)
-            _reject_nan(block)
             # The chosen entries, then the segment's top excluded
-            # candidates: the head of a stable descending argsort, whose
+            # candidates: the head of a stable descending sort, whose
             # first value is the segment max.  Capped quotas never exceed
             # the window, so a row takes its quota.
             qm = int(q_cols[seg])
-            head, vals = _stable_head(block, qm + rounds)
+            if row_scales is not None and not keyed:
+                block *= row_scales[:m, None]
+            short = np.flatnonzero(width < w)  # rows with padding to overwrite
+            if short.size:
+                block[short] = np.where(np.arange(w) < width[short, None], block[short], -np.inf)
+            if keyed:
+                head, scores = _key_head(_keys(block, out=block), qm + rounds)
+                vals = scores * row_scales[:m, None]
+            else:
+                _reject_nan(block)
+                head, vals = _stable_head(block, qm + rounds)
+                scores = vals
             threshold = np.where(
                 np.isfinite(running_max[:m]), running_max[:m] - self.config.radius, -np.inf
             )
             # Survivors: the head is sorted, so a row counts them there
-            # unless its whole head passes; only those rows count the block.
+            # unless its whole head passes.  Under a -inf threshold the
+            # whole block passes; other rows whose head passes count the
+            # block.
             surv = (vals >= threshold[:, None]).sum(axis=1)
+            open_rows = threshold == -np.inf
+            surv[open_rows] = w
             if vals.shape[1] < w:
-                full = np.flatnonzero(surv == vals.shape[1])
+                full = np.flatnonzero((surv == vals.shape[1]) & ~open_rows)
                 if full.size:
-                    surv[full] = (block[full] >= threshold[full, None]).sum(axis=1)
+                    row_vals = block[full]
+                    if keyed:  # the sorted keys, read back as values
+                        row_vals = _key_scores(row_vals, _key_width(w))
+                        row_vals *= row_scales[full, None]
+                    surv[full] = (row_vals >= threshold[full, None]).sum(axis=1)
             surv_tab[:m, seg] = surv
-            open_tab[:m, seg] = threshold == -np.inf
+            open_tab[:m, seg] = open_rows
             rows = np.arange(m)[:, None]
             head_idx = head + lo[:, None]
             chosen = slice(int(off[seg]), int(off[seg]) + qm)
             chosen_idx[:m, chosen] = head_idx[:, :qm]
-            chosen_vals[:m, chosen] = vals[:, :qm]
+            chosen_vals[:m, chosen] = scores[:, :qm]
             # Each row's candidates follow its own quota.
             cols = slice(seg * rounds, (seg + 1) * rounds)
-            cand_vals[:m, cols] = vals[rows, pos_tab[:m, seg]]
+            cand_vals[:m, cols] = scores[rows, pos_tab[:m, seg]]
             cand_idx[:m, cols] = head_idx[rows, pos_tab[:m, seg]]
             running_max[:m] = np.maximum(running_max[:m], vals[:, 0])
 
@@ -429,7 +546,6 @@ class SadsSorter:
         # Candidates past a row's window, or of a segment it sits out, are
         # padding: (-inf, out-of-range index), and so is the tail the pool
         # needs when there are fewer than `rounds` real ones.
-        m_pool = max(rounds, 1)
         real = pos_ok.reshape(r, -1)
         cand_vals = np.concatenate(
             [np.where(real, cand_vals, -np.inf), np.full((r, m_pool), -np.inf)], axis=1
@@ -441,8 +557,12 @@ class SadsSorter:
         # Excluded-candidate pool: per row, the top-`rounds` excluded
         # entries in (value desc, index asc) order.  Candidates arrive
         # segment-major, i.e. index-ascending, so a stable sort settles
-        # ties.  Padding sorts last: -inf value, out-of-range index.
-        top, pool_vals = _stable_head(cand_vals, m_pool)
+        # ties.  Padding sorts last: -inf value, out-of-range index (on the
+        # key path a padding entry names candidate 0 instead; a -inf pool
+        # entry never beats a pick, so its index is never read).
+        top, pool_vals = (
+            _key_head(_keys(cand_vals), m_pool) if keyed else _stable_head(cand_vals, m_pool)
+        )
         pool_vals = pool_vals[:, :m_pool]
         pool_idx = np.take_along_axis(cand_idx, top, axis=1)
 
@@ -456,9 +576,16 @@ class SadsSorter:
         )
 
         # Descending by value, ties by position; NaN sorts after every
-        # value, -inf included, so each row's k picks come first and -1 pads.
-        order, _ = _stable_head(np.where(picked, selvals, np.nan), k_max)
-        indices = np.take_along_axis(sel, order, axis=1)
+        # value, -inf included, so each row's k picks come first and -1 pads
+        # (on the key path no pick is -inf, so -inf marks the pads).
+        if keyed:
+            order, top_scores = _key_head(_keys(np.where(picked, selvals, -np.inf)), k_max)
+            indices = np.where(
+                top_scores[:, :k_max] > -np.inf, np.take_along_axis(sel, order, axis=1), -1
+            )
+        else:
+            order, _ = _stable_head(np.where(picked, selvals, np.nan), k_max)
+            indices = np.take_along_axis(sel, order, axis=1)
         compare_rows += merge_rows
         return SadsStackResult(
             indices=indices, compare_rows=compare_rows, clipped_rows=clipped_rows

@@ -38,8 +38,17 @@ float64's 53-bit integer window (:func:`~repro.numerics.linalg._blas_exact`):
 the BLAS matmul then produces the same integers, hence the same bits after
 scaling.  The check reads the queries' actual magnitudes but bounds
 ``k_hat`` by its truncation width, so it never scans the ``sum S_i`` key
-rows.  Inputs too large for the window (never the default 16-bit configs)
-fall back to int64 tiles, trading speed, not correctness.
+rows.  ``k_hat`` already holds its codes as float64, so an exact tile is
+a gather and a matmul, with no cast.  Inputs too large for the window
+(never the default 16-bit configs) fall back to int64 tiles, trading
+speed, not correctness.
+
+Exact tiles go to the selector unscaled, with each row's scale and the
+same bound on ``|score|``: inside its key guard the selector ranks the
+integers themselves by one value sort of unique keys
+(:func:`~repro.core.sads._key_head`), which gives the float path's
+selection bit for bit.  Outside the guard it scales the tile itself, to
+the bits the kernel would have produced.  Int64 tiles are scaled here.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ import numpy as np
 
 from repro.core.sads import SadsStackResult, segment_counts, window_columns
 from repro.numerics.fixed_point import int_range
-from repro.numerics.linalg import _blas_exact_bounded
+from repro.numerics.linalg import _EXACT_WINDOW, _matmul_bound
 
 if TYPE_CHECKING:
     from repro.core.dlzs import PreparedStackPrediction, StackedDlzsPredictor
@@ -113,7 +122,8 @@ class FusedPredictSelect:
         own ``k_hat`` rows: the gathered key rows feed the same exact
         integer matmul, so the window's position changes no bit.  The
         selector sees the heads ordered by segment count, most first, so a
-        head takes part only in its own segments.
+        head takes part only in its own segments.  Exact tiles reach it
+        unscaled, with their rows' scales (see the module notes).
         """
         prep = predictor.predict_prepared(tokens, q, cache=cache, cache_keys=cache_keys)
         n, t = prep.pow2.shape[0], prep.pow2.shape[1]
@@ -123,7 +133,10 @@ class FusedPredictSelect:
             lens, k_heads, sorter.config.n_segments if n_segments is None else n_segments
         )
         order = np.argsort(-seg_heads, kind="stable")
-        exact = _blas_exact_bounded(prep.pow2, int_range(prep.k_bits)[1])
+        # Bounds every partial sum, hence every |score|, from the queries'
+        # magnitudes and the truncation width (no scan of k_hat).
+        bound = _matmul_bound(prep.pow2, int_range(prep.k_bits)[1])
+        exact = bound < _EXACT_WINDOW
         probe = FusedProbe(
             rows=n * t,
             row_len=int(lens.max()),
@@ -131,28 +144,33 @@ class FusedPredictSelect:
             full_matrix_elems=t * int(lens.sum()),
             exact_blas=exact,
         )
-        scales = prep.scales[order, None, None]
-        pow2 = prep.pow2[order].astype(np.float64 if exact else np.int64)
+        scales = prep.scales[order]
+        dtype = np.float64 if exact else np.int64
+        pow2 = prep.pow2[order].astype(dtype)
+        k_hat = prep.k_hat.astype(dtype, copy=False)  # float64 codes: no copy
         starts = prep.starts[order]
 
         def tile_fn(seg: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             # Rows are head-major, so every T-th row carries its head's
             # window; the first m heads are the ones still active.
             m = len(lo) // t
-            k_tile = prep.k_hat[starts[:m, None] + window_columns(lo[::t], hi[::t])]
-            if exact:
-                k_tile = k_tile.astype(np.float64)
+            k_tile = k_hat[starts[:m, None] + window_columns(lo[::t], hi[::t])]
             block = pow2[:m] @ k_tile.transpose(0, 2, 1)
             probe.peak_tile_elems = max(probe.peak_tile_elems, block.size)
-            block = block.astype(np.float64, copy=False) * scales[:m]
+            if not exact:
+                block = block.astype(np.float64) * scales[:m, None, None]
             return block.reshape(m * t, k_tile.shape[1])
 
+        # Exact tiles go to the selector unscaled, with their rows' scales
+        # and score bound: it ranks them by integer keys where it can.
         stack = sorter.select_stack_streamed(
             tile_fn,
             n * t,
             np.repeat(lens[order], t),
             np.repeat(k_heads[order], t),
             np.repeat(seg_heads[order], t),
+            row_scales=np.repeat(scales, t) if exact else None,
+            score_bound=bound,
         )
         # Back to the callers' head order: sorted row p is original row rows[p].
         rows = (order[:, None] * t + np.arange(t)).ravel()

@@ -53,18 +53,43 @@ class QuantizedTensor:
         return self.values.astype(np.float64) * self.scale
 
 
+def quantize_codes(
+    x: np.ndarray,
+    scale: float | np.ndarray,
+    bits: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Round and saturate ``x`` at a fixed symmetric ``scale``, as float64.
+
+    This is THE rounding rule of the package: ``rint(x / scale)`` clipped
+    to :func:`int_range`.  :func:`quantize_with_scale` (and through it
+    :func:`quantize`, :func:`quantize_stack` and the decode-step cache's
+    incremental re-quantization) casts its result to int64, and the DLZS
+    ``K_hat`` truncation writes it straight into float64 rows (``out``,
+    which may be ``x`` itself), so bit-for-bit parity between full and
+    incremental paths rests on a single formula.  The result holds
+    integers: exactly the ones the int64 cast gives.
+    """
+    lo, hi = int_range(bits)
+    out = np.divide(x, scale, out=out)
+    np.rint(out, out=out)
+    return np.clip(out, lo, hi, out=out)
+
+
 def quantize_with_scale(
     x: np.ndarray, scale: float | np.ndarray, bits: int
 ) -> np.ndarray:
-    """Round and saturate float64 ``x`` at a fixed symmetric ``scale``.
+    """:func:`quantize_codes` as int64 codes."""
+    return quantize_codes(x, scale, bits).astype(np.int64)
 
-    This is THE rounding rule of the package: :func:`quantize`,
-    :func:`quantize_stack` and the decode-step cache's incremental
-    re-quantization all call it, so bit-for-bit parity between full and
-    incremental paths rests on a single formula.
-    """
-    lo, hi = int_range(bits)
-    return np.clip(np.rint(x / scale), lo, hi).astype(np.int64)
+
+def require_finite(max_abs: float | np.ndarray) -> float | np.ndarray:
+    """Return ``max_abs``, the ``max|x|`` of a quantizer's input, or raise
+    :class:`ValueError` when the input is not finite: NaN propagates
+    through the maximum, and an infinity is its own maximum."""
+    if not np.isfinite(max_abs).all():
+        raise ValueError("cannot quantize non-finite input (NaN or inf)")
+    return max_abs
 
 
 def quantize(x: np.ndarray, bits: int) -> QuantizedTensor:
@@ -75,10 +100,12 @@ def quantize(x: np.ndarray, bits: int) -> QuantizedTensor:
     small that ``max_abs / hi`` underflows to zero (subnormal inputs) falls
     back to scale 1.0 the same way - every element then rounds to 0, which
     is the closest representable code, instead of dividing by zero.
+    Non-finite input (NaN or inf) raises :class:`ValueError`.
     """
     x = np.asarray(x, dtype=np.float64)
     _, hi = int_range(bits)
     max_abs = float(np.max(np.abs(x))) if x.size else 0.0
+    require_finite(max_abs)
     scale = max_abs / hi
     if scale <= 0.0:
         scale = 1.0
@@ -122,25 +149,36 @@ def stack_scale(max_abs: float, bits: int) -> float:
     return scale if scale > 0 else 1.0
 
 
-def quantize_stack(x: np.ndarray, bits: int) -> StackQuantizedTensor:
-    """Quantize each slice along axis 0 with its own symmetric scale.
-
-    Equivalent to ``[quantize(x[i], bits) for i in range(len(x))]`` but
-    vectorized; each slice saturates its own max-magnitude element.
-    """
+def quantize_stack_codes(
+    x: np.ndarray, bits: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`quantize_stack` as float64 codes (:func:`quantize_codes`,
+    written into ``out`` when given), with the per-slice scales."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("quantize_stack needs a stack of tensors (ndim >= 2)")
     _, hi = int_range(bits)
-    reduce_axes = tuple(range(1, x.ndim))
-    max_abs = np.max(np.abs(x), axis=reduce_axes)
+    # max|x| per slice from its extremes: two reductions, no |x| temporary
+    # (NaN propagates through both).
+    axes = tuple(range(1, x.ndim))
+    max_abs = require_finite(np.maximum(-x.min(axis=axes), x.max(axis=axes)))
     # Same fallback rule as quantize() - including for slices whose scale
     # underflows to zero - so per-slice bits stay identical to it.
     raw_scales = max_abs / hi
     scales = np.where(raw_scales > 0, raw_scales, 1.0)
     bshape = (-1,) + (1,) * (x.ndim - 1)
-    q = quantize_with_scale(x, scales.reshape(bshape), bits)
-    return StackQuantizedTensor(values=q, scales=scales, bits=bits)
+    return quantize_codes(x, scales.reshape(bshape), bits, out=out), scales
+
+
+def quantize_stack(x: np.ndarray, bits: int) -> StackQuantizedTensor:
+    """Quantize each slice along axis 0 with its own symmetric scale.
+
+    Equivalent to ``[quantize(x[i], bits) for i in range(len(x))]`` but
+    vectorized; each slice saturates its own max-magnitude element.
+    Non-finite input raises :class:`ValueError`, as in :func:`quantize`.
+    """
+    codes, scales = quantize_stack_codes(x, bits)
+    return StackQuantizedTensor(values=codes.astype(np.int64), scales=scales, bits=bits)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:

@@ -62,17 +62,20 @@ def _blas_exact(a: np.ndarray, b: np.ndarray) -> bool:
     """
     if b.size == 0:
         return True
-    return _blas_exact_bounded(a, _max_abs(b))
+    return _matmul_bound(a, _max_abs(b)) < _EXACT_WINDOW
 
 
-def _blas_exact_bounded(a: np.ndarray, b_max: float) -> bool:
-    """:func:`_blas_exact` for a ``b`` known only through ``max|b| <= b_max``.
+def _matmul_bound(a: np.ndarray, b_max: float) -> float:
+    """``depth * max|a| * b_max``: a bound on every partial sum of the
+    integer matmul ``a @ b`` for a ``b`` known only through ``max|b| <=
+    b_max`` (0.0 when ``a`` is empty).
 
-    Callers that already bound ``b`` (a truncation width) skip scanning it.
+    Callers that already bound ``b`` (a truncation width) skip scanning
+    it; :func:`_blas_exact` holds when the bound is below ``2**53``.
     """
     if a.size == 0:
-        return True
-    return a.shape[-1] * _max_abs(a) * b_max < _EXACT_WINDOW
+        return 0.0
+    return a.shape[-1] * _max_abs(a) * b_max
 
 
 def exact_int_matmul(a: np.ndarray, b: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -82,11 +85,14 @@ def exact_int_matmul(a: np.ndarray, b: np.ndarray, dtype=np.float64) -> np.ndarr
     :func:`_blas_exact` window the product runs as a float64 BLAS matmul
     (every partial sum is an exact integer, so the blocking is irrelevant);
     outside it falls back to the exact int64 matmul, so ``dtype=np.int64``
-    returns the exact integer product on both sides of the window.
+    returns the exact integer product on both sides of the window.  Either
+    operand may hold its integers as float64 (as DLZS codes do).
     """
     if not _blas_exact(a, b):
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
         return (a @ b).astype(dtype, copy=False)
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(dtype, copy=False)
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+    return (a @ b).astype(dtype, copy=False)
 
 
 def _contract(x: np.ndarray, mat: np.ndarray) -> np.ndarray:

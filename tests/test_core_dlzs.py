@@ -191,3 +191,49 @@ def test_keyed_phase_one_exact_on_both_sides_of_the_blas_window(block_tokens):
             assert np.array_equal(got, want.reshape(n * length, d))
         assert (cache.stats.misses, cache.stats.hits) == (1, 1)
         cache.close()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [DlzsConfig(), DlzsConfig(token_bits=40, weight_bits=16)],
+    ids=["window", "wide-fallback"],
+)
+def test_prepared_codes_are_the_per_head_predictors_codes(cfg):
+    """One stacked call mixing keyed and unkeyed heads: ``k_hat`` holds
+    float64 codes bit-equal to each head's ``DlzsPredictor`` int64 codes,
+    and the scales are its scales, for an all-zero head, subnormal tokens,
+    tokens whose scale underflows, and integer tokens past the BLAS window;
+    the wide config pushes every float head past the window too.  Keyed
+    heads go through a miss, then a hit that appends rows."""
+    from repro.engine.paged import PagedDecodeCache
+
+    rng = make_rng(14)
+    s, grow, h, d, t = 24, 3, 8, 8, 3
+    tokens = [
+        rng.normal(size=(s + grow, h)),
+        np.zeros((s + grow, h)),
+        rng.normal(size=(s + grow, h)) * 1e-310,  # subnormal
+        np.full((s + grow, h), 5e-324) * rng.choice([-1, 1], (s + grow, h)),
+        rng.integers(-(2**50), 2**50, size=(s + grow, h)),  # past the window
+    ]
+    n = len(tokens)
+    wk = rng.normal(size=(n, h, d))
+    q = rng.normal(size=(n, t, d))
+    pred = StackedDlzsPredictor(wk, cfg)
+    assert not _blas_exact(tokens[-1], pred._wk_pow2[-1])
+    if cfg.token_bits == 40:
+        assert not _blas_exact(np.full((1, h), 2.0**39), pred._wk_pow2[0])
+    cache = PagedDecodeCache()
+    keys = [("a",), None, ("c",), None, ("e",)]
+    for length in (s, s + grow):
+        heads = [x[:length] for x in tokens]
+        got = pred.predict_prepared(heads, q, cache=cache, cache_keys=keys)
+        assert got.k_hat.dtype == np.float64
+        for i in range(n):
+            ref = DlzsPredictor(wk[i], cfg).predict_prepared(heads[i], q[i])
+            assert got.head_k_hat(i).tobytes() == ref.k_hat.astype(np.float64).tobytes()
+            assert np.float64(got.scales[i]).tobytes() == np.float64(ref.scale).tobytes()
+            assert np.array_equal(got.pow2[i], ref.pow2)
+    # every keyed head looked up twice; louder appended rows miss again
+    assert cache.stats.misses + cache.stats.hits == 6 and cache.stats.hits >= 1
+    cache.close()

@@ -8,7 +8,17 @@ from hypothesis.extra import numpy as hnp
 
 from repro.attention.topk import exact_topk_indices, topk_recall
 from repro.core.config import SadsConfig
-from repro.core.sads import SadsSorter, _stable_head, column_windows, vanilla_sort_ops
+from repro.core.sads import (
+    SadsSorter,
+    _key_head,
+    _keys,
+    _key_scores,
+    _key_width,
+    _keys_exact,
+    _stable_head,
+    column_windows,
+    vanilla_sort_ops,
+)
 from repro.model.workloads import synthetic_scores
 from repro.utils.rng import make_rng
 
@@ -267,3 +277,103 @@ def test_streamed_select_counts_survivors_past_a_fully_passing_head():
         assert got.clipped_rows[r] == ref.clipped
     # the sphere clipped every row but the one whose segments all pass
     assert (got.clipped_rows[:-1] > 0).all() and got.clipped_rows[-1] == 0
+
+
+# --------------------------------------------------- key-sorted segment head
+_TINY = np.finfo(np.float64).tiny
+_KEY_WINDOW = 2.0**51
+
+
+@st.composite
+def _integer_tiles(draw):
+    """Exact-integer score tiles, ragged row widths (the rest padding), a
+    head length up to past the width, and a scale at the key guard's edges:
+    the smallest normal, ``bound * scale`` next to overflow, or plain."""
+    r = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 40))
+    kw = 1 << (w - 1).bit_length()
+    top = int(_KEY_WINDOW // kw) - 1  # the widest bound the guard admits
+    cells = draw(
+        st.sampled_from(
+            [
+                st.sampled_from([-2, -1, 0, 1, 2]),  # forced ties
+                st.just(0),  # all zero
+                st.integers(-top, top),
+                st.sampled_from([-top, -top + 1, top - 1, top]),
+            ]
+        )
+    )
+    ints = np.array(draw(st.lists(cells, min_size=r * w, max_size=r * w)), dtype=np.float64)
+    ints = ints.reshape(r, w)
+    if draw(st.booleans()):  # signed zeros, as a float64 BLAS tile can hold
+        ints[(ints == 0) & draw(hnp.arrays(np.bool_, (r, w)))] = -0.0
+    width = np.array(draw(st.lists(st.integers(1, w), min_size=r, max_size=r)))
+    bound = float(draw(st.sampled_from([max(np.abs(ints).max(), 1.0), float(top)])))
+    kind = draw(st.sampled_from(["tiny", "overflow", "plain"]))
+    if kind == "tiny":
+        scales = np.full(r, _TINY) * draw(st.sampled_from([1.0, 2.0, 3.0]))
+    elif kind == "overflow":
+        scales = np.full(r, np.nextafter(np.finfo(np.float64).max / bound, 0))
+    else:
+        scales = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=r, max_size=r)))
+    return ints, width, scales, bound, draw(st.integers(0, w + 3))
+
+
+@given(_integer_tiles(), st.floats(-1e300, 1e300))
+@settings(max_examples=300, deadline=None)
+def test_key_sorted_head_is_the_stable_head_of_the_scaled_scores(case, thr):
+    """One value sort of the keys ``col - W * score`` gives the stable
+    head of ``ints * scale`` (padding ``-inf``): the same columns, the same
+    head values bit for bit once scaled (a zero reads +0.0), and the same
+    survivor count at any threshold over the whole sorted row."""
+    ints, width, scales, bound, m = case
+    r, w = ints.shape
+    assert _keys_exact(w, bound, scales)
+    real = np.arange(w) < width[:, None]
+    scaled = np.where(real, ints * scales[:, None], -np.inf)
+    ref_head, ref_vals = _stable_head(scaled, m)
+    keys = _keys(np.where(real, ints, -np.inf))
+    head, scores = _key_head(keys, m)  # sorts keys in place
+    vals = scores * scales[:, None]
+    assert head.shape == ref_head.shape and vals.shape == ref_vals.shape
+    named = np.arange(head.shape[1]) < width[:, None]  # padding names no column
+    assert np.array_equal(head[named], ref_head[named])
+    assert vals.tobytes() == (ref_vals + 0.0).tobytes()
+    decoded = _key_scores(keys, _key_width(w)) * scales[:, None]
+    for t in (thr, -np.inf):
+        assert np.array_equal((decoded >= t).sum(axis=1), (scaled >= t).sum(axis=1))
+
+
+@pytest.mark.parametrize(
+    "bound, scale, keyed",
+    [
+        (2.0**45 - 1, 1.0, True),  # W * bound just below 2**51
+        (2.0**45, 1.0, False),  # ... and at it
+        (100.0, _TINY, True),  # the smallest normal scale
+        (100.0, np.nextafter(_TINY, 0), False),  # a subnormal one
+        (100.0, np.finfo(np.float64).max / 100.0, True),  # bound * scale finite
+        (100.0, np.nextafter(np.finfo(np.float64).max / 100.0, np.inf), False),
+    ],
+)
+def test_integer_tiles_on_both_sides_of_the_key_guard_equal_the_reference(bound, scale, keyed):
+    """Integer tiles handed over with their rows' scales are ranked by keys
+    inside the guard and scaled onto the float path outside it; either way
+    every row equals ``select_row_reference`` on ``ints * scale``."""
+    rng = make_rng(47)
+    sorter = _sorter(n=4, radius=4.0 * scale, rounds=2)
+    s, r, k = 256, 5, 24  # 64-wide segments: W = 64
+    ints = rng.integers(-3, 4, size=(r, s)).astype(np.float64)
+    ints[:, ::7] = bound * rng.choice([-1.0, 1.0], size=(r, 1))
+    scales = np.full(r, scale)
+    assert _keys_exact(64, bound, scales) is keyed
+    with np.errstate(over="ignore"):  # past the overflow edge, scores reach inf
+        got = sorter.select_stack_streamed(
+            lambda seg, lo, hi: column_windows(ints, lo, hi), r, s, k,
+            row_scales=scales, score_bound=bound,
+        )
+        rows = ints * scales[:, None]
+    for i, row in enumerate(rows):
+        ref = sorter.select_row_reference(row, k)
+        assert np.array_equal(got.indices[i], ref.indices)
+        assert got.compare_rows[i] == ref.ops["compare"]
+        assert got.clipped_rows[i] == ref.clipped

@@ -800,3 +800,26 @@ def test_engine_surfaces_ttl_expirations_in_stats():
     assert engine.stats.cache_hits == 0
     assert engine.stats.cache_misses == 3
     assert engine.stats.cache_expirations >= 2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_decode_append_with_a_non_finite_row_raises_and_keeps_the_entry(value):
+    """A decode step whose appended row holds NaN or inf raises ValueError
+    on the cache's hit path, before any counter moves; the stored entry
+    still serves the next finite step as a hit, bit-identical."""
+    rng = make_rng(57)
+    n, h, d = 1, 16, 16
+    op = BatchedSofaAttention(rng.normal(size=(n, h, d)), rng.normal(size=(n, h, d)), CFG)
+    cache = PagedDecodeCache()
+    tokens = rng.integers(-80, 80, size=(n, 32, h)).astype(np.float64)
+    q = rng.normal(size=(n, 2, d))
+    op(tokens, q, cache=cache, cache_keys=["s"])
+    bad = np.concatenate([tokens, tokens[:, -1:]], axis=1)
+    bad[0, -1, 3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        op(bad, q, cache=cache, cache_keys=["s"])
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.invalidations) == (0, 1, 0)
+    grown = np.concatenate([tokens, tokens[:, -1:]], axis=1)
+    got = op(grown, q, cache=cache, cache_keys=["s"])
+    assert cache.stats.hits == 1
+    assert got.per_head[0].output.tobytes() == op(grown, q).per_head[0].output.tobytes()

@@ -217,6 +217,32 @@ def test_fused_single_head_bit_identical_and_never_full():
             assert probe.peak_tile_elems <= t * (-(-s // n_seg) + 1)
 
 
+def test_fused_ranks_real_predictions_by_integer_keys(monkeypatch):
+    """Real predictions sit inside the key guard: the fused kernel hands
+    every segment to the selector as an unscaled integer tile, ranked by
+    one key sort each (as are the candidate pool and the final order),
+    and the result is the golden pipeline's."""
+    import repro.core.sads as sads
+
+    ranked = []
+    key_head = sads._key_head
+    monkeypatch.setattr(
+        sads, "_key_head", lambda block, *rest: ranked.append(block.shape) or key_head(block, *rest)
+    )
+    rng = make_rng(25)
+    cfg = SofaConfig(tile_cols=16)
+    n, s, t = 2, 130, 3
+    predictor = StackedDlzsPredictor(rng.normal(size=(n, 8, 8)), cfg.dlzs)
+    tokens = rng.normal(size=(n, s, 8))
+    q = rng.normal(size=(n, t, 8))
+    sorter = SadsSorter(cfg.sads_for(cfg.n_tiles(s)))
+    full = predictor.predict(tokens, q)
+    _, got = FUSED.run_stacked(predictor, sorter, tokens, q, 20)
+    _assert_stack_equal(sorter.select_stack(full.a_hat.reshape(n * t, s), 20), got)
+    # one key sort per segment, then the candidate pool and the final order
+    assert len(ranked) == min(sorter.config.n_segments, 20, s) + 2
+
+
 def test_fused_stacked_bit_identical():
     rng = make_rng(22)
     for n, s, t in [(1, 64, 4), (3, 130, 2), (4, 31, 1)]:

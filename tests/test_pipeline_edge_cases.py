@@ -156,3 +156,25 @@ def test_degenerate_two_token_sequence():
     res = op(tokens, q)
     assert res.selected.shape == (1, 1)
     _check_exact_over_selection(op, tokens, q, res)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["tokens", "q", "wk"])
+def test_non_finite_input_raises_a_typed_error(where, value):
+    """A NaN or infinite token, query or key weight raises ValueError
+    naming non-finite input, in golden ``SofaAttention`` and engine-direct
+    alike, instead of returning a non-finite output."""
+    from repro.engine import AttentionRequest, SofaEngine
+
+    wk, wv, tokens, q = _head(make_rng(90), 40)
+    arrays = {"tokens": tokens, "q": q, "wk": wk}
+    arrays[where] = arrays[where].copy()
+    arrays[where][1, 2] = value
+    cfg = SofaConfig(tile_cols=16, top_k=8)
+    with pytest.raises(ValueError, match="non-finite"):
+        SofaAttention(arrays["wk"], wv, cfg)(arrays["tokens"], arrays["q"])
+    request = AttentionRequest(
+        tokens=arrays["tokens"], q=arrays["q"], wk=arrays["wk"], wv=wv
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        SofaEngine(cfg).run([request])
