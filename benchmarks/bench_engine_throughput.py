@@ -22,10 +22,7 @@ Three measurements, three artifacts:
   prefill-shaped ``stream_selected`` call (2 x 128 query rows, 205
   selected keys each, 64-wide keys and values): SU-FA gathers its keys
   and values in cache-sized row blocks, so the peak stays near one block
-  set, not a whole-stack gather.  The same fresh interpreter times one
-  warm prefill-shaped fused predict+select call (2 x 128 query rows, S =
-  2048, ``tile_cols`` 64, top 10%; median of the timed calls), recorded
-  ungated as ``timing.predict_select_ms``.
+  set, not a whole-stack gather.
 * ``BENCH_cluster.json`` (``--cluster N``): worker-count scaling of the
   sharded :class:`~repro.cluster.EngineCluster` on a decode stream of
   many concurrent sequences under a **fixed per-worker decode-cache
@@ -238,14 +235,11 @@ HEAP_WARMUP_CALLS = 3
 HEAP_CALLS = 10
 
 _HEAP_PROBE = """
-import json, resource, sys, time, tracemalloc
+import json, resource, sys, tracemalloc
 import numpy as np
 from repro import SofaConfig, SofaEngine
-from repro.core.dlzs import StackedDlzsPredictor
-from repro.core.sads import SadsSorter
 from repro.core.sufa import stream_selected
 from repro.engine import AttentionRequest
-from repro.kernels import FUSED
 
 shape, warmup, calls = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(0)
@@ -256,8 +250,7 @@ heads = [
      rng.standard_normal((shape["h"], shape["dk"])))
     for _ in range(shape["heads"])
 ]
-config = SofaConfig(tile_cols=64, top_k=0.1)
-engine = SofaEngine(config)
+engine = SofaEngine(SofaConfig(tile_cols=64, top_k=0.1))
 
 def call():
     futures = [engine.submit(AttentionRequest(tokens=tokens, q=q, wk=wk, wv=wv))
@@ -285,34 +278,18 @@ tracemalloc.start()
 stream_selected(q_rows, keys, values, index, tile_cols=64)
 stream_peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-
-# Warm fused predict+select calls of the batch's shape (after the warm-up
-# calls above have built the operator and grown the heap).
-predictor = StackedDlzsPredictor(np.stack([wk for _, wk, _ in heads]), config.dlzs)
-sorter = SadsSorter(config.sads_for(config.n_tiles(shape["s"])))
-stack_tokens = np.stack([tokens] * shape["heads"])
-stack_q = np.stack([q for q, _, _ in heads])
-k = round(0.1 * shape["s"])
-times = []
-for i in range(warmup + calls):
-    start = time.perf_counter()
-    FUSED.run_stacked(predictor, sorter, stack_tokens, stack_q, k)
-    if i >= warmup:
-        times.append(time.perf_counter() - start)
 print(json.dumps({
     "minor_faults_per_call": (after.ru_minflt - before.ru_minflt) / calls,
     "sys_ms_per_call": (after.ru_stime - before.ru_stime) * 1e3 / calls,
     "stream_peak_mb": stream_peak / 1e6,
-    "predict_select_ms": float(np.median(times)) * 1e3,
 }))
 """
 
 
 def measure_heap() -> dict:
-    """Page faults and system time per warm prefill-shaped engine call, the
-    peak traced memory of one warm prefill-shaped stream call, and the time
-    of a warm prefill-shaped fused predict+select call, measured in a fresh
-    interpreter (``resource`` needs a POSIX host)."""
+    """Page faults and system time per warm prefill-shaped engine call, and
+    the peak traced memory of one warm prefill-shaped stream call, measured
+    in a fresh interpreter (``resource`` needs a POSIX host)."""
     src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -345,8 +322,6 @@ def measure_continuous(quick: bool = False) -> dict:
     warm_s, warm_out, engine = _decode_loop(quick, use_cache=True)
     decode_exact = _bit_identical(cold_out, warm_out)
     cache = engine.stats.cache
-    heap = measure_heap()
-    timing = {"predict_select_ms": heap.pop("predict_select_ms")}
     return {
         "bench": "engine_continuous",
         "quick": quick,
@@ -369,8 +344,7 @@ def measure_continuous(quick: bool = False) -> dict:
             "rows_reused": cache.rows_reused,
             "bit_identical": decode_exact,
         },
-        "heap": heap,
-        "timing": timing,
+        "heap": measure_heap(),
     }
 
 

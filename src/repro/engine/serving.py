@@ -154,7 +154,9 @@ def validate_request(request: AttentionRequest, default_config: SofaConfig) -> N
     Shared by :meth:`SofaEngine.submit` and the cluster frontend
     (:class:`repro.cluster.EngineCluster`), so a bad request fails in the
     caller's process instead of aborting the batch (or the worker) it
-    would have joined.
+    would have joined.  That includes a NaN or infinite entry in
+    ``tokens``, ``q``, ``wk`` or ``wv``: quantizing the first three would
+    raise inside the batch and fail every request batched with it.
     """
     tokens = np.asarray(request.tokens)
     q = np.asarray(request.q)
@@ -172,6 +174,9 @@ def validate_request(request: AttentionRequest, default_config: SofaConfig) -> N
         v = np.asarray(request.v)
         if v.ndim != 2 or v.shape[0] != tokens.shape[0]:
             raise ValueError("value cache must be (S, Dv)")
+    for name, array in (("tokens", tokens), ("q", q), ("wk", wk), ("wv", wv)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"request {name} holds non-finite values (NaN or inf)")
     if request.deadline is not None and not (
         isinstance(request.deadline, (int, float))
         and math.isfinite(request.deadline)

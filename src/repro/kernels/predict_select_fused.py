@@ -43,12 +43,13 @@ a gather and a matmul, with no cast.  Inputs too large for the window
 (never the default 16-bit configs) fall back to int64 tiles, trading
 speed, not correctness.
 
-Exact tiles go to the selector unscaled, with each row's scale and the
+Every tile goes to the selector unscaled, with each row's scale and the
 same bound on ``|score|``: inside its key guard the selector ranks the
 integers themselves by one value sort of unique keys
 (:func:`~repro.core.sads._key_head`), which gives the float path's
-selection bit for bit.  Outside the guard it scales the tile itself, to
-the bits the kernel would have produced.  Int64 tiles are scaled here.
+selection bit for bit.  Outside the guard (int64 tiles always fall
+outside it) it casts the tile to float64 and multiplies by the scales,
+which is the reference's ``int * scale``.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class FusedPredictSelect:
         own ``k_hat`` rows: the gathered key rows feed the same exact
         integer matmul, so the window's position changes no bit.  The
         selector sees the heads ordered by segment count, most first, so a
-        head takes part only in its own segments.  Exact tiles reach it
+        head takes part only in its own segments.  Tiles reach it
         unscaled, with their rows' scales (see the module notes).
         """
         prep = predictor.predict_prepared(tokens, q, cache=cache, cache_keys=cache_keys)
@@ -157,19 +158,18 @@ class FusedPredictSelect:
             k_tile = k_hat[starts[:m, None] + window_columns(lo[::t], hi[::t])]
             block = pow2[:m] @ k_tile.transpose(0, 2, 1)
             probe.peak_tile_elems = max(probe.peak_tile_elems, block.size)
-            if not exact:
-                block = block.astype(np.float64) * scales[:m, None, None]
             return block.reshape(m * t, k_tile.shape[1])
 
-        # Exact tiles go to the selector unscaled, with their rows' scales
-        # and score bound: it ranks them by integer keys where it can.
+        # Tiles go to the selector unscaled, with their rows' scales and
+        # score bound: it ranks them by integer keys where it can and
+        # scales them itself where it cannot (int64 tiles always).
         stack = sorter.select_stack_streamed(
             tile_fn,
             n * t,
             np.repeat(lens[order], t),
             np.repeat(k_heads[order], t),
             np.repeat(seg_heads[order], t),
-            row_scales=np.repeat(scales, t) if exact else None,
+            row_scales=np.repeat(scales, t),
             score_bound=bound,
         )
         # Back to the callers' head order: sorted row p is original row rows[p].

@@ -178,3 +178,26 @@ def test_non_finite_input_raises_a_typed_error(where, value):
     )
     with pytest.raises(ValueError, match="non-finite"):
         SofaEngine(cfg).run([request])
+
+
+@pytest.mark.parametrize("where", ["tokens", "q", "wk", "wv"])
+def test_non_finite_request_fails_alone_at_submit(where):
+    """A request carrying NaN is refused by ``submit``; a finite request
+    submitted beside it still runs, bit-identical to running it alone."""
+    from repro.engine import AttentionRequest, SofaEngine
+
+    cfg = SofaConfig(tile_cols=16, top_k=8)
+    wk, wv, tokens, q = _head(make_rng(91), 40)
+    good = AttentionRequest(tokens=tokens, q=q, wk=wk, wv=wv)
+    arrays = {"tokens": tokens, "q": q, "wk": wk, "wv": wv}
+    arrays[where] = arrays[where].copy()
+    arrays[where][1, 2] = np.nan
+    bad = AttentionRequest(**arrays)
+    engine = SofaEngine(cfg)
+    future = engine.submit(good)
+    with pytest.raises(ValueError, match=f"request {where} holds non-finite"):
+        engine.submit(bad)
+    engine.flush()
+    alone = SofaEngine(cfg).run([good])[0]
+    assert future.result().output.tobytes() == alone.output.tobytes()
+    assert future.result().selected.tobytes() == alone.selected.tobytes()
