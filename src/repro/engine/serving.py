@@ -60,7 +60,7 @@ import math
 import threading
 import time
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -154,9 +154,11 @@ def validate_request(request: AttentionRequest, default_config: SofaConfig) -> N
     Shared by :meth:`SofaEngine.submit` and the cluster frontend
     (:class:`repro.cluster.EngineCluster`), so a bad request fails in the
     caller's process instead of aborting the batch (or the worker) it
-    would have joined.  That includes a NaN or infinite entry in
-    ``tokens``, ``q``, ``wk`` or ``wv``: quantizing the first three would
-    raise inside the batch and fail every request batched with it.
+    would have joined.  Finiteness is not scanned here: a decode request
+    carries its whole token history, and the quantizers already raise on
+    a NaN or infinite token, query or key weight from the maximum they
+    compute; :meth:`SofaEngine._execute_keys` keeps that error with the
+    request that caused it.
     """
     tokens = np.asarray(request.tokens)
     q = np.asarray(request.q)
@@ -174,9 +176,6 @@ def validate_request(request: AttentionRequest, default_config: SofaConfig) -> N
         v = np.asarray(request.v)
         if v.ndim != 2 or v.shape[0] != tokens.shape[0]:
             raise ValueError("value cache must be (S, Dv)")
-    for name, array in (("tokens", tokens), ("q", q), ("wk", wk), ("wv", wv)):
-        if not np.isfinite(array).all():
-            raise ValueError(f"request {name} holds non-finite values (NaN or inf)")
     if request.deadline is not None and not (
         isinstance(request.deadline, (int, float))
         and math.isfinite(request.deadline)
@@ -568,10 +567,12 @@ class SofaEngine:
     def _execute_keys(self, keys: list[Hashable]) -> list[BatchRecord]:
         """Chunk and execute the named groups, one chunk after another.
 
-        Every chunk runs even after an earlier one raised: a failing chunk
-        resolves only its own futures, with its error.  Statistics count
-        the successful chunks in dispatch order, and the first error is
-        re-raised once the round is done.
+        Every chunk runs even after an earlier one raised.  A failing chunk
+        of several requests is run again one request at a time, so an
+        error (a NaN token failing its quantizer, say) resolves only the
+        future of the request that raised it; its batch-mates get the bits
+        they get alone.  Statistics count the successful chunks in dispatch
+        order, and the first error is re-raised once the round is done.
         """
         chunks: list[tuple[list[tuple[AttentionRequest, AttentionFuture]], int]] = []
         for key in keys:
@@ -591,10 +592,15 @@ class SofaEngine:
         records: list[BatchRecord] = []
         first_error: Exception | None = None
         obs = get_telemetry()
-        for chunk, age in chunks:
+        pending = deque(chunks)
+        while pending:
+            chunk, age = pending.popleft()
             try:
                 record = self._execute(chunk, age)
             except Exception as error:  # noqa: BLE001 - re-raised after the round
+                if len(chunk) > 1:
+                    pending.extendleft(([member], age) for member in reversed(chunk))
+                    continue
                 for _, future in chunk:
                     future.set_error(error)
                     obs.end_span(future.span, error=repr(error))

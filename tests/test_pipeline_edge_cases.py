@@ -180,24 +180,33 @@ def test_non_finite_input_raises_a_typed_error(where, value):
         SofaEngine(cfg).run([request])
 
 
-@pytest.mark.parametrize("where", ["tokens", "q", "wk", "wv"])
-def test_non_finite_request_fails_alone_at_submit(where):
-    """A request carrying NaN is refused by ``submit``; a finite request
-    submitted beside it still runs, bit-identical to running it alone."""
+@pytest.mark.parametrize("keyed", [False, True])
+@pytest.mark.parametrize("where", ["tokens", "q", "wk"])
+def test_non_finite_request_fails_alone(where, keyed):
+    """A NaN request fails only its own future.  The finite request
+    batched before it - put into the decode cache by the failed fused call
+    when keyed - gives the bits it gives alone."""
     from repro.engine import AttentionRequest, SofaEngine
 
     cfg = SofaConfig(tile_cols=16, top_k=8)
     wk, wv, tokens, q = _head(make_rng(91), 40)
-    good = AttentionRequest(tokens=tokens, q=q, wk=wk, wv=wv)
-    arrays = {"tokens": tokens, "q": q, "wk": wk, "wv": wv}
+    good = AttentionRequest(
+        tokens=tokens, q=q, wk=wk, wv=wv, cache_key="good" if keyed else None
+    )
+    arrays = {"tokens": tokens, "q": q, "wk": wk}
     arrays[where] = arrays[where].copy()
     arrays[where][1, 2] = np.nan
-    bad = AttentionRequest(**arrays)
+    bad = AttentionRequest(
+        **arrays, wv=wv, cache_key="bad" if keyed else None
+    )
     engine = SofaEngine(cfg)
-    future = engine.submit(good)
-    with pytest.raises(ValueError, match=f"request {where} holds non-finite"):
-        engine.submit(bad)
-    engine.flush()
+    good_future, bad_future = engine.submit(good), engine.submit(bad)
+    assert engine.pending == 2
+    with pytest.raises(ValueError, match="non-finite"):
+        engine.flush()
+    with pytest.raises(ValueError, match="non-finite"):
+        bad_future.result()
     alone = SofaEngine(cfg).run([good])[0]
-    assert future.result().output.tobytes() == alone.output.tobytes()
-    assert future.result().selected.tobytes() == alone.selected.tobytes()
+    assert good_future.result().output.tobytes() == alone.output.tobytes()
+    assert good_future.result().selected.tobytes() == alone.selected.tobytes()
+    assert engine.stats.n_requests == 1
