@@ -29,7 +29,7 @@ Three measurements, three artifacts:
   budget**.  One worker cannot hold the whole working set (its LRU
   thrashes on the round-robin sequence scan: 0% hits), while the sharded
   tier's aggregate cache capacity is the sum of the workers' -
-  ``cache_affinity`` routing pins each sequence to one worker, whose
+  routing by ``cache_key`` pins each sequence to one worker, whose
   shard then fits.  On a single CPU the recorded scaling is therefore the
   *cache-capacity* win alone (every process shares one core); on
   multi-core hosts the worker processes additionally run their CPU-bound
@@ -437,7 +437,6 @@ def measure_cluster(quick: bool = False, max_workers: int = 4) -> dict:
         with EngineCluster(
             n_workers=n_workers,
             config=CLUSTER_CONFIG,
-            routing="cache_affinity",
             cache_entries=CLUSTER_CACHE[quick],
             max_batch_heads=16,
             dedup=False,  # growing sequences never repeat bit-identically
@@ -478,7 +477,7 @@ def measure_cluster(quick: bool = False, max_workers: int = 4) -> dict:
         "bench": "engine_cluster",
         "quick": quick,
         "mechanism": (
-            "fixed per-worker decode-cache budget; cache_affinity sharding "
+            "fixed per-worker decode-cache budget; cache-key sharding "
             "multiplies aggregate cache capacity (single-CPU hosts measure "
             "this alone; multi-core hosts add process parallelism of the "
             "workers' CPU-bound engines)"
@@ -490,7 +489,6 @@ def measure_cluster(quick: bool = False, max_workers: int = 4) -> dict:
             "hidden": CLUSTER_HIDDEN[quick],
             "head_dim": CLUSTER_DK[quick],
             "cache_entries_per_worker": CLUSTER_CACHE[quick],
-            "routing": "cache_affinity",
         },
         "points": points,
         "scaling_vs_single_worker": {

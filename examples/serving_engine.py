@@ -206,7 +206,7 @@ def act_cluster(rng: np.random.Generator) -> None:
 
     async def serve() -> None:
         async with AsyncSofaClient(
-            EngineCluster(n_workers=2, config=config, routing="round_robin")
+            EngineCluster(n_workers=2, config=config)
         ) as client:
             cluster = client.backend
             # a burst of concurrent coroutines, one per request
@@ -249,7 +249,6 @@ def act_socket_supervised(rng: np.random.Generator) -> None:
     with EngineCluster(
         n_workers=2,
         config=config,
-        routing="round_robin",
         transport="socket",  # workers are standalone TCP-framed processes
         supervisor=supervisor,
     ) as cluster:
@@ -340,7 +339,7 @@ def act_telemetry(rng: np.random.Generator) -> None:
     obs.reset_telemetry()
     try:
         with EngineCluster(
-            n_workers=2, config=config, routing="round_robin", transport="socket"
+            n_workers=2, config=config, transport="socket"
         ) as cluster:
             results = cluster.run(requests)
             stats = cluster.stats

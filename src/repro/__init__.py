@@ -30,7 +30,8 @@ contribution:
 ``repro.cluster``
     The sharded serving tier: an ``EngineCluster`` of engine workers
     behind pluggable transports (local processes or socket-framed
-    standalone workers across hosts) with pluggable routing,
+    standalone workers across hosts) with one routing rule (a cache key
+    picks its worker, any other request goes to the least busy one),
     cross-request dedup, failure re-routing and opt-in supervision
     (heartbeats, auto-respawn/reconnect) and autoscaling (spawn/retire
     workers from queue-depth and latency signals), plus an

@@ -9,9 +9,9 @@ paper's parallel hardware lanes (RASS balancing heads across lanes, STAR
 tiling across spatial lanes, Occamy partitioning across chiplets):
 
 :class:`~repro.cluster.serving.EngineCluster`
-    N engine workers behind one frontend: pluggable routing
-    (``round_robin`` / ``shape_affinity`` / ``cache_affinity`` /
-    ``least_loaded``), cross-request dedup of bit-identical requests,
+    N engine workers behind one frontend: one routing rule (a cache key
+    picks its worker, any other request goes to the least busy one),
+    cross-request dedup of bit-identical requests,
     aggregated :class:`~repro.cluster.serving.ClusterStats`, graceful
     worker-failure handling (in-flight requests re-route, never drop),
     and opt-in supervision (heartbeats, auto-respawn/reconnect).
@@ -29,8 +29,9 @@ tiling across spatial lanes, Occamy partitioning across chiplets):
 :class:`~repro.cluster.aio.AsyncSofaClient`
     ``async``/``await`` over the same futures, for asyncio serving loops.
 :mod:`repro.cluster.routing`
-    The routing policies (rendezvous-hashed affinity, RASS lane
-    balancing) over a dynamic worker-id set.
+    The routing rule, :func:`~repro.cluster.routing.route`:
+    rendezvous-hashed cache keys and fewest-in-flight placement over a
+    dynamic worker-id set.
 :mod:`repro.cluster.worker`
     The worker loop (a socketpair child or ``python -m
     repro.cluster.worker --listen HOST:PORT``) and wire protocol.
@@ -43,7 +44,6 @@ mid-stream (and was respawned).
 """
 
 from repro.cluster.aio import AsyncSofaClient
-from repro.cluster.routing import POLICIES, RequestInfo, make_policy
 from repro.cluster.serving import (
     ClusterError,
     ClusterFuture,
@@ -75,15 +75,12 @@ __all__ = [
     "ClusterTransport",
     "EngineCluster",
     "LocalTransport",
-    "POLICIES",
     "PoolAutoscaler",
-    "RequestInfo",
     "SocketTransport",
     "SupervisorConfig",
     "TRANSPORTS",
     "WorkerStats",
     "WorkerSupervisor",
     "WorkerUnavailableError",
-    "make_policy",
     "make_transport",
 ]

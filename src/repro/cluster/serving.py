@@ -22,11 +22,10 @@ bit-identical serving across transports.
 Responsibilities of this frontend:
 
 * **Routing** - every submitted request is encoded once
-  (:mod:`repro.engine.codec`) and routed by a pluggable policy
-  (:mod:`repro.cluster.routing`): ``round_robin``, ``shape_affinity``
-  (same engine batch key -> same worker -> same fused batch), ``cache_affinity``
-  (decode ``cache_key`` sticks to the worker holding its cached state) or
-  ``least_loaded`` (RASS lane balancing over processes).
+  (:mod:`repro.engine.codec`) and routed by one rule
+  (:func:`repro.cluster.routing.route`): a decode ``cache_key`` sticks to
+  the worker holding its cached state, and any other request goes to the
+  live worker with the fewest requests in flight.
 * **Cross-request dedup** - bit-identical requests (equal codec
   fingerprints; ``tag``/``deadline`` excluded) submitted while the first
   copy is still in flight share one execution: the duplicates' futures
@@ -36,7 +35,7 @@ Responsibilities of this frontend:
 * **Failure handling** - a worker that dies (crash, kill, fault drill)
   is detected during the pump; results it already shipped still count,
   and every request still in flight on it is **re-routed** to a live
-  worker (affinity policies use rendezvous hashing, so survivors keep
+  worker (cache keys use rendezvous hashing, so survivors keep
   their keys).  Requests are only failed when no worker is left - and
   with supervision enabled, not even then (see below).
 * **Supervision** (opt-in: ``supervisor=SupervisorConfig(...)`` or
@@ -49,7 +48,7 @@ Responsibilities of this frontend:
   live worker remains but recovery is still possible, requests *park*
   instead of failing and replay once a worker comes back.  Reconnected
   remote workers register under a fresh worker id (their engine state
-  did not survive); rendezvous-hashed affinity keeps every surviving
+  did not survive); rendezvous hashing keeps every surviving
   worker's keys in place.  ``respawns`` / ``reconnects`` /
   ``heartbeat_timeouts`` surface in :class:`ClusterStats`.
 * **Autoscaling** (opt-in: ``autoscaler=AutoscalerConfig(...)`` or
@@ -61,7 +60,7 @@ Responsibilities of this frontend:
   sustained pressure **spawns** extra workers in fresh slots - the
   serving-time analogue of RASS lane balancing - up to
   ``max_workers``; when load stays low it **retires** the
-  least-loaded worker by draining it (no new traffic, finishes its
+  least-busy worker by draining it (no new traffic, finishes its
   in-flight work, then stops - never a failure).  All hysteresis
   (hold periods, cooldown, min/max bounds) lives in the pure policy;
   ``n_scale_ups`` / ``n_scale_downs`` / ``request_p99_s`` surface in
@@ -76,7 +75,7 @@ each worker's engine is bit-identical to the sequential operator, the
 codec round-trips tensors bit-exactly through every worker hop, and
 routing/supervision only choose *where and when* a request runs - so
 every result is bit-identical to single-engine serving regardless of
-transport, policy, worker count, dedup, or mid-stream failures.
+transport, placement, worker count, dedup, or mid-stream failures.
 
 The cluster is a drop-in engine for the call surface
 ``submit / submit_many / flush / run_until_drained / run /
@@ -115,7 +114,7 @@ from repro.engine.codec import (
 )
 from repro.engine.serving import AttentionRequest, SofaEngine, validate_request
 from repro.obs import get_telemetry
-from repro.cluster.routing import POLICIES, RequestInfo, make_policy
+from repro.cluster.routing import route
 from repro.cluster.supervisor import (
     AutoscalerConfig,
     PoolAutoscaler,
@@ -210,7 +209,6 @@ class ClusterStats:
     """
 
     n_workers: int
-    routing: str
     transport: str = "local"
     n_submitted: int = 0
     n_deduped: int = 0
@@ -279,7 +277,6 @@ class _InFlight:
     """
 
     payload: dict[str, Any]
-    info: RequestInfo
     fingerprint: str
     worker: int | None
     futures: list[ClusterFuture] = field(default_factory=list)
@@ -300,6 +297,9 @@ class _WorkerHandle:
     ``slot`` is the stable position (supervision retries per slot);
     ``worker_id`` the routing identity of this incarnation - equal to the
     slot for the initial workers, fresh for reconnected remote ones.
+    ``in_flight`` counts the ``_inflight`` records routed to it: each
+    dispatch adds one, and the record leaving it (result, error, or
+    re-route off a dead worker) takes it back.
     """
 
     def __init__(self, slot: int, worker_id: int, link: WorkerLink,
@@ -309,10 +309,10 @@ class _WorkerHandle:
         self.link = link
         self.alive = True
         self.ready = False
+        self.in_flight = 0
         #: autoscale-down: draining takes no new traffic; once its
         #: in-flight requests resolve it is stopped and marked retired.
         self.draining = False
-        self.stop_sent = False
         self.retired = False
         #: None for initial workers; "respawn"/"reconnect" when this
         #: incarnation was brought up by supervision (counted on ready).
@@ -347,8 +347,6 @@ class EngineCluster:
         Engine worker slots (ignored when ``worker_addresses`` pins them).
     config:
         Default :class:`SofaConfig` for every worker engine.
-    routing:
-        One of :data:`~repro.cluster.routing.POLICIES`.
     dedup:
         Share one execution among bit-identical in-flight requests.
     transport:
@@ -403,7 +401,6 @@ class EngineCluster:
         self,
         n_workers: int = 2,
         config: SofaConfig | None = None,
-        routing: str = "shape_affinity",
         dedup: bool = True,
         start_method: str | None = None,
         transport: str | ClusterTransport = "local",
@@ -433,8 +430,6 @@ class EngineCluster:
                 )
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if routing not in POLICIES:
-            raise ValueError(f"unknown routing policy {routing!r}; expected {POLICIES}")
         if "cache" in engine_options:
             raise TypeError(
                 "EngineCluster cannot forward cache= (a cache object cannot "
@@ -448,9 +443,7 @@ class EngineCluster:
                 f"accepted: {sorted(accepted)}"
             )
         self.config = config or SofaConfig()
-        self.routing = routing
         self.dedup = dedup
-        self._policy = make_policy(routing, n_workers)
         if isinstance(transport, ClusterTransport):
             self._transport = transport
         elif transport in TRANSPORTS:
@@ -512,7 +505,6 @@ class EngineCluster:
         self._slots: list[_WorkerHandle] = []
         self._workers: dict[int, _WorkerHandle] = {}
         self._next_worker_id = n_workers
-        self._ready: set[int] = set()
         try:
             for slot in range(n_workers):
                 link = self._start_worker(slot, slot)
@@ -530,7 +522,7 @@ class EngineCluster:
 
         try:
             self._drain_until(
-                lambda: len(self._ready) + self._dead_count() >= n_workers,
+                lambda: all(w.ready or not w.alive for w in self._slots),
                 timeout=startup_timeout_s,
             )
         except Exception:
@@ -659,7 +651,6 @@ class EngineCluster:
                 obs.end_span(span, deduped=True)
                 return future
 
-            info = RequestInfo.from_payload(payload)
             self._reap_dead_workers()
             self._supervise()
             self._autoscale()
@@ -670,7 +661,6 @@ class EngineCluster:
             self._next_req_id += 1
             record = _InFlight(
                 payload=payload,
-                info=info,
                 fingerprint=fingerprint,
                 worker=None,
                 submitted_at=time.monotonic(),
@@ -681,14 +671,26 @@ class EngineCluster:
             if self.dedup:
                 self._dedup_window[fingerprint] = req_id
             if live:
-                record.worker = self._policy.route(info, live)
-                record.rpc_span = self._start_rpc_span(record)
-                self._workers[record.worker].link.send(("req", req_id, payload))
+                self._dispatch(req_id, record, live)
             # else: parked - replayed when supervision recovers a worker
             return future
 
     def submit_many(self, requests: list[AttentionRequest]) -> list[ClusterFuture]:
         return [self.submit(r) for r in requests]
+
+    def _dispatch(self, req_id: int, record: _InFlight, live: list[int]) -> None:
+        """Route ``record`` over the ``live`` ids and send it there."""
+        in_flight = {worker: self._workers[worker].in_flight for worker in live}
+        record.worker = route(record.payload["cache_key"], live, in_flight)
+        handle = self._workers[record.worker]
+        handle.in_flight += 1
+        record.rpc_span = self._start_rpc_span(record)
+        handle.link.send(("req", req_id, record.payload))
+
+    def _release(self, record: _InFlight) -> None:
+        """``record`` leaves its worker (resolved, failed or orphaned)."""
+        if record.worker is not None:
+            self._workers[record.worker].in_flight -= 1
 
     def _can_park(self) -> bool:
         """May a request wait for supervision instead of failing?"""
@@ -799,8 +801,7 @@ class EngineCluster:
                 handle.recovered = None
                 if self._supervisor is not None:
                     self._supervisor.note_ready(handle.slot, time.monotonic())
-            self._ready.add(worker_id)
-            self._dispatch_parked()
+                self._dispatch_parked()
             return None
         if kind == "pong":
             return None  # note_seen above is the whole point
@@ -823,8 +824,7 @@ class EngineCluster:
             obs.end_span(record.rpc_span)
             record.rpc_span = None
             self._dedup_window.pop(record.fingerprint, None)
-            if record.worker is not None:
-                self._policy.retire(record.worker, record.info.cost)
+            self._release(record)
             first_decode_error: Exception | None = None
             for future in record.futures:
                 # Each future decodes its own tensors so callers never
@@ -855,8 +855,7 @@ class EngineCluster:
             if record is None:
                 return None
             self._dedup_window.pop(record.fingerprint, None)
-            if record.worker is not None:
-                self._policy.retire(record.worker, record.info.cost)
+            self._release(record)
             error = pickle.loads(error_bytes)
             self._finish_record_spans(record, error=repr(error))
             for future in record.futures:
@@ -872,7 +871,6 @@ class EngineCluster:
             if handle is not None:
                 handle.alive = False
                 handle.ready = False
-            self._ready.discard(worker_id)
             return None
         raise ClusterError(f"unknown worker message {kind!r}")
 
@@ -892,8 +890,8 @@ class EngineCluster:
         """One worker is gone: account it and recover its in-flight work.
 
         Results a dying worker managed to ship are drained *first*, so
-        only genuinely unresolved requests move.  Affinity policies
-        re-route via rendezvous hashing over the survivors; with
+        only genuinely unresolved requests move.  They re-route over the
+        survivors (keyed ones by rendezvous hashing); with
         supervision able to recover, stranded requests park instead of
         failing; otherwise a request fails only when no live worker
         remains - the first such failure is returned so a surrounding
@@ -901,7 +899,6 @@ class EngineCluster:
         """
         handle.alive = False
         handle.ready = False
-        self._ready.discard(handle.worker_id)
         if self._shut_down:
             return None  # a stopping worker's exit is not a failure
         if handle.draining or handle.retired:
@@ -927,19 +924,14 @@ class EngineCluster:
         for req_id, record in orphans:
             if req_id not in self._inflight:
                 continue  # its result arrived in the drain above
-            assert record.worker is not None
-            self._policy.retire(record.worker, record.info.cost)
+            self._release(record)
             if record.rpc_span is not None:
                 get_telemetry().end_span(record.rpc_span, error="worker_died")
                 record.rpc_span = None
             if live:
-                record.worker = self._policy.route(record.info, live)
                 record.rerouted += 1
                 self._n_rerouted += 1
-                record.rpc_span = self._start_rpc_span(record)
-                self._workers[record.worker].link.send(
-                    ("req", req_id, record.payload)
-                )
+                self._dispatch(req_id, record, live)
             elif self._can_park():
                 record.worker = None  # parked: replayed on recovery
             else:
@@ -967,13 +959,9 @@ class EngineCluster:
         for req_id, record in self._inflight.items():
             if record.worker is not None:
                 continue
-            record.worker = self._policy.route(record.info, live)
             record.rerouted += 1
             self._n_rerouted += 1
-            record.rpc_span = self._start_rpc_span(record)
-            self._workers[record.worker].link.send(
-                ("req", req_id, record.payload)
-            )
+            self._dispatch(req_id, record, live)
 
     def _fail_parked(self) -> None:
         """Supervision gave up with no worker left: fail parked requests."""
@@ -1149,16 +1137,12 @@ class EngineCluster:
         # provisioned-count guard above stops repeat spawns.
 
     def _scale_down(self, live: list[int]) -> None:
-        """Drain the least-loaded live worker toward retirement."""
+        """Drain the live worker with the fewest requests in flight."""
         if not live:
             return
-        counts: dict[int, int] = {wid: 0 for wid in live}
-        for record in self._inflight.values():
-            if record.worker in counts:
-                counts[record.worker] += 1
         # Fewest in-flight first; ties prefer the youngest identity (the
         # most recently scaled-up worker is the natural one to retire).
-        victim = min(live, key=lambda wid: (counts[wid], -wid))
+        victim = min(live, key=lambda wid: (self._workers[wid].in_flight, -wid))
         handle = self._workers[victim]
         handle.draining = True
         self._sup_stats.scale_downs += 1
@@ -1167,16 +1151,13 @@ class EngineCluster:
     def _finish_drains(self) -> None:
         """Stop any draining worker whose in-flight work has resolved."""
         for handle in self._slots:
-            if handle.draining and handle.alive and not handle.stop_sent:
+            if handle.draining and handle.alive and not handle.retired:
                 self._maybe_stop_drained(handle)
 
     def _maybe_stop_drained(self, handle: _WorkerHandle) -> None:
         """If nothing is in flight on ``handle``, stop and retire it."""
-        if any(
-            rec.worker == handle.worker_id for rec in self._inflight.values()
-        ):
+        if handle.in_flight:
             return  # still draining; checked again on the next tick
-        handle.stop_sent = True
         handle.retired = True
         handle.link.send(("stop",))
         if self._supervisor is not None:
@@ -1244,7 +1225,6 @@ class EngineCluster:
         with self._lock:
             return ClusterStats(
                 n_workers=self.n_workers,
-                routing=self.routing,
                 transport=self._transport.name,
                 n_submitted=self._n_submitted,
                 n_deduped=self._n_deduped,

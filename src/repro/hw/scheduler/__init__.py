@@ -2,14 +2,12 @@
 
 from repro.hw.scheduler.controller import PipelineTiming, TiledPipelineController
 from repro.hw.scheduler.rass import (
-    LaneLoadBalancer,
     naive_schedule,
     rass_schedule,
     ScheduleReport,
 )
 
 __all__ = [
-    "LaneLoadBalancer",
     "naive_schedule",
     "rass_schedule",
     "ScheduleReport",

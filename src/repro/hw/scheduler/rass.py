@@ -17,7 +17,10 @@ in whatever order the phases provide.
 
 The hardware realization (an FSM walking an ID buffer indexed by query
 bitmasks) is modeled by :func:`build_id_buffer` so the paper's worked
-example (bitmask 1000 -> {5, 6}) is checkable.
+example (bitmask 1000 -> {5, 6}) is checkable.  Balancing work across
+parallel lanes has its serving-tier counterpart in
+:func:`repro.cluster.routing.route`, which sends each uncached request to
+the worker process with the fewest requests in flight.
 """
 
 from __future__ import annotations
@@ -218,71 +221,3 @@ def schedule_is_valid(requirements: list[set[int]], report: ScheduleReport) -> b
         loaded |= set(phase)
     return all(req <= loaded for req in requirements)
 
-
-@dataclass
-class LaneLoadBalancer:
-    """Greedy least-loaded assignment of work items to parallel lanes.
-
-    RASS balances head-level work across the accelerator's parallel
-    compute lanes: each incoming unit of work (a head's KV phase list)
-    goes to the lane with the least outstanding work, and a lane's load
-    drains as its phases retire.  This object is that accounting in
-    isolation, so software consumers (``repro.cluster``'s
-    ``least_loaded`` routing policy shards a request stream over engine
-    worker processes with it) reuse the exact same rule the hardware
-    scheduler applies to lanes.
-
-    ``loads[i]`` is the outstanding (assigned minus retired) work of
-    lane ``i`` in caller-chosen cost units.  Ties break toward the
-    lowest lane index, so assignment is deterministic.
-    """
-
-    n_lanes: int
-    loads: list[float] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.n_lanes < 1:
-            raise ValueError("need at least one lane")
-        if self.loads is None:
-            self.loads = [0.0] * self.n_lanes
-        elif len(self.loads) != self.n_lanes:
-            raise ValueError("loads must have one entry per lane")
-
-    def pick(self, cost: float, eligible: list[int] | None = None) -> int:
-        """Assign ``cost`` units to the least-loaded (eligible) lane.
-
-        ``eligible`` restricts the choice (the cluster excludes dead
-        workers); ``None`` means every lane.  Returns the chosen lane.
-        """
-        if cost < 0:
-            raise ValueError("cost must be non-negative")
-        lanes = range(self.n_lanes) if eligible is None else eligible
-        if not lanes:
-            raise ValueError("no eligible lane")
-        lane = min(lanes, key=lambda i: (self.loads[i], i))
-        self.loads[lane] += cost
-        return lane
-
-    def retire(self, lane: int, cost: float) -> None:
-        """Retire ``cost`` units previously assigned to ``lane``."""
-        self.loads[lane] -= cost
-        if self.loads[lane] < 0:
-            # Guard against drift from mismatched assign/retire costs.
-            self.loads[lane] = 0.0
-
-    def ensure_lanes(self, n_lanes: int) -> None:
-        """Grow the lane set to at least ``n_lanes`` (new lanes start idle).
-
-        Software consumers with dynamic membership (the cluster's
-        ``least_loaded`` routing registers reconnected workers under fresh
-        ids) grow the accounting instead of rebuilding it, so surviving
-        lanes keep their outstanding-load history.
-        """
-        if n_lanes > self.n_lanes:
-            self.loads.extend([0.0] * (n_lanes - self.n_lanes))
-            self.n_lanes = n_lanes
-
-    @property
-    def imbalance(self) -> float:
-        """Max minus min outstanding load (0 = perfectly balanced)."""
-        return max(self.loads) - min(self.loads)

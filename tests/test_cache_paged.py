@@ -372,7 +372,6 @@ def test_differential_sweep_cluster_tier():
     with EngineCluster(
         n_workers=2,
         config=CFG,
-        routing="cache_affinity",
         cache_block_tokens=BLOCK_TOKENS,
         cache_bytes=4 * BLOCK_TOKENS * H * 8,
     ) as cluster:

@@ -2,8 +2,8 @@
 
 The cluster's contract extends the engine's: every result - output bits,
 selected indices, op counts, stage traces - is identical to the same
-request served by a single sequential engine, regardless of routing
-policy, worker count, dedup, or a worker dying mid-stream.  These tests
+request served by a single sequential engine, regardless of which
+worker served it, worker count, dedup, or a worker dying mid-stream.  These tests
 spawn real worker processes (marker: ``cluster``).
 """
 
@@ -13,7 +13,6 @@ import pytest
 from repro.cluster import (
     ClusterError,
     EngineCluster,
-    POLICIES,
     WorkerUnavailableError,
 )
 from repro.core.config import SofaConfig
@@ -59,10 +58,9 @@ def reference_results():
         return requests, engine.run(requests)
 
 
-@pytest.mark.parametrize("routing", POLICIES)
-def test_two_worker_cluster_bit_identical_each_policy(routing, reference_results):
+def test_two_worker_cluster_bit_identical(reference_results):
     requests, ref = reference_results
-    with EngineCluster(n_workers=2, config=CFG, routing=routing) as cluster:
+    with EngineCluster(n_workers=2, config=CFG) as cluster:
         got = cluster.run(requests)
         _assert_bit_identical(ref, got)
         stats = cluster.stats
@@ -71,6 +69,27 @@ def test_two_worker_cluster_bit_identical_each_policy(routing, reference_results
         assert stats.pending == 0
         assert stats.n_errors == 0
         assert sum(w.n_requests for w in stats.workers) == len(requests)
+
+
+def test_keyless_burst_of_one_shape_spreads_over_workers():
+    """Keyless requests go to the least busy worker, so a burst of one
+    shape reaches every worker instead of piling onto one."""
+    rng = make_rng(12)
+    wk, wv = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+    requests = [
+        AttentionRequest(
+            tokens=rng.integers(-100, 100, size=(32, 8)).astype(np.float64),
+            q=rng.normal(size=(3, 8)),
+            wk=wk,
+            wv=wv,
+        )
+        for _ in range(12)
+    ]
+    with EngineCluster(n_workers=2, config=CFG) as cluster:
+        cluster.run(requests)
+        per_worker = [w.n_requests for w in cluster.stats.workers]
+    assert sum(per_worker) == len(requests)
+    assert all(n > 0 for n in per_worker), per_worker
 
 
 def test_dedup_shares_one_execution_bit_identically():
@@ -133,7 +152,7 @@ def test_worker_side_error_routes_to_its_future_only():
         tokens=good[0].tokens, q=good[0].q, wk=good[0].wk, wv=good[0].wv,
         config=SofaConfig(tile_cols=0, top_k=4),  # explodes at execution
     )
-    with EngineCluster(n_workers=2, config=CFG, routing="round_robin") as cluster:
+    with EngineCluster(n_workers=2, config=CFG) as cluster:
         futures = cluster.submit_many([good[0], bad, good[1]])
         with pytest.raises(ValueError, match="tile_cols"):
             cluster.flush()
@@ -146,7 +165,7 @@ def test_worker_side_error_routes_to_its_future_only():
 
 def test_worker_death_reroutes_in_flight_requests(reference_results):
     requests, ref = reference_results
-    with EngineCluster(n_workers=2, config=CFG, routing="round_robin") as cluster:
+    with EngineCluster(n_workers=2, config=CFG) as cluster:
         # Stall worker 0, queue the crash behind the stall, then submit:
         # everything routed to worker 0 sits undelivered when it dies.
         cluster.stall_worker(0, 0.5)
@@ -157,7 +176,7 @@ def test_worker_death_reroutes_in_flight_requests(reference_results):
         _assert_bit_identical(ref, got)
         stats = cluster.stats
         assert stats.n_worker_failures == 1
-        assert stats.n_rerouted >= 1  # round robin sent some to worker 0
+        assert stats.n_rerouted >= 1  # the burst alternated onto worker 0
         assert stats.n_errors == 0
         assert stats.live_workers == 1
 
@@ -192,7 +211,7 @@ def test_shutdown_fails_pending_futures_and_rejects_new_work():
 
 def test_cluster_invalidate_cache_drops_across_workers():
     requests = _make_requests(seed=27, n=4, cache_keys=True)
-    with EngineCluster(n_workers=2, config=CFG, routing="cache_affinity") as cluster:
+    with EngineCluster(n_workers=2, config=CFG) as cluster:
         cluster.run(requests)
         assert cluster.stats.cache.misses == 4  # cold fills
         dropped = sum(cluster.invalidate_cache(f"seq-{i}") for i in range(4))
@@ -214,9 +233,7 @@ def test_decode_session_accepts_cluster_as_engine():
     ref = SparseDecodeSession(model, sofa_cfg, session_id="drop-in")
     ref_outs = [ref.prefill(prompt)] + [ref.step(s) for s in steps]
 
-    with EngineCluster(
-        n_workers=2, config=sofa_cfg, routing="cache_affinity"
-    ) as cluster:
+    with EngineCluster(n_workers=2, config=sofa_cfg) as cluster:
         session = SparseDecodeSession(
             model, sofa_cfg, engine=cluster, session_id="drop-in"
         )
@@ -247,7 +264,7 @@ def test_inference_runner_accepts_cluster_as_engine():
 
 def test_stats_snapshot_merges_worker_counters():
     requests = _make_requests(seed=33, n=6, cache_keys=True)
-    with EngineCluster(n_workers=2, config=CFG, routing="cache_affinity") as cluster:
+    with EngineCluster(n_workers=2, config=CFG) as cluster:
         cluster.run(requests)
         cluster.run(requests)  # second pass: all hits, split across workers
         stats = cluster.stats
@@ -262,5 +279,6 @@ def test_stats_snapshot_merges_worker_counters():
 def test_constructor_validation():
     with pytest.raises(ValueError, match="n_workers"):
         EngineCluster(n_workers=0)
-    with pytest.raises(ValueError, match="routing"):
-        EngineCluster(n_workers=1, routing="random")
+    # Placement is not configurable: the old option is an unknown one.
+    with pytest.raises(TypeError, match="unknown SofaEngine option"):
+        EngineCluster(n_workers=1, **{"routing": "random"})

@@ -1,23 +1,19 @@
-"""Routing-policy tests: affinity invariants, balance, randomized sweep.
+"""Routing tests: the one rule, its invariants, a randomized sweep.
 
-Policies are deterministic pure functions of ``(RequestInfo, live
-workers)``, so the affinity invariants (same grid -> same worker, same
-cache key -> same worker, rendezvous stability under worker loss) are
-checked exhaustively at the unit level; a randomized end-to-end sweep
-(marker: ``cluster``) then proves the whole frontend - routing + dedup +
-a mid-stream worker death - never moves a result bit.
+:func:`~repro.cluster.routing.route` is a deterministic pure function of
+``(cache_key, live workers, in-flight counts)``, so its invariants (same
+cache key -> same worker, keyless -> fewest in flight, rendezvous
+stability under worker loss) are checked exhaustively at the unit level;
+a randomized end-to-end sweep (marker: ``cluster``) then proves the whole
+frontend - routing + dedup + a mid-stream worker death - never moves a
+result bit.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import EngineCluster, POLICIES, RequestInfo, make_policy
-from repro.cluster.routing import (
-    CacheAffinityPolicy,
-    LeastLoadedPolicy,
-    RoundRobinPolicy,
-    ShapeAffinityPolicy,
-)
+from repro.cluster import EngineCluster
+from repro.cluster.routing import route
 from repro.core.config import SofaConfig
 from repro.engine import AttentionRequest, SofaEngine
 from repro.engine.codec import encode_request, request_fingerprint
@@ -26,99 +22,53 @@ from repro.utils.rng import make_rng
 CFG = SofaConfig(tile_cols=16, top_k=0.25)
 
 
-def _info(shape_key: bytes, cache_key: bytes | None = None, cost: float = 1.0):
-    return RequestInfo(shape_key=shape_key, cache_key=cache_key, cost=cost)
+def _idle(live: list[int]) -> dict[int, int]:
+    return {worker: 0 for worker in live}
 
 
 # ------------------------------------------------------------------ unit level
-def test_make_policy_registry():
-    for name in POLICIES:
-        assert make_policy(name, 3).__class__.name == name
-    with pytest.raises(ValueError, match="unknown routing policy"):
-        make_policy("nope", 3)
-
-
-def test_round_robin_cycles_and_skips_dead():
-    policy = RoundRobinPolicy(3)
-    picks = [policy.route(_info(b"k"), [0, 1, 2]) for _ in range(6)]
-    assert picks == [0, 1, 2, 0, 1, 2]
-    picks = [policy.route(_info(b"k"), [0, 2]) for _ in range(4)]
-    assert 1 not in picks and set(picks) == {0, 2}
-    with pytest.raises(ValueError):
-        policy.route(_info(b"k"), [])
-
-
-def test_shape_affinity_same_grid_same_worker():
-    policy = ShapeAffinityPolicy(4)
+def test_cache_key_always_maps_to_one_worker():
     live = [0, 1, 2, 3]
-    rng = make_rng(5)
+    rng = make_rng(7)
     for _ in range(50):
-        key = rng.bytes(12)
-        first = policy.route(_info(key), live)
-        assert all(policy.route(_info(key), live) == first for _ in range(3))
-    # S is not in the engine's batch key, so requests that differ only in
-    # S batch together and must share a worker; S still weighs the cost.
-    lengths = (16, 24, 32, 48, 64, 96, 128, 256)
-    wk, wv, q = rng.normal(size=(8, 8)), rng.normal(size=(8, 8)), rng.normal(size=(2, 8))
-    infos = [
-        RequestInfo.from_payload(
-            encode_request(
-                AttentionRequest(tokens=rng.normal(size=(s, 8)), q=q, wk=wk, wv=wv)
-            )
-        )
-        for s in lengths
-    ]
-    assert len({policy.route(info, live) for info in infos}) == 1
-    assert [info.cost for info in infos] == [s * 2.0 for s in lengths]
+        key = rng.bytes(8)
+        first = route(key, live, _idle(live))
+        # Neither the load nor the order of the live set moves a key.
+        busy = {worker: int(rng.integers(10)) for worker in live}
+        assert route(key, live, busy) == first
+        assert route(key, live[::-1], busy) == first
+    with pytest.raises(ValueError):
+        route(b"k", [], {})
+
+
+def test_keyless_picks_follow_in_flight_counts():
+    live = [0, 1, 2]
+    in_flight = _idle(live)
+    picks = []
+    for _ in range(6):  # a burst: counts only rise, so picks alternate
+        worker = route(None, live, in_flight)
+        in_flight[worker] += 1
+        picks.append(worker)
+    assert picks == [0, 1, 2, 0, 1, 2]
+    assert route(None, live, {0: 3, 1: 1, 2: 2}) == 1
+    assert route(None, live, {0: 2, 1: 4, 2: 2}) == 0  # ties: lowest id
+    # A fresh worker (new id, nothing in flight) takes the next request.
+    assert route(None, [0, 1, 7], {0: 1, 1: 1, 7: 0}) == 7
+    with pytest.raises(ValueError):
+        route(None, [], {})
 
 
 def test_affinity_rendezvous_only_remaps_keys_of_the_dead_worker():
-    policy = ShapeAffinityPolicy(4)
     rng = make_rng(6)
     keys = [rng.bytes(16) for _ in range(200)]
-    full = {k: policy.route(_info(k), [0, 1, 2, 3]) for k in keys}
+    full = {k: route(k, [0, 1, 2, 3], _idle([0, 1, 2, 3])) for k in keys}
     assert len(set(full.values())) == 4  # every worker owns some keys
-    reduced = {k: policy.route(_info(k), [0, 1, 3]) for k in keys}
+    reduced = {k: route(k, [0, 1, 3], _idle([0, 1, 3])) for k in keys}
     for key in keys:
         if full[key] != 2:
             assert reduced[key] == full[key]  # survivors keep their keys
         else:
             assert reduced[key] in (0, 1, 3)
-
-
-def test_cache_affinity_sticks_by_key_and_falls_back_to_shape():
-    policy = CacheAffinityPolicy(4)
-    live = [0, 1, 2, 3]
-    rng = make_rng(7)
-    for _ in range(50):
-        cache_key = rng.bytes(8)
-        shape_a, shape_b = rng.bytes(8), rng.bytes(8)
-        # same cache key on different grids -> same worker (state lives there)
-        assert policy.route(_info(shape_a, cache_key), live) == policy.route(
-            _info(shape_b, cache_key), live
-        )
-    shape = rng.bytes(8)
-    keyless = policy.route(_info(shape, None), live)
-    assert keyless == ShapeAffinityPolicy(4).route(_info(shape), live)
-
-
-def test_least_loaded_balances_costs_and_retires():
-    policy = LeastLoadedPolicy(3)
-    live = [0, 1, 2]
-    assert policy.route(_info(b"a", cost=10.0), live) == 0
-    assert policy.route(_info(b"b", cost=1.0), live) == 1
-    assert policy.route(_info(b"c", cost=1.0), live) == 2
-    assert policy.route(_info(b"d", cost=1.0), live) == 1  # lightest after b
-    policy.retire(0, 10.0)
-    assert policy.route(_info(b"e", cost=1.0), live) == 0
-    assert policy.balancer.imbalance <= 2.0
-
-
-def test_least_loaded_respects_live_subset():
-    policy = LeastLoadedPolicy(3)
-    for _ in range(5):
-        assert policy.route(_info(b"x", cost=1.0), [1, 2]) in (1, 2)
-    assert policy.balancer.loads[0] == 0.0
 
 
 # --------------------------------------------------------------- cluster sweep
@@ -148,14 +98,13 @@ def _random_stream(seed: int, n: int) -> list[AttentionRequest]:
 
 
 @pytest.mark.cluster
-@pytest.mark.parametrize("routing", POLICIES)
-def test_randomized_sweep_parity_and_dedup(routing):
+def test_randomized_sweep_parity_and_dedup():
     requests = _random_stream(seed=101, n=14)
     fingerprints = [request_fingerprint(encode_request(r)) for r in requests]
     n_unique = len(set(fingerprints))
     with SofaEngine(CFG) as engine:
         ref = engine.run(requests)
-    with EngineCluster(n_workers=3, config=CFG, routing=routing) as cluster:
+    with EngineCluster(n_workers=3, config=CFG) as cluster:
         got = cluster.run(requests)
         stats = cluster.stats
     for a, b in zip(ref, got):
@@ -170,12 +119,11 @@ def test_randomized_sweep_parity_and_dedup(routing):
 
 
 @pytest.mark.cluster
-@pytest.mark.parametrize("routing", POLICIES)
-def test_randomized_sweep_survives_mid_stream_worker_death(routing):
+def test_randomized_sweep_survives_mid_stream_worker_death():
     requests = _random_stream(seed=202, n=12)
     with SofaEngine(CFG) as engine:
         ref = engine.run(requests)
-    with EngineCluster(n_workers=3, config=CFG, routing=routing) as cluster:
+    with EngineCluster(n_workers=3, config=CFG) as cluster:
         half = len(requests) // 2
         futures = cluster.submit_many(requests[:half])
         cluster.flush()

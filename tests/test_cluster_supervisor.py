@@ -20,13 +20,13 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    AutoscalerConfig,
     EngineCluster,
     SupervisorConfig,
     WorkerSupervisor,
     WorkerUnavailableError,
-    make_policy,
 )
-from repro.cluster.routing import RequestInfo
+from repro.cluster.routing import route
 from repro.core.config import SofaConfig
 from repro.engine import AttentionRequest, SofaEngine
 from repro.utils.rng import make_rng
@@ -193,14 +193,11 @@ def test_reconnect_with_fresh_id_remaps_minimally():
     or goes to the newcomer (its fair ~1/n share) - and the dead worker's
     keys spread over the new live set instead of triggering a full
     re-shard."""
-    policy = make_policy("cache_affinity", 3)
-    infos = [
-        RequestInfo(shape_key=b"s", cache_key=f"seq-{i}".encode(), cost=1.0)
-        for i in range(300)
-    ]
-    before = {i: policy.route(info, [0, 1, 2]) for i, info in enumerate(infos)}
+    keys = [f"seq-{i}".encode() for i in range(300)]
+    idle = dict.fromkeys(range(4), 0)
+    before = {i: route(key, [0, 1, 2], idle) for i, key in enumerate(keys)}
     # worker 2 dies; its replacement reconnects as fresh id 3
-    after = {i: policy.route(info, [0, 1, 3]) for i, info in enumerate(infos)}
+    after = {i: route(key, [0, 1, 3], idle) for i, key in enumerate(keys)}
     survivor_keys = [i for i, owner in before.items() if owner in (0, 1)]
     moved = [i for i in survivor_keys if after[i] != before[i]]
     # no survivor<->survivor churn: every moved key went to the newcomer
@@ -221,7 +218,7 @@ def test_killed_worker_respawns_and_serves_new_traffic():
     with SofaEngine(CFG) as engine:
         ref = engine.run(requests)
     with EngineCluster(
-        n_workers=2, config=CFG, routing="round_robin", supervisor=FAST
+        n_workers=2, config=CFG, supervisor=FAST
     ) as cluster:
         assert _bit_identical(ref, cluster.run(requests))
         cluster.crash_worker(0, hard=True)
@@ -232,7 +229,7 @@ def test_killed_worker_respawns_and_serves_new_traffic():
         assert stats.n_worker_failures == 1
         assert stats.n_errors == 0
         assert stats.live_workers == 2
-        # both workers serve post-respawn round-robin traffic
+        # both workers serve post-respawn traffic
         assert sum(1 for w in stats.workers if w.n_requests and w.alive) == 2
 
 
@@ -244,7 +241,7 @@ def test_inflight_replay_through_respawn():
     with SofaEngine(CFG) as engine:
         ref = engine.run(requests)
     with EngineCluster(
-        n_workers=2, config=CFG, routing="round_robin", supervisor=FAST
+        n_workers=2, config=CFG, supervisor=FAST
     ) as cluster:
         cluster.stall_worker(0, 0.3)
         cluster.crash_worker(0, hard=False, wait=False)
@@ -278,6 +275,93 @@ def test_no_survivor_parks_and_replays_instead_of_failing():
         assert stats.n_errors == 0
 
 
+def _pump_until(cluster, done, check, timeout_s: float = 30.0) -> None:
+    """Poll until ``done()`` holds, running ``check`` after every poll."""
+    deadline = time.monotonic() + timeout_s
+    while not done():
+        assert time.monotonic() < deadline, "cluster never reached the state"
+        cluster.poll(0.02)
+        check()
+
+
+@pytest.mark.cluster
+def test_in_flight_counts_track_records_through_every_step():
+    """Routing and autoscale drains read each worker's in-flight count, so
+    after every step - submit, stall, crash and re-route, park and replay,
+    a drain - a live worker's count must equal the records routed to it,
+    and every count must be 0 once flushed (a count that drifts up would
+    keep a drained worker forever, one that drifts down would stop a
+    worker still holding requests)."""
+    requests = _make_requests(15, 6)
+    with SofaEngine(CFG) as engine:
+        ref = engine.run(requests)
+    quiet_scaler = AutoscalerConfig(
+        min_workers=1, max_workers=2, hold_up_s=3600.0, hold_down_s=3600.0
+    )
+    with EngineCluster(
+        n_workers=2, config=CFG, supervisor=FAST, autoscaler=quiet_scaler
+    ) as cluster:
+
+        def check() -> None:
+            for handle in cluster._slots:
+                if handle.alive:
+                    routed = sum(
+                        rec.worker == handle.worker_id
+                        for rec in cluster._inflight.values()
+                    )
+                    assert handle.in_flight == routed, handle.worker_id
+
+        def flush_to_zero(futures) -> None:
+            _pump_until(cluster, lambda: all(f.done() for f in futures), check)
+            cluster.flush()
+            handles = [*cluster._slots, *cluster._workers.values()]
+            assert [h.in_flight for h in handles] == [0] * len(handles)
+            assert _bit_identical(ref, [f.result() for f in futures])
+
+        # submit
+        futures = cluster.submit_many(requests)
+        check()
+        assert [h.in_flight for h in cluster._slots] == [3, 3]
+        flush_to_zero(futures)
+
+        # stall, crash, re-route: worker 0's share is in flight when it dies
+        cluster.stall_worker(0, 0.5)
+        cluster.crash_worker(0, hard=False, wait=False)
+        futures = cluster.submit_many(requests)
+        check()
+        flush_to_zero(futures)
+        assert cluster.stats.n_rerouted >= 1
+        _wait_for_recovery(cluster, before=0)
+
+        # park and replay: both workers die holding requests
+        _pump_until(cluster, lambda: len(cluster.live_workers) == 2, check)
+        for worker_id in cluster.live_workers:
+            cluster.stall_worker(worker_id, 5.0)
+        futures = cluster.submit_many(requests)
+        check()
+        for worker_id in cluster.live_workers:
+            cluster.crash_worker(worker_id, hard=True)
+        cluster.poll(0.0)
+        check()
+        assert all(rec.worker is None for rec in cluster._inflight.values())
+        assert len(cluster._inflight) == len(requests)
+        flush_to_zero(futures)
+
+        # autoscale drain: the victim holds requests, so it only stops
+        # once they have resolved
+        _pump_until(cluster, lambda: len(cluster.live_workers) == 2, check)
+        for worker_id in cluster.live_workers:
+            cluster.stall_worker(worker_id, 0.3)
+        futures = cluster.submit_many(requests)
+        cluster._scale_down(cluster.live_workers)
+        check()
+        (victim,) = [h for h in cluster._slots if h.draining]
+        assert victim.in_flight == 3 and not victim.retired
+        flush_to_zero(futures)
+        _pump_until(cluster, lambda: victim.retired, check)
+        assert cluster.stats.n_errors == 0
+
+
 @pytest.mark.cluster
 def test_worker_dying_during_respawn_consumes_attempt_then_recovers():
     """The respawned worker itself dies before reporting ready: the
@@ -286,7 +370,7 @@ def test_worker_dying_during_respawn_consumes_attempt_then_recovers():
     with SofaEngine(CFG) as engine:
         ref = engine.run(requests)
     with EngineCluster(
-        n_workers=2, config=CFG, routing="round_robin", supervisor=FAST
+        n_workers=2, config=CFG, supervisor=FAST
     ) as cluster:
         cluster._transport.spawn_fault_budget = 1  # next spawn dies pre-ready
         cluster.crash_worker(0, hard=True)
@@ -316,7 +400,7 @@ def test_wedged_recovery_incarnation_times_out_and_retries():
         ready_timeout_s=0.2,
     )
     with EngineCluster(
-        n_workers=2, config=CFG, routing="round_robin", supervisor=sup_cfg
+        n_workers=2, config=CFG, supervisor=sup_cfg
     ) as cluster:
         cluster.crash_worker(0, hard=True)
         _wait_for_recovery(cluster, before=0)
@@ -327,7 +411,6 @@ def test_wedged_recovery_incarnation_times_out_and_retries():
         handle.ready = False
         handle.recovered = "respawn"
         handle.started_at = time.monotonic() - 100.0
-        cluster._ready.discard(handle.worker_id)
         sup = cluster._supervisor
         sup.note_down(0, time.monotonic() - 100.0)
         sup.note_recovery_started(0, time.monotonic() - 100.0)
@@ -405,7 +488,7 @@ def test_genuine_heartbeat_timeout_kills_reroutes_and_respawns():
         backoff_max_s=0.5,
     )
     with EngineCluster(
-        n_workers=2, config=CFG, routing="round_robin", supervisor=sup
+        n_workers=2, config=CFG, supervisor=sup
     ) as cluster:
         # Let a first heartbeat round establish pings, then wedge worker 0
         # far past the timeout and submit traffic to both workers.
@@ -446,7 +529,6 @@ def test_remote_worker_reconnects_under_fresh_id():
         with EngineCluster(
             config=CFG,
             transport="socket",
-            routing="cache_affinity",
             worker_addresses=addrs,
             supervisor=FAST,
         ) as cluster:

@@ -4,9 +4,9 @@ worker death, reconnection (marker: ``socket``).
 The tentpole contract: the frontend is transport-blind, so serving over
 length-prefixed TCP frames to standalone worker processes must be
 **bit-identical** to serving local workers over socketpairs - outputs,
-selected indices, op counts, stage traces - for every routing policy,
-through dedup, and through a mid-stream worker kill followed by an
-auto-respawn serving new traffic (the differential sweep below).
+selected indices, op counts, stage traces - through dedup, and through
+a mid-stream worker kill followed by an auto-respawn serving new
+traffic (the differential sweep below).
 """
 
 import gc
@@ -19,11 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    EngineCluster,
-    POLICIES,
-    SupervisorConfig,
-)
+from repro.cluster import EngineCluster, SupervisorConfig
 from repro.cluster.transport import SocketTransport, parse_address
 from repro.cluster.worker import accept_frontend
 from repro.core.config import SofaConfig
@@ -99,46 +95,43 @@ def test_socket_cluster_bit_identical_and_reports_transport(reference_results):
 
 
 def test_transport_differential_sweep_with_midstream_kill(reference_results):
-    """The acceptance sweep: for every routing policy, local and socket
-    transports serve the same stream bit-identically to one engine -
-    including a mid-stream worker kill, the re-routed replay of its
-    in-flight requests, and post-respawn traffic on the recovered
-    worker."""
+    """The acceptance sweep: local and socket transports serve the same
+    stream bit-identically to one engine - including a mid-stream worker
+    kill, the re-routed replay of its in-flight requests, and post-respawn
+    traffic on the recovered worker."""
     requests, ref = reference_results
     late = _make_requests(seed=12, n=6)
     with SofaEngine(CFG) as engine:
         late_ref = engine.run(late)
 
-    for routing in POLICIES:
-        per_transport = {}
-        for transport in ("local", "socket"):
-            with EngineCluster(
-                n_workers=2,
-                config=CFG,
-                routing=routing,
-                transport=transport,
-                supervisor=FAST_SUPERVISOR,
-            ) as cluster:
-                # Stall worker 0, queue its crash behind the stall, then
-                # submit: whatever was routed to worker 0 is in flight
-                # when it dies and must replay onto the survivor.
-                cluster.stall_worker(0, 0.3)
-                cluster.crash_worker(0, hard=False, wait=False)
-                futures = cluster.submit_many(requests)
-                cluster.flush()
-                got = [f.result() for f in futures]
-                # Auto-respawn, then serve fresh traffic on the recovered set.
-                _wait_for_recovery(cluster, before=0)
-                got_late = cluster.run(late)
-                stats = cluster.stats
-                assert stats.n_worker_failures >= 1, (routing, transport)
-                assert stats.n_errors == 0, (routing, transport)
-                assert stats.n_respawns + stats.n_reconnects >= 1
-                assert stats.live_workers == 2, (routing, transport)
-                per_transport[transport] = got + got_late
-        # Both transports: bit-identical to the single sequential engine.
-        _assert_bit_identical(ref + late_ref, per_transport["local"])
-        _assert_bit_identical(ref + late_ref, per_transport["socket"])
+    per_transport = {}
+    for transport in ("local", "socket"):
+        with EngineCluster(
+            n_workers=2,
+            config=CFG,
+            transport=transport,
+            supervisor=FAST_SUPERVISOR,
+        ) as cluster:
+            # Stall worker 0, queue its crash behind the stall, then
+            # submit: whatever was routed to worker 0 is in flight
+            # when it dies and must replay onto the survivor.
+            cluster.stall_worker(0, 0.3)
+            cluster.crash_worker(0, hard=False, wait=False)
+            futures = cluster.submit_many(requests)
+            cluster.flush()
+            got = [f.result() for f in futures]
+            # Auto-respawn, then serve fresh traffic on the recovered set.
+            _wait_for_recovery(cluster, before=0)
+            got_late = cluster.run(late)
+            stats = cluster.stats
+            assert stats.n_worker_failures >= 1, transport
+            assert stats.n_errors == 0, transport
+            assert stats.n_respawns + stats.n_reconnects >= 1
+            assert stats.live_workers == 2, transport
+            per_transport[transport] = got + got_late
+    # Both transports: bit-identical to the single sequential engine.
+    _assert_bit_identical(ref + late_ref, per_transport["local"])
+    _assert_bit_identical(ref + late_ref, per_transport["socket"])
 
 
 def test_socket_dedup_shares_one_execution():
@@ -158,9 +151,7 @@ def test_socket_dedup_shares_one_execution():
 
 def test_socket_invalidate_cache_drops_across_workers():
     requests = _make_requests(seed=27, n=4, cache_keys=True)
-    with EngineCluster(
-        n_workers=2, config=CFG, transport="socket", routing="cache_affinity"
-    ) as cluster:
+    with EngineCluster(n_workers=2, config=CFG, transport="socket") as cluster:
         cluster.run(requests)
         assert cluster.stats.cache.misses == 4
         dropped = sum(cluster.invalidate_cache(f"seq-{i}") for i in range(4))
@@ -173,9 +164,7 @@ def test_socket_worker_error_routes_to_its_future_only():
         tokens=good[0].tokens, q=good[0].q, wk=good[0].wk, wv=good[0].wv,
         config=SofaConfig(tile_cols=0, top_k=4),  # explodes at execution
     )
-    with EngineCluster(
-        n_workers=2, config=CFG, transport="socket", routing="round_robin"
-    ) as cluster:
+    with EngineCluster(n_workers=2, config=CFG, transport="socket") as cluster:
         futures = cluster.submit_many([good[0], bad, good[1]])
         with pytest.raises(ValueError, match="tile_cols"):
             cluster.flush()
@@ -187,9 +176,7 @@ def test_socket_worker_error_routes_to_its_future_only():
 
 def test_socket_worker_death_without_supervision_reroutes(reference_results):
     requests, ref = reference_results
-    with EngineCluster(
-        n_workers=2, config=CFG, transport="socket", routing="round_robin"
-    ) as cluster:
+    with EngineCluster(n_workers=2, config=CFG, transport="socket") as cluster:
         cluster.stall_worker(0, 0.3)
         cluster.crash_worker(0, hard=False, wait=False)
         futures = cluster.submit_many(requests)

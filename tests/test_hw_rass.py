@@ -114,57 +114,3 @@ def test_rass_loads_exactly_unique_pairs(reqs):
     """RASS's ideal: total pair loads equal the union of requirements."""
     unique = len(set().union(*reqs))
     assert rass_schedule(reqs, capacity=64).kv_pair_loads == unique
-
-
-# ------------------------------------------------- lane load balancing (RASS)
-def test_lane_balancer_greedy_least_loaded():
-    from repro.hw.scheduler.rass import LaneLoadBalancer
-
-    bal = LaneLoadBalancer(n_lanes=3)
-    assert bal.pick(4.0) == 0  # ties break to the lowest lane
-    assert bal.pick(2.0) == 1
-    assert bal.pick(1.0) == 2
-    assert bal.pick(1.0) == 2  # lane 2 still lightest (2.0 after this pick)
-    assert bal.loads == [4.0, 2.0, 2.0]
-
-
-def test_lane_balancer_retire_drains_load():
-    from repro.hw.scheduler.rass import LaneLoadBalancer
-
-    bal = LaneLoadBalancer(n_lanes=2)
-    lane = bal.pick(10.0)
-    bal.retire(lane, 10.0)
-    assert bal.loads == [0.0, 0.0]
-    bal.retire(lane, 5.0)  # mismatched retire clamps, never negative
-    assert bal.loads[lane] == 0.0
-
-
-def test_lane_balancer_eligible_subset():
-    from repro.hw.scheduler.rass import LaneLoadBalancer
-
-    bal = LaneLoadBalancer(n_lanes=3)
-    bal.pick(1.0, eligible=[1, 2])
-    bal.pick(1.0, eligible=[1, 2])
-    assert bal.loads[0] == 0.0  # excluded lane untouched
-    with pytest.raises(ValueError):
-        bal.pick(1.0, eligible=[])
-
-
-def test_lane_balancer_keeps_imbalance_low_on_uniform_costs():
-    from repro.hw.scheduler.rass import LaneLoadBalancer
-
-    bal = LaneLoadBalancer(n_lanes=4)
-    for _ in range(101):
-        bal.pick(1.0)
-    assert bal.imbalance <= 1.0  # greedy on unit costs is near-perfect
-
-
-def test_lane_balancer_validates():
-    from repro.hw.scheduler.rass import LaneLoadBalancer
-
-    with pytest.raises(ValueError):
-        LaneLoadBalancer(n_lanes=0)
-    with pytest.raises(ValueError):
-        LaneLoadBalancer(n_lanes=2, loads=[0.0])
-    with pytest.raises(ValueError):
-        LaneLoadBalancer(n_lanes=1).pick(-1.0)
